@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ArgumentError, ConsistencyError, InternalError
-from .graphs import BRUTE_FORCE_VERTEX_CAP, Graph, _check_enumeration_size, _mask_tables
+from .graphs import Graph, _check_enumeration_size, _mask_tables, boundary_capacity
 
 import numpy as np
 
@@ -177,7 +177,7 @@ class _Dinic:
         return frozenset(seen)
 
 
-def _cancel_cycles(vertices: Iterable[int], flow: dict[tuple[int, int], int]):
+def _cancel_cycles(flow: dict[tuple[int, int], int]):
     """Remove circulations from a positive arc flow, in place.
 
     Net vertex flows are preserved; only cyclic components vanish.  This keeps
@@ -263,7 +263,7 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, 
             arc_flow[(u, v)] = arc_flow.get((u, v), 0) + pushed
         elif pushed < 0:
             arc_flow[(v, u)] = arc_flow.get((v, u), 0) - pushed
-    _cancel_cycles(verts, arc_flow)
+    _cancel_cycles(arc_flow)
 
     nums: dict[int, int] = {}
     for idx, arc in edge_arc.items():
@@ -509,22 +509,27 @@ def _demand_parts(demand: Mapping[int, object]):
 
 
 def _routable(graph: Graph, pos: Mapping[int, int], neg: Mapping[int, int],
-              lam: Fraction) -> bool:
-    """Can the demand be routed with congestion at most ``lam``?  Exact."""
+              lam: Fraction) -> tuple[bool, frozenset[int]]:
+    """Can the demand be routed with congestion at most ``lam``?  Exact.
+
+    Also returns the super-source's residual-reachable vertex set S (terminals
+    excluded).  When routing fails, S is a cut with d(S) > lam * cap(S).
+    """
     total = sum(pos.values())
     supply = {v: x * lam.denominator for v, x in pos.items()}
     sink = {v: x * lam.denominator for v, x in neg.items()}
-    value, _n, _s, _d, _r = _run_max_flow(graph, supply, sink,
-                                          cap_scale=lam.numerator)
-    return value == total * lam.denominator
+    value, _n, _s, _d, reach = _run_max_flow(graph, supply, sink,
+                                             cap_scale=lam.numerator)
+    return value == total * lam.denominator, reach - {graph.n, graph.n + 1}
 
 
 def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
     """Exact optimal congestion for routing a balanced single-commodity demand.
 
-    Found as the smallest lambda for which scaled capacities admit a
-    saturating flow, via binary search down to the spacing of candidate
-    cut ratios followed by exact rational recovery.
+    The optimum is the largest cut ratio d(S) / cap(S), found by Dinkelbach's
+    iteration from the best singleton cut: a flow at lambda either saturates,
+    so lambda is optimal, or its residual min cut S has a strictly larger
+    ratio, which becomes the next lambda.  Typically 1-3 max-flows.
     """
     pos, neg = _demand_parts(demand)
     if not pos:
@@ -532,25 +537,18 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
     if not graph.is_connected():
         raise ArgumentError("optimal congestion requires a connected graph")
 
-    total = sum(pos.values())
-    cap_bound = graph.total_capacity()  # any cut capacity lies in [1, cap_bound]
-    lo, hi = Fraction(0), Fraction(total)
-    if not _routable(graph, pos, neg, hi):
-        raise InternalError("congestion upper bound failed; unreachable for valid input")
-    gap = Fraction(1, cap_bound * cap_bound)
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        if _routable(graph, pos, neg, mid):
-            hi = mid
-        else:
-            lo = mid
-    candidate = Fraction((lo + hi) / 2).limit_denominator(cap_bound)
-    if lo < candidate <= hi and _routable(graph, pos, neg, candidate):
-        return candidate
-    # breakpoint recovery failed; fall back to enumeration when small enough
-    if graph.n <= BRUTE_FORCE_VERTEX_CAP:
-        return brute_force_opt_congestion(graph, demand)
-    raise InternalError("exact congestion recovery failed on an oversize graph")
+    deg = graph.degree_list()
+    lam = max(Fraction(x, deg[v]) for part in (pos, neg) for v, x in part.items())
+    while True:
+        ok, side = _routable(graph, pos, neg, lam)
+        if ok:
+            return lam
+        d_side = sum(pos.get(v, 0) - neg.get(v, 0) for v in side)
+        cap = boundary_capacity(graph, side, range(graph.n))
+        if not cap or d_side <= lam * cap:
+            raise InternalError("Dinkelbach step did not raise the cut ratio; "
+                                "unreachable for valid input")
+        lam = Fraction(d_side, cap)
 
 
 def brute_force_opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:

@@ -61,9 +61,7 @@ def expansion_bound(decomposition: HierarchicalDecomposition,
     if level == 0:
         return Fraction(1)
     parent = decomposition.parent_of(level, cl)
-    n = decomposition.n
-    value = 3.0 * _loglog(n) * math.log2(2 * len(parent) / len(cl))
-    return Fraction(value)
+    return _bound_for(decomposition.n, len(parent), len(cl))
 
 
 def _bound_for(n: int, parent_size: int, size: int) -> Fraction:
@@ -153,10 +151,11 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
         levels.append(next_level)
 
     decomposition = HierarchicalDecomposition(tuple(levels))
-    if __debug__:
-        assert check_laminar(decomposition)
-        assert decomposition.is_complete()
-        _assert_grandparent_halving(decomposition)
+    if not check_laminar(decomposition):
+        raise InternalError("hierarchy levels are not laminar")
+    if not decomposition.is_complete():
+        raise InternalError("hierarchy does not end in singletons")
+    _check_grandparent_halving(decomposition)
     return decomposition
 
 
@@ -180,7 +179,7 @@ def _balanced_split(graph: Graph, before: Partition, after: Partition,
             and total_after <= deg_before.total() + 2 * cut)
 
 
-def _assert_grandparent_halving(decomposition: HierarchicalDecomposition):
+def _check_grandparent_halving(decomposition: HierarchicalDecomposition):
     levels = decomposition.levels
     for i in range(2, len(levels)):
         for cluster in levels[i].clusters:
@@ -188,7 +187,8 @@ def _assert_grandparent_halving(decomposition: HierarchicalDecomposition):
                                             decomposition.parent_of(i, cluster))
             if grand == cluster:
                 continue  # a persisted singleton chain is its own ancestor
-            assert 2 * len(cluster) <= len(grand), "grandparent halving violated"
+            if 2 * len(cluster) > len(grand):
+                raise InternalError("grandparent halving violated")
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,6 @@ class TreeSparsifier:
 
     def leaves(self) -> list[TreeNode]:
         return [nd for nd in self.nodes if nd.leaf_vertex is not None]
-
-    def predict(self, demand: Mapping[int, object]) -> Fraction:
-        return predict_congestion(self, demand)
 
 
 def to_tree_sparsifier(decomposition: HierarchicalDecomposition,

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecut import (ArgumentError, ConsistencyError, FlowAssignment, Graph,
-                     VertexWeights, brute_force_opt_congestion, fair_cut, max_flow,
-                     opt_congestion, path_decomposition, verify_fair_cut)
+                     VertexWeights, brute_force_opt_congestion, fair_cut,
+                     generate_dumbbell, generate_grid, max_flow, opt_congestion,
+                     path_decomposition, random_pair_demands, verify_fair_cut)
+from treecut import flow as flow_module
 
 from conftest import connected_graphs, philox, random_connected_graph
+from test_acceptance import balanced_fuzz_demand
 
 
 class TestMaxFlow:
@@ -205,6 +208,56 @@ class TestOptCongestion:
         base = opt_congestion(graph, demand)
         scaled = opt_congestion(graph, {v: x * factor for v, x in demand.items()})
         assert scaled == base * factor
+
+
+class TestDinkelbachOracle:
+    """opt_congestion above the enumeration cap, and its max-flow count."""
+
+    @pytest.mark.parametrize("graph", [generate_grid(12, 12), generate_dumbbell(12)],
+                             ids=["grid12x12", "dumbbell12"])
+    def test_certificate_above_enumeration_cap(self, graph):
+        # cut ratios have denominators <= cap_bound, so two distinct ratios
+        # differ by at least 1/cap_bound^2: routable at lam but not at
+        # lam - 1/cap_bound^2 pins lam as the optimum
+        cap_bound = graph.total_capacity()
+        gap = Fraction(1, cap_bound * cap_bound)
+        for demand in random_pair_demands(graph, 6, 4, philox(77)):
+            lam = opt_congestion(graph, demand)
+            pos, neg = flow_module._demand_parts(demand)
+            assert lam.denominator <= cap_bound
+            assert flow_module._routable(graph, pos, neg, lam)[0]
+            assert not flow_module._routable(graph, pos, neg, lam - gap)[0]
+
+    @pytest.fixture
+    def flow_counter(self, monkeypatch):
+        counter = [0]
+        original = flow_module._run_max_flow
+
+        def counting(*args, **kwargs):
+            counter[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "_run_max_flow", counting)
+        return counter
+
+    def test_at_most_three_flows_on_fuzz(self, flow_counter):
+        worst = 0
+        for seed in range(300):
+            rng = philox(20_000 + seed)
+            graph = random_connected_graph(seed, max_n=12, max_cap=6)
+            demand = balanced_fuzz_demand(rng, graph.n)
+            flow_counter[0] = 0
+            opt_congestion(graph, demand)
+            worst = max(worst, flow_counter[0])
+        assert worst <= 3
+
+    @pytest.mark.parametrize("size", [8, 12])
+    def test_at_most_two_flows_on_bridge_demand(self, flow_counter, size):
+        graph = generate_dumbbell(size)
+        for magnitude in range(1, 5):
+            flow_counter[0] = 0
+            assert opt_congestion(graph, {0: magnitude, size: -magnitude}) == magnitude
+            assert flow_counter[0] <= 2
 
 
 class TestAgainstNetworkx:

@@ -1,14 +1,18 @@
 """Hierarchy construction, tree conversion, prediction, and certification."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from treecut import (ArgumentError, Graph, HierarchicalDecomposition, Partition,
-                     certify_well_expanding, check_laminar,
+import treecut
+from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalError,
+                     Partition, certify_well_expanding, check_laminar,
                      construct_hierarchy, default_gamma, expansion_bound,
-                     generate_diamond, opt_congestion, predict_congestion,
+                     generate_diamond, hierarchy, opt_congestion, predict_congestion,
                      quality_ratio, to_tree_sparsifier)
 from treecut.hierarchy import HierarchyConfig
 
@@ -77,6 +81,29 @@ class TestConstructHierarchy:
         assert h.is_complete() and check_laminar(h)
         sizes = {len(c) for c in h.levels[1].clusters}
         assert h.height >= 3 or sizes == {1}
+
+
+class TestPostConditions:
+    """construct_hierarchy's structural checks hold with and without -O."""
+
+    def test_broken_laminarity_raises(self, monkeypatch, double_k4):
+        monkeypatch.setattr(hierarchy, "check_laminar", lambda _d: False)
+        with pytest.raises(InternalError):
+            construct_hierarchy(double_k4, rng=philox(0))
+
+    def test_broken_laminarity_exits_3_under_optimize(self, tmp_path):
+        graph_file = tmp_path / "g.el"
+        graph_file.write_text("0 1 1\n1 2 1\n0 2 1\n")
+        script = ("import sys\n"
+                  "from treecut import cli, hierarchy\n"
+                  "hierarchy.check_laminar = lambda _d: False\n"
+                  "sys.exit(cli.run_cli(['build', '--graph', sys.argv[1]]))\n")
+        src = os.path.dirname(os.path.dirname(treecut.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script, str(graph_file)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 3, done.stderr
+        assert "not laminar" in done.stderr
 
 
 class TestTreeSparsifier:
