@@ -216,17 +216,13 @@ def _cmd_game_trace(args) -> int:
         pi = textio.parse_vertex_weights(_read(args.weights))
     else:
         pi = VertexWeights.degrees(graph)
-    game = CutMatchingGame(graph, pi, phi, _make_rng(args.seed),
-                           track_potential=True)
-    lines = []
-    while game.stopped is None and game.round < game.budget:
-        rec = game.step()
-        entry = {"round": rec.round, "active": rec.active, "deleted": rec.deleted,
-                 "matched": rec.matched, "max_load_ratio": round(rec.max_load_ratio, 6)}
-        if rec.potential is not None:
-            entry["potential"] = rec.potential
-        lines.append(json.dumps(entry))
+    game = CutMatchingGame(graph, pi, phi, _make_rng(args.seed))
     cut = game.run()
+    lines = [json.dumps({"round": rec.round, "active": rec.active,
+                         "deleted": rec.deleted, "matched": rec.matched,
+                         "max_load_ratio": round(rec.max_load_ratio, 6),
+                         "potential": rec.potential})
+             for rec in game.records]
     sparsity = None
     if cut:
         cap = boundary_capacity(graph, cut, range(graph.n))

@@ -138,9 +138,9 @@ def apply_mixing_step(x: np.ndarray, matching: Matching, active: Iterable[int],
     """One slowed matching mix: matched coordinates exchange a 1/slowdown share."""
     if slowdown < 1:
         raise ArgumentError("slowdown must be at least 1")
-    if __debug__:
-        act = set(active)
-        assert all(i in act and j in act for i, j in matching.pairs)
+    act = set(active)
+    if not all(i in act and j in act for i, j in matching.pairs):
+        raise ArgumentError("matched pairs must be active units")
     x = np.asarray(x, dtype=float)
     return _mix(x, matching.permutation(len(x)), slowdown)
 
@@ -171,20 +171,23 @@ def _as_mask(active, k: int) -> np.ndarray:
 
 def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
                 slowdown: int) -> np.ndarray:
-    """Matrix-free application of the centered, slowed walk operator."""
+    """Matrix-free application of the centered, slowed walk operator.
+
+    ``vec`` is one vector of length k or a k x m block of column vectors.
+    """
     y = vec.astype(float, copy=True)
     count = int(mask.sum())
     share = 1.0 / slowdown
     keep = 1.0 - share
     for _ in range(slowdown):
         y[~mask] = 0.0
-        y[mask] -= y[mask].sum() / count
+        y[mask] -= y[mask].sum(axis=0) / count
         for perm in reversed(perms):
             y = keep * y + share * y[perm]
         for perm in perms:
             y = keep * y + share * y[perm]
         y[~mask] = 0.0
-        y[mask] -= y[mask].sum() / count
+        y[mask] -= y[mask].sum(axis=0) / count
     return y
 
 
@@ -284,8 +287,8 @@ def cut_player_step(state: "CutMatchingGame", rng=None
     scale = max(float(np.abs(u).max()), state.k ** -0.5)
     if drift > 1e-9 * state.k * scale:
         raise InternalError("walk output lost orthogonality to the constant vector")
-    # k * ||u||^2 is an unbiased potential estimate; the game uses it as a
-    # convergence signal when the dense matrix is too large to maintain
+    # k * ||u||^2 is an unbiased estimate of the potential; it is the game's
+    # only convergence signal
     state.last_projection_energy = float(u @ u)
     left, right, _level = sweep_cut(np.nonzero(mask)[0], u)
     return left, right
@@ -392,11 +395,9 @@ def matching_player_step(graph: Graph, pi: Mapping[int, int], units: UnitMapping
 
     if any(us for us in left_at.values()):
         raise InternalError("not every surviving proposal unit was matched")
-    if __debug__:
-        for eidx, load in round_load.items():
-            cap = graph.edges[eidx][2]
-            assert load <= 2 * mp.cap_multiplier * cap, "per-round embedding load too high"
     for eidx, load in round_load.items():
+        if load > 2 * mp.cap_multiplier * graph.edges[eidx][2]:
+            raise InternalError("per-round embedding load too high")
         mp.edge_load[eidx] = mp.edge_load.get(eidx, 0) + load
     mp.rounds += 1
     return dropped, Matching(tuple(sorted(pairs)))
@@ -420,16 +421,15 @@ class RoundRecord:
 class CutMatchingGame:
     """State and driver for one run of the cut-matching game on a graph.
 
-    ``within`` restricts the instance to an induced subgraph.  When potential
-    tracking is enabled (affordable only up to ``POTENTIAL_UNIT_CAP`` units) a
-    dense mixing matrix is maintained incrementally and the game may stop as
-    soon as the potential certifies convergence.
+    ``within`` restricts the instance to an induced subgraph.  Each round
+    records the cut player's projection estimate of the potential; with
+    ``early_stop`` the game stops once three consecutive estimates are at
+    most ``potential_floor``.
     """
 
     def __init__(self, graph: Graph, pi: Mapping[int, int], phi: Fraction, rng,
                  round_coeff: float = DEFAULT_ROUND_COEFF,
-                 early_stop: bool = True, track_potential: bool = False,
-                 within: Iterable[int] | None = None):
+                 early_stop: bool = True, within: Iterable[int] | None = None):
         phi = Fraction(phi)
         if not 0 < phi < 1:
             raise ArgumentError("phi must lie strictly between 0 and 1")
@@ -456,8 +456,6 @@ class CutMatchingGame:
         self.records: list[RoundRecord] = []
         self.stopped: str | None = None
         self.early_stop = early_stop
-        track = (track_potential or early_stop) and k <= POTENTIAL_UNIT_CAP
-        self._dense = np.eye(k) if track else None
         self.potential_floor = 1.0 / k ** 3
         self.last_projection_energy: float | None = None
         self._quiet_rounds = 0
@@ -478,19 +476,10 @@ class CutMatchingGame:
         return frozenset(self.mp.deleted)
 
     def current_potential(self) -> float | None:
-        if self._dense is None:
+        """k times the last projection energy; None before the first round."""
+        if self.last_projection_energy is None:
             return None
-        mask = self.active_mask
-        if not mask.any():
-            return 0.0
-        idx = np.nonzero(mask)[0]
-        block = self._dense[np.ix_(idx, idx)]
-        centered = (block - block.mean(axis=0, keepdims=True)
-                    - block.mean(axis=1, keepdims=True) + block.mean())
-        power = centered
-        for _ in range(int(math.log2(self.slowdown))):
-            power = power @ power
-        return float((power * power).sum())
+        return self.k * self.last_projection_energy
 
     # -- play ----------------------------------------------------------------
 
@@ -505,20 +494,13 @@ class CutMatchingGame:
         if dropped:
             self.active_mask[list(dropped)] = False
         self.matchings.append(matching)
-        perm = matching.permutation(self.k)
-        self.perms.append(perm)
-        if self._dense is not None:
-            share = 1.0 / self.slowdown
-            keep = 1.0 - share
-            f = keep * self._dense + share * self._dense[perm, :]
-            self._dense = keep * f + share * f[:, perm]
+        self.perms.append(matching.permutation(self.k))
 
-        pot = self.current_potential() if self._dense is not None else None
         max_ratio = 0.0
         for eidx, load in self.mp.edge_load.items():
             max_ratio = max(max_ratio, load / self.graph.edges[eidx][2])
         rec = RoundRecord(self.round, self.active_count(), len(dropped),
-                          len(matching), max_ratio, pot)
+                          len(matching), max_ratio, self.current_potential())
         self.records.append(rec)
         self._evaluate_stop(rec)
         return rec
@@ -531,17 +513,13 @@ class CutMatchingGame:
             return
         if not self.early_stop:
             return
-        if rec.potential is not None:
-            if rec.potential <= self.potential_floor:
-                self.stopped = "potential"
-        elif self.last_projection_energy is not None:
-            # no dense tracking; require several consecutive quiet projections
-            if self.k * self.last_projection_energy <= self.potential_floor:
-                self._quiet_rounds += 1
-            else:
-                self._quiet_rounds = 0
-            if self._quiet_rounds >= 3:
-                self.stopped = "potential"
+        # one projection is noisy; require three consecutive quiet rounds
+        if rec.potential <= self.potential_floor:
+            self._quiet_rounds += 1
+        else:
+            self._quiet_rounds = 0
+        if self._quiet_rounds >= 3:
+            self.stopped = "potential"
 
     def run(self) -> frozenset[int]:
         while self.stopped is None and self.round < self.budget:
@@ -555,8 +533,7 @@ class CutMatchingGame:
 
 def sparsest_cut_apx(graph: Graph, pi: Mapping[int, int], phi, rng,
                      within: Iterable[int] | None = None,
-                     round_coeff: float = DEFAULT_ROUND_COEFF,
-                     early_stop: bool = True) -> frozenset[int]:
+                     round_coeff: float = DEFAULT_ROUND_COEFF) -> frozenset[int]:
     """Approximate sparsest cut oracle for integral vertex weights.
 
     Returns the lighter side R of the inactive set after the game: R is
@@ -564,7 +541,7 @@ def sparsest_cut_apx(graph: Graph, pi: Mapping[int, int], phi, rng,
     the graph is (phi / q*)-expanding with high probability.
     """
     game = CutMatchingGame(graph, pi, phi, rng, round_coeff=round_coeff,
-                           early_stop=early_stop, within=within)
+                           within=within)
     return game.run()
 
 
@@ -608,10 +585,5 @@ def potential(matchings: Sequence[Matching], active_sets: Sequence[Iterable[int]
     if not mask.any():
         return 0.0
     perms = [m.permutation(k) for m in matchings]
-    total = 0.0
-    for i in np.nonzero(mask)[0]:
-        e = np.zeros(k)
-        e[i] = 1.0
-        col = _apply_walk(e, perms, mask, slowdown)
-        total += float(col @ col)
-    return total
+    cols = _apply_walk(np.eye(k)[:, mask], perms, mask, slowdown)
+    return float((cols * cols).sum())

@@ -9,12 +9,13 @@ subsets quickly inside the brute-force oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, OversizeError
+from .errors import ArgumentError, InternalError, OversizeError
 
 #: hard cap for the exponential-enumeration oracles
 BRUTE_FORCE_VERTEX_CAP = 24
@@ -163,7 +164,14 @@ class Graph:
         return comps
 
     def is_connected(self, within: Iterable[int] | None = None) -> bool:
+        if within is None:
+            return self._connected
         return len(self.components(within)) <= 1
+
+    @cached_property
+    def _connected(self) -> bool:
+        # the graph is immutable, so the whole-graph answer is computed once
+        return len(self.components()) <= 1
 
 
 @dataclass(frozen=True)
@@ -290,7 +298,7 @@ def fuse(partition: Partition, merged: Iterable[int],
 
     Every cluster loses the vertices of T, emptied clusters vanish, and T is
     added as a cluster of its own.  When a graph is supplied the boundary
-    growth bound of the fuse operation is asserted in debug mode.
+    growth bound of the fuse operation is checked.
     """
     t = frozenset(merged)
     if not t:
@@ -302,7 +310,7 @@ def fuse(partition: Partition, merged: Iterable[int],
     new_clusters = [c for c in new_clusters if c]
     new_clusters.append(t)
     fused = Partition.of(new_clusters)
-    if graph is not None and __debug__:
+    if graph is not None:
         before = boundary_degree_map(graph, partition)
         after = boundary_degree_map(graph, fused)
         rest = ground - t
@@ -310,7 +318,8 @@ def fuse(partition: Partition, merged: Iterable[int],
         bound = (before.total(ground) - before.total(t)
                  + 2 * incident_capacity(graph, t, rest).total()
                  + incident_capacity(graph, t, outside).total())
-        assert after.total(ground) <= bound, "fuse boundary bound violated"
+        if after.total(ground) > bound:
+            raise InternalError("fuse boundary bound violated")
     return fused
 
 
@@ -388,7 +397,8 @@ def brute_force_sparsest_cut(graph: Graph, pi: Mapping[int, int]) -> tuple[Cut, 
             if best_ratio is None or ratio < best_ratio or \
                     (ratio == best_ratio and mask < best_mask):
                 best_ratio, best_mask = ratio, mask
-    assert best_mask is not None
+    if best_mask is None:
+        raise InternalError("no valid cut found despite two weighted vertices")
     subset = _mask_set(best_mask, verts)
     return Cut(subset, boundary_capacity(graph, subset, verts)), best_ratio
 

@@ -71,7 +71,6 @@ def _bound_for(n: int, parent_size: int, size: int) -> Fraction:
 @dataclass
 class HierarchyConfig:
     round_coeff: float = 10.0
-    early_stop: bool = True
     phi_cap: Fraction = Fraction(1, 4)
 
 
@@ -95,8 +94,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
 
     root_phi = min(Fraction(1), cfg.phi_cap)  # the root's bound is 1; cap applies
     root = partition_cluster(graph, everything, Partition.singletons(everything),
-                             root_phi, rng, round_coeff=cfg.round_coeff,
-                             early_stop=cfg.early_stop)
+                             root_phi, rng, round_coeff=cfg.round_coeff)
     if root.bad_child:
         raise InternalError("the root cluster has no border and cannot split off a child")
     levels: list[Partition] = [Partition.trivial(everything), root.partition]
@@ -126,8 +124,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
             phi = min(1 / _bound_for(n, len(parent), len(target)), cfg.phi_cap)
             before = sub[target]
             result = partition_cluster(graph, target, before, phi, rng,
-                                       round_coeff=cfg.round_coeff,
-                                       early_stop=cfg.early_stop)
+                                       round_coeff=cfg.round_coeff)
             if not result.bad_child:
                 sub[target] = result.partition
                 continue

@@ -115,7 +115,6 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
 
 def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
                       phi, rng, round_coeff: float = 10.0,
-                      early_stop: bool = True,
                       sparse_oracle=None) -> PartitionClusterResult:
     """Refine a cluster's partition, possibly splitting off a bad child.
 
@@ -165,7 +164,7 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
             sparse = frozenset(sparse_oracle(graph, pi, phi / 20, rng, c_set))
         else:
             sparse = sparsest_cut_apx(graph, pi, phi / 20, rng, within=c_set,
-                                      round_coeff=round_coeff, early_stop=early_stop)
+                                      round_coeff=round_coeff)
         if pi.total(sparse) == 0:
             return PartitionClusterResult(frozenset(), current)
 

@@ -122,10 +122,12 @@ def test_05_cut_player_potential():
         pi = {v: per_vertex for v in range(8)}
         for seed in range(50):
             game = CutMatchingGame(base, pi, Fraction(1, 4),
-                                   philox(50_000 + seed), track_potential=True)
+                                   philox(50_000 + seed))
             values = [float(k - 1)]
             while game.stopped is None and game.round < game.budget:
-                values.append(game.step().potential)
+                game.step()
+                values.append(potential(game.matchings, [game.active_units()],
+                                        game.slowdown, k=k))
             tol = 1e-9 * k
             if any(b > a + tol for a, b in zip(values, values[1:])):
                 monotone = False

@@ -92,6 +92,7 @@ class TestGameTrace:
         assert code == 0
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert all("round" in entry for entry in lines[:-1])
+        assert all(isinstance(entry["potential"], float) for entry in lines[:-1])
         summary = lines[-1]
         assert {"cut", "sparsity", "stopped", "rounds"} <= set(summary)
 

@@ -14,7 +14,8 @@ from treecut import (ArgumentError, CutMatchingGame, Graph, Matching,
                      boundary_capacity, cut_player_step, dense_flow_matrix,
                      matching_player_step, oracle_params, potential,
                      sparsest_cut_apx, sweep_cut)
-from treecut.cutmatch import slowdown_for, sweep_cut_violations
+from treecut.cutmatch import (POTENTIAL_UNIT_CAP, _apply_walk, slowdown_for,
+                              sweep_cut_violations)
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
 
@@ -48,6 +49,10 @@ class TestWalkOperators:
         x = np.ones(4)
         out = apply_mixing_step(x, Matching(((0, 1), (2, 3))), range(4), 2)
         assert np.allclose(out, x)
+
+    def test_inactive_pair_rejected(self):
+        with pytest.raises(ArgumentError):
+            apply_mixing_step(np.zeros(3), Matching(((0, 2),)), {0, 1}, 2)
 
     def test_pair_mixes_by_share(self):
         out = apply_mixing_step(np.array([1.0, 0.0]), Matching(((0, 1),)), {0, 1}, 2)
@@ -191,23 +196,33 @@ class TestPotential:
         with pytest.raises(OversizeError):
             potential([], [list(range(600))], 2)
 
-    def test_matches_dense_tracking(self, k8):
+    def test_projection_estimate_is_unbiased(self, k8):
+        # the game's stop signal k * ||walk(r)||^2 averages to the potential
         game = make_game(k8, {v: 2 for v in range(8)}, Fraction(1, 4), 5,
-                         track_potential=True)
-        for _ in range(5):
-            game.step()
-        free = potential(game.matchings, [game.active_units()],
-                         game.slowdown, k=game.k)
-        assert game.records[-1].potential == pytest.approx(free, rel=1e-9, abs=1e-12)
+                         early_stop=False)
+        k = game.k
+        rng = philox(77)
+        for rounds in (0, 3, 5, 8):
+            while game.round < rounds:
+                game.step()
+            exact = potential(game.matchings, [game.active_units()],
+                              game.slowdown, k=k)
+            r = rng.standard_normal((k, 2000))
+            r /= np.linalg.norm(r, axis=0)
+            walked = _apply_walk(r, game.perms, game.active_mask, game.slowdown)
+            estimate = k * float((walked * walked).sum(axis=0).mean())
+            assert estimate == pytest.approx(exact, rel=0.1)
 
     def test_monotone_during_game(self, k8):
         game = make_game(k8, {v: 4 for v in range(8)}, Fraction(1, 4), 2,
-                         track_potential=True, early_stop=False)
+                         early_stop=False)
         values = [game.k - 1.0]
         for _ in range(25):
             if game.stopped:
                 break
-            values.append(game.step().potential)
+            game.step()
+            values.append(potential(game.matchings, [game.active_units()],
+                                    game.slowdown, k=game.k))
         tol = 1e-9 * game.k
         assert all(b <= a + tol for a, b in zip(values, values[1:]))
 
@@ -345,6 +360,19 @@ class TestGameInvariants:
         for rec in game.records[:-1]:
             assert k - rec.active <= bound + 1e-9
 
+    @pytest.mark.parametrize("per_vertex", [4, 65])
+    def test_potential_stop_needs_three_quiet_rounds(self, k8, per_vertex):
+        # one signal on both sides of POTENTIAL_UNIT_CAP (k = 32 and k = 520)
+        game = make_game(k8, {v: per_vertex for v in range(8)}, Fraction(1, 4), 0)
+        assert (game.k > POTENTIAL_UNIT_CAP) == (per_vertex == 65)
+        assert game.current_potential() is None
+        game.run()
+        assert game.stopped == "potential"
+        assert all(isinstance(rec.potential, float) for rec in game.records)
+        quiet = [rec.potential <= game.potential_floor for rec in game.records]
+        assert quiet[-3:] == [True, True, True]
+        assert not any(all(quiet[i:i + 3]) for i in range(len(quiet) - 3))
+
 
 class TestExpansionCertificates:
     def test_flow_matrix_expansion_bound(self):
@@ -352,7 +380,7 @@ class TestExpansionCertificates:
         graph = random_connected_graph(5, max_n=6, max_cap=2)
         pi = VertexWeights({v: 2 for v in range(graph.n)})
         game = CutMatchingGame(graph, pi, Fraction(1, 2), philox(8),
-                               track_potential=True, early_stop=False)
+                               early_stop=False)
         k = game.k
         if k > 12:
             pytest.skip("fixture too large for subset enumeration")
@@ -362,7 +390,7 @@ class TestExpansionCertificates:
             game.step()
         f = dense_flow_matrix(game.matchings, None, game.slowdown, k=k)
         active = sorted(game.active_units())
-        pot = game.current_potential()
+        pot = potential(game.matchings, [active], game.slowdown, k=k)
         floor = 0.25 - pot ** (1 / (2 * game.slowdown)) if pot > 0 else 0.25
         ones = np.ones(k)
         for mask in range(1, 1 << k):

@@ -189,6 +189,26 @@ class TestOptCongestion:
         with pytest.raises(ArgumentError):
             opt_congestion(path3, {0: 1})
 
+    def test_connectivity_searched_once_per_graph(self, monkeypatch):
+        searches = [0]
+        original = Graph.components
+
+        def counting(self, within=None):
+            searches[0] += 1
+            return original(self, within)
+
+        monkeypatch.setattr(Graph, "components", counting)
+        path = Graph.from_edges(6, [(i, i + 1, 1) for i in range(5)],
+                                require_connected=False)
+        for magnitude in range(1, 9):
+            assert opt_congestion(path, {0: magnitude, 5: -magnitude}) == magnitude
+        assert searches[0] == 1
+        split = Graph.from_edges(4, [(0, 1, 1), (2, 3, 1)], require_connected=False)
+        for _ in range(3):
+            with pytest.raises(ArgumentError):
+                opt_congestion(split, {0: 1, 1: -1})
+        assert searches[0] == 2
+
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=8, max_cap=4), st.data())
     def test_matches_brute_force(self, graph, data):

@@ -1,14 +1,19 @@
 """Graph primitives and brute-force oracles."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecut import (ArgumentError, Graph, OversizeError, Partition, VertexWeights,
-                     boundary_capacity, boundary_degree_map, brute_force_sparsest_cut,
-                     check_expanding, check_laminar, fuse, partition_boundary_degree)
+import treecut
+from treecut import (ArgumentError, Graph, InternalError, OversizeError, Partition,
+                     VertexWeights, boundary_capacity, boundary_degree_map,
+                     brute_force_sparsest_cut, check_expanding, check_laminar, fuse,
+                     graphs, partition_boundary_degree)
 
 from conftest import connected_graphs, philox, weighted_graphs
 
@@ -104,6 +109,28 @@ class TestFuse:
     def test_empty_fuse_rejected(self, path3):
         with pytest.raises(ArgumentError):
             fuse(Partition.singletons(range(3)), set())
+
+    def test_violated_growth_bound_raises(self, monkeypatch, path3):
+        # crediting no incident capacity puts the bound below the real boundary
+        monkeypatch.setattr(graphs, "incident_capacity", lambda *_a: VertexWeights())
+        with pytest.raises(InternalError):
+            fuse(Partition.singletons(range(3)), {0, 1}, path3)
+
+    def test_violated_growth_bound_raises_under_optimize(self):
+        script = ("import sys\n"
+                  "from treecut import Graph, InternalError, Partition, VertexWeights\n"
+                  "from treecut import fuse, graphs\n"
+                  "graphs.incident_capacity = lambda *_a: VertexWeights()\n"
+                  "g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 1)])\n"
+                  "try:\n"
+                  "    fuse(Partition.singletons(range(3)), {0, 1}, g)\n"
+                  "except InternalError:\n"
+                  "    sys.exit(3)\n")
+        src = os.path.dirname(os.path.dirname(treecut.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 3, done.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=9), st.data())
