@@ -378,13 +378,12 @@ def matching_player_step(graph: Graph, pi: Mapping[int, int], units: UnitMapping
     round_load: dict[int, int] = {}
     if leftover_s:
         leftover_r = {v: len(us) for v, us in right_at.items() if us}
-        value, nums, _su, _du, _reach = _run_max_flow(
-            graph, leftover_s, leftover_r, within=survivors,
-            cap_scale=2 * mp.cap_multiplier)
-        if value != sum(leftover_s.values()):
+        solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
+                               cap_scale=2 * mp.cap_multiplier)
+        if solved.value != sum(leftover_s.values()):
             raise InternalError("matching flow failed to saturate all sources; "
                                 "the fair cut contract was violated")
-        decomp = path_decomposition(graph, FlowAssignment(graph, 1, nums))
+        decomp = path_decomposition(graph, FlowAssignment(graph, 1, solved.edge_flow()))
         for path in decomp.paths:
             for a, b in zip(path.vertices, path.vertices[1:]):
                 eidx = graph.edge_index(a, b)

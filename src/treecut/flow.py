@@ -1,7 +1,12 @@
 """Exact max flow, fair cut/flow pairs, path decomposition, and congestion oracles.
 
 The flow engine is a Dinic solver with capacity scaling over integer
-capacities.  Rational source/target functions are handled by scaling the
+capacities.  Each graph builds its arc layout once (``Graph._arc_layout``);
+a max flow fills only a fresh residual list.  Scaling starts at the largest
+source-arc capacity, since no phase above it can push, and a BFS stops once
+it labels the sink.  The edge flow is built only when a caller reads it:
+``_routable`` and the fair cut's cut need just the value and the residual
+reachable set.  Rational source/target functions are handled by scaling the
 whole instance to a common denominator, solving integrally, and reporting
 flows in fixed-denominator units.  Flows returned by this module are always
 cycle-free, so path decompositions reproduce them edge-exactly.
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ArgumentError, ConsistencyError, InternalError
@@ -81,80 +87,84 @@ class FlowAssignment:
 
 
 class _Dinic:
-    """Max flow on an arc list; arcs are added in mutually-reverse pairs."""
+    """Max flow on a graph's arc layout (``Graph._arc_layout``) and one residual list.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.res: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
+    Arcs come in mutually reverse pairs ``idx`` and ``idx ^ 1``; only ``res``
+    belongs to this solver, the layout is shared by every flow on the graph.
+    """
 
-    def add(self, u: int, v: int, cap_uv: int, cap_vu: int) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.res.append(cap_uv)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.res.append(cap_vu)
-        self.head[v].append(idx + 1)
-        return idx
+    def __init__(self, to: list[int], head: list[list[int]], res: list[int]):
+        self.n = len(head)
+        self.to = to
+        self.head = head
+        self.res = res
 
     def _bfs(self, s: int, t: int, floor: int) -> list[int] | None:
+        # stop once t is labelled: a vertex at or beyond t's level lies on no
+        # level path to t, so the blocking flow is the same without it
+        to, res, head = self.to, self.res, self.head
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
         for v in queue:
-            for idx in self.head[v]:
-                w = self.to[idx]
-                if level[w] < 0 and self.res[idx] >= floor:
-                    level[w] = level[v] + 1
+            nxt = level[v] + 1
+            for idx in head[v]:
+                w = to[idx]
+                if level[w] < 0 and res[idx] >= floor:
+                    level[w] = nxt
+                    if w == t:
+                        return level
                     queue.append(w)
-        return level if level[t] >= 0 else None
+        return None
 
     def _blocking(self, s: int, t: int, floor: int, level: list[int]) -> int:
+        to, res, head = self.to, self.res, self.head
         pushed_total = 0
         cursor = [0] * self.n
         path: list[int] = []
         v = s
         while True:
             if v == t:
-                bottleneck = min(self.res[idx] for idx in path)
+                bottleneck = min(res[idx] for idx in path)
                 for idx in path:
-                    self.res[idx] -= bottleneck
-                    self.res[idx ^ 1] += bottleneck
+                    res[idx] -= bottleneck
+                    res[idx ^ 1] += bottleneck
                 pushed_total += bottleneck
                 # retreat to the first saturated arc on the path
                 for pos, idx in enumerate(path):
-                    if self.res[idx] < floor:
-                        path = path[:pos]
+                    if res[idx] < floor:
+                        del path[pos:]
                         break
-                v = self.to[path[-1]] if path else s
+                v = to[path[-1]] if path else s
                 continue
-            advanced = False
-            while cursor[v] < len(self.head[v]):
-                idx = self.head[v][cursor[v]]
-                w = self.to[idx]
-                if self.res[idx] >= floor and level[w] == level[v] + 1:
-                    path.append(idx)
-                    v = w
-                    advanced = True
+            arcs = head[v]
+            nxt = level[v] + 1
+            pos = cursor[v]
+            while pos < len(arcs):
+                idx = arcs[pos]
+                if res[idx] >= floor and level[to[idx]] == nxt:
                     break
-                cursor[v] += 1
-            if advanced:
+                pos += 1
+            cursor[v] = pos
+            if pos < len(arcs):
+                path.append(idx)
+                v = to[idx]
                 continue
             if v == s:
                 return pushed_total
             level[v] = -1  # dead end
             last = path.pop()
-            v = self.to[last ^ 1]
+            v = to[last ^ 1]
             cursor[v] += 1
 
     def solve(self, s: int, t: int) -> int:
-        maxcap = max(self.res, default=0)
-        if maxcap == 0:
+        # every augmenting path starts on an arc out of s, and those residuals
+        # only fall, so no phase above their largest capacity can push
+        top = max((self.res[idx] for idx in self.head[s]), default=0)
+        if top == 0:
             return 0
         flow = 0
-        floor = 1 << (maxcap.bit_length() - 1)
+        floor = 1 << (top.bit_length() - 1)
         while floor >= 1:
             while True:
                 level = self._bfs(s, t, floor)
@@ -163,18 +173,6 @@ class _Dinic:
                 flow += self._blocking(s, t, floor, level)
             floor //= 2
         return flow
-
-    def reachable(self, s: int) -> frozenset[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for idx in self.head[v]:
-                w = self.to[idx]
-                if self.res[idx] > 0 and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
 
 
 def _cancel_cycles(flow: dict[tuple[int, int], int]):
@@ -226,61 +224,96 @@ def _cancel_cycles(flow: dict[tuple[int, int], int]):
                 stack.pop()
 
 
+class _SolvedFlow:
+    """A solved max flow: its value, and what callers read from its residuals."""
+
+    def __init__(self, graph: Graph, res: list[int], value: int):
+        self.graph = graph
+        self.res = res
+        self.value = value
+
+    def reach(self) -> frozenset[int]:
+        """Graph vertices reachable from the super-source in the residual graph.
+
+        This is the source side of the minimal minimum cut.
+        """
+        to, _cap, head = self.graph._arc_layout
+        res = self.res
+        s_star = self.graph.n
+        seen = {s_star}
+        stack = [s_star]
+        while stack:
+            v = stack.pop()
+            for idx in head[v]:
+                w = to[idx]
+                if res[idx] > 0 and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        seen.discard(s_star)
+        return frozenset(seen)
+
+    def edge_flow(self) -> dict[int, int]:
+        """Cycle-free edge flow numerators, keyed by edge index in edge order."""
+        res = self.res
+        arc_flow: dict[tuple[int, int], int] = {}
+        used: list[int] = []
+        for idx, (u, v, _c) in enumerate(self.graph.edges):
+            pushed = (res[2 * idx + 1] - res[2 * idx]) // 2
+            if pushed:
+                arc = (u, v) if pushed > 0 else (v, u)
+                arc_flow[arc] = arc_flow.get(arc, 0) + abs(pushed)
+                used.append(idx)
+        _cancel_cycles(arc_flow)
+
+        nums: dict[int, int] = {}
+        for idx in used:
+            u, v, _c = self.graph.edges[idx]
+            net = arc_flow.get((u, v), 0) - arc_flow.get((v, u), 0)
+            if net:
+                nums[idx] = net
+        return nums
+
+
 def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
-                  within: Iterable[int] | None = None, cap_scale: int = 1):
+                  within: Iterable[int] | None = None, cap_scale: int = 1) -> _SolvedFlow:
     """Integral max flow between virtual terminals.
 
-    Returns (value, edge flow numerators, source usage, sink usage, reachable
-    vertex set from the super-source in the residual graph).  ``cap_scale``
-    multiplies graph edge capacities only.
+    Solves on the graph's arc layout with a fresh residual list: edge
+    capacities times ``cap_scale`` (0 for edges leaving ``within``) and the
+    terminal capacities.  The edge flow is built only if a caller asks.
     """
-    verts = set(range(graph.n)) if within is None else set(within)
-    s_star, t_star = graph.n, graph.n + 1
-    solver = _Dinic(graph.n + 2)
-    edge_arc: dict[int, int] = {}
-    for idx, u, v, c in graph.edges_within(verts):
-        edge_arc[idx] = solver.add(u, v, c * cap_scale, c * cap_scale)
-    src_arc: dict[int, int] = {}
-    for v, cap in sorted(supply.items()):
-        if cap < 0:
+    to, cap, head = graph._arc_layout
+    n, m2 = graph.n, 2 * graph.m
+    if within is None:
+        verts = range(n)
+        res = [c * cap_scale for c in cap]
+    else:
+        verts = set(within)
+        res = [0] * len(to)
+        for v in verts:
+            for idx in head[v]:
+                if to[idx] in verts:
+                    res[idx] = cap[idx] * cap_scale
+    for v, c in supply.items():
+        if c < 0:
             raise ArgumentError("supplies must be non-negative")
-        if cap > 0 and v in verts:
-            src_arc[v] = solver.add(s_star, v, int(cap), 0)
-    snk_arc: dict[int, int] = {}
-    for v, cap in sorted(demand.items()):
-        if cap < 0:
+        if c > 0 and v in verts:
+            res[m2 + 2 * v] = int(c)
+    for v, c in demand.items():
+        if c < 0:
             raise ArgumentError("demands must be non-negative")
-        if cap > 0 and v in verts:
-            snk_arc[v] = solver.add(v, t_star, int(cap), 0)
+        if c > 0 and v in verts:
+            res[m2 + 2 * n + 2 * v] = int(c)
 
-    value = solver.solve(s_star, t_star)
-
-    arc_flow: dict[tuple[int, int], int] = {}
-    for idx, arc in edge_arc.items():
-        u, v, c = graph.edges[idx]
-        pushed = (solver.res[arc ^ 1] - solver.res[arc]) // 2
-        if pushed > 0:
-            arc_flow[(u, v)] = arc_flow.get((u, v), 0) + pushed
-        elif pushed < 0:
-            arc_flow[(v, u)] = arc_flow.get((v, u), 0) - pushed
-    _cancel_cycles(arc_flow)
-
-    nums: dict[int, int] = {}
-    for idx, arc in edge_arc.items():
-        u, v, _c = graph.edges[idx]
-        net = arc_flow.get((u, v), 0) - arc_flow.get((v, u), 0)
-        if net:
-            nums[idx] = net
-    src_used = {v: int(supply[v]) - solver.res[arc] for v, arc in src_arc.items()}
-    snk_used = {v: int(demand[v]) - solver.res[arc] for v, arc in snk_arc.items()}
-    return value, nums, src_used, snk_used, solver.reachable(s_star)
+    value = _Dinic(to, head, res).solve(n, n + 1)
+    return _SolvedFlow(graph, res, value)
 
 
 def max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
              within: Iterable[int] | None = None) -> tuple[int, FlowAssignment]:
     """Maximum flow from a super-source over ``supply`` to a super-sink over ``demand``."""
-    value, nums, _su, _du, _reach = _run_max_flow(graph, supply, demand, within)
-    return value, FlowAssignment(graph, 1, nums)
+    solved = _run_max_flow(graph, supply, demand, within)
+    return solved.value, FlowAssignment(graph, 1, solved.edge_flow())
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +323,29 @@ def max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
 
 @dataclass
 class FairCutResult:
+    """A fair cut; its flow, in units of 1/``denom``, is built on first read."""
+
     cut: frozenset[int]
-    flow: FlowAssignment
     alpha: Fraction
+    denom: int
+    _solved: _SolvedFlow = field(repr=False, compare=False)
+
+    @cached_property
+    def flow(self) -> FlowAssignment:
+        return FlowAssignment(self._solved.graph, self.denom, self._solved.edge_flow())
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    d = 1
-    for v in values:
-        d = d * v.denominator // math.gcd(d, v.denominator)
-    return d
+def _exact_weights(weights: Mapping[int, object], verts) -> dict[int, int | Fraction]:
+    """The entries of ``weights`` at ``verts`` as ints or Fractions, checked non-negative."""
+    out: dict[int, int | Fraction] = {}
+    for v, w in weights.items():
+        if v in verts:
+            if not isinstance(w, (int, Fraction)):
+                w = Fraction(w)
+            if w < 0:
+                raise ArgumentError("source and target weights must be non-negative")
+            out[v] = w
+    return out
 
 
 def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int, object],
@@ -311,26 +357,29 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     positive) or to a super-sink (when negative); an exact max flow then makes
     the pair 1-fair, which satisfies the fairness contract for every
     alpha >= 1.  The cut is the residual-reachable side minus the terminal.
+    Every capacity is scaled by ``denom``, the least common denominator of
+    the net weights.
     """
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ArgumentError("alpha must be at least 1")
     verts = set(range(graph.n)) if within is None else set(within)
-    s_map = {v: Fraction(w) for v, w in source_w.items() if v in verts}
-    t_map = {v: Fraction(w) for v, w in target_w.items() if v in verts}
-    if any(w < 0 for w in s_map.values()) or any(w < 0 for w in t_map.values()):
-        raise ArgumentError("source and target weights must be non-negative")
+    s_map = _exact_weights(source_w, verts)
+    t_map = _exact_weights(target_w, verts)
 
-    net = {v: s_map.get(v, Fraction(0)) - t_map.get(v, Fraction(0))
-           for v in set(s_map) | set(t_map)}
-    denom = _common_denominator(net.values())
-    supply = {v: int(x * denom) for v, x in net.items() if x > 0}
-    demand = {v: int(-x * denom) for v, x in net.items() if x < 0}
+    # nets as integer numerators over a common denominator; dividing out
+    # their gcd leaves the lcm of the reduced net denominators
+    common = math.lcm(*(w.denominator for part in (s_map, t_map) for w in part.values()))
+    net = {v: w.numerator * (common // w.denominator) for v, w in s_map.items()}
+    for v, w in t_map.items():
+        net[v] = net.get(v, 0) - w.numerator * (common // w.denominator)
+    shared = math.gcd(common, *net.values())
+    denom = common // shared
+    supply = {v: x // shared for v, x in net.items() if x > 0}
+    demand = {v: -x // shared for v, x in net.items() if x < 0}
 
-    _value, nums, _su, _du, reach = _run_max_flow(
-        graph, supply, demand, verts, cap_scale=cap_scale * denom)
-    cut = frozenset(reach - {graph.n, graph.n + 1})
-    return FairCutResult(cut, FlowAssignment(graph, denom, nums), alpha)
+    solved = _run_max_flow(graph, supply, demand, verts, cap_scale=cap_scale * denom)
+    return FairCutResult(solved.reach(), alpha, denom, solved)
 
 
 #: verify_fair_cut property indices
@@ -435,11 +484,12 @@ def path_decomposition(graph: Graph, flow: FlowAssignment,
     flow outside the declared source/sink sets raise a consistency error, as
     does any leftover circulation.
     """
-    excess = {}
-    for v in graph.vertices():
-        num = flow.net_numerator(v)
-        if num:
-            excess[v] = num
+    net = [0] * graph.n
+    for idx, num in flow.nums.items():
+        u, v, _c = graph.edges[idx]
+        net[u] += num
+        net[v] -= num
+    excess = {v: num for v, num in enumerate(net) if num}
     src_ok = set(sources) if sources is not None else None
     snk_ok = set(sinks) if sinks is not None else None
     for v, num in excess.items():
@@ -518,9 +568,8 @@ def _routable(graph: Graph, pos: Mapping[int, int], neg: Mapping[int, int],
     total = sum(pos.values())
     supply = {v: x * lam.denominator for v, x in pos.items()}
     sink = {v: x * lam.denominator for v, x in neg.items()}
-    value, _n, _s, _d, reach = _run_max_flow(graph, supply, sink,
-                                             cap_scale=lam.numerator)
-    return value == total * lam.denominator, reach - {graph.n, graph.n + 1}
+    solved = _run_max_flow(graph, supply, sink, cap_scale=lam.numerator)
+    return solved.value == total * lam.denominator, solved.reach()
 
 
 def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:

@@ -173,6 +173,37 @@ class Graph:
         # the graph is immutable, so the whole-graph answer is computed once
         return len(self.components()) <= 1
 
+    @cached_property
+    def _arc_layout(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """The max-flow arc layout: (arc heads, base capacities, arcs out of each vertex).
+
+        Edge e = (u, v) owns arcs 2e (u to v) and 2e + 1.  With the
+        super-source n and super-sink n + 1, vertex v owns the source pair
+        2m + 2v (n to v), 2m + 2v + 1 and the sink pair 2m + 2n + 2v (v to
+        n + 1), 2m + 2n + 2v + 1, whose base capacity is 0.  Each vertex lists
+        its edge arcs in edge order, then its source reverse arc, then its
+        sink arc; the super-source lists its arcs in vertex order.  Built once,
+        since the graph is immutable; each flow keeps its own residuals.
+        """
+        n, m2 = self.n, 2 * self.m
+        to: list[int] = []
+        cap: list[int] = []
+        for u, v, c in self.edges:
+            to += (v, u)
+            cap += (c, c)
+        head = [[2 * idx + (v != self.edges[idx][0]) for _w, idx in self._adj[v]]
+                for v in range(n)]
+        for v in range(n):
+            to += (v, n)
+            head[v].append(m2 + 2 * v + 1)
+        for v in range(n):
+            to += (n + 1, v)
+            head[v].append(m2 + 2 * n + 2 * v)
+        cap += [0] * (4 * n)
+        head.append([m2 + 2 * v for v in range(n)])
+        head.append([m2 + 2 * n + 2 * v + 1 for v in range(n)])
+        return to, cap, head
+
 
 @dataclass(frozen=True)
 class Cut:

@@ -105,12 +105,11 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
         denom = denom * val.denominator // math.gcd(denom, val.denominator)
     scale = int(congestion * denom)
     total = supplies.total() * denom
-    value, _n, _su, _du, _r = _run_max_flow(
+    return _run_max_flow(
         graph,
         {v: c * denom for v, c in supplies.items()},
         {v: int(x * denom) for v, x in sinks.items()},
-        within=u_set, cap_scale=scale)
-    return value == total
+        within=u_set, cap_scale=scale).value == total
 
 
 def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,

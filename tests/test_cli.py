@@ -1,8 +1,15 @@
 """End-to-end CLI behavior: pipelines, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import treecut
 from treecut.cli import run_cli
+from treecut.generators import generate_diamond
 from treecut.textio import parse_edge_list
 
 
@@ -32,6 +39,19 @@ class TestGenerate:
         _c, second, _e = run(capsys, "generate", "--kind", "erdos-renyi",
                              "--n", "10", "--p", "0.4", "--seed", "9")
         assert first == second
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["treecut", "treecut.cli"])
+    def test_generate_writes_edge_list(self, tmp_path, module):
+        out_file = tmp_path / "d3.el"
+        src = os.path.dirname(os.path.dirname(treecut.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", module, "generate", "--kind", "diamond",
+                               "--k", "3", "--out", str(out_file)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert parse_edge_list(out_file.read_text()) == generate_diamond(3)
 
 
 class TestBuildEval:

@@ -16,6 +16,8 @@ from treecut import (ArgumentError, CutMatchingGame, Graph, Matching,
                      sparsest_cut_apx, sweep_cut)
 from treecut.cutmatch import (POTENTIAL_UNIT_CAP, _apply_walk, slowdown_for,
                               sweep_cut_violations)
+from treecut import cutmatch as cutmatch_module
+from treecut import flow as flow_module
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
 
@@ -276,6 +278,46 @@ class TestMatchingPlayer:
         assert dropped == frozenset()
         assert matching.pairs == ((0, 1),)
         assert mp.edge_load == {0: 1}
+
+    @pytest.fixture
+    def flow_builds(self, monkeypatch):
+        """Counts edge flows built (_cancel_cycles calls) and matching max-flows."""
+        counts = {"edge_flows": 0, "matching_flows": 0}
+        cancel, run = flow_module._cancel_cycles, cutmatch_module._run_max_flow
+
+        def counting_cancel(arc_flow):
+            counts["edge_flows"] += 1
+            return cancel(arc_flow)
+
+        def counting_run(*args, **kwargs):
+            counts["matching_flows"] += 1
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "_cancel_cycles", counting_cancel)
+        monkeypatch.setattr(cutmatch_module, "_run_max_flow", counting_run)
+        return counts
+
+    def test_only_the_matching_flow_is_built(self, flow_builds, path3):
+        g = Graph.from_edges(2, [(0, 1, 1)])
+        pi = VertexWeights({0: 1, 1: 2})
+        theta = UnitMapping.from_weights(pi)
+        matching_player_step(g, pi, theta, MatchingPlayerState(congestion_factor=40),
+                             {0, 1, 2}, frozenset({0}), frozenset({1, 2}))
+        assert flow_builds == {"edge_flows": 1, "matching_flows": 1}
+
+        weights = VertexWeights({0: 5, 2: 2})
+        theta = UnitMapping.from_weights(weights)
+        left = frozenset(list(theta.units_of(0))[:2])
+        right = frozenset(list(theta.units_of(0))[2:])
+        matching_player_step(path3, weights, theta, MatchingPlayerState(congestion_factor=40),
+                             frozenset(range(theta.k)), left, right, scope=range(3))
+        assert flow_builds == {"edge_flows": 1, "matching_flows": 1}
+
+    def test_game_builds_one_edge_flow_per_matching_flow(self, flow_builds, double_k4):
+        game = make_game(double_k4, VertexWeights.degrees(double_k4), Fraction(1, 4), 3)
+        game.run()
+        assert game.round > 0
+        assert flow_builds["edge_flows"] == flow_builds["matching_flows"] > 0
 
     def test_overlapping_sides_rejected(self, path3):
         pi = VertexWeights({0: 1, 2: 1})

@@ -1,5 +1,6 @@
 """Max flow, fair cuts, path decomposition, and congestion oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,47 @@ class TestDinkelbachOracle:
             assert flow_counter[0] <= 2
 
 
+def _networkx_max_flow(nx, graph, supply, demand, within, scale):
+    """Reference value and minimal min-cut source side from networkx."""
+    verts = set(range(graph.n)) if within is None else set(within)
+    ref = nx.DiGraph()
+    ref.add_nodes_from(["s", "t", *range(graph.n)])
+    for u, v, c in graph.edges:
+        if u in verts and v in verts:
+            ref.add_edge(u, v, capacity=c * scale)
+            ref.add_edge(v, u, capacity=c * scale)
+    for v, c in supply.items():
+        if v in verts:
+            ref.add_edge("s", v, capacity=c)
+    for v, c in demand.items():
+        if v in verts:
+            ref.add_edge(v, "t", capacity=c)
+    residual = nx.algorithms.flow.edmonds_karp(ref, "s", "t")
+    seen, stack = {"s"}, ["s"]
+    while stack:
+        a = stack.pop()
+        for b, attrs in residual[a].items():
+            if attrs["capacity"] - attrs["flow"] > 0 and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return residual.graph["flow_value"], frozenset(seen - {"s"})
+
+
+def _multi_terminal_instance(rng, graph):
+    """Disjoint supply and demand vertices, a within subset or None, a scale."""
+    supply, demand = {}, {}
+    for v in range(graph.n):
+        side = int(rng.integers(3))
+        if side == 1:
+            supply[v] = int(rng.integers(1, 12))
+        elif side == 2:
+            demand[v] = int(rng.integers(1, 12))
+    within = None
+    if rng.random() < 0.5:
+        within = frozenset(v for v in range(graph.n) if rng.random() < 0.75)
+    return supply, demand, within, int(rng.integers(1, 4))
+
+
 class TestAgainstNetworkx:
     def test_max_flow_matches_reference(self):
         nx = pytest.importorskip("networkx")
@@ -298,6 +340,117 @@ class TestAgainstNetworkx:
                 ref.add_edge(u, v, capacity=c)
                 ref.add_edge(v, u, capacity=c)
             assert value == nx.maximum_flow_value(ref, s, t)
+
+    def test_multi_terminal_calls_on_one_graph(self):
+        # back-to-back calls on one Graph object, mixing within and scales:
+        # each must match networkx and a fresh graph's answer exactly
+        nx = pytest.importorskip("networkx")
+        for seed in range(30):
+            graph = random_connected_graph(3000 + seed, max_n=14, max_cap=9)
+            rng = philox(seed)
+            for _call in range(6):
+                supply, demand, within, scale = _multi_terminal_instance(rng, graph)
+                solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
+                value, reach = _networkx_max_flow(nx, graph, supply, demand, within, scale)
+                assert solved.value == value
+                assert solved.reach() == reach
+                nums = solved.edge_flow()
+                fresh = flow_module._run_max_flow(Graph(graph.n, graph.edges),
+                                                  supply, demand, within, scale)
+                assert (fresh.value, fresh.reach(), fresh.edge_flow()) == \
+                    (value, reach, nums)
+
+                verts = set(range(graph.n)) if within is None else within
+                assignment = FlowAssignment(graph, 1, nums)
+                for idx, num in nums.items():
+                    u, v, c = graph.edges[idx]
+                    assert u in verts and v in verts and abs(num) <= c * scale
+                nets = [assignment.net_numerator(v) for v in range(graph.n)]
+                for v, net in enumerate(nets):
+                    # supply and demand vertices are disjoint
+                    assert -demand.get(v, 0) <= net <= supply.get(v, 0)
+                assert sum(net for net in nets if net > 0) == value
+
+    def test_layout_built_once_per_graph(self):
+        graph = generate_grid(4, 5)
+        layout = graph._arc_layout
+        to, cap, head = (list(part) for part in layout)
+        assert len(to) == 2 * graph.m + 4 * graph.n
+        rng = philox(5)
+        for _call in range(8):
+            supply, demand, within, scale = _multi_terminal_instance(rng, graph)
+            flow_module._run_max_flow(graph, supply, demand, within, scale)
+            fair_cut(graph, supply, demand, 1, within=within, cap_scale=scale)
+        assert graph._arc_layout is layout
+        assert (layout[0], layout[1], layout[2]) == (to, cap, head)
+
+
+class TestTerminalReduction:
+    @staticmethod
+    def _fraction_reduction(source_w, target_w, verts):
+        net = {v: Fraction(source_w.get(v, 0)) - Fraction(target_w.get(v, 0))
+               for v in (set(source_w) | set(target_w)) & verts}
+        denom = math.lcm(*(x.denominator for x in net.values()))
+        supply = {v: int(x * denom) for v, x in net.items() if x > 0}
+        demand = {v: int(-x * denom) for v, x in net.items() if x < 0}
+        return denom, supply, demand
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        calls = []
+        original = flow_module._run_max_flow
+
+        def capturing(graph, supply, demand, within=None, cap_scale=1):
+            calls.append((dict(supply), dict(demand), cap_scale))
+            return original(graph, supply, demand, within, cap_scale)
+
+        monkeypatch.setattr(flow_module, "_run_max_flow", capturing)
+        return calls
+
+    @pytest.mark.parametrize("source_w, target_w, within", [
+        ({0: Fraction(1, 3)}, {0: Fraction(1, 3)}, None),
+        ({0: 2, 1: Fraction(1, 2), 3: Fraction(5, 6)},
+         {1: Fraction(1, 2), 2: Fraction(2, 3), 4: 1}, None),
+        ({0: 3, 2: Fraction(7, 4)}, {0: Fraction(3, 1), 5: Fraction(9, 4), 4: 2}, None),
+        ({0: Fraction(1, 6), 1: 4}, {3: Fraction(1, 6), 5: Fraction(2, 7)}, range(5)),
+        ({v: v for v in range(6)}, {v: 5 - v for v in range(6)}, None),
+    ])
+    def test_matches_fraction_formula(self, captured, source_w, target_w, within):
+        graph = generate_grid(2, 3)
+        verts = set(range(graph.n)) if within is None else set(within)
+        result = fair_cut(graph, source_w, target_w, 1, within=within, cap_scale=3)
+        denom, supply, demand = self._fraction_reduction(source_w, target_w, verts)
+        assert result.denom == denom
+        assert captured == [(supply, demand, 3 * denom)]
+        ok, violated = verify_fair_cut(graph, source_w, target_w, 1, result.cut,
+                                       result.flow, within=within, cap_scale=3)
+        assert ok, violated
+
+    def test_cancelling_thirds_give_denominator_one(self):
+        graph = Graph.from_edges(2, [(0, 1, 1)])
+        third = Fraction(1, 3)
+        result = fair_cut(graph, {0: third, 1: 1}, {0: third, 1: 1}, 1)
+        assert result.denom == 1 and result.cut == frozenset()
+
+
+class TestLazyFairFlow:
+    def test_flow_read_after_other_flows_verifies(self):
+        for seed in range(20):
+            rng = philox(4000 + seed)
+            graph = random_connected_graph(seed, max_n=10, max_cap=6)
+            s = {v: Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 4)))
+                 for v in range(graph.n)}
+            t = {v: int(rng.integers(0, 7)) for v in range(graph.n)}
+            result = fair_cut(graph, s, t, Fraction(3, 2))
+            assert "flow" not in result.__dict__
+            for _later in range(3):
+                supply, demand, within, scale = _multi_terminal_instance(rng, graph)
+                max_flow(graph, supply, demand, within)
+                fair_cut(graph, supply, demand, 1, within=within, cap_scale=scale)
+            ok, violated = verify_fair_cut(graph, s, t, Fraction(3, 2),
+                                           result.cut, result.flow)
+            assert ok, (seed, violated)
+            assert result.flow is result.flow
 
 
 class TestSerialization:
