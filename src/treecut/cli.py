@@ -18,8 +18,8 @@ from .flow import fair_cut, verify_fair_cut
 from .generators import (generate_diamond, generate_dumbbell,
                          generate_erdos_renyi, generate_grid, random_pair_demands)
 from .graphs import VertexWeights, boundary_capacity
-from .hierarchy import (HierarchyConfig, certify_well_expanding, construct_hierarchy,
-                        default_gamma, quality_ratio, to_tree_sparsifier)
+from .hierarchy import (certify_well_expanding, construct_hierarchy, default_gamma,
+                        quality_ratio, to_tree_sparsifier)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,8 +51,6 @@ def _read(path: str) -> str:
 def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="fix all randomness")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "dot", "edgelist"),
-                        default="json", help="output format where applicable")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="construct a tree cut sparsifier")
     _common(build)
     build.add_argument("--graph", required=True, help="edge list path")
-    build.add_argument("--round-coeff", type=float, default=10.0)
+    build.add_argument("--format", choices=("json", "dot"), default="json",
+                       help="tree output format")
 
     ev = sub.add_parser("eval", help="compare tree predictions against exact optima")
     _common(ev)
@@ -121,9 +120,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_build(args) -> int:
     graph = textio.parse_edge_list(_read(args.graph))
-    config = HierarchyConfig(round_coeff=args.round_coeff)
     started = time.perf_counter()
-    decomposition = construct_hierarchy(graph, config, _make_rng(args.seed))
+    decomposition = construct_hierarchy(graph, rng=_make_rng(args.seed))
     tree = to_tree_sparsifier(decomposition, graph)
     elapsed = time.perf_counter() - started
     sizes: dict[int, int] = {}
@@ -175,7 +173,7 @@ def _cmd_certify(args) -> int:
     for _ in range(args.trials):
         s = {v: int(rng.integers(0, 6)) for v in range(graph.n)}
         t = {v: int(rng.integers(0, 6)) for v in range(graph.n)}
-        result = fair_cut(graph, s, t, Fraction(3, 2))
+        result = fair_cut(graph, s, t)
         ok, _viol = verify_fair_cut(graph, s, t, Fraction(3, 2),
                                     result.cut, result.flow)
         fair_total += 1

@@ -28,7 +28,8 @@ MATCH_FAIRNESS = Fraction(3, 2)
 POTENTIAL_UNIT_CAP = 512
 DENSE_UNIT_CAP = 256
 
-DEFAULT_ROUND_COEFF = 10.0
+#: a game on k units plays at most ceil(ROUND_COEFF * log2(k)^2) rounds
+ROUND_COEFF = 10
 
 
 def ceil_log2(x: int) -> int:
@@ -41,10 +42,6 @@ def slowdown_for(k: int) -> int:
     """Mixing slow-down: the largest power of two meeting the convergence bound."""
     raw = max(2, int(3 * math.log(k) / (2 * math.log(20))))
     return 1 << (raw.bit_length() - 1)
-
-
-def round_budget_for(k: int, coeff: float = DEFAULT_ROUND_COEFF) -> int:
-    return max(1, math.ceil(coeff * math.log2(k) ** 2))
 
 
 def oracle_params(n: int, pi_total: int) -> tuple[int, Fraction, Fraction]:
@@ -304,17 +301,16 @@ class MatchingPlayerState:
     """Deleted vertices, congestion bookkeeping, and the trade-off factor c."""
 
     congestion_factor: int
-    alpha: Fraction = MATCH_FAIRNESS
     deleted: set = field(default_factory=set)
     edge_load: dict = field(default_factory=dict)
     rounds: int = 0
 
     @property
     def cap_multiplier(self) -> int:
-        return math.ceil(self.congestion_factor * self.alpha)
+        return math.ceil(self.congestion_factor * MATCH_FAIRNESS)
 
 
-def matching_player_step(graph: Graph, pi: Mapping[int, int], units: UnitMapping,
+def matching_player_step(graph: Graph, units: UnitMapping,
                          mp: MatchingPlayerState, active: Iterable[int],
                          left: frozenset[int], right: frozenset[int],
                          scope: Iterable[int] | None = None
@@ -351,10 +347,10 @@ def matching_player_step(graph: Graph, pi: Mapping[int, int], units: UnitMapping
     for u in right:
         v = units.vertex(u)
         r_counts[v] = r_counts.get(v, 0) + 1
-    t_weights = {v: Fraction(count, 1) / mp.alpha
+    t_weights = {v: Fraction(count, 1) / MATCH_FAIRNESS
                  for v, count in r_counts.items()}
 
-    result = fair_cut(graph, s_counts, t_weights, mp.alpha, within=alive,
+    result = fair_cut(graph, s_counts, t_weights, within=alive,
                       cap_scale=mp.cap_multiplier)
     cut_side = result.cut
     mp.deleted |= cut_side
@@ -383,11 +379,11 @@ def matching_player_step(graph: Graph, pi: Mapping[int, int], units: UnitMapping
         if solved.value != sum(leftover_s.values()):
             raise InternalError("matching flow failed to saturate all sources; "
                                 "the fair cut contract was violated")
-        decomp = path_decomposition(graph, FlowAssignment(graph, 1, solved.edge_flow()))
+        nums = solved.edge_flow()
+        # cycle-free, and the paths use up every arc: an edge's load is its flow
+        round_load = {eidx: abs(num) for eidx, num in nums.items()}
+        decomp = path_decomposition(graph, FlowAssignment(graph, 1, nums))
         for path in decomp.paths:
-            for a, b in zip(path.vertices, path.vertices[1:]):
-                eidx = graph.edge_index(a, b)
-                round_load[eidx] = round_load.get(eidx, 0) + path.weight
             for _ in range(path.weight):
                 pairs.append((left_at[path.start].pop(0),
                               right_at[path.end].pop(0)))
@@ -423,11 +419,12 @@ class CutMatchingGame:
     ``within`` restricts the instance to an induced subgraph.  Each round
     records the cut player's projection estimate of the potential; with
     ``early_stop`` the game stops once three consecutive estimates are at
-    most ``potential_floor``.
+    most ``potential_floor``.  The paper's constants are fixed: at most
+    ceil(ROUND_COEFF * log2(k)^2) rounds, and the matching player's fair
+    cuts at MATCH_FAIRNESS.
     """
 
     def __init__(self, graph: Graph, pi: Mapping[int, int], phi: Fraction, rng,
-                 round_coeff: float = DEFAULT_ROUND_COEFF,
                  early_stop: bool = True, within: Iterable[int] | None = None):
         phi = Fraction(phi)
         if not 0 < phi < 1:
@@ -446,7 +443,7 @@ class CutMatchingGame:
         self.units = UnitMapping.from_weights(self.pi)
         self.congestion_factor = math.ceil(Fraction(10) / phi)
         self.slowdown = slowdown_for(k)
-        self.budget = round_budget_for(k, round_coeff)
+        self.budget = max(1, math.ceil(ROUND_COEFF * math.log2(k) ** 2))
         self.rng = rng
         self.mp = MatchingPlayerState(self.congestion_factor)
         self.active_mask = np.ones(k, dtype=bool)
@@ -488,7 +485,7 @@ class CutMatchingGame:
         left, right = cut_player_step(self)
         scope = self.vertices - frozenset(self.mp.deleted)
         dropped, matching = matching_player_step(
-            self.graph, self.pi, self.units, self.mp, self.active_units(),
+            self.graph, self.units, self.mp, self.active_units(),
             left, right, scope=scope)
         if dropped:
             self.active_mask[list(dropped)] = False
@@ -531,17 +528,14 @@ class CutMatchingGame:
 
 
 def sparsest_cut_apx(graph: Graph, pi: Mapping[int, int], phi, rng,
-                     within: Iterable[int] | None = None,
-                     round_coeff: float = DEFAULT_ROUND_COEFF) -> frozenset[int]:
+                     within: Iterable[int] | None = None) -> frozenset[int]:
     """Approximate sparsest cut oracle for integral vertex weights.
 
     Returns the lighter side R of the inactive set after the game: R is
     phi-sparse with respect to pi, and when R is very imbalanced the rest of
     the graph is (phi / q*)-expanding with high probability.
     """
-    game = CutMatchingGame(graph, pi, phi, rng, round_coeff=round_coeff,
-                           within=within)
-    return game.run()
+    return CutMatchingGame(graph, pi, phi, rng, within=within).run()
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,6 @@ class FairCutResult:
     """A fair cut; its flow, in units of 1/``denom``, is built on first read."""
 
     cut: frozenset[int]
-    alpha: Fraction
     denom: int
     _solved: _SolvedFlow = field(repr=False, compare=False)
 
@@ -349,20 +348,17 @@ def _exact_weights(weights: Mapping[int, object], verts) -> dict[int, int | Frac
 
 
 def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int, object],
-             alpha=1, within: Iterable[int] | None = None,
-             cap_scale: int = 1) -> FairCutResult:
-    """Compute a fair (s, t)-cut/flow pair via the terminal reduction.
+             within: Iterable[int] | None = None, cap_scale: int = 1) -> FairCutResult:
+    """Compute a 1-fair (s, t)-cut/flow pair via the terminal reduction.
 
     Net weights s(v)-t(v) become capacities of arcs from a super-source (when
-    positive) or to a super-sink (when negative); an exact max flow then makes
-    the pair 1-fair, which satisfies the fairness contract for every
-    alpha >= 1.  The cut is the residual-reachable side minus the terminal.
-    Every capacity is scaled by ``denom``, the least common denominator of
-    the net weights.
+    positive) or to a super-sink (when negative).  The cut is the residual
+    reachable side minus the terminal; the exact max flow saturates its edges,
+    the net sources outside it and the net targets inside it, so the pair is
+    1-fair, hence alpha-fair for every alpha >= 1 (``verify_fair_cut`` checks
+    any alpha).  Capacities are scaled by ``denom``, the least common
+    denominator of the net weights.
     """
-    alpha = Fraction(alpha)
-    if alpha < 1:
-        raise ArgumentError("alpha must be at least 1")
     verts = set(range(graph.n)) if within is None else set(within)
     s_map = _exact_weights(source_w, verts)
     t_map = _exact_weights(target_w, verts)
@@ -379,7 +375,7 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     demand = {v: -x // shared for v, x in net.items() if x < 0}
 
     solved = _run_max_flow(graph, supply, demand, verts, cap_scale=cap_scale * denom)
-    return FairCutResult(solved.reach(), alpha, denom, solved)
+    return FairCutResult(solved.reach(), denom, solved)
 
 
 #: verify_fair_cut property indices
@@ -547,8 +543,12 @@ def path_decomposition(graph: Graph, flow: FlowAssignment,
 # ---------------------------------------------------------------------------
 
 
-def _demand_parts(demand: Mapping[int, object]):
+def _demand_parts(graph: Graph, demand: Mapping[int, object]):
     d = {v: Fraction(x) for v, x in demand.items() if x}
+    for v in d:
+        if not 0 <= v < graph.n:
+            raise ArgumentError(f"demand vertex {v} is not a vertex of the graph "
+                                f"(0..{graph.n - 1})")
     if sum(d.values(), Fraction(0)) != 0:
         raise ArgumentError("demand must sum to zero")
     if any(x.denominator != 1 for x in d.values()):
@@ -580,7 +580,7 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
     so lambda is optimal, or its residual min cut S has a strictly larger
     ratio, which becomes the next lambda.  Typically 1-3 max-flows.
     """
-    pos, neg = _demand_parts(demand)
+    pos, neg = _demand_parts(graph, demand)
     if not pos:
         return Fraction(0)
     if not graph.is_connected():
@@ -602,7 +602,7 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
 
 def brute_force_opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
     """Independent oracle: max over all cuts of |d(S)| / cap(S, V-S)."""
-    pos, neg = _demand_parts(demand)
+    pos, neg = _demand_parts(graph, demand)
     if not pos:
         return Fraction(0)
     verts = list(range(graph.n))

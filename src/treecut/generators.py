@@ -11,6 +11,9 @@ from .graphs import Graph
 
 DIAMOND_ORDER_CAP = 8
 
+#: samples generate_erdos_renyi draws before it gives up on a connected graph
+ER_MAX_TRIES = 200
+
 
 @dataclass(frozen=True)
 class DiamondNode:
@@ -71,18 +74,18 @@ def generate_dumbbell(clique_size: int, bridges: int = 1) -> Graph:
     return Graph.from_edges(2 * clique_size, edges)
 
 
-def generate_erdos_renyi(n: int, p: float, rng, max_tries: int = 200) -> Graph:
+def generate_erdos_renyi(n: int, p: float, rng) -> Graph:
     """Random graph with unit capacities, redrawn until connected."""
     if n < 2 or not 0 < p <= 1:
         raise ArgumentError("need n >= 2 and 0 < p <= 1")
-    for _ in range(max_tries):
+    for _ in range(ER_MAX_TRIES):
         edges = [(i, j, 1) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
         try:
             return Graph.from_edges(n, edges)
         except ArgumentError:
             continue
-    raise ArgumentError(f"no connected sample after {max_tries} draws; raise p")
+    raise ArgumentError(f"no connected sample after {ER_MAX_TRIES} draws; raise p")
 
 
 def generate_grid(width: int, height: int) -> Graph:
@@ -146,23 +149,21 @@ def _tree_load_chooser(tree) -> Callable:
     return choose
 
 
-def diamond_adversarial_demands(order: int, tree=None, chooser: Callable | None = None,
-                                structure: DiamondNode | None = None
+def diamond_adversarial_demands(order: int, tree=None, structure: DiamondNode | None = None
                                 ) -> list[dict[int, int]]:
     """The recursive demand sequence that stresses any single tree of cuts.
 
     At depth i it sends 2**(order-i) units from both endpoints of the current
     sub-path to its middle vertex, then recurses into one of its quarter
-    sub-paths; the chooser picks which (by default the one the supplied tree
-    already predicts the highest load for, else the first).
+    sub-paths: the one the supplied tree already predicts the highest load
+    for, or the first without a tree.
     """
     if order < 1:
         raise ArgumentError("adversarial demands need order >= 1")
     if structure is None:
         _graph, structure = diamond_structure(order)
-    if chooser is None:
-        chooser = _tree_load_chooser(tree) if tree is not None else \
-            (lambda paths, demands: 0)
+    chooser = _tree_load_chooser(tree) if tree is not None else \
+        (lambda paths, demands: 0)
 
     demands: list[dict[int, int]] = []
     top = structure.parts

@@ -31,9 +31,6 @@ class VertexWeights(dict):
     weight functions and may be fractions for flow source/target functions.
     """
 
-    def weight(self, v: int):
-        return self.get(v, 0)
-
     def total(self, subset: Iterable[int] | None = None):
         if subset is None:
             return sum(self.values())
@@ -46,13 +43,6 @@ class VertexWeights(dict):
 
     def support(self) -> frozenset[int]:
         return frozenset(v for v, w in self.items() if w != 0)
-
-    def is_integral(self) -> bool:
-        return all(isinstance(w, int) or (isinstance(w, Fraction) and w.denominator == 1)
-                   for w in self.values())
-
-    def is_nonnegative(self) -> bool:
-        return all(w >= 0 for w in self.values())
 
     @classmethod
     def degrees(cls, graph: "Graph", within: Iterable[int] | None = None) -> "VertexWeights":

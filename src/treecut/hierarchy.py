@@ -39,25 +39,16 @@ class HierarchicalDecomposition:
             return cluster
         return self.levels[level - 1].cluster_of(min(cluster))
 
-    def find_level(self, cluster: frozenset[int]) -> int:
-        """First level at which the cluster appears."""
-        for i, part in enumerate(self.levels):
-            if cluster in part.clusters:
-                return i
-        raise ArgumentError("cluster does not appear in the decomposition")
-
 
 def _loglog(n: int) -> float:
     return max(1.0, math.log2(max(math.log2(n), 1.0)))
 
 
 def expansion_bound(decomposition: HierarchicalDecomposition,
-                    cluster: Iterable[int], level: int | None = None) -> Fraction:
+                    cluster: Iterable[int], level: int) -> Fraction:
     """Per-cluster expansion bound: 1 at the root, otherwise scaled by how
     much smaller the cluster is than its parent (logs base 2)."""
     cl = frozenset(cluster)
-    if level is None:
-        level = decomposition.find_level(cl)
     if level == 0:
         return Fraction(1)
     parent = decomposition.parent_of(level, cl)
@@ -70,7 +61,6 @@ def _bound_for(n: int, parent_size: int, size: int) -> Fraction:
 
 @dataclass
 class HierarchyConfig:
-    round_coeff: float = 10.0
     phi_cap: Fraction = Fraction(1, 4)
 
 
@@ -94,7 +84,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
 
     root_phi = min(Fraction(1), cfg.phi_cap)  # the root's bound is 1; cap applies
     root = partition_cluster(graph, everything, Partition.singletons(everything),
-                             root_phi, rng, round_coeff=cfg.round_coeff)
+                             root_phi, rng)
     if root.bad_child:
         raise InternalError("the root cluster has no border and cannot split off a child")
     levels: list[Partition] = [Partition.trivial(everything), root.partition]
@@ -123,8 +113,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
             parent = prev.cluster_of(min(target))
             phi = min(1 / _bound_for(n, len(parent), len(target)), cfg.phi_cap)
             before = sub[target]
-            result = partition_cluster(graph, target, before, phi, rng,
-                                       round_coeff=cfg.round_coeff)
+            result = partition_cluster(graph, target, before, phi, rng)
             if not result.bad_child:
                 sub[target] = result.partition
                 continue

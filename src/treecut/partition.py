@@ -65,15 +65,20 @@ def two_way_trim(graph: Graph, cluster: Iterable[int], seed: Iterable[int],
     absorb_rate = trim_factor * phi / 5
     sources1 = incident_capacity(graph, rest, r_set)
     targets1 = {v: absorb_rate * int(pi.get(v, 0)) for v in rest}
-    grown = fair_cut(graph, sources1, targets1, 2, within=rest).cut | r_set
-    kept = c_set - grown
+    grown = fair_cut(graph, sources1, targets1, within=rest).cut | r_set
+    buffer = _border_trim(graph, c_set, grown, phi)
+    return TrimResult(c_set - grown, buffer, grown - buffer)
 
+
+def _border_trim(graph: Graph, c_set: frozenset[int], side: frozenset[int],
+                 phi) -> frozenset[int]:
+    """Fair cut inside ``side`` from its capacity into the rest of the cluster
+    to phi/2 times its capacity outside; the rest of ``side`` routes to the border."""
     outside = frozenset(range(graph.n)) - c_set
-    sources2 = incident_capacity(graph, grown, kept)
-    targets2 = {v: phi / 2 * c for v, c in
-                incident_capacity(graph, grown, outside).items()}
-    buffer = fair_cut(graph, sources2, targets2, 2, within=grown).cut
-    return TrimResult(kept, buffer, grown - buffer)
+    sources = incident_capacity(graph, side, c_set - side)
+    targets = {v: phi / 2 * c for v, c in
+               incident_capacity(graph, side, outside).items()}
+    return fair_cut(graph, sources, targets, within=side).cut
 
 
 def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[int],
@@ -113,14 +118,15 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
 
 
 def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
-                      phi, rng, round_coeff: float = 10.0,
-                      sparse_oracle=None) -> PartitionClusterResult:
+                      phi, rng, sparse_oracle=None) -> PartitionClusterResult:
     """Refine a cluster's partition, possibly splitting off a bad child.
 
     Returns (U, Y) where Y partitions the cluster, U is empty or a member of
     Y with at most half the vertices, and U's cut is (1/phi)-border-routable
     through U with congestion 2.  Either the split is balanced in boundary
-    weight, or the remainder expands well against Y.
+    weight, or the remainder expands well against Y.  The oracle is the game
+    at phi/20 with the paper's fixed constants; a border-heavy candidate is
+    trimmed like ``two_way_trim``'s second cut.
 
     ``sparse_oracle(graph, pi, phi, rng, within)`` overrides the cut-matching
     oracle; any replacement must return a side of weight at most half whose
@@ -162,8 +168,7 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
         if sparse_oracle is not None:
             sparse = frozenset(sparse_oracle(graph, pi, phi / 20, rng, c_set))
         else:
-            sparse = sparsest_cut_apx(graph, pi, phi / 20, rng, within=c_set,
-                                      round_coeff=round_coeff)
+            sparse = sparsest_cut_apx(graph, pi, phi / 20, rng, within=c_set)
         if pi.total(sparse) == 0:
             return PartitionClusterResult(frozenset(), current)
 
@@ -196,11 +201,7 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
             continue
 
         # trim the candidate against the outer border and return it
-        sources = incident_capacity(graph, candidate, c_set - candidate)
-        targets = {v: phi / 2 * c for v, c in
-                   incident_capacity(graph, candidate, outside).items()}
-        trimmed_off = fair_cut(graph, sources, targets, 2, within=candidate).cut
-        bad_child = frozenset(candidate) - trimmed_off
+        bad_child = candidate - _border_trim(graph, c_set, candidate, phi)
         if not bad_child:
             raise InternalError("border trim consumed the whole candidate")
         refined = fuse(current, bad_child, graph)

@@ -11,7 +11,7 @@ from .graphs import Graph, VertexWeights
 from .hierarchy import TreeNode, TreeSparsifier
 
 
-def parse_edge_list(text: str, require_connected: bool = True) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse "u v cap" lines with '#' comments into a graph.
 
     Vertex count is one past the largest id seen.  Diagnostics carry line
@@ -41,7 +41,7 @@ def parse_edge_list(text: str, require_connected: bool = True) -> Graph:
     if not edges:
         raise InputError("edge list is empty")
     try:
-        return Graph.from_edges(top + 1, edges, require_connected=require_connected)
+        return Graph.from_edges(top + 1, edges)
     except Exception as exc:
         raise InputError(str(exc)) from exc
 
@@ -96,34 +96,71 @@ def tree_from_json(text: str) -> TreeSparsifier:
         raw_nodes = data["nodes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("tree file needs 'n' and 'nodes'") from exc
-    nodes: list[TreeNode] = []
-    for entry in raw_nodes:
-        parent = entry.get("parent")
-        nodes.append(TreeNode(int(entry["id"]),
-                              None if parent is None else int(parent),
-                              int(entry["cap"]), frozenset(),
-                              entry.get("leaf_vertex")))
-    by_id = {node.id: node for node in nodes}
-    for node in nodes:
-        if node.parent is not None:
-            by_id[node.parent].children.append(node.id)
-    # rebuild clusters bottom-up from the leaves
-    members: dict[int, set[int]] = {node.id: set() for node in nodes}
-    for node in nodes:
+    if not isinstance(raw_nodes, list):
+        raise InputError("tree file 'nodes' must be a list")
+    by_id: dict[int, TreeNode] = {}
+    leaf_at: dict[int, int] = {}
+    for pos, entry in enumerate(raw_nodes):
+        node = _tree_node(entry, pos, n)
+        if node.id in by_id:
+            raise InputError(f"tree node {node.id} appears twice")
+        if node.leaf_vertex in leaf_at:
+            raise InputError(f"tree node {node.id} repeats leaf vertex {node.leaf_vertex} "
+                             f"of node {leaf_at[node.leaf_vertex]}")
         if node.leaf_vertex is not None:
-            cursor: int | None = node.id
-            while cursor is not None:
-                members[cursor].add(node.leaf_vertex)
-                cursor = by_id[cursor].parent
-    for node in nodes:
+            leaf_at[node.leaf_vertex] = node.id
+        by_id[node.id] = node
+    roots = [node for node in by_id.values() if node.parent is None]
+    if len(roots) != 1:
+        raise InputError(f"tree must have one root, found {len(roots)}")
+    for node in by_id.values():
+        if node.parent is None:
+            continue
+        if node.parent not in by_id:
+            raise InputError(f"tree node {node.id} names unknown parent {node.parent}")
+        if node.cap < 1:
+            raise InputError(f"tree node {node.id} needs a positive cap, got {node.cap}")
+        by_id[node.parent].children.append(node.id)
+    # top-down order from the root; a node it misses hangs off a parent cycle
+    order = [roots[0]]
+    for node in order:
+        order.extend(by_id[child] for child in node.children)
+    if len(order) < len(by_id):
+        stray = min(set(by_id) - {node.id for node in order})
+        raise InputError(f"tree node {stray} lies on or below a parent cycle")
+    # rebuild clusters bottom-up from the leaves
+    members: dict[int, set[int]] = {
+        node.id: set() if node.leaf_vertex is None else {node.leaf_vertex}
+        for node in order}
+    for node in reversed(order):
         node.cluster = frozenset(members[node.id])
         if not node.cluster:
             raise InputError(f"tree node {node.id} spans no leaves")
-    roots = [node for node in nodes if node.parent is None]
-    if len(roots) != 1 or len(roots[0].cluster) != n:
-        raise InputError("tree must have one root spanning all vertices")
-    order = sorted(nodes, key=lambda nd: nd.id)
-    return TreeSparsifier(order, n)
+        if node.parent is not None:
+            members[node.parent] |= node.cluster
+    if len(order[0].cluster) != n:
+        raise InputError("the root must span every vertex 0..n-1 exactly once")
+    return TreeSparsifier(sorted(order, key=lambda nd: nd.id), n)
+
+
+def _tree_node(entry, pos: int, n: int) -> TreeNode:
+    """One tree file entry with integer fields and a leaf vertex inside 0..n-1."""
+    if not isinstance(entry, dict):
+        raise InputError(f"tree node entry {pos} is not an object")
+    fields = {key: entry.get(key) for key in ("id", "parent", "cap", "leaf_vertex")}
+    name = (f"tree node {fields['id']}" if _is_int(fields["id"])
+            else f"tree node entry {pos}")
+    for key, value in fields.items():
+        if not (_is_int(value) or value is None and key in ("parent", "leaf_vertex")):
+            raise InputError(f"{name}: field {key!r} must be an integer, got {value!r}")
+    leaf = fields["leaf_vertex"]
+    if leaf is not None and not 0 <= leaf < n:
+        raise InputError(f"{name}: leaf vertex {leaf} is outside 0..{n - 1}")
+    return TreeNode(fields["id"], fields["parent"], fields["cap"], frozenset(), leaf)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def tree_to_dot(tree: TreeSparsifier) -> str:
@@ -155,12 +192,13 @@ def parse_demands(text: str) -> list[dict[int, int]]:
         raise InputError("demand file must hold a list of demands")
     demands = []
     for i, entry in enumerate(data):
+        if not (isinstance(entry, list) and all(
+                isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+                for pair in entry)):
+            raise InputError(f"demand {i} must be [vertex, value] integer pairs")
         demand: dict[int, int] = {}
-        try:
-            for v, x in entry:
-                demand[int(v)] = demand.get(int(v), 0) + int(x)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"demand {i} must be [vertex, value] pairs") from exc
+        for v, x in entry:
+            demand[v] = demand.get(v, 0) + x
         if sum(demand.values()) != 0:
             raise InputError(f"demand {i} does not sum to zero")
         demands.append(demand)

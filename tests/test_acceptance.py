@@ -47,8 +47,8 @@ def test_01_fair_cut_soundness():
         graph = random_connected_graph(seed, max_n=12, max_cap=8)
         s = {v: int(rng.integers(0, 9)) for v in range(graph.n)}
         t = {v: int(rng.integers(0, 9)) for v in range(graph.n)}
+        result = fair_cut(graph, s, t)
         for alpha in (1, Fraction(3, 2)):
-            result = fair_cut(graph, s, t, alpha)
             ok, violated = verify_fair_cut(graph, s, t, alpha, result.cut,
                                            result.flow)
             if not ok:
@@ -210,7 +210,7 @@ def test_07_matching_player_invariants():
             left, right = cut_player_step(game)
             scope = game.vertices - frozenset(game.mp.deleted)
             dropped, matching = matching_player_step(
-                graph, game.pi, game.units, game.mp, active_before,
+                graph, game.units, game.mp, active_before,
                 left, right, scope=scope)
             if dropped:
                 game.active_mask[list(dropped)] = False

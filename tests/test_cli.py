@@ -173,3 +173,66 @@ class TestExitCodes:
         code, _out, _err = run(capsys, "game-trace", "--graph",
                                str(graph_file), "--phi", "zero")
         assert code == 2
+
+
+class TestMalformedEvalInput:
+    """Broken tree and demand files exit 2 and name the offending node or vertex."""
+
+    @pytest.fixture
+    def grid(self, capsys, tmp_path):
+        """A 2x3 grid, its star tree as parsed JSON, and a demand file."""
+        graph_file = tmp_path / "g.el"
+        run(capsys, "generate", "--kind", "grid", "--w", "2", "--h", "3",
+            "--out", str(graph_file))
+        run(capsys, "build", "--graph", str(graph_file), "--out", str(tmp_path / "t.json"))
+        demand_file = tmp_path / "d.json"
+        demand_file.write_text("[[[0, 1], [5, -1]]]")
+        tree = json.loads((tmp_path / "t.json").read_text())
+        assert [node["id"] for node in tree["nodes"]] == list(range(7))
+        return graph_file, tree, demand_file
+
+    def eval_with(self, capsys, tmp_path, grid, tree):
+        graph_file, _tree, demand_file = grid
+        tree_file = tmp_path / "bad.json"
+        tree_file.write_text(json.dumps(tree))
+        return run(capsys, "eval", "--graph", str(graph_file), "--tree", str(tree_file),
+                   "--demands", str(demand_file))
+
+    def test_demand_vertex_outside_graph(self, capsys, tmp_path, grid):
+        graph_file, _tree, demand_file = grid
+        demand_file.write_text("[[[0, 1], [99, -1]]]")
+        code, _out, err = self.eval_with(capsys, tmp_path, grid, grid[1])
+        assert code == 2, err
+        assert "vertex 99" in err
+
+    def test_unknown_parent(self, capsys, tmp_path, grid):
+        tree = grid[1]
+        tree["nodes"][3]["parent"] = 42
+        code, _out, err = self.eval_with(capsys, tmp_path, grid, tree)
+        assert code == 2, err
+        assert "node 3" in err and "42" in err
+
+    def test_leaf_vertex_outside_graph(self, capsys, tmp_path, grid):
+        tree = grid[1]
+        tree["nodes"][4]["leaf_vertex"] = 40
+        code, _out, err = self.eval_with(capsys, tmp_path, grid, tree)
+        assert code == 2, err
+        assert "node 4" in err and "40" in err
+
+    def test_parent_cycle_exits_instead_of_hanging(self, tmp_path, grid):
+        graph_file, tree, demand_file = grid
+        tree["nodes"][1]["parent"] = 2
+        tree["nodes"][2]["parent"] = 1
+        tree_file = tmp_path / "cycle.json"
+        tree_file.write_text(json.dumps(tree))
+        src = os.path.dirname(os.path.dirname(treecut.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            done = subprocess.run([sys.executable, "-m", "treecut", "eval", "--graph",
+                                   str(graph_file), "--tree", str(tree_file),
+                                   "--demands", str(demand_file)],
+                                  env=env, capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail("tree_from_json did not return on a parent cycle")
+        assert done.returncode == 2, done.stderr
+        assert "node 1" in done.stderr and "cycle" in done.stderr

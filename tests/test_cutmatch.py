@@ -1,5 +1,7 @@
 """Cut player, matching player, and the sparse cut oracle."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -12,8 +14,8 @@ from treecut import (ArgumentError, CutMatchingGame, Graph, Matching,
                      MatchingPlayerState, OversizeError, UnitMapping,
                      VertexWeights, apply_centering, apply_mixing_step,
                      boundary_capacity, cut_player_step, dense_flow_matrix,
-                     matching_player_step, oracle_params, potential,
-                     sparsest_cut_apx, sweep_cut)
+                     generate_dumbbell, matching_player_step, oracle_params,
+                     potential, sparsest_cut_apx, sweep_cut)
 from treecut.cutmatch import (POTENTIAL_UNIT_CAP, _apply_walk, slowdown_for,
                               sweep_cut_violations)
 from treecut import cutmatch as cutmatch_module
@@ -235,7 +237,7 @@ class TestMatchingPlayer:
         theta = UnitMapping.from_weights(pi)
         mp = MatchingPlayerState(congestion_factor=40)
         dropped, matching = matching_player_step(
-            path3, pi, theta, mp, {0, 1}, frozenset(), frozenset({1}))
+            path3, theta, mp, {0, 1}, frozenset(), frozenset({1}))
         assert dropped == frozenset() and len(matching) == 0
 
     def test_single_edge_tiny_instance(self):
@@ -246,7 +248,7 @@ class TestMatchingPlayer:
         theta = UnitMapping.from_weights(pi)
         mp = MatchingPlayerState(congestion_factor=1000)
         dropped, matching = matching_player_step(
-            g, pi, theta, mp, {0, 1}, frozenset({0}), frozenset({1}))
+            g, theta, mp, {0, 1}, frozenset({0}), frozenset({1}))
         survivors_matched = frozenset(i for i, _j in matching.pairs)
         assert survivors_matched == frozenset({0}) - dropped
         assert theta.units_of_set(mp.deleted) == dropped
@@ -260,7 +262,7 @@ class TestMatchingPlayer:
         left = frozenset(list(theta.units_of(0))[:2])
         right = frozenset(list(theta.units_of(0))[2:])
         dropped, matching = matching_player_step(
-            path3, weights, theta, mp, frozenset(range(theta.k)), left, right,
+            path3, theta, mp, frozenset(range(theta.k)), left, right,
             scope=range(3))
         assert dropped == frozenset()
         assert len(matching) == 2
@@ -274,7 +276,7 @@ class TestMatchingPlayer:
         theta = UnitMapping.from_weights(pi)
         mp = MatchingPlayerState(congestion_factor=40)
         dropped, matching = matching_player_step(
-            g, pi, theta, mp, {0, 1, 2}, frozenset({0}), frozenset({1, 2}))
+            g, theta, mp, {0, 1, 2}, frozenset({0}), frozenset({1, 2}))
         assert dropped == frozenset()
         assert matching.pairs == ((0, 1),)
         assert mp.edge_load == {0: 1}
@@ -301,7 +303,7 @@ class TestMatchingPlayer:
         g = Graph.from_edges(2, [(0, 1, 1)])
         pi = VertexWeights({0: 1, 1: 2})
         theta = UnitMapping.from_weights(pi)
-        matching_player_step(g, pi, theta, MatchingPlayerState(congestion_factor=40),
+        matching_player_step(g, theta, MatchingPlayerState(congestion_factor=40),
                              {0, 1, 2}, frozenset({0}), frozenset({1, 2}))
         assert flow_builds == {"edge_flows": 1, "matching_flows": 1}
 
@@ -309,7 +311,7 @@ class TestMatchingPlayer:
         theta = UnitMapping.from_weights(weights)
         left = frozenset(list(theta.units_of(0))[:2])
         right = frozenset(list(theta.units_of(0))[2:])
-        matching_player_step(path3, weights, theta, MatchingPlayerState(congestion_factor=40),
+        matching_player_step(path3, theta, MatchingPlayerState(congestion_factor=40),
                              frozenset(range(theta.k)), left, right, scope=range(3))
         assert flow_builds == {"edge_flows": 1, "matching_flows": 1}
 
@@ -324,7 +326,7 @@ class TestMatchingPlayer:
         theta = UnitMapping.from_weights(pi)
         mp = MatchingPlayerState(congestion_factor=40)
         with pytest.raises(ArgumentError):
-            matching_player_step(path3, pi, theta, mp, {0, 1},
+            matching_player_step(path3, theta, mp, {0, 1},
                                  frozenset({0}), frozenset({0}))
 
 
@@ -340,7 +342,7 @@ def run_game_with_invariants(graph, pi, phi, seed, max_rounds=None):
         left, right = cut_player_step(game)
         scope = game.vertices - frozenset(game.mp.deleted)
         dropped, matching = matching_player_step(
-            graph, game.pi, game.units, game.mp, active_before, left, right,
+            graph, game.units, game.mp, active_before, left, right,
             scope=scope)
         if dropped:
             game.active_mask[list(dropped)] = False
@@ -414,6 +416,20 @@ class TestGameInvariants:
         quiet = [rec.potential <= game.potential_floor for rec in game.records]
         assert quiet[-3:] == [True, True, True]
         assert not any(all(quiet[i:i + 3]) for i in range(len(quiet) - 3))
+
+    def test_seeded_root_game_is_pinned(self):
+        # dumbbell 8 at the oracle's root sparsity phi/20 = 1/80: the digests
+        # pin every round's matching and the routed load it left on the edges
+        graph = generate_dumbbell(8)
+        game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
+        assert game.run() == frozenset()
+        assert (game.stopped, game.round, game.k) == ("potential", 40, 114)
+        pairs = json.dumps([list(m.pairs) for m in game.matchings])
+        assert hashlib.sha256(pairs.encode()).hexdigest() == (
+            "4d6c8045ea76ba099dee1031efb3ae929d68b206e895144794bab46ec366443c")
+        load = json.dumps(sorted(game.mp.edge_load.items()))
+        assert hashlib.sha256(load.encode()).hexdigest() == (
+            "76c1196401a069d8de0751e2c82b49d3490acc4c2af9a5f466f1f4ab465d71af")
 
 
 class TestExpansionCertificates:

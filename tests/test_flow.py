@@ -40,13 +40,13 @@ class TestMaxFlow:
 class TestFairCut:
     def test_equal_weights_give_empty_cut(self, path3):
         weights = {v: 3 for v in range(3)}
-        result = fair_cut(path3, weights, weights, 1)
+        result = fair_cut(path3, weights, weights)
         assert result.cut == frozenset()
         assert result.flow.is_zero()
 
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
-        result = fair_cut(g, {0: 2}, {1: 2}, 1)
+        result = fair_cut(g, {0: 2}, {1: 2})
         assert result.cut == frozenset({0})
         assert result.flow.value(0, 1) == 1
         ok, violated = verify_fair_cut(g, {0: 2}, {1: 2}, 1, result.cut, result.flow)
@@ -56,7 +56,7 @@ class TestFairCut:
         deg = VertexWeights.degrees(double_k4)
         sources = {v: deg[v] for v in range(4)}
         targets = {v: deg[v] for v in range(4, 8)}
-        result = fair_cut(double_k4, sources, targets, 1)
+        result = fair_cut(double_k4, sources, targets)
         assert result.cut == frozenset(range(4))
         assert result.flow.value(3, 4) == 1  # the bridge saturates
         ok, violated = verify_fair_cut(double_k4, sources, targets, 1,
@@ -66,7 +66,7 @@ class TestFairCut:
     def test_rational_weights_scale_exactly(self, path3):
         sources = {0: Fraction(3, 2)}
         targets = {2: Fraction(3, 2)}
-        result = fair_cut(path3, sources, targets, Fraction(3, 2))
+        result = fair_cut(path3, sources, targets)
         ok, violated = verify_fair_cut(path3, sources, targets, Fraction(3, 2),
                                        result.cut, result.flow)
         assert ok, violated
@@ -74,7 +74,7 @@ class TestFairCut:
 
     def test_negative_weights_rejected(self, path3):
         with pytest.raises(ArgumentError):
-            fair_cut(path3, {0: -1}, {2: 1}, 1)
+            fair_cut(path3, {0: -1}, {2: 1})
 
     def test_fuzz_always_verifies(self):
         for seed in range(60):
@@ -82,8 +82,8 @@ class TestFairCut:
             graph = random_connected_graph(seed, max_n=9, max_cap=6)
             s = {v: int(rng.integers(0, 7)) for v in range(graph.n)}
             t = {v: int(rng.integers(0, 7)) for v in range(graph.n)}
+            result = fair_cut(graph, s, t)
             for alpha in (1, Fraction(3, 2)):
-                result = fair_cut(graph, s, t, alpha)
                 ok, violated = verify_fair_cut(graph, s, t, alpha,
                                                result.cut, result.flow)
                 assert ok, (seed, alpha, violated)
@@ -94,7 +94,7 @@ class TestFairCut:
             graph = random_connected_graph(seed, max_n=8)
             s = {v: int(rng.integers(0, 5)) for v in range(graph.n)}
             t = {v: int(rng.integers(0, 5)) for v in range(graph.n)}
-            result = fair_cut(graph, s, t, 1)
+            result = fair_cut(graph, s, t)
             for u, v, _c in graph.edges:
                 if (u in result.cut) != (v in result.cut):
                     inner, outer = (u, v) if u in result.cut else (v, u)
@@ -190,6 +190,12 @@ class TestOptCongestion:
         with pytest.raises(ArgumentError):
             opt_congestion(path3, {0: 1})
 
+    @pytest.mark.parametrize("oracle", [opt_congestion, brute_force_opt_congestion])
+    @pytest.mark.parametrize("vertex", [3, -1])
+    def test_demand_vertex_outside_graph_rejected(self, path3, oracle, vertex):
+        with pytest.raises(ArgumentError, match=f"vertex {vertex}"):
+            oracle(path3, {0: 1, vertex: -1})
+
     def test_connectivity_searched_once_per_graph(self, monkeypatch):
         searches = [0]
         original = Graph.components
@@ -244,7 +250,7 @@ class TestDinkelbachOracle:
         gap = Fraction(1, cap_bound * cap_bound)
         for demand in random_pair_demands(graph, 6, 4, philox(77)):
             lam = opt_congestion(graph, demand)
-            pos, neg = flow_module._demand_parts(demand)
+            pos, neg = flow_module._demand_parts(graph, demand)
             assert lam.denominator <= cap_bound
             assert flow_module._routable(graph, pos, neg, lam)[0]
             assert not flow_module._routable(graph, pos, neg, lam - gap)[0]
@@ -380,7 +386,7 @@ class TestAgainstNetworkx:
         for _call in range(8):
             supply, demand, within, scale = _multi_terminal_instance(rng, graph)
             flow_module._run_max_flow(graph, supply, demand, within, scale)
-            fair_cut(graph, supply, demand, 1, within=within, cap_scale=scale)
+            fair_cut(graph, supply, demand, within=within, cap_scale=scale)
         assert graph._arc_layout is layout
         assert (layout[0], layout[1], layout[2]) == (to, cap, head)
 
@@ -418,7 +424,7 @@ class TestTerminalReduction:
     def test_matches_fraction_formula(self, captured, source_w, target_w, within):
         graph = generate_grid(2, 3)
         verts = set(range(graph.n)) if within is None else set(within)
-        result = fair_cut(graph, source_w, target_w, 1, within=within, cap_scale=3)
+        result = fair_cut(graph, source_w, target_w, within=within, cap_scale=3)
         denom, supply, demand = self._fraction_reduction(source_w, target_w, verts)
         assert result.denom == denom
         assert captured == [(supply, demand, 3 * denom)]
@@ -429,7 +435,7 @@ class TestTerminalReduction:
     def test_cancelling_thirds_give_denominator_one(self):
         graph = Graph.from_edges(2, [(0, 1, 1)])
         third = Fraction(1, 3)
-        result = fair_cut(graph, {0: third, 1: 1}, {0: third, 1: 1}, 1)
+        result = fair_cut(graph, {0: third, 1: 1}, {0: third, 1: 1})
         assert result.denom == 1 and result.cut == frozenset()
 
 
@@ -441,12 +447,12 @@ class TestLazyFairFlow:
             s = {v: Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 4)))
                  for v in range(graph.n)}
             t = {v: int(rng.integers(0, 7)) for v in range(graph.n)}
-            result = fair_cut(graph, s, t, Fraction(3, 2))
+            result = fair_cut(graph, s, t)
             assert "flow" not in result.__dict__
             for _later in range(3):
                 supply, demand, within, scale = _multi_terminal_instance(rng, graph)
                 max_flow(graph, supply, demand, within)
-                fair_cut(graph, supply, demand, 1, within=within, cap_scale=scale)
+                fair_cut(graph, supply, demand, within=within, cap_scale=scale)
             ok, violated = verify_fair_cut(graph, s, t, Fraction(3, 2),
                                            result.cut, result.flow)
             assert ok, (seed, violated)

@@ -1,5 +1,6 @@
 """Hierarchy construction, tree conversion, prediction, and certification."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalEr
                      Partition, certify_well_expanding, check_laminar,
                      construct_hierarchy, default_gamma, expansion_bound,
                      generate_diamond, hierarchy, opt_congestion, predict_congestion,
-                     quality_ratio, to_tree_sparsifier)
+                     quality_ratio, textio, to_tree_sparsifier)
 from treecut.hierarchy import HierarchyConfig
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
@@ -81,6 +82,11 @@ class TestConstructHierarchy:
         assert h.is_complete() and check_laminar(h)
         sizes = {len(c) for c in h.levels[1].clusters}
         assert h.height >= 3 or sizes == {1}
+        # the suite's only height-3 hierarchy: an 8-clique split off first;
+        # the digest pins every seeded choice of the construction
+        text = textio.tree_to_json(to_tree_sparsifier(h, graph))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "638adc0a5d76f6889cf2b49f9aaa174fa47682a627eaa7e0be997aeaf64bc84c")
 
 
 class TestPostConditions:

@@ -1,5 +1,7 @@
 """Text format round trips and diagnostics."""
 
+import json
+
 import pytest
 
 from treecut import InputError, construct_hierarchy, generate_diamond, max_flow, \
@@ -80,6 +82,42 @@ class TestTreeJson:
         with pytest.raises(InputError):
             tree_from_json('{"nodes": []}')
 
+    @staticmethod
+    def star(n=3):
+        nodes = [{"id": 0, "parent": None, "cap": 0}]
+        nodes += [{"id": v + 1, "parent": 0, "cap": 1, "leaf_vertex": v} for v in range(n)]
+        return {"n": n, "nodes": nodes}
+
+    @pytest.mark.parametrize("node, change, message", [
+        (1, "not an object", "node entry 1"),
+        (2, {"cap": "3"}, "node 2"),
+        (2, {"leaf_vertex": 1.0}, "node 2"),
+        (2, {"id": 1}, "node 1"),
+        (3, {"parent": 9}, "node 3"),
+        (2, {"leaf_vertex": -1}, "node 2"),
+        (3, {"leaf_vertex": 0}, "node 3"),
+        (2, {"cap": 0}, "node 2"),
+    ], ids=["entry", "cap", "leaf-float", "duplicate-id", "unknown-parent", "leaf-negative",
+            "leaf-twice", "zero-cap"])
+    def test_malformed_node_is_named(self, node, change, message):
+        data = self.star()
+        if isinstance(change, dict):
+            data["nodes"][node].update(change)
+        else:
+            data["nodes"][node] = change
+        with pytest.raises(InputError, match=message):
+            tree_from_json(json.dumps(data))
+
+    def test_root_must_span_every_vertex(self):
+        data = self.star()
+        data["n"] = 4
+        with pytest.raises(InputError, match="root"):
+            tree_from_json(json.dumps(data))
+        data = self.star()
+        data["nodes"][1]["parent"] = None
+        with pytest.raises(InputError, match="root"):
+            tree_from_json(json.dumps(data))
+
 
 class TestDemands:
     def test_round_trip(self):
@@ -93,6 +131,13 @@ class TestDemands:
     def test_non_list_rejected(self):
         with pytest.raises(InputError):
             parse_demands('{"a": 1}')
+
+    @pytest.mark.parametrize("text", ["[[[0, 1.5], [1, -1.5]]]", "[[[0, true], [1, -1]]]",
+                                      '[[["0", 1], [1, -1]]]', "[[[0, 1, 2]]]"],
+                             ids=["fraction", "bool", "string", "triple"])
+    def test_non_integer_pair_rejected(self, text):
+        with pytest.raises(InputError, match="demand 0"):
+            parse_demands(text)
 
 
 class TestFlowDump:
