@@ -6,6 +6,12 @@ the cut player proposes a bisection of the active units from a slowed random
 walk over past matchings plus a sweep cut; the matching player answers with a
 fair cut, deleting a sparse vertex set and matching the surviving proposal
 across integral flow paths whose congestion it tracks.
+
+A round's per-unit work is numpy array work on sorted unit-index arrays: the
+walk, the sweep cut's ordering and far filter, and the matching player's
+per-vertex counts and grouping.  Python loops run once per vertex, flow path
+or routed edge.  A vertex's units are contiguous, so a sorted unit array is
+also grouped by vertex.
 """
 
 from __future__ import annotations
@@ -65,36 +71,43 @@ def oracle_params(n: int, pi_total: int) -> tuple[int, Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitMapping:
-    """Contiguous unit ranges per vertex, in vertex order."""
+    """Contiguous unit ranges per vertex, in vertex order.
 
-    vertex_of: tuple[int, ...]
+    ``vertex_of`` is a read-only int array, so the units of a sorted unit
+    array sit in vertex order with each vertex's units contiguous.
+    """
+
+    vertex_of: np.ndarray
     first_unit: dict
     counts: dict
 
     @classmethod
     def from_weights(cls, pi: Mapping[int, int]) -> "UnitMapping":
-        vertex_of: list[int] = []
         first: dict[int, int] = {}
         counts: dict[int, int] = {}
+        k = 0
         for v in sorted(pi):
             w = int(pi[v])
             if w < 0:
                 raise ArgumentError("unit weights must be non-negative")
             if w == 0:
                 continue
-            first[v] = len(vertex_of)
+            first[v] = k
             counts[v] = w
-            vertex_of.extend([v] * w)
-        return cls(tuple(vertex_of), first, counts)
+            k += w
+        vertex_of = np.repeat(np.array(list(counts), dtype=np.intp),
+                              list(counts.values()))
+        vertex_of.flags.writeable = False
+        return cls(vertex_of, first, counts)
 
     @property
     def k(self) -> int:
         return len(self.vertex_of)
 
     def vertex(self, unit: int) -> int:
-        return self.vertex_of[unit]
+        return int(self.vertex_of[unit])
 
     def units_of(self, v: int) -> range:
         start = self.first_unit.get(v)
@@ -188,7 +201,14 @@ def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
     return y
 
 
-def sweep_cut(active: Iterable[int], values: np.ndarray
+def _unit_array(units) -> np.ndarray:
+    """Unit indices as a sorted int array."""
+    if not isinstance(units, np.ndarray):
+        units = np.fromiter(units, dtype=np.intp)
+    return np.sort(units.astype(np.intp, copy=False))
+
+
+def sweep_cut(active: Iterable[int] | np.ndarray, values: np.ndarray
               ) -> tuple[frozenset[int], frozenset[int], float]:
     """Split the active units around a separation level of the walk values.
 
@@ -196,13 +216,15 @@ def sweep_cut(active: Iterable[int], values: np.ndarray
     side is small (at most ceil(a/8) units), far from the level, and carries
     at least 1/80 of the active mass; the response side holds at least half
     the units.  Both orientations are tried; failure of both is a bug.
+    Units are ordered by (value, unit index); all per-unit work is array work.
     """
-    act = [int(i) for i in sorted(active)]
+    act = _unit_array(active)
     a = len(act)
     if a < 2:
         raise ArgumentError("sweep cut needs at least two active units")
     vals = np.asarray(values, dtype=float)[act]
-    order = sorted(range(a), key=lambda i: (vals[i], act[i]))
+    # act is sorted, so a stable sort breaks value ties by unit index
+    order = np.argsort(vals, kind="stable")
     svals = vals[order]
     median = svals[(a - 1) // 2]
     mass_low = float((svals[svals < median] ** 2).sum())
@@ -225,16 +247,18 @@ def _sweep_orientation(act, vals, order, svals, a, side):
     else:
         pool_pos, resp_pos = order[half:], order[:half]
         level = float(svals[half - 1])
-    far = [p for p in pool_pos if (vals[p] - level) ** 2 >= vals[p] ** 2 / 9.0]
-    far.sort(key=lambda p: (-abs(vals[p] - level), act[p]))
-    left = frozenset(act[p] for p in far[:cap_small])
-    right = frozenset(act[p] for p in resp_pos)
+    pool = vals[pool_pos]
+    gap = pool - level
+    is_far = gap * gap >= pool * pool / 9.0
+    far = pool_pos[is_far]
+    # farthest from the level first, ties by unit index
+    top = far[np.lexsort((act[far], -np.abs(gap[is_far])))[:cap_small]]
 
     total = float((svals ** 2).sum())
-    picked = sum(float(vals[p]) ** 2 for p in far[:cap_small])
+    picked = sum(x ** 2 for x in vals[top].tolist())
     if picked + 1e-12 * max(total, 1.0) < total / 80.0:
         return None
-    return left, right, level
+    return frozenset(act[top].tolist()), frozenset(act[resp_pos].tolist()), level
 
 
 def sweep_cut_violations(active, values, left, right, level) -> list[int]:
@@ -287,7 +311,7 @@ def cut_player_step(state: "CutMatchingGame", rng=None
     # k * ||u||^2 is an unbiased estimate of the potential; it is the game's
     # only convergence signal
     state.last_projection_energy = float(u @ u)
-    left, right, _level = sweep_cut(np.nonzero(mask)[0], u)
+    left, right, _level = sweep_cut(np.flatnonzero(mask), u)
     return left, right
 
 
@@ -304,14 +328,32 @@ class MatchingPlayerState:
     deleted: set = field(default_factory=set)
     edge_load: dict = field(default_factory=dict)
     rounds: int = 0
+    #: largest edge_load[e] / cap(e); loads only grow, so each round updates
+    #: it from the edges it routed and the maximum stays exact
+    max_load_ratio: float = 0.0
 
     @property
     def cap_multiplier(self) -> int:
         return math.ceil(self.congestion_factor * MATCH_FAIRNESS)
 
 
+def _units_by_vertex(vertex_of: np.ndarray, units: np.ndarray) -> dict[int, list[int]]:
+    """Group a sorted unit array by vertex; each vertex's units are contiguous."""
+    verts = vertex_of[units]
+    starts = np.flatnonzero(np.diff(verts, prepend=-1))
+    flat = units.tolist()
+    bounds = starts.tolist() + [len(flat)]
+    return {v: flat[i:j] for v, i, j in zip(verts[starts].tolist(), bounds, bounds[1:])}
+
+
+def _counts_by_vertex(vertex_of: np.ndarray, units: np.ndarray) -> dict[int, int]:
+    counts = np.bincount(vertex_of[units])
+    verts = np.flatnonzero(counts)
+    return dict(zip(verts.tolist(), counts[verts].tolist()))
+
+
 def matching_player_step(graph: Graph, units: UnitMapping,
-                         mp: MatchingPlayerState, active: Iterable[int],
+                         mp: MatchingPlayerState, active: Iterable[int] | np.ndarray,
                          left: frozenset[int], right: frozenset[int],
                          scope: Iterable[int] | None = None
                          ) -> tuple[frozenset[int], Matching]:
@@ -327,55 +369,56 @@ def matching_player_step(graph: Graph, units: UnitMapping,
     the deleted set sparse against full-graph capacities, since every edge
     leaving a deleted region is then visible to some fair cut.
     """
-    active = frozenset(int(u) for u in active)
-    left = frozenset(int(u) for u in left)
-    right = frozenset(int(u) for u in right)
-    if not (left <= active and right <= active and not left & right):
+    vertex_of = units.vertex_of
+    act, lft, rgt = (_unit_array(x) for x in (active, left, right))
+    for x in (act, lft, rgt):
+        if len(x) and not 0 <= x[0] <= x[-1] < units.k:
+            raise ArgumentError("units must lie in 0..k-1")
+    in_active = np.zeros(units.k, dtype=bool)
+    in_active[act] = True
+    in_left = np.zeros(units.k, dtype=bool)
+    in_left[lft] = True
+    if not (in_active[lft].all() and in_active[rgt].all()) or in_left[rgt].any():
         raise ArgumentError("proposal sides must be disjoint subsets of the active units")
-    alive = frozenset(units.vertex(u) for u in active)
+    alive = frozenset(np.flatnonzero(np.bincount(vertex_of[act])).tolist())
     if scope is not None:
         alive_scope = frozenset(scope)
         if not alive <= alive_scope:
             raise ArgumentError("scope must contain every vertex with active units")
         alive = alive_scope
 
-    s_counts: dict[int, int] = {}
-    for u in left:
-        v = units.vertex(u)
-        s_counts[v] = s_counts.get(v, 0) + 1
-    r_counts: dict[int, int] = {}
-    for u in right:
-        v = units.vertex(u)
-        r_counts[v] = r_counts.get(v, 0) + 1
-    t_weights = {v: Fraction(count, 1) / MATCH_FAIRNESS
-                 for v, count in r_counts.items()}
+    cap = mp.cap_multiplier
+    s_counts = _counts_by_vertex(vertex_of, lft)
+    t_weights = {v: Fraction(2 * count, 3)    # count / MATCH_FAIRNESS
+                 for v, count in _counts_by_vertex(vertex_of, rgt).items()}
 
-    result = fair_cut(graph, s_counts, t_weights, within=alive,
-                      cap_scale=mp.cap_multiplier)
+    result = fair_cut(graph, s_counts, t_weights, within=alive, cap_scale=cap)
     cut_side = result.cut
     mp.deleted |= cut_side
-    dropped = units.units_of_set(cut_side) & active
+    in_cut = np.zeros(graph.n, dtype=bool)
+    in_cut[list(cut_side)] = True
+    dropped = frozenset(act[in_cut[vertex_of[act]]].tolist())
 
     survivors = alive - cut_side
-    left_at: dict[int, list[int]] = {}
-    for u in sorted(left - dropped):
-        left_at.setdefault(units.vertex(u), []).append(u)
-    right_at: dict[int, list[int]] = {}
-    for u in sorted(right - dropped):
-        right_at.setdefault(units.vertex(u), []).append(u)
+    left_at = _units_by_vertex(vertex_of, lft[~in_cut[vertex_of[lft]]])
+    right_at = _units_by_vertex(vertex_of, rgt[~in_cut[vertex_of[rgt]]])
 
+    # pair locally first, then route the leftovers; every list is consumed
+    # from its front, smallest unit first
     pairs: list[tuple[int, int]] = []
-    for v in sorted(left_at):
-        mine, theirs = left_at[v], right_at.get(v, [])
-        while mine and theirs:
-            pairs.append((mine.pop(0), theirs.pop(0)))
+    for v, mine in left_at.items():
+        theirs = right_at.get(v)
+        if theirs:
+            m = min(len(mine), len(theirs))
+            pairs.extend(zip(mine[:m], theirs[:m]))
+            del mine[:m], theirs[:m]
 
     leftover_s = {v: len(us) for v, us in left_at.items() if us}
     round_load: dict[int, int] = {}
     if leftover_s:
         leftover_r = {v: len(us) for v, us in right_at.items() if us}
         solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
-                               cap_scale=2 * mp.cap_multiplier)
+                               cap_scale=2 * cap)
         if solved.value != sum(leftover_s.values()):
             raise InternalError("matching flow failed to saturate all sources; "
                                 "the fair cut contract was violated")
@@ -384,16 +427,21 @@ def matching_player_step(graph: Graph, units: UnitMapping,
         round_load = {eidx: abs(num) for eidx, num in nums.items()}
         decomp = path_decomposition(graph, FlowAssignment(graph, 1, nums))
         for path in decomp.paths:
-            for _ in range(path.weight):
-                pairs.append((left_at[path.start].pop(0),
-                              right_at[path.end].pop(0)))
+            mine, theirs, w = left_at[path.start], right_at[path.end], path.weight
+            if len(mine) < w or len(theirs) < w:
+                raise InternalError("a flow path carries more than its end units")
+            pairs.extend(zip(mine[:w], theirs[:w]))
+            del mine[:w], theirs[:w]
 
     if any(us for us in left_at.values()):
         raise InternalError("not every surviving proposal unit was matched")
     for eidx, load in round_load.items():
-        if load > 2 * mp.cap_multiplier * graph.edges[eidx][2]:
+        capacity = graph.edges[eidx][2]
+        if load > 2 * cap * capacity:
             raise InternalError("per-round embedding load too high")
-        mp.edge_load[eidx] = mp.edge_load.get(eidx, 0) + load
+        total = mp.edge_load.get(eidx, 0) + load
+        mp.edge_load[eidx] = total
+        mp.max_load_ratio = max(mp.max_load_ratio, total / capacity)
     mp.rounds += 1
     return dropped, Matching(tuple(sorted(pairs)))
 
@@ -485,18 +533,16 @@ class CutMatchingGame:
         left, right = cut_player_step(self)
         scope = self.vertices - frozenset(self.mp.deleted)
         dropped, matching = matching_player_step(
-            self.graph, self.units, self.mp, self.active_units(),
+            self.graph, self.units, self.mp, np.flatnonzero(self.active_mask),
             left, right, scope=scope)
         if dropped:
             self.active_mask[list(dropped)] = False
         self.matchings.append(matching)
         self.perms.append(matching.permutation(self.k))
 
-        max_ratio = 0.0
-        for eidx, load in self.mp.edge_load.items():
-            max_ratio = max(max_ratio, load / self.graph.edges[eidx][2])
         rec = RoundRecord(self.round, self.active_count(), len(dropped),
-                          len(matching), max_ratio, self.current_potential())
+                          len(matching), self.mp.max_load_ratio,
+                          self.current_potential())
         self.records.append(rec)
         self._evaluate_stop(rec)
         return rec

@@ -164,6 +164,11 @@ class Graph:
         return len(self.components()) <= 1
 
     @cached_property
+    def _singleton_clusters(self) -> tuple[frozenset[int], ...]:
+        """{v} for every vertex, built once; every hierarchy on the graph shares them."""
+        return tuple(frozenset((v,)) for v in range(self.n))
+
+    @cached_property
     def _arc_layout(self) -> tuple[list[int], list[int], list[list[int]]]:
         """The max-flow arc layout: (arc heads, base capacities, arcs out of each vertex).
 
@@ -327,7 +332,8 @@ def fuse(partition: Partition, merged: Iterable[int],
     ground = partition.ground
     if not t <= ground:
         raise ArgumentError("fused set must be contained in the ground set")
-    new_clusters = [c - t for c in partition.clusters]
+    # a cluster that T misses is kept as it is, so sets stay shared
+    new_clusters = [c if t.isdisjoint(c) else c - t for c in partition.clusters]
     new_clusters = [c for c in new_clusters if c]
     new_clusters.append(t)
     fused = Partition.of(new_clusters)

@@ -64,6 +64,13 @@ class HierarchyConfig:
     phi_cap: Fraction = Fraction(1, 4)
 
 
+def _singletons(graph: Graph, vertices: Iterable[int]) -> Partition:
+    """``Partition.singletons`` on the graph's shared singleton clusters, so the
+    hierarchies built on one graph hold one set per vertex between them."""
+    cells = graph._singleton_clusters
+    return Partition(tuple(cells[v] for v in sorted(vertices)))
+
+
 def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
                         rng=None) -> HierarchicalDecomposition:
     """Build a complete hierarchical decomposition level by level.
@@ -83,7 +90,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
     level_budget = 2 * math.ceil(math.log2(n)) + 2
 
     root_phi = min(Fraction(1), cfg.phi_cap)  # the root's bound is 1; cap applies
-    root = partition_cluster(graph, everything, Partition.singletons(everything),
+    root = partition_cluster(graph, everything, _singletons(graph, everything),
                              root_phi, rng)
     if root.bad_child:
         raise InternalError("the root cluster has no border and cannot split off a child")
@@ -100,7 +107,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
             if len(cl) == 1:
                 sub[cl] = Partition.trivial(cl)
             else:
-                sub[cl] = Partition.singletons(cl)
+                sub[cl] = _singletons(graph, cl)
                 unprocessed.add(cl)
 
         guard = 0
@@ -182,7 +189,7 @@ def _check_grandparent_halving(decomposition: HierarchicalDecomposition):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     id: int
     parent: int | None
@@ -201,7 +208,8 @@ class TreeSparsifier:
 
     @property
     def root(self) -> TreeNode:
-        return self.nodes[0]
+        """The parentless node; a parsed tree may list it anywhere."""
+        return next(nd for nd in self.nodes if nd.parent is None)
 
     def leaves(self) -> list[TreeNode]:
         return [nd for nd in self.nodes if nd.leaf_vertex is not None]

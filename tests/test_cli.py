@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: pipelines, determinism, exit codes."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -173,6 +175,16 @@ class TestExitCodes:
         code, _out, _err = run(capsys, "game-trace", "--graph",
                                str(graph_file), "--phi", "zero")
         assert code == 2
+
+    def test_package_has_no_assert_statement(self):
+        # python -O strips asserts; every invariant behind exit code 3 must
+        # raise an error that survives it
+        package = pathlib.Path(treecut.__file__).parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestMalformedEvalInput:

@@ -1,5 +1,6 @@
 """Cut player, matching player, and the sparse cut oracle."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecut import (ArgumentError, CutMatchingGame, Graph, Matching,
+from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, Matching,
                      MatchingPlayerState, OversizeError, UnitMapping,
                      VertexWeights, apply_centering, apply_mixing_step,
                      boundary_capacity, cut_player_step, dense_flow_matrix,
@@ -20,6 +21,8 @@ from treecut.cutmatch import (POTENTIAL_UNIT_CAP, _apply_walk, slowdown_for,
                               sweep_cut_violations)
 from treecut import cutmatch as cutmatch_module
 from treecut import flow as flow_module
+from treecut.cutmatch import MATCH_FAIRNESS
+from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
 
@@ -112,6 +115,236 @@ class TestSweepCut:
         active = range(len(values))
         left, right, level = sweep_cut(active, full)
         assert sweep_cut_violations(active, full, left, right, level) == []
+
+
+# -- loop references: the per-unit Python loops the array code replaced,
+# -- kept verbatim; the array code must reproduce their results exactly.  The
+# -- far test squares by multiplying where the loops call pow, which can differ
+# -- by 1 ulp, so a verdict could only flip with both sides within 1 ulp.
+
+def loop_sweep_cut(active, values):
+    act = [int(i) for i in sorted(active)]
+    a = len(act)
+    if a < 2:
+        raise ArgumentError("sweep cut needs at least two active units")
+    vals = np.asarray(values, dtype=float)[act]
+    order = sorted(range(a), key=lambda i: (vals[i], act[i]))
+    svals = vals[order]
+    median = svals[(a - 1) // 2]
+    mass_low = float((svals[svals < median] ** 2).sum())
+    mass_high = float((svals[svals > median] ** 2).sum())
+
+    first = "low" if mass_low >= mass_high else "high"
+    for side in (first, "high" if first == "low" else "low"):
+        res = loop_sweep_orientation(act, vals, order, svals, a, side)
+        if res is not None:
+            return res
+    raise InternalError("sweep cut failed in both orientations")
+
+
+def loop_sweep_orientation(act, vals, order, svals, a, side):
+    half = -(-a // 2)       # ceil(a/2) response units
+    cap_small = -(-a // 8)  # ceil(a/8) proposal units
+    if side == "low":
+        pool_pos, resp_pos = order[: a - half], order[a - half:]
+        level = float(svals[a - half])
+    else:
+        pool_pos, resp_pos = order[half:], order[:half]
+        level = float(svals[half - 1])
+    far = [p for p in pool_pos if (vals[p] - level) ** 2 >= vals[p] ** 2 / 9.0]
+    far.sort(key=lambda p: (-abs(vals[p] - level), act[p]))
+    left = frozenset(act[p] for p in far[:cap_small])
+    right = frozenset(act[p] for p in resp_pos)
+
+    total = float((svals ** 2).sum())
+    picked = sum(float(vals[p]) ** 2 for p in far[:cap_small])
+    if picked + 1e-12 * max(total, 1.0) < total / 80.0:
+        return None
+    return left, right, level
+
+
+def loop_matching_player_step(graph, units, mp, active, left, right, scope=None):
+    active = frozenset(int(u) for u in active)
+    left = frozenset(int(u) for u in left)
+    right = frozenset(int(u) for u in right)
+    if not (left <= active and right <= active and not left & right):
+        raise ArgumentError("proposal sides must be disjoint subsets of the active units")
+    alive = frozenset(units.vertex(u) for u in active)
+    if scope is not None:
+        alive_scope = frozenset(scope)
+        if not alive <= alive_scope:
+            raise ArgumentError("scope must contain every vertex with active units")
+        alive = alive_scope
+
+    s_counts: dict[int, int] = {}
+    for u in left:
+        v = units.vertex(u)
+        s_counts[v] = s_counts.get(v, 0) + 1
+    r_counts: dict[int, int] = {}
+    for u in right:
+        v = units.vertex(u)
+        r_counts[v] = r_counts.get(v, 0) + 1
+    t_weights = {v: Fraction(count, 1) / MATCH_FAIRNESS
+                 for v, count in r_counts.items()}
+
+    result = fair_cut(graph, s_counts, t_weights, within=alive,
+                      cap_scale=mp.cap_multiplier)
+    cut_side = result.cut
+    mp.deleted |= cut_side
+    dropped = units.units_of_set(cut_side) & active
+
+    survivors = alive - cut_side
+    left_at: dict[int, list[int]] = {}
+    for u in sorted(left - dropped):
+        left_at.setdefault(units.vertex(u), []).append(u)
+    right_at: dict[int, list[int]] = {}
+    for u in sorted(right - dropped):
+        right_at.setdefault(units.vertex(u), []).append(u)
+
+    pairs: list[tuple[int, int]] = []
+    for v in sorted(left_at):
+        mine, theirs = left_at[v], right_at.get(v, [])
+        while mine and theirs:
+            pairs.append((mine.pop(0), theirs.pop(0)))
+
+    leftover_s = {v: len(us) for v, us in left_at.items() if us}
+    round_load: dict[int, int] = {}
+    if leftover_s:
+        leftover_r = {v: len(us) for v, us in right_at.items() if us}
+        solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
+                               cap_scale=2 * mp.cap_multiplier)
+        if solved.value != sum(leftover_s.values()):
+            raise InternalError("matching flow failed to saturate all sources; "
+                                "the fair cut contract was violated")
+        nums = solved.edge_flow()
+        round_load = {eidx: abs(num) for eidx, num in nums.items()}
+        decomp = path_decomposition(graph, FlowAssignment(graph, 1, nums))
+        for path in decomp.paths:
+            for _ in range(path.weight):
+                pairs.append((left_at[path.start].pop(0),
+                              right_at[path.end].pop(0)))
+
+    if any(us for us in left_at.values()):
+        raise InternalError("not every surviving proposal unit was matched")
+    for eidx, load in round_load.items():
+        if load > 2 * mp.cap_multiplier * graph.edges[eidx][2]:
+            raise InternalError("per-round embedding load too high")
+        mp.edge_load[eidx] = mp.edge_load.get(eidx, 0) + load
+    mp.rounds += 1
+    return dropped, Matching(tuple(sorted(pairs)))
+
+
+def fuzz_sweep_vectors(seed, count):
+    """Seeded sweep-cut inputs: ties, signed zeros, inactive units, k up to 900."""
+    rng = philox(seed)
+    for i in range(count):
+        k = int(rng.integers(2, 900)) if i % 10 == 0 else int(rng.integers(2, 60))
+        kind = i % 5
+        if kind == 0:      # many ties
+            values = rng.integers(-3, 4, size=k).astype(float)
+        elif kind == 1:    # signed zeros among ties
+            values = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5], size=k)
+        elif kind == 2:    # a centered walk-like vector
+            values = rng.standard_normal(k)
+            values -= values.mean()
+        elif kind == 3:    # one heavy outlier, either sign
+            values = rng.standard_normal(k) * 1e-3
+            values[int(rng.integers(k))] = float(rng.choice([-1.0, 1.0])) * 50.0
+        else:              # skewed magnitudes
+            values = rng.standard_normal(k) ** 3 * float(rng.choice([1e-9, 1.0, 1e6]))
+        if rng.random() < 0.5:
+            active = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        else:
+            active = np.arange(k)
+        yield active, values
+
+
+class TestSweepCutMatchesLoops:
+    def test_fuzzed_vectors_give_the_loop_result(self):
+        calls = 0
+        for active, values in fuzz_sweep_vectors(2024, 2400):
+            as_set = frozenset(int(u) for u in active)
+            try:
+                expected = loop_sweep_cut(as_set, values)
+            except (ArgumentError, InternalError) as exc:
+                with pytest.raises(type(exc)):
+                    sweep_cut(np.sort(active), values)
+                continue
+            for given in (as_set, np.sort(active), list(active)):
+                assert sweep_cut(given, values) == expected
+            calls += 1
+        assert calls >= 2000
+
+    def test_both_orientations_match(self):
+        seen = {"low": 0, "high": 0, "none": 0}
+        for active, values in fuzz_sweep_vectors(7, 2000):
+            act = sorted(int(u) for u in active)
+            a = len(act)
+            if a < 2:
+                continue
+            vals = np.asarray(values, dtype=float)[act]
+            order = sorted(range(a), key=lambda i: (vals[i], act[i]))
+            svals = vals[order]
+            arr_order = np.argsort(vals, kind="stable")
+            assert arr_order.tolist() == order
+            for side in ("low", "high"):
+                expected = loop_sweep_orientation(act, vals, order, svals, a, side)
+                got = cutmatch_module._sweep_orientation(
+                    np.array(act), vals, arr_order, svals, a, side)
+                assert got == expected
+                seen[side if expected is not None else "none"] += 1
+        assert min(seen.values()) > 0
+
+
+class TestMatchingPlayerMatchesLoop:
+    def test_random_rounds_give_the_loop_result(self):
+        seen = {"rounds": 0, "dropping": 0, "routing": 0}
+        for seed in range(120):
+            rng = philox(4000 + seed)
+            graph = random_connected_graph(seed, max_n=10, max_cap=4)
+            pi = VertexWeights({v: int(rng.integers(0, 7)) for v in range(graph.n)})
+            theta = UnitMapping.from_weights(pi)
+            if theta.k < 2:
+                continue
+            factor = int(rng.choice([1, 2, 5, 40]))
+            mp_loop, mp_array = (MatchingPlayerState(congestion_factor=factor)
+                                 for _ in range(2))
+            active = set(range(theta.k))
+            for _round in range(4):
+                if len(active) < 2:
+                    break
+                units = sorted(active)
+                rng.shuffle(units)
+                cut = int(rng.integers(0, len(units) // 2 + 1))
+                left = frozenset(units[:cut])
+                right = frozenset(units[cut:cut + int(rng.integers(0, len(units) - cut + 1))])
+                scope = set(range(graph.n)) - mp_loop.deleted
+                loads_before = dict(mp_loop.edge_load)
+                expected = loop_matching_player_step(graph, theta, mp_loop, active,
+                                                     left, right, scope=scope)
+                got = matching_player_step(graph, theta, mp_array,
+                                           np.array(sorted(active)), left, right,
+                                           scope=scope)
+                assert got == expected
+                routed = mp_loop.edge_load != loads_before
+                assert mp_array.edge_load == mp_loop.edge_load
+                assert mp_array.deleted == mp_loop.deleted
+                assert mp_array.max_load_ratio == max(
+                    (load / graph.edges[e][2] for e, load in mp_loop.edge_load.items()),
+                    default=0.0)
+                active -= expected[0]
+                seen["rounds"] += 1
+                seen["dropping"] += bool(expected[0])
+                seen["routing"] += routed
+        assert seen["rounds"] >= 200 and min(seen.values()) >= 30, seen
+
+    def test_out_of_range_unit_rejected(self, path3):
+        theta = UnitMapping.from_weights({0: 1, 2: 1})
+        mp = MatchingPlayerState(congestion_factor=40)
+        for bad in (-1, 2):
+            with pytest.raises(ArgumentError):
+                matching_player_step(path3, theta, mp, {0, 1, bad},
+                                     frozenset({0}), frozenset({1}))
 
 
 class TestCutPlayerStep:
@@ -430,6 +663,10 @@ class TestGameInvariants:
         load = json.dumps(sorted(game.mp.edge_load.items()))
         assert hashlib.sha256(load.encode()).hexdigest() == (
             "76c1196401a069d8de0751e2c82b49d3490acc4c2af9a5f466f1f4ab465d71af")
+        # every RoundRecord field, max_load_ratio and potential included
+        records = json.dumps([dataclasses.astuple(r) for r in game.records])
+        assert hashlib.sha256(records.encode()).hexdigest() == (
+            "90754e0405da4bcb36494270a0ccb5d4d683fa33cec59c10a087b3a2d1cfaee0")
 
 
 class TestExpansionCertificates:

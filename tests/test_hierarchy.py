@@ -76,6 +76,16 @@ class TestConstructHierarchy:
                 for _ in range(2)]
         assert runs[0] == runs[1]
 
+    def test_builds_on_one_graph_share_their_singletons(self):
+        # a kept hierarchy costs one set per vertex less: every build on the
+        # graph reuses the graph's singleton clusters, leaves included
+        graph = two_cliques_bridge(8, cap=100)
+        trees = [to_tree_sparsifier(construct_hierarchy(graph, rng=philox(seed)), graph)
+                 for seed in (4, 5)]
+        leaves = [{leaf.leaf_vertex: leaf.cluster for leaf in tree.leaves()}
+                  for tree in trees]
+        assert all(leaves[0][v] is leaves[1][v] for v in range(graph.n))
+
     def test_multilevel_on_capacitated_bottleneck(self):
         graph = two_cliques_bridge(8, cap=100)
         h = construct_hierarchy(graph, HierarchyConfig(), philox(4))

@@ -108,6 +108,15 @@ class TestTreeJson:
         with pytest.raises(InputError, match=message):
             tree_from_json(json.dumps(data))
 
+    def test_root_is_the_parentless_node_wherever_it_is_listed(self):
+        data = {"n": 2, "nodes": [
+            {"id": 0, "parent": 2, "cap": 1, "leaf_vertex": 0},
+            {"id": 1, "parent": 2, "cap": 1, "leaf_vertex": 1},
+            {"id": 2, "parent": None, "cap": 0}]}
+        tree = tree_from_json(json.dumps(data))
+        assert tree.root.id == 2 and tree.root.parent is None
+        assert tree.root.cluster == frozenset({0, 1})
+
     def test_root_must_span_every_vertex(self):
         data = self.star()
         data["n"] = 4
