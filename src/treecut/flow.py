@@ -1,14 +1,18 @@
 """Exact max flow, fair cut/flow pairs, path decomposition, and congestion oracles.
 
-The flow engine is a Dinic solver with capacity scaling over integer
-capacities.  Each graph builds its arc layout once (``Graph._arc_layout``);
-a max flow fills only a fresh residual list.  Scaling starts at the largest
-source-arc capacity, since no phase above it can push, and a BFS stops once
-it labels the sink.  The edge flow is built only when a caller reads it:
-``_routable`` and the fair cut's cut need just the value and the residual
-reachable set.  Rational source/target functions are handled by scaling the
-whole instance to a common denominator, solving integrally, and reporting
-flows in fixed-denominator units.  Flows returned by this module are always
+The flow engine is a Dinic solver over integer capacities.  Each graph
+builds its arc layout once (``Graph._arc_layout``); a max flow fills only a
+fresh residual list, and a BFS stops once it labels the sink.  The edge flow
+is built only when a caller reads it.  Solves that only read the value and
+the residual reachable set (``fair_cut``, ``_routable``,
+``partition.check_border_routable``) run plain Dinic: both are the same for
+every maximum flow, the set being the minimal minimum cut.  Solves whose edge
+flow is read (``max_flow`` and the matching player's routing) keep capacity
+scaling, from the largest source-arc capacity down, because the matchings
+follow that flow and the seeded games stay bit-identical with it.  Rational
+source/target functions are handled by scaling the whole instance to a
+common denominator, solving integrally, and reporting flows in
+fixed-denominator units.  Flows returned by this module are always
 cycle-free, so path decompositions reproduce them edge-exactly.
 """
 
@@ -82,7 +86,7 @@ class FlowAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Dinic solver with capacity scaling
+# Dinic solver, with or without capacity scaling
 # ---------------------------------------------------------------------------
 
 
@@ -91,13 +95,19 @@ class _Dinic:
 
     Arcs come in mutually reverse pairs ``idx`` and ``idx ^ 1``; only ``res``
     belongs to this solver, the layout is shared by every flow on the graph.
+    With ``scaling`` the phases push only along arcs of residual at least
+    2^j, j falling to 0; without it every phase is a plain Dinic phase.  The
+    value and the residual reachable set come out the same either way, the
+    edge flow may not, so solves whose edge flow is read keep scaling.
     """
 
-    def __init__(self, to: list[int], head: list[list[int]], res: list[int]):
+    def __init__(self, to: list[int], head: list[list[int]], res: list[int],
+                 scaling: bool = True):
         self.n = len(head)
         self.to = to
         self.head = head
         self.res = res
+        self.scaling = scaling
 
     def _bfs(self, s: int, t: int, floor: int) -> list[int] | None:
         # stop once t is labelled: a vertex at or beyond t's level lies on no
@@ -164,7 +174,7 @@ class _Dinic:
         if top == 0:
             return 0
         flow = 0
-        floor = 1 << (top.bit_length() - 1)
+        floor = 1 << (top.bit_length() - 1) if self.scaling else 1
         while floor >= 1:
             while True:
                 level = self._bfs(s, t, floor)
@@ -225,12 +235,16 @@ def _cancel_cycles(flow: dict[tuple[int, int], int]):
 
 
 class _SolvedFlow:
-    """A solved max flow: its value, and what callers read from its residuals."""
+    """A solved max flow: its value, and what callers read from its residuals.
 
-    def __init__(self, graph: Graph, res: list[int], value: int):
+    ``verts`` is the vertex set the flow was solved within, None for all.
+    """
+
+    def __init__(self, graph: Graph, res: list[int], value: int, verts: set[int] | None):
         self.graph = graph
         self.res = res
         self.value = value
+        self.verts = verts
 
     def reach(self) -> frozenset[int]:
         """Graph vertices reachable from the super-source in the residual graph.
@@ -254,10 +268,18 @@ class _SolvedFlow:
 
     def edge_flow(self) -> dict[int, int]:
         """Cycle-free edge flow numerators, keyed by edge index in edge order."""
-        res = self.res
+        res, edges, verts = self.res, self.graph.edges, self.verts
+        if verts is None:
+            inside = range(len(edges))
+        else:
+            # an edge leaving the vertex set has residual 0 on both arcs
+            adj = self.graph._adj
+            inside = sorted(idx for u in verts for w, idx in adj[u]
+                            if u < w and w in verts)
         arc_flow: dict[tuple[int, int], int] = {}
         used: list[int] = []
-        for idx, (u, v, _c) in enumerate(self.graph.edges):
+        for idx in inside:
+            u, v, _c = edges[idx]
             pushed = (res[2 * idx + 1] - res[2 * idx]) // 2
             if pushed:
                 arc = (u, v) if pushed > 0 else (v, u)
@@ -275,20 +297,24 @@ class _SolvedFlow:
 
 
 def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
-                  within: Iterable[int] | None = None, cap_scale: int = 1) -> _SolvedFlow:
+                  within: Iterable[int] | None = None, cap_scale: int = 1,
+                  scaling: bool = True) -> _SolvedFlow:
     """Integral max flow between virtual terminals.
 
     Solves on the graph's arc layout with a fresh residual list: edge
     capacities times ``cap_scale`` (0 for edges leaving ``within``) and the
     terminal capacities.  The edge flow is built only if a caller asks.
+    Callers that read only the value and ``reach()`` pass ``scaling=False``
+    (see ``_Dinic``).
     """
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
-    if within is None:
+    verts = range(n) if within is None else set(within)
+    whole = within is None or verts.issuperset(range(n))
+    if whole:
         verts = range(n)
         res = [c * cap_scale for c in cap]
     else:
-        verts = set(within)
         res = [0] * len(to)
         for v in verts:
             for idx in head[v]:
@@ -305,8 +331,8 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, 
         if c > 0 and v in verts:
             res[m2 + 2 * n + 2 * v] = int(c)
 
-    value = _Dinic(to, head, res).solve(n, n + 1)
-    return _SolvedFlow(graph, res, value)
+    value = _Dinic(to, head, res, scaling).solve(n, n + 1)
+    return _SolvedFlow(graph, res, value, None if whole else verts)
 
 
 def max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
@@ -374,7 +400,8 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     supply = {v: x // shared for v, x in net.items() if x > 0}
     demand = {v: -x // shared for v, x in net.items() if x < 0}
 
-    solved = _run_max_flow(graph, supply, demand, verts, cap_scale=cap_scale * denom)
+    solved = _run_max_flow(graph, supply, demand, verts, cap_scale=cap_scale * denom,
+                           scaling=False)
     return FairCutResult(solved.reach(), denom, solved)
 
 
@@ -568,7 +595,7 @@ def _routable(graph: Graph, pos: Mapping[int, int], neg: Mapping[int, int],
     total = sum(pos.values())
     supply = {v: x * lam.denominator for v, x in pos.items()}
     sink = {v: x * lam.denominator for v, x in neg.items()}
-    solved = _run_max_flow(graph, supply, sink, cap_scale=lam.numerator)
+    solved = _run_max_flow(graph, supply, sink, cap_scale=lam.numerator, scaling=False)
     return solved.value == total * lam.denominator, solved.reach()
 
 

@@ -164,6 +164,11 @@ class Graph:
         return len(self.components()) <= 1
 
     @cached_property
+    def _all_vertices(self) -> frozenset[int]:
+        """All vertices as one set, built once; every hierarchy on the graph shares it."""
+        return frozenset(range(self.n))
+
+    @cached_property
     def _singleton_clusters(self) -> tuple[frozenset[int], ...]:
         """{v} for every vertex, built once; every hierarchy on the graph shares them."""
         return tuple(frozenset((v,)) for v in range(self.n))

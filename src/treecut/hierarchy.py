@@ -86,7 +86,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
     n = graph.n
     if n < 2:
         raise ArgumentError("hierarchy construction needs at least two vertices")
-    everything = frozenset(range(n))
+    everything = graph._all_vertices
     level_budget = 2 * math.ceil(math.log2(n)) + 2
 
     root_phi = min(Fraction(1), cfg.phi_cap)  # the root's bound is 1; cap applies

@@ -86,6 +86,17 @@ class TestConstructHierarchy:
                   for tree in trees]
         assert all(leaves[0][v] is leaves[1][v] for v in range(graph.n))
 
+    def test_builds_on_one_graph_share_their_vertex_set(self):
+        # every build's trivial top level and its tree's root hold the
+        # graph's one set of all vertices
+        graph = two_cliques_bridge(8, cap=100)
+        builds = [construct_hierarchy(graph, rng=philox(seed)) for seed in (4, 5)]
+        tops = [h.levels[0].clusters[0] for h in builds]
+        assert tops[0] is tops[1] is graph._all_vertices
+        assert tops[0] == frozenset(range(graph.n))
+        roots = [to_tree_sparsifier(h, graph).root.cluster for h in builds]
+        assert roots[0] is roots[1] is tops[0]
+
     def test_multilevel_on_capacitated_bottleneck(self):
         graph = two_cliques_bridge(8, cap=100)
         h = construct_hierarchy(graph, HierarchyConfig(), philox(4))
