@@ -102,7 +102,7 @@ class _Dinic:
     """
 
     def __init__(self, to: list[int], head: list[list[int]], res: list[int],
-                 scaling: bool = True):
+                 scaling: bool):
         self.n = len(head)
         self.to = to
         self.head = head
@@ -235,16 +235,12 @@ def _cancel_cycles(flow: dict[tuple[int, int], int]):
 
 
 class _SolvedFlow:
-    """A solved max flow: its value, and what callers read from its residuals.
+    """A solved max flow: its value, and what callers read from its residuals."""
 
-    ``verts`` is the vertex set the flow was solved within, None for all.
-    """
-
-    def __init__(self, graph: Graph, res: list[int], value: int, verts: set[int] | None):
+    def __init__(self, graph: Graph, res: list[int], value: int):
         self.graph = graph
         self.res = res
         self.value = value
-        self.verts = verts
 
     def reach(self) -> frozenset[int]:
         """Graph vertices reachable from the super-source in the residual graph.
@@ -268,18 +264,10 @@ class _SolvedFlow:
 
     def edge_flow(self) -> dict[int, int]:
         """Cycle-free edge flow numerators, keyed by edge index in edge order."""
-        res, edges, verts = self.res, self.graph.edges, self.verts
-        if verts is None:
-            inside = range(len(edges))
-        else:
-            # an edge leaving the vertex set has residual 0 on both arcs
-            adj = self.graph._adj
-            inside = sorted(idx for u in verts for w, idx in adj[u]
-                            if u < w and w in verts)
+        res = self.res
         arc_flow: dict[tuple[int, int], int] = {}
         used: list[int] = []
-        for idx in inside:
-            u, v, _c = edges[idx]
+        for idx, (u, v, _c) in enumerate(self.graph.edges):
             pushed = (res[2 * idx + 1] - res[2 * idx]) // 2
             if pushed:
                 arc = (u, v) if pushed > 0 else (v, u)
@@ -310,8 +298,7 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, 
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
     verts = range(n) if within is None else set(within)
-    whole = within is None or verts.issuperset(range(n))
-    if whole:
+    if within is None or verts.issuperset(range(n)):
         verts = range(n)
         res = [c * cap_scale for c in cap]
     else:
@@ -332,7 +319,7 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, 
             res[m2 + 2 * n + 2 * v] = int(c)
 
     value = _Dinic(to, head, res, scaling).solve(n, n + 1)
-    return _SolvedFlow(graph, res, value, None if whole else verts)
+    return _SolvedFlow(graph, res, value)
 
 
 def max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
