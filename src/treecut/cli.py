@@ -162,6 +162,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be non-negative, got {args.trials}")
     graph = textio.parse_edge_list(_read(args.graph))
     rng = _make_rng(args.seed)
     decomposition = construct_hierarchy(graph, rng=rng)

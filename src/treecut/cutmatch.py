@@ -184,18 +184,27 @@ def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
     """Matrix-free application of the centered, slowed walk operator.
 
     ``vec`` is one vector of length k or a k x m block of column vectors.
+    Each mixing pass computes ``(1 - 1/s) * y + (1/s) * y[perm]`` for the
+    slowdown s as ``((s - 1) * y + y[perm]) * (1/s)``, three array operations
+    where the first form takes four at s = 2.  For a power of two s, as
+    ``slowdown_for`` returns, both give the same bits, since scaling by a
+    power of two is exact away from subnormals.  At s = 2 the ``(s - 1) * y``
+    factor is the identity and is skipped.
     """
     y = vec.astype(float, copy=True)
     count = int(mask.sum())
     share = 1.0 / slowdown
-    keep = 1.0 - share
+    lag = float(slowdown - 1)
+    passes = [*reversed(perms), *perms]
     for _ in range(slowdown):
         y[~mask] = 0.0
         y[mask] -= y[mask].sum(axis=0) / count
-        for perm in reversed(perms):
-            y = keep * y + share * y[perm]
-        for perm in perms:
-            y = keep * y + share * y[perm]
+        for perm in passes:
+            moved = y[perm]
+            if lag != 1.0:
+                y *= lag
+            y += moved
+            y *= share
         y[~mask] = 0.0
         y[mask] -= y[mask].sum(axis=0) / count
     return y
@@ -388,11 +397,15 @@ def matching_player_step(graph: Graph, units: UnitMapping,
         alive = alive_scope
 
     cap = mp.cap_multiplier
-    s_counts = _counts_by_vertex(vertex_of, lft)
-    t_weights = {v: Fraction(2 * count, 3)    # count / MATCH_FAIRNESS
-                 for v, count in _counts_by_vertex(vertex_of, rgt).items()}
+    # source weight count, target weight count / MATCH_FAIRNESS, capacities
+    # times cap, all scaled by the fairness's numerator to integers: a
+    # multiple of one instance has the same minimal minimum cut, so the same
+    # fair cut, without a Fraction per vertex
+    up, down = MATCH_FAIRNESS.numerator, MATCH_FAIRNESS.denominator
+    s_weights = {v: up * count for v, count in _counts_by_vertex(vertex_of, lft).items()}
+    t_weights = {v: down * count for v, count in _counts_by_vertex(vertex_of, rgt).items()}
 
-    result = fair_cut(graph, s_counts, t_weights, within=alive, cap_scale=cap)
+    result = fair_cut(graph, s_weights, t_weights, within=alive, cap_scale=up * cap)
     cut_side = result.cut
     mp.deleted |= cut_side
     in_cut = np.zeros(graph.n, dtype=bool)

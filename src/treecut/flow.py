@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from operator import ne
 from typing import Iterable, Mapping
 
 from .errors import ArgumentError, ConsistencyError, InternalError
@@ -148,15 +150,16 @@ class _Dinic:
                 v = to[path[-1]] if path else s
                 continue
             arcs = head[v]
+            end = len(arcs)
             nxt = level[v] + 1
             pos = cursor[v]
-            while pos < len(arcs):
+            while pos < end:
                 idx = arcs[pos]
                 if res[idx] >= floor and level[to[idx]] == nxt:
                     break
                 pos += 1
             cursor[v] = pos
-            if pos < len(arcs):
+            if pos < end:
                 path.append(idx)
                 v = to[idx]
                 continue
@@ -263,21 +266,27 @@ class _SolvedFlow:
         return frozenset(seen)
 
     def edge_flow(self) -> dict[int, int]:
-        """Cycle-free edge flow numerators, keyed by edge index in edge order."""
-        res = self.res
+        """Cycle-free edge flow numerators, keyed by edge index in edge order.
+
+        Edge e carries flow exactly when its arcs' residuals differ: both start
+        at the same capacity (0 outside ``within``), and pushing f along one
+        moves them 2f apart.  Those edges are found at C speed, and only they
+        are read; residuals stay Python ints, which may exceed 64 bits.
+        """
+        res, edges = self.res, self.graph.edges
+        m2 = 2 * len(edges)
+        used = list(compress(range(len(edges)), map(ne, res[1:m2:2], res[0:m2:2])))
         arc_flow: dict[tuple[int, int], int] = {}
-        used: list[int] = []
-        for idx, (u, v, _c) in enumerate(self.graph.edges):
+        for idx in used:
+            u, v, _c = edges[idx]
             pushed = (res[2 * idx + 1] - res[2 * idx]) // 2
-            if pushed:
-                arc = (u, v) if pushed > 0 else (v, u)
-                arc_flow[arc] = arc_flow.get(arc, 0) + abs(pushed)
-                used.append(idx)
+            arc = (u, v) if pushed > 0 else (v, u)
+            arc_flow[arc] = arc_flow.get(arc, 0) + abs(pushed)
         _cancel_cycles(arc_flow)
 
         nums: dict[int, int] = {}
         for idx in used:
-            u, v, _c = self.graph.edges[idx]
+            u, v, _c = edges[idx]
             net = arc_flow.get((u, v), 0) - arc_flow.get((v, u), 0)
             if net:
                 nums[idx] = net

@@ -174,6 +174,17 @@ class Graph:
         return tuple(frozenset((v,)) for v in range(self.n))
 
     @cached_property
+    def _whole_partition(self) -> "Partition":
+        """All vertices as one cluster: every hierarchy's first level on the graph."""
+        return Partition((self._all_vertices,))
+
+    @cached_property
+    def _singleton_partition(self) -> "Partition":
+        """Every vertex its own cluster: the root's starting partition and the
+        last level of every hierarchy on the graph."""
+        return Partition(self._singleton_clusters)
+
+    @cached_property
     def _arc_layout(self) -> tuple[list[int], list[int], list[list[int]]]:
         """The max-flow arc layout: (arc heads, base capacities, arcs out of each vertex).
 

@@ -90,11 +90,11 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
     level_budget = 2 * math.ceil(math.log2(n)) + 2
 
     root_phi = min(Fraction(1), cfg.phi_cap)  # the root's bound is 1; cap applies
-    root = partition_cluster(graph, everything, _singletons(graph, everything),
+    root = partition_cluster(graph, everything, graph._singleton_partition,
                              root_phi, rng)
     if root.bad_child:
         raise InternalError("the root cluster has no border and cannot split off a child")
-    levels: list[Partition] = [Partition.trivial(everything), root.partition]
+    levels: list[Partition] = [graph._whole_partition, root.partition]
 
     while any(len(c) > 1 for c in levels[-1].clusters):
         if len(levels) >= level_budget:
@@ -141,7 +141,9 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
         levels[-1] = Partition.of(clusters)
         next_level = Partition.of(
             c for cl in clusters for c in sub[cl].clusters)
-        levels.append(next_level)
+        # an all-singleton level is the one the graph keeps for every build
+        levels.append(graph._singleton_partition if len(next_level) == n
+                      else next_level)
 
     decomposition = HierarchicalDecomposition(tuple(levels))
     if not check_laminar(decomposition):

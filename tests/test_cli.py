@@ -151,6 +151,14 @@ class TestCertifyCommand:
         assert payload["sweep_cut_checks"] == {"pass": 4, "total": 4}
         assert "well_expanding" in payload
 
+    def test_negative_trials_is_an_input_error(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.el"
+        graph_file.write_text("0 1 1\n")
+        code, out, err = run(capsys, "certify", "--graph", str(graph_file),
+                             "--trials", "-1")
+        assert code == 2, err
+        assert out == "" and "--trials" in err
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

@@ -338,6 +338,53 @@ class TestMatchingPlayerMatchesLoop:
                 seen["routing"] += routed
         assert seen["rounds"] >= 200 and min(seen.values()) >= 30, seen
 
+    def test_integer_fair_cut_weights_cut_like_fractions(self, monkeypatch):
+        # the fair cut on source 3c, target 2c and capacities times 3 cap is
+        # the one on source c, target 2c/3 and capacities times cap
+        real_fair_cut = cutmatch_module.fair_cut
+        calls = []
+
+        def recording(graph, source_w, target_w, within=None, cap_scale=1):
+            result = real_fair_cut(graph, source_w, target_w, within=within,
+                                   cap_scale=cap_scale)
+            calls.append((source_w, target_w, result.cut))
+            return result
+
+        monkeypatch.setattr(cutmatch_module, "fair_cut", recording)
+        seen = {"rounds": 0, "cutting": 0, "thirds": 0}
+        for seed in range(300):
+            rng = philox(9000 + seed)
+            graph = random_connected_graph(seed, max_n=10, max_cap=4)
+            pi = VertexWeights({v: int(rng.integers(0, 9)) for v in range(graph.n)})
+            theta = UnitMapping.from_weights(pi)
+            if theta.k < 2:
+                continue
+            mp = MatchingPlayerState(congestion_factor=int(rng.choice([1, 2, 5, 40])))
+            units = rng.permutation(theta.k)
+            cut = int(rng.integers(0, theta.k // 2 + 1))
+            left = frozenset(units[:cut].tolist())
+            right = frozenset(units[cut:].tolist())
+            scope = frozenset(range(graph.n))
+            calls.clear()
+            matching_player_step(graph, theta, mp, np.arange(theta.k), left, right,
+                                 scope=scope)
+            (source_w, target_w, got), = calls
+            assert all(type(w) is int for part in (source_w, target_w)
+                       for w in part.values())
+            s_counts, t_counts = {}, {}
+            for side, counts in ((left, s_counts), (right, t_counts)):
+                for u in side:
+                    v = theta.vertex(u)
+                    counts[v] = counts.get(v, 0) + 1
+            t_fractions = {v: Fraction(c) / MATCH_FAIRNESS for v, c in t_counts.items()}
+            expected = real_fair_cut(graph, s_counts, t_fractions, within=scope,
+                                     cap_scale=mp.cap_multiplier).cut
+            assert got == expected, seed
+            seen["rounds"] += 1
+            seen["cutting"] += bool(got)
+            seen["thirds"] += any(w.denominator == 3 for w in t_fractions.values())
+        assert seen["rounds"] >= 250 and min(seen.values()) >= 40, seen
+
     def test_out_of_range_unit_rejected(self, path3):
         theta = UnitMapping.from_weights({0: 1, 2: 1})
         mp = MatchingPlayerState(congestion_factor=40)
@@ -417,6 +464,56 @@ class TestDenseDiagnostics:
             lam = 0.5 - 0.5 * (1 - 2 / slowdown) ** (4 * slowdown)
             assert lam >= 0.25
             assert np.abs(power - (np.eye(k) - lam * (i_act - m))).max() < 1e-9
+
+
+def formula_apply_walk(vec, perms, mask, slowdown):
+    """The walk as ``keep * y + share * y[perm]``, four array operations a pass."""
+    y = vec.astype(float, copy=True)
+    count = int(mask.sum())
+    share = 1.0 / slowdown
+    keep = 1.0 - share
+    for _ in range(slowdown):
+        y[~mask] = 0.0
+        y[mask] -= y[mask].sum(axis=0) / count
+        for perm in reversed(perms):
+            y = keep * y + share * y[perm]
+        for perm in perms:
+            y = keep * y + share * y[perm]
+        y[~mask] = 0.0
+        y[mask] -= y[mask].sum(axis=0) / count
+    return y
+
+
+def random_matching_perm(rng, k, mask):
+    """The permutation of a random matching on some of the masked units."""
+    units = rng.permutation(np.flatnonzero(mask))
+    units = units[:2 * int(rng.integers(0, len(units) // 2 + 1))]
+    return Matching(tuple(zip(units[0::2].tolist(), units[1::2].tolist()))).permutation(k)
+
+
+class TestWalkMatchesFormula:
+    def test_bit_equal_at_power_of_two_slowdowns(self):
+        rng = philox(808)
+        seen = set()
+        for trial in range(240):
+            slowdown = (2, 4, 8)[trial % 3]
+            k = int(rng.integers(2, 70))
+            mask = rng.random(k) < rng.uniform(0.3, 1.0)
+            if trial % 4 == 0:
+                mask[:] = True
+            if mask.sum() < 2:
+                mask[:2] = True
+            perms = [random_matching_perm(rng, k, mask)
+                     for _ in range(int(rng.integers(0, 12)))]
+            block = trial % 2 == 1
+            vec = rng.standard_normal((k, int(rng.integers(1, 6))) if block else k)
+            vec *= float(rng.choice([1e-6, 1.0, 1e6]))
+            got = _apply_walk(vec, perms, mask, slowdown)
+            expected = formula_apply_walk(vec, perms, mask, slowdown)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (trial, slowdown, block)
+            seen.add((slowdown, block))
+        assert len(seen) == 6
 
 
 class TestPotential:

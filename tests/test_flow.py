@@ -420,6 +420,77 @@ def _scaling_instance(seed):
     return graph, supply, demand, within, scale
 
 
+def full_scan_edge_flow(solved):
+    """The edge flow read by scanning every edge, as a reference.
+
+    Also returns whether ``_cancel_cycles`` removed a cycle.
+    """
+    res, edges = solved.res, solved.graph.edges
+    arc_flow, used = {}, []
+    for idx, (u, v, _c) in enumerate(edges):
+        pushed = (res[2 * idx + 1] - res[2 * idx]) // 2
+        if pushed:
+            arc = (u, v) if pushed > 0 else (v, u)
+            arc_flow[arc] = arc_flow.get(arc, 0) + abs(pushed)
+            used.append(idx)
+    before = dict(arc_flow)
+    flow_module._cancel_cycles(arc_flow)
+    nums = {}
+    for idx in used:
+        u, v, _c = edges[idx]
+        net = arc_flow.get((u, v), 0) - arc_flow.get((v, u), 0)
+        if net:
+            nums[idx] = net
+    return nums, arc_flow != before
+
+
+def _push_circulation(graph, res, rng) -> bool:
+    """Push flow around one cycle of graph arcs with residual left, if a walk finds one.
+
+    The flow stays feasible and keeps its value; only a circulation is added.
+    """
+    to, _cap, head = graph._arc_layout
+    m2 = 2 * graph.m
+    v = int(rng.integers(graph.n))
+    path, seen_at = [], {v: 0}
+    for _hop in range(graph.n + 1):
+        arcs = [a for a in head[v]
+                if a < m2 and res[a] > 0 and not (path and a == path[-1] ^ 1)]
+        if not arcs:
+            return False
+        arc = arcs[int(rng.integers(len(arcs)))]
+        path.append(arc)
+        v = to[arc]
+        if v in seen_at:
+            cycle = path[seen_at[v]:]
+            amount = int(rng.integers(1, min(res[a] for a in cycle) + 1))
+            for a in cycle:
+                res[a] -= amount
+                res[a ^ 1] += amount
+            return True
+        seen_at[v] = len(path)
+    return False
+
+
+class TestEdgeFlow:
+    def test_pushed_edges_give_the_full_scan_result(self):
+        seen = {"flows": 0, "cycles": 0}
+        for seed in range(600):
+            graph, supply, demand, within, scale = _scaling_instance(seed)
+            solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
+            # the solved flow, then the same flow plus a circulation
+            for circulate in (False, True):
+                if circulate and not _push_circulation(graph, solved.res,
+                                                       philox(8000 + seed)):
+                    break
+                expected, cancelled = full_scan_edge_flow(solved)
+                got = solved.edge_flow()
+                assert list(got.items()) == list(expected.items()), (seed, circulate)
+                seen["flows"] += bool(expected)
+                seen["cycles"] += cancelled
+        assert seen["flows"] >= 450 and seen["cycles"] >= 60, seen
+
+
 class TestUnscaledSolve:
     """Plain Dinic, used where only the value and the reach set are read."""
 

@@ -97,6 +97,18 @@ class TestConstructHierarchy:
         roots = [to_tree_sparsifier(h, graph).root.cluster for h in builds]
         assert roots[0] is roots[1] is tops[0]
 
+    def test_builds_on_one_graph_share_their_first_and_last_levels(self):
+        # the whole-vertex level and the all-singleton level depend on the
+        # graph alone: a height-3 build (seed 4) and a star (seed 5) both
+        # keep the graph's one copy of each
+        graph = two_cliques_bridge(8, cap=100)
+        builds = [construct_hierarchy(graph, rng=philox(seed)) for seed in (4, 5)]
+        assert [h.height for h in builds] == [3, 2]
+        assert builds[0].levels[0] is builds[1].levels[0] is graph._whole_partition
+        assert builds[0].levels[-1] is builds[1].levels[-1] is graph._singleton_partition
+        assert graph._whole_partition == Partition.trivial(range(graph.n))
+        assert graph._singleton_partition == Partition.singletons(range(graph.n))
+
     def test_multilevel_on_capacitated_bottleneck(self):
         graph = two_cliques_bridge(8, cap=100)
         h = construct_hierarchy(graph, HierarchyConfig(), philox(4))
