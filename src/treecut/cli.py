@@ -214,6 +214,10 @@ def _cmd_game_trace(args) -> int:
         raise InputError(f"cannot parse phi: {args.phi!r}") from exc
     if args.weights:
         pi = textio.parse_vertex_weights(_read(args.weights))
+        outside = [v for v in pi if v >= graph.n]
+        if outside:
+            raise InputError(f"weight vertex {min(outside)} is not a vertex of the graph "
+                             f"(0..{graph.n - 1})")
     else:
         pi = VertexWeights.degrees(graph)
     game = CutMatchingGame(graph, pi, phi, _make_rng(args.seed))

@@ -143,34 +143,6 @@ class Matching:
 # ---------------------------------------------------------------------------
 
 
-def apply_mixing_step(x: np.ndarray, matching: Matching, active: Iterable[int],
-                      slowdown: int) -> np.ndarray:
-    """One slowed matching mix: matched coordinates exchange a 1/slowdown share."""
-    if slowdown < 1:
-        raise ArgumentError("slowdown must be at least 1")
-    act = set(active)
-    if not all(i in act and j in act for i, j in matching.pairs):
-        raise ArgumentError("matched pairs must be active units")
-    x = np.asarray(x, dtype=float)
-    return _mix(x, matching.permutation(len(x)), slowdown)
-
-
-def _mix(x: np.ndarray, perm: np.ndarray, slowdown: int) -> np.ndarray:
-    share = 1.0 / slowdown
-    return (1.0 - share) * x + share * x[perm]
-
-
-def apply_centering(x: np.ndarray, active: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Zero inactive coordinates and subtract the active mean."""
-    y = np.asarray(x, dtype=float).copy()
-    mask = _as_mask(active, len(y))
-    if not mask.any():
-        raise ArgumentError("active set must be non-empty")
-    y[~mask] = 0.0
-    y[mask] -= y[mask].mean()
-    return y
-
-
 def _as_mask(active, k: int) -> np.ndarray:
     if isinstance(active, np.ndarray) and active.dtype == bool:
         return active

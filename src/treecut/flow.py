@@ -1,19 +1,13 @@
 """Exact max flow, fair cut/flow pairs, path decomposition, and congestion oracles.
 
-The flow engine is a Dinic solver over integer capacities.  Each graph
-builds its arc layout once (``Graph._arc_layout``); a max flow fills only a
-fresh residual list, and a BFS stops once it labels the sink.  The edge flow
-is built only when a caller reads it.  Solves that only read the value and
-the residual reachable set (``fair_cut``, ``_routable``,
-``partition.check_border_routable``) run plain Dinic: both are the same for
-every maximum flow, the set being the minimal minimum cut.  Solves whose edge
-flow is read (``max_flow`` and the matching player's routing) keep capacity
-scaling, from the largest source-arc capacity down, because the matchings
-follow that flow and the seeded games stay bit-identical with it.  Rational
-source/target functions are handled by scaling the whole instance to a
-common denominator, solving integrally, and reporting flows in
-fixed-denominator units.  Flows returned by this module are always
-cycle-free, so path decompositions reproduce them edge-exactly.
+The flow engine is a plain Dinic solver over integer capacities.  Each
+graph builds its arc layout once (``Graph._arc_layout``); a max flow fills
+only a fresh residual list, and a BFS stops once it labels the sink.  The
+edge flow is built only when a caller reads it.  Rational source/target
+functions are handled by multiplying the whole instance by a common
+denominator, solving integrally, and reporting flows in fixed-denominator
+units.  Flows returned by this module are always cycle-free, so path
+decompositions reproduce them edge-exactly.
 """
 
 from __future__ import annotations
@@ -88,7 +82,7 @@ class FlowAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Dinic solver, with or without capacity scaling
+# Dinic solver
 # ---------------------------------------------------------------------------
 
 
@@ -97,21 +91,17 @@ class _Dinic:
 
     Arcs come in mutually reverse pairs ``idx`` and ``idx ^ 1``; only ``res``
     belongs to this solver, the layout is shared by every flow on the graph.
-    With ``scaling`` the phases push only along arcs of residual at least
-    2^j, j falling to 0; without it every phase is a plain Dinic phase.  The
-    value and the residual reachable set come out the same either way, the
-    edge flow may not, so solves whose edge flow is read keep scaling.
+    Each phase levels the arcs with residual left by BFS and pushes a
+    blocking flow along them; phases run until the sink is unreachable.
     """
 
-    def __init__(self, to: list[int], head: list[list[int]], res: list[int],
-                 scaling: bool):
+    def __init__(self, to: list[int], head: list[list[int]], res: list[int]):
         self.n = len(head)
         self.to = to
         self.head = head
         self.res = res
-        self.scaling = scaling
 
-    def _bfs(self, s: int, t: int, floor: int) -> list[int] | None:
+    def _bfs(self, s: int, t: int) -> list[int] | None:
         # stop once t is labelled: a vertex at or beyond t's level lies on no
         # level path to t, so the blocking flow is the same without it
         to, res, head = self.to, self.res, self.head
@@ -122,14 +112,14 @@ class _Dinic:
             nxt = level[v] + 1
             for idx in head[v]:
                 w = to[idx]
-                if level[w] < 0 and res[idx] >= floor:
+                if level[w] < 0 and res[idx] > 0:
                     level[w] = nxt
                     if w == t:
                         return level
                     queue.append(w)
         return None
 
-    def _blocking(self, s: int, t: int, floor: int, level: list[int]) -> int:
+    def _blocking(self, s: int, t: int, level: list[int]) -> int:
         to, res, head = self.to, self.res, self.head
         pushed_total = 0
         cursor = [0] * self.n
@@ -144,7 +134,7 @@ class _Dinic:
                 pushed_total += bottleneck
                 # retreat to the first saturated arc on the path
                 for pos, idx in enumerate(path):
-                    if res[idx] < floor:
+                    if res[idx] == 0:
                         del path[pos:]
                         break
                 v = to[path[-1]] if path else s
@@ -155,7 +145,7 @@ class _Dinic:
             pos = cursor[v]
             while pos < end:
                 idx = arcs[pos]
-                if res[idx] >= floor and level[to[idx]] == nxt:
+                if res[idx] > 0 and level[to[idx]] == nxt:
                     break
                 pos += 1
             cursor[v] = pos
@@ -171,20 +161,9 @@ class _Dinic:
             cursor[v] += 1
 
     def solve(self, s: int, t: int) -> int:
-        # every augmenting path starts on an arc out of s, and those residuals
-        # only fall, so no phase above their largest capacity can push
-        top = max((self.res[idx] for idx in self.head[s]), default=0)
-        if top == 0:
-            return 0
         flow = 0
-        floor = 1 << (top.bit_length() - 1) if self.scaling else 1
-        while floor >= 1:
-            while True:
-                level = self._bfs(s, t, floor)
-                if level is None:
-                    break
-                flow += self._blocking(s, t, floor, level)
-            floor //= 2
+        while (level := self._bfs(s, t)) is not None:
+            flow += self._blocking(s, t, level)
         return flow
 
 
@@ -294,15 +273,12 @@ class _SolvedFlow:
 
 
 def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
-                  within: Iterable[int] | None = None, cap_scale: int = 1,
-                  scaling: bool = True) -> _SolvedFlow:
+                  within: Iterable[int] | None = None, cap_scale: int = 1) -> _SolvedFlow:
     """Integral max flow between virtual terminals.
 
     Solves on the graph's arc layout with a fresh residual list: edge
     capacities times ``cap_scale`` (0 for edges leaving ``within``) and the
     terminal capacities.  The edge flow is built only if a caller asks.
-    Callers that read only the value and ``reach()`` pass ``scaling=False``
-    (see ``_Dinic``).
     """
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
@@ -327,7 +303,7 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, 
         if c > 0 and v in verts:
             res[m2 + 2 * n + 2 * v] = int(c)
 
-    value = _Dinic(to, head, res, scaling).solve(n, n + 1)
+    value = _Dinic(to, head, res).solve(n, n + 1)
     return _SolvedFlow(graph, res, value)
 
 
@@ -396,8 +372,7 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     supply = {v: x // shared for v, x in net.items() if x > 0}
     demand = {v: -x // shared for v, x in net.items() if x < 0}
 
-    solved = _run_max_flow(graph, supply, demand, verts, cap_scale=cap_scale * denom,
-                           scaling=False)
+    solved = _run_max_flow(graph, supply, demand, verts, cap_scale=cap_scale * denom)
     return FairCutResult(solved.reach(), denom, solved)
 
 
@@ -591,7 +566,7 @@ def _routable(graph: Graph, pos: Mapping[int, int], neg: Mapping[int, int],
     total = sum(pos.values())
     supply = {v: x * lam.denominator for v, x in pos.items()}
     sink = {v: x * lam.denominator for v, x in neg.items()}
-    solved = _run_max_flow(graph, supply, sink, cap_scale=lam.numerator, scaling=False)
+    solved = _run_max_flow(graph, supply, sink, cap_scale=lam.numerator)
     return solved.value == total * lam.denominator, solved.reach()
 
 

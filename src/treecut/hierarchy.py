@@ -167,9 +167,7 @@ def _balanced_split(graph: Graph, before: Partition, after: Partition,
     if total_after < 2:
         return False
     progress = oracle_params(n, max(deg_before.total(), 2))[2]
-    ground = after.ground
-    cut = sum(c for u, v, c in graph.edges
-              if (u in child) != (v in child) and u in ground and v in ground)
+    cut = boundary_capacity(graph, child, after.ground)
     return (Fraction(deg_after.total(child)) >= progress / 20 * total_after
             and total_after <= deg_before.total() + 2 * cut)
 

@@ -114,7 +114,7 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
         graph,
         {v: c * denom for v, c in supplies.items()},
         {v: int(x * denom) for v, x in sinks.items()},
-        within=u_set, cap_scale=scale, scaling=False).value == total
+        within=u_set, cap_scale=scale).value == total
 
 
 def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,

@@ -137,6 +137,19 @@ class TestGameTrace:
                              "--weights", str(weight_file), "--phi", "1/2")
         assert code == 0
 
+    @pytest.mark.parametrize("weights, vertex", [("99 5\n", 99), ("0 3\n99 5\n2 3\n", 99),
+                                                 ("8 0\n", 8)])
+    def test_weight_outside_the_graph_exits_2(self, capsys, tmp_path, weights, vertex):
+        graph_file = tmp_path / "g.el"
+        weight_file = tmp_path / "w.txt"
+        run(capsys, "generate", "--kind", "dumbbell", "--size", "4",
+            "--out", str(graph_file))
+        weight_file.write_text(weights)
+        code, out, err = run(capsys, "game-trace", "--graph", str(graph_file),
+                             "--weights", str(weight_file), "--phi", "1/2")
+        assert code == 2 and out == ""
+        assert f"weight vertex {vertex} is not a vertex of the graph (0..7)" in err
+
 
 class TestCertifyCommand:
     def test_report_shape(self, capsys, tmp_path):

@@ -492,26 +492,25 @@ class TestEdgeFlow:
 
 
 class TestUnscaledSolve:
-    """Plain Dinic, used where only the value and the reach set are read."""
+    """Plain Dinic, the one solve behind every max flow."""
 
     def test_value_and_reach_match_the_scaled_solve(self):
+        # the reference is networkx's Edmonds-Karp on the same scaled instance:
+        # every maximum flow has the same value and minimal min-cut side
+        nx = pytest.importorskip("networkx")
         for seed in range(600):
             graph, supply, demand, within, scale = _scaling_instance(seed)
-            scaled = flow_module._run_max_flow(graph, supply, demand, within, scale)
-            plain = flow_module._run_max_flow(graph, supply, demand, within, scale,
-                                              scaling=False)
-            assert (plain.value, plain.reach()) == (scaled.value, scaled.reach()), seed
+            solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
+            reference = _networkx_max_flow(nx, graph, supply, demand, within, scale)
+            assert (solved.value, solved.reach()) == reference, seed
 
     def test_whole_vertex_set_solves_like_no_within(self):
         for seed in range(60):
             graph, supply, demand, _within, scale = _scaling_instance(seed)
-            for scaling in (True, False):
-                free = flow_module._run_max_flow(graph, supply, demand, None, scale,
-                                                 scaling=scaling)
-                whole = flow_module._run_max_flow(graph, supply, demand,
-                                                  list(range(graph.n)), scale,
-                                                  scaling=scaling)
-                assert whole.res == free.res
+            free = flow_module._run_max_flow(graph, supply, demand, None, scale)
+            whole = flow_module._run_max_flow(graph, supply, demand,
+                                              list(range(graph.n)), scale)
+            assert whole.res == free.res
 
     def test_fair_cut_flow_verifies_and_decomposes(self):
         for seed in range(600):
@@ -528,20 +527,22 @@ class TestUnscaledSolve:
 
     def test_solve_override_serves_both_kinds(self, monkeypatch):
         # a subclass overriding only solve(self, s, t), as a tracing harness
-        # does, is built and run for scaled and unscaled solves alike
+        # does, is built and run for every kind of solve
         seen = []
 
         class Recording(flow_module._Dinic):
             def solve(self, s, t):
-                seen.append(self.scaling)
-                return super().solve(s, t)
+                value = super().solve(s, t)
+                seen.append(value)
+                return value
 
         monkeypatch.setattr(flow_module, "_Dinic", Recording)
         graph = generate_grid(3, 3)
         assert max_flow(graph, {0: 5}, {8: 5})[0] == 2
         assert fair_cut(graph, {0: 5}, {8: 5}).cut == frozenset({0})
         assert opt_congestion(graph, {0: 4, 8: -4}) == 2
-        assert seen == [True, False, False]
+        # the Dinkelbach iteration stops at its first lambda, 2, routing all 4
+        assert seen == [2, 2, 4]
 
 
 class TestTerminalReduction:
