@@ -14,8 +14,8 @@ from .flow import (FairCutResult, FlowAssignment, PathDecomposition, PathFlow,
                    brute_force_opt_congestion, fair_cut, max_flow, opt_congestion,
                    path_decomposition, verify_fair_cut)
 from .cutmatch import (CutMatchingGame, Matching, MatchingPlayerState, UnitMapping,
-                       cut_player_step, dense_flow_matrix, matching_player_step,
-                       oracle_params, potential, sparsest_cut_apx, sweep_cut)
+                       cut_player_step, matching_player_step, oracle_params,
+                       sparsest_cut_apx, sweep_cut)
 from .partition import (PartitionClusterResult, TrimResult, check_border_routable,
                         partition_cluster, two_way_trim)
 from .hierarchy import (HierarchicalDecomposition, HierarchyConfig, TreeSparsifier,

@@ -144,6 +144,13 @@ def _cmd_eval(args) -> int:
     tree = textio.tree_from_json(_read(args.tree))
     if tree.n != graph.n:
         raise InputError("graph and tree disagree on the vertex count")
+    # a cap below its cluster's cut lets the tree predict more than the optimum
+    for node in tree.nodes:
+        if node.parent is not None:
+            cut = boundary_capacity(graph, node.cluster, range(graph.n))
+            if node.cap < cut:
+                raise InputError(f"tree node {node.id} has cap {node.cap}, below the "
+                                 f"graph's cut capacity {cut} around its cluster")
     demands = []
     if args.demands:
         demands.extend(textio.parse_demands(_read(args.demands)))

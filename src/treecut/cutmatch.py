@@ -23,16 +23,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, InternalError, OversizeError
-from .flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
+from .errors import ArgumentError, InternalError
+from .flow import _run_max_flow, fair_cut, path_decomposition
 from .graphs import Graph, VertexWeights
 
 #: fairness factor of the matching player's fair cuts
 MATCH_FAIRNESS = Fraction(3, 2)
 
-#: size caps for the quadratic/dense diagnostics
+#: largest unit count whose exact walk potential the test diagnostics
+#: evaluate; the benchmark corpora (bench/workloads.py) split on it
 POTENTIAL_UNIT_CAP = 512
-DENSE_UNIT_CAP = 256
 
 #: a game on k units plays at most ceil(ROUND_COEFF * log2(k)^2) rounds
 ROUND_COEFF = 10
@@ -141,14 +141,6 @@ class Matching:
 # ---------------------------------------------------------------------------
 # cut player: walk operators and sweep cut
 # ---------------------------------------------------------------------------
-
-
-def _as_mask(active, k: int) -> np.ndarray:
-    if isinstance(active, np.ndarray) and active.dtype == bool:
-        return active
-    mask = np.zeros(k, dtype=bool)
-    mask[list(active)] = True
-    return mask
 
 
 def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
@@ -272,15 +264,13 @@ def sweep_cut_violations(active, values, left, right, level) -> list[int]:
     return bad
 
 
-def cut_player_step(state: "CutMatchingGame", rng=None
-                    ) -> tuple[frozenset[int], frozenset[int]]:
+def cut_player_step(state: "CutMatchingGame") -> tuple[frozenset[int], frozenset[int]]:
     """One cut-player move: project a random direction through the walk, sweep."""
-    rng = rng if rng is not None else state.rng
     mask = state.active_mask
     count = int(mask.sum())
     if count < 2:
         raise ArgumentError("cut player needs at least two active units")
-    r = rng.standard_normal(state.k)
+    r = state.rng.standard_normal(state.k)
     r /= np.linalg.norm(r)
     u = _apply_walk(r, state.perms, mask, state.slowdown)
     drift = abs(float(u.sum()))
@@ -404,13 +394,12 @@ def matching_player_step(graph: Graph, units: UnitMapping,
         leftover_r = {v: len(us) for v, us in right_at.items() if us}
         solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
                                cap_scale=2 * cap)
-        if solved.value != sum(leftover_s.values()):
+        if not solved.saturated:
             raise InternalError("matching flow failed to saturate all sources; "
                                 "the fair cut contract was violated")
-        nums = solved.edge_flow()
         # cycle-free, and the paths use up every arc: an edge's load is its flow
-        round_load = {eidx: abs(num) for eidx, num in nums.items()}
-        decomp = path_decomposition(graph, FlowAssignment(graph, 1, nums))
+        round_load = {eidx: abs(num) for eidx, num in solved.flow.nums.items()}
+        decomp = path_decomposition(graph, solved.flow)
         for path in decomp.paths:
             mine, theirs, w = left_at[path.start], right_at[path.end], path.weight
             if len(mine) < w or len(theirs) < w:
@@ -567,47 +556,3 @@ def sparsest_cut_apx(graph: Graph, pi: Mapping[int, int], phi, rng,
     the graph is (phi / q*)-expanding with high probability.
     """
     return CutMatchingGame(graph, pi, phi, rng, within=within).run()
-
-
-# ---------------------------------------------------------------------------
-# dense diagnostics (test oriented)
-# ---------------------------------------------------------------------------
-
-
-def _infer_k(matchings, active_sets, k):
-    if k is not None:
-        return k
-    if active_sets:
-        return len(active_sets[0])
-    raise ArgumentError("cannot infer the unit count; pass k explicitly")
-
-
-def dense_flow_matrix(matchings: Sequence[Matching],
-                      active_sets: Sequence[Iterable[int]] | None = None,
-                      slowdown: int = 2, k: int | None = None) -> np.ndarray:
-    """Explicit mixing matrix after the given matchings; doubly stochastic."""
-    k = _infer_k(matchings, active_sets, k)
-    if k > DENSE_UNIT_CAP:
-        raise OversizeError(f"dense matrix limited to {DENSE_UNIT_CAP} units")
-    share = 1.0 / slowdown
-    keep = 1.0 - share
-    f = np.eye(k)
-    for matching in matchings:
-        perm = matching.permutation(k)
-        f = keep * f + share * f[perm, :]
-        f = keep * f + share * f[:, perm]
-    return f
-
-
-def potential(matchings: Sequence[Matching], active_sets: Sequence[Iterable[int]],
-              slowdown: int, k: int | None = None) -> float:
-    """Convergence potential of the game state, via matrix-free column walks."""
-    k = _infer_k(matchings, active_sets, k)
-    if k > POTENTIAL_UNIT_CAP:
-        raise OversizeError(f"potential evaluation limited to {POTENTIAL_UNIT_CAP} units")
-    mask = _as_mask(active_sets[-1] if active_sets else range(k), k)
-    if not mask.any():
-        return 0.0
-    perms = [m.permutation(k) for m in matchings]
-    cols = _apply_walk(np.eye(k)[:, mask], perms, mask, slowdown)
-    return float((cols * cols).sum())

@@ -1,13 +1,13 @@
 """Exact max flow, fair cut/flow pairs, path decomposition, and congestion oracles.
 
-The flow engine is a plain Dinic solver over integer capacities.  Each
-graph builds its arc layout once (``Graph._arc_layout``); a max flow fills
-only a fresh residual list, and a BFS stops once it labels the sink.  The
-edge flow is built only when a caller reads it.  Rational source/target
-functions are handled by multiplying the whole instance by a common
-denominator, solving integrally, and reporting flows in fixed-denominator
-units.  Flows returned by this module are always cycle-free, so path
-decompositions reproduce them edge-exactly.
+Every max flow goes through ``_run_max_flow``: exact int or Fraction inputs
+in, one scale (the lcm of their denominators) that makes them integers, and
+the value, the saturation test and the residual cut read from the solver.
+The solver is a plain Dinic on the graph's arc layout, built once per graph
+(``Graph._arc_layout``); a max flow fills only a fresh residual list, and a
+BFS stops once it labels the sink.  The edge flow, in units of 1/scale, is
+built only when a caller reads it.  Flows returned by this module are always
+cycle-free, so path decompositions reproduce them edge-exactly.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ class _Dinic:
         self.head = head
         self.res = res
 
-    def _bfs(self, s: int, t: int) -> list[int] | None:
+    def _bfs(self, s: int, t: int) -> list[int]:
         # stop once t is labelled: a vertex at or beyond t's level lies on no
-        # level path to t, so the blocking flow is the same without it
+        # level path to t, so the blocking flow is the same without it; a BFS
+        # that misses t labels everything reachable from s
         to, res, head = self.to, self.res, self.head
         level = [-1] * self.n
         level[s] = 0
@@ -117,7 +118,7 @@ class _Dinic:
                     if w == t:
                         return level
                     queue.append(w)
-        return None
+        return level
 
     def _blocking(self, s: int, t: int, level: list[int]) -> int:
         to, res, head = self.to, self.res, self.head
@@ -161,9 +162,11 @@ class _Dinic:
             cursor[v] += 1
 
     def solve(self, s: int, t: int) -> int:
+        """The max flow value; ``self.level`` keeps the last, failing BFS's labels."""
         flow = 0
-        while (level := self._bfs(s, t)) is not None:
+        while (level := self._bfs(s, t))[t] >= 0:
             flow += self._blocking(s, t, level)
+        self.level = level
         return flow
 
 
@@ -216,33 +219,29 @@ def _cancel_cycles(flow: dict[tuple[int, int], int]):
                 stack.pop()
 
 
+@dataclass
 class _SolvedFlow:
-    """A solved max flow: its value, and what callers read from its residuals."""
+    """A solved max flow in units of 1/``scale``, and what callers read from it.
 
-    def __init__(self, graph: Graph, res: list[int], value: int):
-        self.graph = graph
-        self.res = res
-        self.value = value
+    ``saturated``: the flow routes every given supply.  ``level``: the labels
+    of the solver's last BFS, the one that missed the sink.
+    """
+
+    graph: Graph
+    res: list[int]
+    value: int
+    scale: int
+    saturated: bool
+    level: list[int]
 
     def reach(self) -> frozenset[int]:
-        """Graph vertices reachable from the super-source in the residual graph.
+        """The minimal minimum cut's source side: the vertices the last BFS labelled."""
+        level = self.level
+        return frozenset(v for v in range(self.graph.n) if level[v] >= 0)
 
-        This is the source side of the minimal minimum cut.
-        """
-        to, _cap, head = self.graph._arc_layout
-        res = self.res
-        s_star = self.graph.n
-        seen = {s_star}
-        stack = [s_star]
-        while stack:
-            v = stack.pop()
-            for idx in head[v]:
-                w = to[idx]
-                if res[idx] > 0 and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        seen.discard(s_star)
-        return frozenset(seen)
+    @cached_property
+    def flow(self) -> FlowAssignment:
+        return FlowAssignment(self.graph, self.scale, self.edge_flow())
 
     def edge_flow(self) -> dict[int, int]:
         """Cycle-free edge flow numerators, keyed by edge index in edge order.
@@ -272,46 +271,51 @@ class _SolvedFlow:
         return nums
 
 
-def _run_max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
-                  within: Iterable[int] | None = None, cap_scale: int = 1) -> _SolvedFlow:
-    """Integral max flow between virtual terminals.
+def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
+                  demand: Mapping[int, int | Fraction], within: Iterable[int] | None = None,
+                  cap_scale: int | Fraction = 1) -> _SolvedFlow:
+    """Exact max flow between virtual terminals; every max flow goes through here.
 
-    Solves on the graph's arc layout with a fresh residual list: edge
-    capacities times ``cap_scale`` (0 for edges leaving ``within``) and the
-    terminal capacities.  The edge flow is built only if a caller asks.
+    Supplies, demands and ``cap_scale`` are ints or Fractions; ``scale``, the
+    lcm of their denominators, makes them integers.  The solve fills a fresh
+    residual list: edge capacities times ``cap_scale * scale`` (0 for edges
+    leaving ``within``) and the scaled terminals.  Its ``value``, ``saturated``
+    (value == sum of the supplies * scale), ``reach()`` and lazily built
+    ``flow`` are in units of 1/scale.
     """
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
+    scale = math.lcm(cap_scale.denominator,
+                     *(x.denominator for part in (supply, demand) for x in part.values()))
+    edge_scale = int(cap_scale * scale)
     verts = range(n) if within is None else set(within)
     if within is None or verts.issuperset(range(n)):
         verts = range(n)
-        res = [c * cap_scale for c in cap]
+        res = [c * edge_scale for c in cap]
     else:
         res = [0] * len(to)
         for v in verts:
             for idx in head[v]:
                 if to[idx] in verts:
-                    res[idx] = cap[idx] * cap_scale
-    for v, c in supply.items():
-        if c < 0:
-            raise ArgumentError("supplies must be non-negative")
-        if c > 0 and v in verts:
-            res[m2 + 2 * v] = int(c)
-    for v, c in demand.items():
-        if c < 0:
-            raise ArgumentError("demands must be non-negative")
-        if c > 0 and v in verts:
-            res[m2 + 2 * n + 2 * v] = int(c)
+                    res[idx] = cap[idx] * edge_scale
+    for base, terminals in ((m2, supply), (m2 + 2 * n, demand)):
+        for v, x in terminals.items():
+            if x < 0:
+                raise ArgumentError("supplies and demands must be non-negative")
+            if x and v in verts:
+                res[base + 2 * v] = int(x * scale)
 
-    value = _Dinic(to, head, res).solve(n, n + 1)
-    return _SolvedFlow(graph, res, value)
+    dinic = _Dinic(to, head, res)
+    value = dinic.solve(n, n + 1)
+    saturated = value == sum(supply.values()) * scale
+    return _SolvedFlow(graph, res, value, scale, saturated, dinic.level)
 
 
 def max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
              within: Iterable[int] | None = None) -> tuple[int, FlowAssignment]:
     """Maximum flow from a super-source over ``supply`` to a super-sink over ``demand``."""
     solved = _run_max_flow(graph, supply, demand, within)
-    return solved.value, FlowAssignment(graph, 1, solved.edge_flow())
+    return solved.value, solved.flow
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +331,9 @@ class FairCutResult:
     denom: int
     _solved: _SolvedFlow = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def flow(self) -> FlowAssignment:
-        return FlowAssignment(self._solved.graph, self.denom, self._solved.edge_flow())
+        return self._solved.flow
 
 
 def _exact_weights(weights: Mapping[int, object], verts) -> dict[int, int | Fraction]:
@@ -354,26 +358,17 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     reachable side minus the terminal; the exact max flow saturates its edges,
     the net sources outside it and the net targets inside it, so the pair is
     1-fair, hence alpha-fair for every alpha >= 1 (``verify_fair_cut`` checks
-    any alpha).  Capacities are scaled by ``denom``, the least common
-    denominator of the net weights.
+    any alpha).  ``denom`` is the solve's scale, the least common denominator
+    of the net weights.
     """
     verts = set(range(graph.n)) if within is None else set(within)
-    s_map = _exact_weights(source_w, verts)
-    t_map = _exact_weights(target_w, verts)
-
-    # nets as integer numerators over a common denominator; dividing out
-    # their gcd leaves the lcm of the reduced net denominators
-    common = math.lcm(*(w.denominator for part in (s_map, t_map) for w in part.values()))
-    net = {v: w.numerator * (common // w.denominator) for v, w in s_map.items()}
-    for v, w in t_map.items():
-        net[v] = net.get(v, 0) - w.numerator * (common // w.denominator)
-    shared = math.gcd(common, *net.values())
-    denom = common // shared
-    supply = {v: x // shared for v, x in net.items() if x > 0}
-    demand = {v: -x // shared for v, x in net.items() if x < 0}
-
-    solved = _run_max_flow(graph, supply, demand, verts, cap_scale=cap_scale * denom)
-    return FairCutResult(solved.reach(), denom, solved)
+    net = _exact_weights(source_w, verts)
+    for v, w in _exact_weights(target_w, verts).items():
+        net[v] = net.get(v, 0) - w
+    supply = {v: x for v, x in net.items() if x > 0}
+    demand = {v: -x for v, x in net.items() if x < 0}
+    solved = _run_max_flow(graph, supply, demand, verts, cap_scale)
+    return FairCutResult(solved.reach(), solved.scale, solved)
 
 
 #: verify_fair_cut property indices
@@ -563,11 +558,8 @@ def _routable(graph: Graph, pos: Mapping[int, int], neg: Mapping[int, int],
     Also returns the super-source's residual-reachable vertex set S (terminals
     excluded).  When routing fails, S is a cut with d(S) > lam * cap(S).
     """
-    total = sum(pos.values())
-    supply = {v: x * lam.denominator for v, x in pos.items()}
-    sink = {v: x * lam.denominator for v, x in neg.items()}
-    solved = _run_max_flow(graph, supply, sink, cap_scale=lam.numerator)
-    return solved.value == total * lam.denominator, solved.reach()
+    solved = _run_max_flow(graph, pos, neg, cap_scale=lam)
+    return solved.saturated, solved.reach()
 
 
 def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:

@@ -102,19 +102,9 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
     if not supplies:
         return True
     outside = frozenset(range(graph.n)) - c_set
-    sinks = {v: Fraction(c, 1) / gamma
-             for v, c in incident_capacity(graph, u_set, outside).items()}
-
-    denom = congestion.denominator
-    for val in sinks.values():
-        denom = denom * val.denominator // math.gcd(denom, val.denominator)
-    scale = int(congestion * denom)
-    total = supplies.total() * denom
-    return _run_max_flow(
-        graph,
-        {v: c * denom for v, c in supplies.items()},
-        {v: int(x * denom) for v, x in sinks.items()},
-        within=u_set, cap_scale=scale).value == total
+    sinks = {v: c / gamma for v, c in incident_capacity(graph, u_set, outside).items()}
+    return _run_max_flow(graph, supplies, sinks, within=u_set,
+                         cap_scale=congestion).saturated
 
 
 def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,

@@ -92,10 +92,12 @@ def tree_from_json(text: str) -> TreeSparsifier:
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     try:
-        n = int(data["n"])
+        n = data["n"]
         raw_nodes = data["nodes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError("tree file needs 'n' and 'nodes'") from exc
+    if not _is_int(n):
+        raise InputError(f"tree file 'n' must be an integer, got {n!r}")
     if not isinstance(raw_nodes, list):
         raise InputError("tree file 'nodes' must be a list")
     by_id: dict[int, TreeNode] = {}

@@ -14,13 +14,14 @@ from treecut import (CutMatchingGame, Graph, Matching, VertexWeights,
                      boundary_capacity, brute_force_opt_congestion,
                      certify_well_expanding, check_expanding, check_laminar,
                      construct_hierarchy, cut_player_step, default_gamma,
-                     dense_flow_matrix, diamond_adversarial_demands,
-                     diamond_structure, fair_cut, matching_player_step,
-                     opt_congestion, oracle_params, potential, quality_ratio,
-                     sparsest_cut_apx, to_tree_sparsifier, verify_fair_cut)
+                     diamond_adversarial_demands, diamond_structure, fair_cut,
+                     matching_player_step, opt_congestion, oracle_params,
+                     quality_ratio, sparsest_cut_apx, to_tree_sparsifier,
+                     verify_fair_cut)
 from treecut.cutmatch import slowdown_for
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
+from walk_diagnostics import dense_flow_matrix, potential
 
 
 def report(number: int, name: str, ok: bool, detail: str, started: float):

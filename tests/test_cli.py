@@ -252,6 +252,24 @@ class TestMalformedEvalInput:
         assert code == 2, err
         assert "node 4" in err and "40" in err
 
+    def test_cap_below_the_graphs_cut_is_an_input_error(self, capsys, tmp_path):
+        # with every cap at 1 the 2x2 grid's tree predicts 5 for a demand whose
+        # optimum is 5/2; the fault is in the tree file, not the program
+        graph_file = tmp_path / "g.el"
+        run(capsys, "generate", "--kind", "grid", "--w", "2", "--h", "2",
+            "--out", str(graph_file))
+        run(capsys, "build", "--graph", str(graph_file), "--out", str(tmp_path / "t.json"))
+        tree = json.loads((tmp_path / "t.json").read_text())
+        for node in tree["nodes"]:
+            if node["parent"] is not None:
+                node["cap"] = 1
+        demand_file = tmp_path / "d.json"
+        demand_file.write_text("[[[0, 5], [3, -5]]]")
+        code, _out, err = self.eval_with(capsys, tmp_path, (graph_file, None, demand_file),
+                                         tree)
+        assert code == 2, err
+        assert "node 1" in err and "cap 1" in err and "cut capacity 2" in err
+
     def test_parent_cycle_exits_instead_of_hanging(self, tmp_path, grid):
         graph_file, tree, demand_file = grid
         tree["nodes"][1]["parent"] = 2

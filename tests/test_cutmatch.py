@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, Matching,
                      MatchingPlayerState, OversizeError, UnitMapping,
-                     VertexWeights, boundary_capacity, cut_player_step, dense_flow_matrix,
+                     VertexWeights, boundary_capacity, cut_player_step,
                      generate_dumbbell, matching_player_step, oracle_params,
-                     potential, sparsest_cut_apx, sweep_cut)
+                     sparsest_cut_apx, sweep_cut)
 from treecut.cutmatch import (POTENTIAL_UNIT_CAP, _apply_walk, slowdown_for,
                               sweep_cut_violations)
 from treecut import cutmatch as cutmatch_module
@@ -24,6 +24,7 @@ from treecut.cutmatch import MATCH_FAIRNESS
 from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
+from walk_diagnostics import dense_flow_matrix, potential
 
 
 def make_game(graph, pi, phi, seed, **kw):

@@ -420,6 +420,25 @@ def _scaling_instance(seed):
     return graph, supply, demand, within, scale
 
 
+def residual_dfs_reach(solved):
+    """Graph vertices reachable from the super-source in the residual graph,
+    found by a depth-first walk over the residuals, as a reference."""
+    to, _cap, head = solved.graph._arc_layout
+    res = solved.res
+    s_star = solved.graph.n
+    seen = {s_star}
+    stack = [s_star]
+    while stack:
+        v = stack.pop()
+        for idx in head[v]:
+            w = to[idx]
+            if res[idx] > 0 and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    seen.discard(s_star)
+    return frozenset(seen)
+
+
 def full_scan_edge_flow(solved):
     """The edge flow read by scanning every edge, as a reference.
 
@@ -478,6 +497,7 @@ class TestEdgeFlow:
         for seed in range(600):
             graph, supply, demand, within, scale = _scaling_instance(seed)
             solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
+            assert solved.reach() == residual_dfs_reach(solved), seed
             # the solved flow, then the same flow plus a circulation
             for circulate in (False, True):
                 if circulate and not _push_circulation(graph, solved.res,
@@ -557,15 +577,31 @@ class TestTerminalReduction:
 
     @pytest.fixture
     def captured(self, monkeypatch):
+        """The residual list each solve hands to the solver."""
         calls = []
-        original = flow_module._run_max_flow
 
-        def capturing(graph, supply, demand, within=None, cap_scale=1, **kwargs):
-            calls.append((dict(supply), dict(demand), cap_scale))
-            return original(graph, supply, demand, within, cap_scale, **kwargs)
+        class Capturing(flow_module._Dinic):
+            def __init__(self, to, head, res):
+                calls.append(list(res))
+                super().__init__(to, head, res)
 
-        monkeypatch.setattr(flow_module, "_run_max_flow", capturing)
+        monkeypatch.setattr(flow_module, "_Dinic", Capturing)
         return calls
+
+    @staticmethod
+    def _residuals(graph, verts, supply, demand, edge_scale):
+        """Terminal arcs at the supply and demand, both arcs of an edge inside
+        ``verts`` at edge_scale * cap, every other arc 0 (``Graph._arc_layout``)."""
+        n, m2 = graph.n, 2 * graph.m
+        res = [0] * (m2 + 4 * n)
+        for idx, (u, v, c) in enumerate(graph.edges):
+            if u in verts and v in verts:
+                res[2 * idx] = res[2 * idx + 1] = edge_scale * c
+        for v, x in supply.items():
+            res[m2 + 2 * v] = x
+        for v, x in demand.items():
+            res[m2 + 2 * n + 2 * v] = x
+        return res
 
     @pytest.mark.parametrize("source_w, target_w, within", [
         ({0: Fraction(1, 3)}, {0: Fraction(1, 3)}, None),
@@ -574,6 +610,7 @@ class TestTerminalReduction:
         ({0: 3, 2: Fraction(7, 4)}, {0: Fraction(3, 1), 5: Fraction(9, 4), 4: 2}, None),
         ({0: Fraction(1, 6), 1: 4}, {3: Fraction(1, 6), 5: Fraction(2, 7)}, range(5)),
         ({v: v for v in range(6)}, {v: 5 - v for v in range(6)}, None),
+        ({0: Fraction(1, 2)}, {5: Fraction(2, 7)}, None),
     ])
     def test_matches_fraction_formula(self, captured, source_w, target_w, within):
         graph = generate_grid(2, 3)
@@ -581,7 +618,7 @@ class TestTerminalReduction:
         result = fair_cut(graph, source_w, target_w, within=within, cap_scale=3)
         denom, supply, demand = self._fraction_reduction(source_w, target_w, verts)
         assert result.denom == denom
-        assert captured == [(supply, demand, 3 * denom)]
+        assert captured == [self._residuals(graph, verts, supply, demand, 3 * denom)]
         ok, violated = verify_fair_cut(graph, source_w, target_w, 1, result.cut,
                                        result.flow, within=within, cap_scale=3)
         assert ok, violated
@@ -603,6 +640,7 @@ class TestLazyFairFlow:
             t = {v: int(rng.integers(0, 7)) for v in range(graph.n)}
             result = fair_cut(graph, s, t)
             assert "flow" not in result.__dict__
+            assert "flow" not in result._solved.__dict__
             for _later in range(3):
                 supply, demand, within, scale = _multi_terminal_instance(rng, graph)
                 max_flow(graph, supply, demand, within)

@@ -1,5 +1,6 @@
 """Hierarchy construction, tree conversion, prediction, and certification."""
 
+import functools
 import hashlib
 import math
 import os
@@ -18,6 +19,18 @@ from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalEr
 from treecut.hierarchy import HierarchyConfig
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
+
+
+@pytest.fixture(scope="class")
+def bottleneck():
+    """two_cliques_bridge(8, cap=100) and a build per seed on it, each made once."""
+    graph = two_cliques_bridge(8, cap=100)
+
+    @functools.cache
+    def build(seed):
+        return construct_hierarchy(graph, HierarchyConfig(), philox(seed))
+
+    return graph, build
 
 
 def synthetic_decomposition():
@@ -76,42 +89,41 @@ class TestConstructHierarchy:
                 for _ in range(2)]
         assert runs[0] == runs[1]
 
-    def test_builds_on_one_graph_share_their_singletons(self):
+    def test_builds_on_one_graph_share_their_singletons(self, bottleneck):
         # a kept hierarchy costs one set per vertex less: every build on the
         # graph reuses the graph's singleton clusters, leaves included
-        graph = two_cliques_bridge(8, cap=100)
-        trees = [to_tree_sparsifier(construct_hierarchy(graph, rng=philox(seed)), graph)
-                 for seed in (4, 5)]
+        graph, build = bottleneck
+        trees = [to_tree_sparsifier(build(seed), graph) for seed in (4, 5)]
         leaves = [{leaf.leaf_vertex: leaf.cluster for leaf in tree.leaves()}
                   for tree in trees]
         assert all(leaves[0][v] is leaves[1][v] for v in range(graph.n))
 
-    def test_builds_on_one_graph_share_their_vertex_set(self):
+    def test_builds_on_one_graph_share_their_vertex_set(self, bottleneck):
         # every build's trivial top level and its tree's root hold the
         # graph's one set of all vertices
-        graph = two_cliques_bridge(8, cap=100)
-        builds = [construct_hierarchy(graph, rng=philox(seed)) for seed in (4, 5)]
+        graph, build = bottleneck
+        builds = [build(seed) for seed in (4, 5)]
         tops = [h.levels[0].clusters[0] for h in builds]
         assert tops[0] is tops[1] is graph._all_vertices
         assert tops[0] == frozenset(range(graph.n))
         roots = [to_tree_sparsifier(h, graph).root.cluster for h in builds]
         assert roots[0] is roots[1] is tops[0]
 
-    def test_builds_on_one_graph_share_their_first_and_last_levels(self):
+    def test_builds_on_one_graph_share_their_first_and_last_levels(self, bottleneck):
         # the whole-vertex level and the all-singleton level depend on the
         # graph alone: a height-3 build (seed 4) and a star (seed 19) both
         # keep the graph's one copy of each
-        graph = two_cliques_bridge(8, cap=100)
-        builds = [construct_hierarchy(graph, rng=philox(seed)) for seed in (4, 19)]
+        graph, build = bottleneck
+        builds = [build(seed) for seed in (4, 19)]
         assert [h.height for h in builds] == [3, 2]
         assert builds[0].levels[0] is builds[1].levels[0] is graph._whole_partition
         assert builds[0].levels[-1] is builds[1].levels[-1] is graph._singleton_partition
         assert graph._whole_partition == Partition.trivial(range(graph.n))
         assert graph._singleton_partition == Partition.singletons(range(graph.n))
 
-    def test_multilevel_on_capacitated_bottleneck(self):
-        graph = two_cliques_bridge(8, cap=100)
-        h = construct_hierarchy(graph, HierarchyConfig(), philox(4))
+    def test_multilevel_on_capacitated_bottleneck(self, bottleneck):
+        graph, build = bottleneck
+        h = build(4)
         assert h.is_complete() and check_laminar(h)
         sizes = {len(c) for c in h.levels[1].clusters}
         assert h.height >= 3 or sizes == {1}

@@ -108,6 +108,13 @@ class TestTreeJson:
         with pytest.raises(InputError, match=message):
             tree_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("n", ["4", 4.9], ids=["string", "float"])
+    def test_non_integer_n_rejected(self, n):
+        data = self.star(4)
+        data["n"] = n
+        with pytest.raises(InputError, match="'n'"):
+            tree_from_json(json.dumps(data))
+
     def test_root_is_the_parentless_node_wherever_it_is_listed(self):
         data = {"n": 2, "nodes": [
             {"id": 0, "parent": 2, "cap": 1, "leaf_vertex": 0},
