@@ -397,7 +397,8 @@ def matching_player_step(graph: Graph, units: UnitMapping,
         if not solved.saturated:
             raise InternalError("matching flow failed to saturate all sources; "
                                 "the fair cut contract was violated")
-        # cycle-free, and the paths use up every arc: an edge's load is its flow
+        # the paths put at most an edge's flow on it, exactly that when the
+        # flow has no circulation: the flow is the round's load bound
         round_load = {eidx: abs(num) for eidx, num in solved.flow.nums.items()}
         decomp = path_decomposition(graph, solved.flow)
         for path in decomp.paths:
@@ -523,7 +524,7 @@ class CutMatchingGame:
 
     def _evaluate_stop(self, rec: RoundRecord):
         k = self.k
-        threshold = (1.0 - 1.0 / (2 * math.log2(k))) * k if k > 2 else 1.0
+        threshold = (1.0 - 1.0 / (2 * math.log2(k))) * k
         if rec.active < threshold or rec.active < 2:
             self.stopped = "balance"
             return

@@ -6,8 +6,10 @@ the value, the saturation test and the residual cut read from the solver.
 The solver is a plain Dinic on the graph's arc layout, built once per graph
 (``Graph._arc_layout``); a max flow fills only a fresh residual list, and a
 BFS stops once it labels the sink.  The edge flow, in units of 1/scale, is
-built only when a caller reads it.  Flows returned by this module are always
-cycle-free, so path decompositions reproduce them edge-exactly.
+built only when a caller reads it, from the residuals as they are.
+``path_decomposition`` is the one place that deals with circulations: its
+walks cancel the cycles they meet and drop whatever circulation is left, so a
+cycle-free flow is reproduced edge-exactly.
 """
 
 from __future__ import annotations
@@ -170,55 +172,6 @@ class _Dinic:
         return flow
 
 
-def _cancel_cycles(flow: dict[tuple[int, int], int]):
-    """Remove circulations from a positive arc flow, in place.
-
-    Net vertex flows are preserved; only cyclic components vanish.  This keeps
-    every flow produced by the engine exactly path-decomposable.
-    """
-    adj: dict[int, list[int]] = {}
-    for (u, v), x in flow.items():
-        if x > 0:
-            adj.setdefault(u, []).append(v)
-    cursor = {v: 0 for v in adj}
-    state: dict[int, int] = {}  # 1 on stack, 2 done
-    for root in sorted(adj):
-        if state.get(root):
-            continue
-        stack = [root]
-        state[root] = 1
-        while stack:
-            v = stack[-1]
-            out = adj.get(v, [])
-            advanced = False
-            while cursor.get(v, 0) < len(out):
-                w = out[cursor[v]]
-                if flow.get((v, w), 0) <= 0:
-                    cursor[v] += 1
-                    continue
-                if state.get(w) == 1:
-                    # found a cycle along the stack: cancel it
-                    pos = stack.index(w)
-                    cycle = stack[pos:] + [w]
-                    slack = min(flow[(a, b)] for a, b in zip(cycle, cycle[1:]))
-                    for a, b in zip(cycle, cycle[1:]):
-                        flow[(a, b)] -= slack
-                    for popped in stack[pos + 1:]:
-                        state[popped] = 0
-                    del stack[pos + 1:]
-                    advanced = True
-                    break
-                if state.get(w) != 2:
-                    stack.append(w)
-                    state[w] = 1
-                    advanced = True
-                    break
-                cursor[v] += 1
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-
-
 @dataclass
 class _SolvedFlow:
     """A solved max flow in units of 1/``scale``, and what callers read from it.
@@ -244,31 +197,17 @@ class _SolvedFlow:
         return FlowAssignment(self.graph, self.scale, self.edge_flow())
 
     def edge_flow(self) -> dict[int, int]:
-        """Cycle-free edge flow numerators, keyed by edge index in edge order.
+        """Net edge flow numerators, keyed by edge index in edge order.
 
         Edge e carries flow exactly when its arcs' residuals differ: both start
         at the same capacity (0 outside ``within``), and pushing f along one
         moves them 2f apart.  Those edges are found at C speed, and only they
-        are read; residuals stay Python ints, which may exceed 64 bits.
+        are read; residuals stay Python ints, which may exceed 64 bits.  The
+        flow is read as the solver left it, circulations included.
         """
-        res, edges = self.res, self.graph.edges
-        m2 = 2 * len(edges)
-        used = list(compress(range(len(edges)), map(ne, res[1:m2:2], res[0:m2:2])))
-        arc_flow: dict[tuple[int, int], int] = {}
-        for idx in used:
-            u, v, _c = edges[idx]
-            pushed = (res[2 * idx + 1] - res[2 * idx]) // 2
-            arc = (u, v) if pushed > 0 else (v, u)
-            arc_flow[arc] = arc_flow.get(arc, 0) + abs(pushed)
-        _cancel_cycles(arc_flow)
-
-        nums: dict[int, int] = {}
-        for idx in used:
-            u, v, _c = edges[idx]
-            net = arc_flow.get((u, v), 0) - arc_flow.get((v, u), 0)
-            if net:
-                nums[idx] = net
-        return nums
+        res, m = self.res, self.graph.m
+        used = compress(range(m), map(ne, res[1:2 * m:2], res[0:2 * m:2]))
+        return {idx: (res[2 * idx + 1] - res[2 * idx]) // 2 for idx in used}
 
 
 def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
@@ -311,9 +250,19 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     return _SolvedFlow(graph, res, value, scale, saturated, dinic.level)
 
 
-def max_flow(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int],
+def max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
+             demand: Mapping[int, int | Fraction],
              within: Iterable[int] | None = None) -> tuple[int, FlowAssignment]:
-    """Maximum flow from a super-source over ``supply`` to a super-sink over ``demand``."""
+    """Maximum flow from a super-source over ``supply`` to a super-sink over ``demand``.
+
+    Supplies and demands are ints or Fractions; the value and the flow are in
+    units of 1/scale, the lcm of their denominators.
+    """
+    for terminals in (supply, demand):
+        for v, x in terminals.items():
+            if not isinstance(x, (int, Fraction)):
+                raise ArgumentError(f"supply or demand at vertex {v} is {x!r}, "
+                                    "not an int or Fraction")
     solved = _run_max_flow(graph, supply, demand, within)
     return solved.value, solved.flow
 
@@ -454,7 +403,11 @@ class PathDecomposition:
     denom: int
 
     def accumulate(self, graph: Graph) -> FlowAssignment:
-        """Re-sum the paths into a flow assignment (round-trip check helper)."""
+        """Re-sum the paths into a flow assignment (round-trip check helper).
+
+        This is the decomposed flow less its circulations; for a cycle-free
+        flow, exactly that flow.
+        """
         nums: dict[int, int] = {}
         for p in self.paths:
             for a, b in zip(p.vertices, p.vertices[1:]):
@@ -467,11 +420,16 @@ class PathDecomposition:
 def path_decomposition(graph: Graph, flow: FlowAssignment,
                        sources: Iterable[int] | None = None,
                        sinks: Iterable[int] | None = None) -> PathDecomposition:
-    """Peel a cycle-free flow into weighted paths from excess to deficit vertices.
+    """Peel a flow into weighted paths from excess to deficit vertices.
 
-    Per-edge path weights sum to the flow exactly.  Vertices with nonzero net
-    flow outside the declared source/sink sets raise a consistency error, as
-    does any leftover circulation.
+    Each walk follows remaining flow from an excess vertex to a deficit; when
+    it comes back to a vertex already on it, it cancels that cycle (the
+    cycle's smallest remaining arc flow comes off each of its arcs) and walks
+    on.  Flow left once every excess is drained is a circulation and is
+    dropped.  So the paths keep every vertex's net flow, and on a cycle-free
+    flow their per-edge weights sum to the flow exactly.  Vertices with
+    nonzero net flow outside the declared source/sink sets raise a
+    consistency error.
     """
     net = [0] * graph.n
     for idx, num in flow.nums.items():
@@ -500,12 +458,10 @@ def path_decomposition(graph: Graph, flow: FlowAssignment,
     paths: list[PathFlow] = []
     for start in sorted(v for v, e in excess.items() if e > 0):
         while excess.get(start, 0) > 0:
-            walk = [start]
             arcs: list[list[int]] = []
+            walk = {start: 0}  # the walk's vertices in order, to the arcs before each
             v = start
-            for _hop in range(graph.n + 1):
-                if v != start and excess.get(v, 0) < 0:
-                    break
+            while excess.get(v, 0) >= 0:
                 lst = out.get(v, [])
                 while cursor.get(v, 0) < len(lst) and lst[cursor[v]][1] == 0:
                     cursor[v] += 1
@@ -514,9 +470,15 @@ def path_decomposition(graph: Graph, flow: FlowAssignment,
                 arc = lst[cursor[v]]
                 arcs.append(arc)
                 v = arc[0]
-                walk.append(v)
-            else:
-                raise ConsistencyError("flow contains a directed cycle")
+                if v in walk:
+                    # the walk closed a cycle at v: cancel it and walk on from v
+                    cycle = arcs[walk[v]:]
+                    del arcs[walk[v]:]
+                    slack = min(a[1] for a in cycle)
+                    for a in cycle:
+                        a[1] -= slack
+                        del walk[a[0]]
+                walk[v] = len(arcs)
             bottleneck = min(excess[start], -excess[v], min(a[1] for a in arcs))
             for arc in arcs:
                 arc[1] -= bottleneck
@@ -524,8 +486,6 @@ def path_decomposition(graph: Graph, flow: FlowAssignment,
             excess[v] += bottleneck
             paths.append(PathFlow(start, v, tuple(walk), bottleneck))
 
-    if any(arc[1] for lst in out.values() for arc in lst):
-        raise ConsistencyError("flow contains a circulation not covered by paths")
     if len(paths) > graph.m + graph.n:
         raise InternalError("path decomposition exceeded the m + n path bound")
     return PathDecomposition(tuple(paths), flow.denom)

@@ -45,17 +45,9 @@ class VertexWeights(dict):
         return frozenset(v for v, w in self.items() if w != 0)
 
     @classmethod
-    def degrees(cls, graph: "Graph", within: Iterable[int] | None = None) -> "VertexWeights":
-        """Capacity-weighted degrees, optionally inside an induced subgraph."""
-        if within is None:
-            return cls({v: d for v, d in enumerate(graph.degree_list()) if d > 0})
-        keep = set(within)
-        out: dict[int, int] = {}
-        for u, v, c in graph.edges:
-            if u in keep and v in keep:
-                out[u] = out.get(u, 0) + c
-                out[v] = out.get(v, 0) + c
-        return cls(out)
+    def degrees(cls, graph: "Graph") -> "VertexWeights":
+        """Capacity-weighted degrees."""
+        return cls({v: d for v, d in enumerate(graph.degree_list()) if d > 0})
 
 
 @dataclass(frozen=True)
@@ -134,11 +126,10 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def components(self, within: Iterable[int] | None = None) -> list[frozenset[int]]:
-        verts = set(range(self.n)) if within is None else set(within)
+    def components(self) -> list[frozenset[int]]:
         seen: set[int] = set()
         comps = []
-        for start in sorted(verts):
+        for start in range(self.n):
             if start in seen:
                 continue
             stack, comp = [start], {start}
@@ -146,22 +137,20 @@ class Graph:
             while stack:
                 v = stack.pop()
                 for w, _i in self._adj[v]:
-                    if w in verts and w not in seen:
+                    if w not in seen:
                         seen.add(w)
                         comp.add(w)
                         stack.append(w)
             comps.append(frozenset(comp))
         return comps
 
-    def is_connected(self, within: Iterable[int] | None = None) -> bool:
-        if within is None:
-            return self._connected
-        return len(self.components(within)) <= 1
-
     @cached_property
     def _connected(self) -> bool:
-        # the graph is immutable, so the whole-graph answer is computed once
+        # the graph is immutable, so the answer is computed once
         return len(self.components()) <= 1
+
+    def is_connected(self) -> bool:
+        return self._connected
 
     @cached_property
     def _all_vertices(self) -> frozenset[int]:

@@ -582,19 +582,19 @@ class TestMatchingPlayer:
 
     @pytest.fixture
     def flow_builds(self, monkeypatch):
-        """Counts edge flows built (_cancel_cycles calls) and matching max-flows."""
+        """Counts edge flows built (_SolvedFlow.edge_flow calls) and matching max-flows."""
         counts = {"edge_flows": 0, "matching_flows": 0}
-        cancel, run = flow_module._cancel_cycles, cutmatch_module._run_max_flow
+        edge_flow, run = flow_module._SolvedFlow.edge_flow, cutmatch_module._run_max_flow
 
-        def counting_cancel(arc_flow):
+        def counting_edge_flow(solved):
             counts["edge_flows"] += 1
-            return cancel(arc_flow)
+            return edge_flow(solved)
 
         def counting_run(*args, **kwargs):
             counts["matching_flows"] += 1
             return run(*args, **kwargs)
 
-        monkeypatch.setattr(flow_module, "_cancel_cycles", counting_cancel)
+        monkeypatch.setattr(flow_module._SolvedFlow, "edge_flow", counting_edge_flow)
         monkeypatch.setattr(cutmatch_module, "_run_max_flow", counting_run)
         return counts
 

@@ -17,6 +17,15 @@ from conftest import connected_graphs, philox, random_connected_graph
 from test_acceptance import balanced_fuzz_demand
 
 
+def arc_flow(graph, arcs):
+    """A unit flow on each (u, v) arc, its edges in the order given."""
+    nums = {}
+    for u, v in arcs:
+        idx = graph.edge_index(u, v)
+        nums[idx] = 1 if u == graph.edges[idx][0] else -1
+    return FlowAssignment(graph, 1, nums)
+
+
 class TestMaxFlow:
     def test_zero_terminals(self, path3):
         value, flow = max_flow(path3, {}, {})
@@ -35,6 +44,10 @@ class TestMaxFlow:
     def test_respects_induced_subgraph(self, path3):
         value, _flow = max_flow(path3, {0: 1}, {2: 1}, within={0, 2})
         assert value == 0
+
+    def test_float_terminal_rejected(self, path3):
+        with pytest.raises(ArgumentError, match="vertex 0"):
+            max_flow(path3, {0: 2.5}, {2: 2})
 
 
 class TestFairCut:
@@ -155,12 +168,25 @@ class TestPathDecomposition:
             for idx in set(flow.nums) | set(again.nums):
                 assert flow.nums.get(idx, 0) == again.nums.get(idx, 0)
 
-    def test_circulation_rejected(self):
+    def test_circulation_gives_no_paths(self):
         g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         # edges sort as (0,1), (0,2), (1,2); this is the cycle 0->1->2->0
         cyclic = FlowAssignment(g, 1, {0: 1, 1: -1, 2: 1})
-        with pytest.raises(ConsistencyError):
-            path_decomposition(g, cyclic)
+        assert path_decomposition(g, cyclic).paths == ()
+
+    def test_walk_cancels_the_cycle_it_meets(self):
+        g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1), (1, 4, 1)])
+        # vertex 1's arc into the cycle 1->2->3->1 comes before its arc to 4
+        flow = arc_flow(g, [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
+        decomp = path_decomposition(g, flow)
+        assert [(p.vertices, p.weight) for p in decomp.paths] == [((0, 1, 4), 1)]
+        assert decomp.accumulate(g).nums == arc_flow(g, [(0, 1), (1, 4)]).nums
+
+    def test_circulation_off_every_walk_is_dropped(self):
+        g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 1)])
+        flow = arc_flow(g, [(2, 3), (3, 4), (4, 2), (0, 1)])
+        decomp = path_decomposition(g, flow)
+        assert [(p.vertices, p.weight) for p in decomp.paths] == [((0, 1), 1)]
 
     def test_undeclared_excess_rejected(self, path3):
         _v, flow = max_flow(path3, {0: 1}, {2: 1})
@@ -200,9 +226,9 @@ class TestOptCongestion:
         searches = [0]
         original = Graph.components
 
-        def counting(self, within=None):
+        def counting(self):
             searches[0] += 1
-            return original(self, within)
+            return original(self)
 
         monkeypatch.setattr(Graph, "components", counting)
         path = Graph.from_edges(6, [(i, i + 1, 1) for i in range(5)],
@@ -440,27 +466,14 @@ def residual_dfs_reach(solved):
 
 
 def full_scan_edge_flow(solved):
-    """The edge flow read by scanning every edge, as a reference.
-
-    Also returns whether ``_cancel_cycles`` removed a cycle.
-    """
-    res, edges = solved.res, solved.graph.edges
-    arc_flow, used = {}, []
-    for idx, (u, v, _c) in enumerate(edges):
+    """Every edge's net flow, read from its residuals one edge at a time, as a reference."""
+    res = solved.res
+    nums = {}
+    for idx in range(solved.graph.m):
         pushed = (res[2 * idx + 1] - res[2 * idx]) // 2
         if pushed:
-            arc = (u, v) if pushed > 0 else (v, u)
-            arc_flow[arc] = arc_flow.get(arc, 0) + abs(pushed)
-            used.append(idx)
-    before = dict(arc_flow)
-    flow_module._cancel_cycles(arc_flow)
-    nums = {}
-    for idx in used:
-        u, v, _c = edges[idx]
-        net = arc_flow.get((u, v), 0) - arc_flow.get((v, u), 0)
-        if net:
-            nums[idx] = net
-    return nums, arc_flow != before
+            nums[idx] = pushed
+    return nums
 
 
 def _push_circulation(graph, res, rng) -> bool:
@@ -503,12 +516,29 @@ class TestEdgeFlow:
                 if circulate and not _push_circulation(graph, solved.res,
                                                        philox(8000 + seed)):
                     break
-                expected, cancelled = full_scan_edge_flow(solved)
+                expected = full_scan_edge_flow(solved)
                 got = solved.edge_flow()
                 assert list(got.items()) == list(expected.items()), (seed, circulate)
                 seen["flows"] += bool(expected)
-                seen["cycles"] += cancelled
+                if circulate:
+                    seen["cycles"] += self._decomposes_without_circulation(graph, got)
         assert seen["flows"] >= 450 and seen["cycles"] >= 60, seen
+
+    @staticmethod
+    def _decomposes_without_circulation(graph, nums) -> bool:
+        """Check a flow's decomposition; True when it drops a circulation.
+
+        The paths keep every vertex's net flow, and on every edge they carry
+        the flow's direction and at most its amount.
+        """
+        flow = FlowAssignment(graph, 1, nums)
+        again = path_decomposition(graph, flow).accumulate(graph)
+        for v in range(graph.n):
+            assert again.net_numerator(v) == flow.net_numerator(v), v
+        for idx in set(nums) | set(again.nums):
+            path_sum, net = again.nums.get(idx, 0), nums.get(idx, 0)
+            assert path_sum * net >= 0 and abs(path_sum) <= abs(net), idx
+        return again.nums != nums
 
 
 class TestUnscaledSolve:
