@@ -234,36 +234,6 @@ def _sweep_orientation(act, vals, order, svals, a, side):
     return frozenset(act[top].tolist()), frozenset(act[resp_pos].tolist()), level
 
 
-def sweep_cut_violations(active, values, left, right, level) -> list[int]:
-    """Check the sweep-cut properties; returns the indices that fail.
-
-    1 separation, 2 side sizes, 3 per-unit distance from the level,
-    4 mass captured by the proposal side, 5 disjointness.
-    """
-    act = [int(i) for i in sorted(active)]
-    vals = np.asarray(values, dtype=float)
-    a = len(act)
-    bad = []
-    lv = [float(vals[i]) for i in sorted(left)]
-    rv = [float(vals[i]) for i in sorted(right)]
-    tol = 1e-9 * max(1.0, float(np.abs(vals[act]).max(initial=0.0)))
-    if lv and rv:
-        ordered = (max(lv) <= level + tol <= min(rv) + 2 * tol) or \
-                  (min(lv) >= level - tol >= max(rv) - 2 * tol)
-        if not ordered:
-            bad.append(1)
-    if not (len(right) >= a / 2 and len(left) <= -(-a // 8)):
-        bad.append(2)
-    if any((x - level) ** 2 + tol ** 2 < x ** 2 / 9.0 for x in lv):
-        bad.append(3)
-    total = float((vals[act] ** 2).sum())
-    if sum(x * x for x in lv) + 1e-9 * max(total, 1.0) < total / 80.0:
-        bad.append(4)
-    if set(left) & set(right):
-        bad.append(5)
-    return bad
-
-
 def cut_player_step(state: "CutMatchingGame") -> tuple[frozenset[int], frozenset[int]]:
     """One cut-player move: project a random direction through the walk, sweep."""
     mask = state.active_mask
@@ -298,7 +268,6 @@ class MatchingPlayerState:
     congestion_factor: int
     deleted: set = field(default_factory=set)
     edge_load: dict = field(default_factory=dict)
-    rounds: int = 0
     #: largest edge_load[e] / cap(e); loads only grow, so each round updates
     #: it from the edges it routed and the maximum stays exact
     max_load_ratio: float = 0.0
@@ -417,7 +386,6 @@ def matching_player_step(graph: Graph, units: UnitMapping,
         total = mp.edge_load.get(eidx, 0) + load
         mp.edge_load[eidx] = total
         mp.max_load_ratio = max(mp.max_load_ratio, total / capacity)
-    mp.rounds += 1
     return dropped, Matching(tuple(sorted(pairs)))
 
 
@@ -440,11 +408,12 @@ class CutMatchingGame:
     """State and driver for one run of the cut-matching game on a graph.
 
     ``within`` restricts the instance to an induced subgraph.  Each round
-    records the cut player's projection estimate of the potential; with
-    ``early_stop`` the game stops once three consecutive estimates are at
-    most ``potential_floor``.  The paper's constants are fixed: at most
-    ceil(ROUND_COEFF * log2(k)^2) rounds, and the matching player's fair
-    cuts at MATCH_FAIRNESS.
+    records the cut player's projection estimate of the potential, and
+    ``_evaluate_stop`` sets ``stopped`` to the first reason that holds:
+    "balance" once too much weight is deleted, "potential" (only with
+    ``early_stop``) once three consecutive estimates are at most
+    ``potential_floor``, and "budget" after ceil(ROUND_COEFF * log2(k)^2)
+    rounds.  The matching player's fair cuts are at MATCH_FAIRNESS.
     """
 
     def __init__(self, graph: Graph, pi: Mapping[int, int], phi: Fraction, rng,
@@ -464,11 +433,10 @@ class CutMatchingGame:
         self.k = k
         self.phi = phi
         self.units = UnitMapping.from_weights(self.pi)
-        self.congestion_factor = math.ceil(Fraction(10) / phi)
         self.slowdown = slowdown_for(k)
-        self.budget = max(1, math.ceil(ROUND_COEFF * math.log2(k) ** 2))
+        self.budget = math.ceil(ROUND_COEFF * math.log2(k) ** 2)
         self.rng = rng
-        self.mp = MatchingPlayerState(self.congestion_factor)
+        self.mp = MatchingPlayerState(math.ceil(Fraction(10) / phi))
         self.active_mask = np.ones(k, dtype=bool)
         self.matchings: list[Matching] = []
         self.perms: list[np.ndarray] = []
@@ -523,23 +491,26 @@ class CutMatchingGame:
         return rec
 
     def _evaluate_stop(self, rec: RoundRecord):
+        """The game's one stopping rule: balance, then potential, then budget."""
         k = self.k
         threshold = (1.0 - 1.0 / (2 * math.log2(k))) * k
         if rec.active < threshold or rec.active < 2:
             self.stopped = "balance"
             return
-        if not self.early_stop:
-            return
-        # one projection is noisy; require three consecutive quiet rounds
-        if rec.potential <= self.potential_floor:
-            self._quiet_rounds += 1
-        else:
-            self._quiet_rounds = 0
-        if self._quiet_rounds >= 3:
-            self.stopped = "potential"
+        if self.early_stop:
+            # one projection is noisy; require three consecutive quiet rounds
+            if rec.potential <= self.potential_floor:
+                self._quiet_rounds += 1
+            else:
+                self._quiet_rounds = 0
+            if self._quiet_rounds >= 3:
+                self.stopped = "potential"
+                return
+        if self.round >= self.budget:
+            self.stopped = "budget"
 
     def run(self) -> frozenset[int]:
-        while self.stopped is None and self.round < self.budget:
+        while self.stopped is None:
             self.step()
         inactive = self.deleted_vertices()
         complement = self.vertices - inactive

@@ -149,8 +149,7 @@ def _tree_load_chooser(tree) -> Callable:
     return choose
 
 
-def diamond_adversarial_demands(order: int, tree=None, structure: DiamondNode | None = None
-                                ) -> list[dict[int, int]]:
+def diamond_adversarial_demands(order: int, tree=None) -> list[dict[int, int]]:
     """The recursive demand sequence that stresses any single tree of cuts.
 
     At depth i it sends 2**(order-i) units from both endpoints of the current
@@ -160,8 +159,7 @@ def diamond_adversarial_demands(order: int, tree=None, structure: DiamondNode | 
     """
     if order < 1:
         raise ArgumentError("adversarial demands need order >= 1")
-    if structure is None:
-        _graph, structure = diamond_structure(order)
+    structure = diamond_structure(order)[1]
     chooser = _tree_load_chooser(tree) if tree is not None else \
         (lambda paths, demands: 0)
 

@@ -323,13 +323,12 @@ def incident_capacity(graph: Graph, sources: Iterable[int],
     return VertexWeights(out)
 
 
-def fuse(partition: Partition, merged: Iterable[int],
-         graph: Graph | None = None) -> Partition:
+def fuse(partition: Partition, merged: Iterable[int], graph: Graph) -> Partition:
     """Replace a partition X by (X - T) | {T}.
 
     Every cluster loses the vertices of T, emptied clusters vanish, and T is
-    added as a cluster of its own.  When a graph is supplied the boundary
-    growth bound of the fuse operation is checked.
+    added as a cluster of its own.  The boundary growth bound of the fuse
+    operation on the graph is checked.
     """
     t = frozenset(merged)
     if not t:
@@ -342,16 +341,15 @@ def fuse(partition: Partition, merged: Iterable[int],
     new_clusters = [c for c in new_clusters if c]
     new_clusters.append(t)
     fused = Partition.of(new_clusters)
-    if graph is not None:
-        before = boundary_degree_map(graph, partition)
-        after = boundary_degree_map(graph, fused)
-        rest = ground - t
-        outside = set(graph.vertices()) - ground
-        bound = (before.total(ground) - before.total(t)
-                 + 2 * incident_capacity(graph, t, rest).total()
-                 + incident_capacity(graph, t, outside).total())
-        if after.total(ground) > bound:
-            raise InternalError("fuse boundary bound violated")
+    before = boundary_degree_map(graph, partition)
+    after = boundary_degree_map(graph, fused)
+    rest = ground - t
+    outside = set(graph.vertices()) - ground
+    bound = (before.total(ground) - before.total(t)
+             + 2 * incident_capacity(graph, t, rest).total()
+             + incident_capacity(graph, t, outside).total())
+    if after.total(ground) > bound:
+        raise InternalError("fuse boundary bound violated")
     return fused
 
 

@@ -321,16 +321,40 @@ def certify_well_expanding(graph: Graph, decomposition: HierarchicalDecompositio
     return CertifyReport(entries, gamma)
 
 
+def undercut_node(graph: Graph, tree: TreeSparsifier) -> tuple[TreeNode, int] | None:
+    """The first non-root node whose cap is below the graph's cut capacity
+    around its cluster, with that cut; None when every cap is sound.
+
+    Such a cap lets the tree predict more than the optimal congestion.
+    """
+    for node in tree.nodes:
+        if node.parent is not None:
+            cut = boundary_capacity(graph, node.cluster, range(graph.n))
+            if node.cap < cut:
+                return node, cut
+    return None
+
+
 def quality_ratio(graph: Graph, tree: TreeSparsifier,
                   demands: Sequence[Mapping[int, object]]
                   ) -> tuple[Fraction, list[dict]]:
-    """Evaluate predicted versus optimal congestion over a demand batch."""
+    """Evaluate predicted versus optimal congestion over a demand batch.
+
+    A prediction above the optimum raises ``ArgumentError`` when a tree cap
+    undercuts the graph's cut (see ``undercut_node``), and ``InternalError``
+    when every cap is sound, since then the optimum is at fault.
+    """
     rows = []
     worst = Fraction(1)
     for demand in demands:
         predicted = predict_congestion(tree, demand)
         optimal = opt_congestion(graph, demand)
         if predicted > optimal:
+            undercut = undercut_node(graph, tree)
+            if undercut:
+                node, cut = undercut
+                raise ArgumentError(f"tree node {node.id} has cap {node.cap}, below the "
+                                    f"graph's cut capacity {cut} around its cluster")
             raise InternalError("tree prediction exceeded the exact optimum")
         ratio = optimal / predicted if predicted else Fraction(1)
         worst = max(worst, ratio)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from treecut import Graph, VertexWeights
+from treecut import cutmatch
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -28,6 +32,34 @@ def random_connected_graph(seed: int, max_n: int = 12, max_cap: int = 8,
         if u != v:
             edges.append((min(u, v), max(u, v), int(rng.integers(1, max_cap + 1))))
     return Graph.from_edges(n, edges)
+
+
+class PlayedRound(NamedTuple):
+    active: frozenset[int]
+    left: frozenset[int]
+    right: frozenset[int]
+    dropped: frozenset[int]
+
+
+@contextmanager
+def played_rounds():
+    """Record every round games play: active units, proposal sides, dropped units.
+
+    ``CutMatchingGame.step`` calls the matching player through the module
+    global ``cutmatch.matching_player_step`` with the round's active units and
+    both proposal sides, so wrapping that name records the game's own round.
+    """
+    rounds: list[PlayedRound] = []
+    play = cutmatch.matching_player_step
+
+    def recording(graph, units, mp, active, left, right, scope=None):
+        dropped, matching = play(graph, units, mp, active, left, right, scope=scope)
+        rounds.append(PlayedRound(frozenset(int(u) for u in active), left, right, dropped))
+        return dropped, matching
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cutmatch, "matching_player_step", recording)
+        yield rounds
 
 
 def two_cliques_bridge(size: int, cap: int = 1, bridge_cap: int = 1) -> Graph:

@@ -13,14 +13,13 @@ import numpy as np
 from treecut import (CutMatchingGame, Graph, Matching, VertexWeights,
                      boundary_capacity, brute_force_opt_congestion,
                      certify_well_expanding, check_expanding, check_laminar,
-                     construct_hierarchy, cut_player_step, default_gamma,
-                     diamond_adversarial_demands, diamond_structure, fair_cut,
-                     matching_player_step, opt_congestion, oracle_params,
+                     construct_hierarchy, default_gamma, diamond_adversarial_demands,
+                     fair_cut, generate_diamond, opt_congestion, oracle_params,
                      quality_ratio, sparsest_cut_apx, to_tree_sparsifier,
                      verify_fair_cut)
 from treecut.cutmatch import slowdown_for
 
-from conftest import philox, random_connected_graph, two_cliques_bridge
+from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
 from walk_diagnostics import dense_flow_matrix, potential
 
 
@@ -125,14 +124,14 @@ def test_05_cut_player_potential():
             game = CutMatchingGame(base, pi, Fraction(1, 4),
                                    philox(50_000 + seed))
             values = [float(k - 1)]
-            while game.stopped is None and game.round < game.budget:
+            while game.stopped is None:
                 game.step()
                 values.append(potential(game.matchings, [game.active_units()],
                                         game.slowdown, k=k))
             tol = 1e-9 * k
             if any(b > a + tol for a, b in zip(values, values[1:])):
                 monotone = False
-            if values[-1] <= 1.0 / k ** 3 and game.round <= game.budget:
+            if values[-1] <= 1.0 / k ** 3:
                 converged[k] += 1
     ok = initial_exact and monotone and all(c >= 45 for c in converged.values())
     report(5, "cut player potential", ok,
@@ -203,40 +202,30 @@ def test_07_matching_player_invariants():
         if pi.total() < 2:
             pi = VertexWeights.degrees(graph)
         phi = Fraction(int(rng.integers(1, 10)), 10)
-        game = CutMatchingGame(graph, pi, phi, philox(71_000 + seed))
-        c = game.congestion_factor
+        # the potential stop is off: games end on balance, budget or 40 rounds
+        game = CutMatchingGame(graph, pi, phi, philox(71_000 + seed), early_stop=False)
+        c = game.mp.congestion_factor
         dropped_units: set[int] = set()
-        while game.stopped is None and game.round < min(40, game.budget):
-            active_before = game.active_units()
-            left, right = cut_player_step(game)
-            scope = game.vertices - frozenset(game.mp.deleted)
-            dropped, matching = matching_player_step(
-                graph, game.units, game.mp, active_before,
-                left, right, scope=scope)
-            if dropped:
-                game.active_mask[list(dropped)] = False
-            game.matchings.append(matching)
-            game.perms.append(matching.permutation(game.k))
-            dropped_units |= dropped
+        with played_rounds() as rounds:
+            while game.stopped is None and game.round < 40:
+                game.step()
+                played = rounds[-1]
+                dropped_units |= played.dropped
 
-            if game.units.units_of_set(game.mp.deleted) != frozenset(dropped_units):
-                bad.append((seed, "unit-vertex lockstep"))
-            inactive = game.deleted_vertices()
-            if inactive:
-                cap = boundary_capacity(graph, inactive, range(graph.n))
-                if c * cap > game.pi.total(inactive):
-                    bad.append((seed, "deleted set sparsity"))
-            for eidx, load in game.mp.edge_load.items():
-                if load > 4 * c * game.mp.rounds * graph.edges[eidx][2]:
-                    bad.append((seed, "embedding load"))
-            a = len(active_before)
-            if len(left) <= a / 8 and len(right) >= a / 2:
-                if 5 * len(active_before - dropped) < a:
-                    bad.append((seed, "survivor bound"))
-            k = game.k
-            if game.active_count() < (1 - 1 / (2 * math.log2(k))) * k \
-                    or game.active_count() < 2:
-                game.stopped = "balance"
+                if game.units.units_of_set(game.mp.deleted) != frozenset(dropped_units):
+                    bad.append((seed, "unit-vertex lockstep"))
+                inactive = game.deleted_vertices()
+                if inactive:
+                    cap = boundary_capacity(graph, inactive, range(graph.n))
+                    if c * cap > game.pi.total(inactive):
+                        bad.append((seed, "deleted set sparsity"))
+                for eidx, load in game.mp.edge_load.items():
+                    if load > 4 * c * game.round * graph.edges[eidx][2]:
+                        bad.append((seed, "embedding load"))
+                a = len(played.active)
+                if len(played.left) <= a / 8 and len(played.right) >= a / 2:
+                    if 5 * len(played.active - played.dropped) < a:
+                        bad.append((seed, "survivor bound"))
     report(7, "matching player invariants", not bad,
            f"100 fuzzed games, violations: {bad[:3] if bad else 'none'}", started)
 
@@ -328,13 +317,12 @@ def test_11_diamond_demo():
     table = []
     ok = True
     for order in (2, 3):
-        graph, structure = diamond_structure(order)
+        graph = generate_diamond(order)
         if graph.m != expected_edges[order]:
             ok = False
         decomposition = construct_hierarchy(graph, rng=philox(110_000 + order))
         tree = to_tree_sparsifier(decomposition, graph)
-        demands = diamond_adversarial_demands(order, tree=tree,
-                                              structure=structure)
+        demands = diamond_adversarial_demands(order, tree=tree)
         worst, rows = quality_ratio(graph, tree, demands)
         if any(row["predict"] > row["opt"] for row in rows):
             ok = False

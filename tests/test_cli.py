@@ -4,13 +4,14 @@ import ast
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import treecut
-from treecut.cli import run_cli
+from treecut.cli import _build_parser, run_cli
 from treecut.generators import generate_diamond
 from treecut.textio import parse_edge_list
 
@@ -157,20 +158,28 @@ class TestCertifyCommand:
         run(capsys, "generate", "--kind", "dumbbell", "--size", "4",
             "--out", str(graph_file))
         code, out, _e = run(capsys, "certify", "--graph", str(graph_file),
-                            "--trials", "4", "--seed", "3")
+                            "--seed", "3")
         assert code == 0
         payload = json.loads(out)
-        assert payload["fair_cut_checks"] == {"pass": 4, "total": 4}
-        assert payload["sweep_cut_checks"] == {"pass": 4, "total": 4}
         assert "well_expanding" in payload
 
-    def test_negative_trials_is_an_input_error(self, capsys, tmp_path):
-        graph_file = tmp_path / "g.el"
-        graph_file.write_text("0 1 1\n")
-        code, out, err = run(capsys, "certify", "--graph", str(graph_file),
-                             "--trials", "-1")
-        assert code == 2, err
-        assert out == "" and "--trials" in err
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        # every example in README's CLI block names real subcommands and
+        # options; the parser only reads them, nothing runs
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+        block = block.split("```sh", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("treecut ")]
+        assert len(examples) >= 5
+        parser = _build_parser()
+        for argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: treecut {shlex.join(argv)}")
 
 
 class TestExitCodes:

@@ -16,15 +16,14 @@ from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, Match
                      VertexWeights, boundary_capacity, cut_player_step,
                      generate_dumbbell, matching_player_step, oracle_params,
                      sparsest_cut_apx, sweep_cut)
-from treecut.cutmatch import (POTENTIAL_UNIT_CAP, _apply_walk, slowdown_for,
-                              sweep_cut_violations)
+from treecut.cutmatch import POTENTIAL_UNIT_CAP, _apply_walk, slowdown_for
 from treecut import cutmatch as cutmatch_module
 from treecut import flow as flow_module
 from treecut.cutmatch import MATCH_FAIRNESS
 from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
 
-from conftest import philox, random_connected_graph, two_cliques_bridge
-from walk_diagnostics import dense_flow_matrix, potential
+from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
+from walk_diagnostics import dense_flow_matrix, potential, sweep_cut_violations
 
 
 def make_game(graph, pi, phi, seed, **kw):
@@ -199,7 +198,6 @@ def loop_matching_player_step(graph, units, mp, active, left, right, scope=None)
         if load > 2 * mp.cap_multiplier * graph.edges[eidx][2]:
             raise InternalError("per-round embedding load too high")
         mp.edge_load[eidx] = mp.edge_load.get(eidx, 0) + load
-    mp.rounds += 1
     return dropped, Matching(tuple(sorted(pairs)))
 
 
@@ -629,46 +627,38 @@ class TestMatchingPlayer:
                                  frozenset({0}), frozenset({0}))
 
 
-def run_game_with_invariants(graph, pi, phi, seed, max_rounds=None):
-    """Play a full game, checking the matching-player invariants each round."""
-    game = CutMatchingGame(graph, pi, phi, philox(seed))
-    c = game.congestion_factor
-    everything = range(graph.n)
+def run_game_with_invariants(graph, pi, phi, seed, max_rounds):
+    """Play a game, checking the matching-player invariants after each round.
+
+    Without the potential stop the game ends on balance, on its budget or
+    after ``max_rounds`` rounds.
+    """
+    game = CutMatchingGame(graph, pi, phi, philox(seed), early_stop=False)
+    c = game.mp.congestion_factor
     seen_units: set[int] = set()
     survivor_ok = True
-    while game.stopped is None and game.round < (max_rounds or game.budget):
-        active_before = game.active_units()
-        left, right = cut_player_step(game)
-        scope = game.vertices - frozenset(game.mp.deleted)
-        dropped, matching = matching_player_step(
-            graph, game.units, game.mp, active_before, left, right,
-            scope=scope)
-        if dropped:
-            game.active_mask[list(dropped)] = False
-        game.matchings.append(matching)
-        game.perms.append(matching.permutation(game.k))
-        seen_units |= dropped
+    with played_rounds() as rounds:
+        while game.stopped is None and game.round < max_rounds:
+            game.step()
+            played = rounds[-1]
+            seen_units |= played.dropped
 
-        # deleted units and deleted vertices stay in lockstep
-        assert game.units.units_of_set(game.mp.deleted) == frozenset(seen_units)
-        # the union of deleted vertices is 1/c-sparse, exactly
-        inactive = game.deleted_vertices()
-        if inactive:
-            cap = boundary_capacity(graph, inactive & game.vertices, game.vertices)
-            assert c * cap <= game.pi.total(inactive)
-        # cumulative embedding load within 4 c t cap(e)
-        rounds = game.mp.rounds
-        for eidx, load in game.mp.edge_load.items():
-            assert load <= 4 * c * rounds * graph.edges[eidx][2]
-        # the per-round survivor bound, whenever the sweep sizes allowed it
-        a = len(active_before)
-        if len(left) <= a / 8 and len(right) >= a / 2:
-            if 5 * len(active_before - dropped) < a:
-                survivor_ok = False
-        rec_active = game.active_count()
-        k = game.k
-        if rec_active < (1 - 1 / (2 * math.log2(k))) * k or rec_active < 2:
-            game.stopped = "balance"
+            # deleted units and deleted vertices stay in lockstep
+            assert game.units.units_of_set(game.mp.deleted) == frozenset(seen_units)
+            # the union of deleted vertices is 1/c-sparse, exactly
+            inactive = game.deleted_vertices()
+            if inactive:
+                cap = boundary_capacity(graph, inactive & game.vertices, game.vertices)
+                assert c * cap <= game.pi.total(inactive)
+            # cumulative embedding load within 4 c t cap(e)
+            for eidx, load in game.mp.edge_load.items():
+                assert load <= 4 * c * game.round * graph.edges[eidx][2]
+            # the per-round survivor bound, whenever the sweep sizes allowed it
+            a = len(played.active)
+            if len(played.left) <= a / 8 and len(played.right) >= a / 2:
+                if 5 * len(played.active - played.dropped) < a:
+                    survivor_ok = False
+    assert len(rounds) == game.round
     assert survivor_ok
     return game
 
@@ -702,6 +692,16 @@ class TestGameInvariants:
         bound = k / (2 * math.log2(k))
         for rec in game.records[:-1]:
             assert k - rec.active <= bound + 1e-9
+
+    def test_budget_stop_ends_the_game(self, k8):
+        # four units on an expander: nothing is deleted, and without the
+        # potential stop the game plays its whole budget of ceil(10 log2(4)^2)
+        game = make_game(k8, {v: 1 for v in range(4)}, Fraction(1, 4), 0, early_stop=False)
+        assert game.run() == frozenset()
+        assert (game.stopped, game.round, game.budget) == ("budget", 40, 40)
+        assert all(rec.active == game.k for rec in game.records)
+        with pytest.raises(InternalError):
+            game.step()
 
     @pytest.mark.parametrize("per_vertex", [4, 65])
     def test_potential_stop_needs_three_quiet_rounds(self, k8, per_vertex):
@@ -775,10 +775,10 @@ class TestExpansionCertificates:
             game = CutMatchingGame(graph, pi, Fraction(1, 3), philox(seed),
                                    early_stop=True)
             game.run()
+            if game.stopped == "balance":
+                continue
             k = game.k
             active = game.active_units()
-            if len(active) < (1 - 1 / (2 * math.log2(k))) * k:
-                continue
             degree = np.zeros((k, k))
             for matching in game.matchings:
                 for i, j in matching.pairs:

@@ -108,7 +108,7 @@ class TestFuse:
 
     def test_empty_fuse_rejected(self, path3):
         with pytest.raises(ArgumentError):
-            fuse(Partition.singletons(range(3)), set())
+            fuse(Partition.singletons(range(3)), set(), path3)
 
     def test_violated_growth_bound_raises(self, monkeypatch, path3):
         # crediting no incident capacity puts the bound below the real boundary

@@ -14,7 +14,7 @@ import treecut
 from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalError,
                      Partition, certify_well_expanding, check_laminar,
                      construct_hierarchy, default_gamma, expansion_bound,
-                     generate_diamond, hierarchy, opt_congestion, predict_congestion,
+                     generate_diamond, generate_grid, hierarchy, opt_congestion, predict_congestion,
                      quality_ratio, textio, to_tree_sparsifier)
 from treecut.hierarchy import HierarchyConfig
 
@@ -267,3 +267,26 @@ class TestQualityRatio:
         worst, rows = quality_ratio(double_k4, tree, [{0: 2, 7: -2}])
         assert rows[0]["predict"] <= rows[0]["opt"]
         assert worst >= 1
+
+    @pytest.fixture
+    def grid(self):
+        """The 2x2 grid, where every cut around one vertex is 2, and its tree."""
+        graph = generate_grid(2, 2)
+        return graph, to_tree_sparsifier(construct_hierarchy(graph, rng=philox(0)), graph)
+
+    def test_caps_below_the_graphs_cuts_are_an_argument_error(self, grid):
+        # with every cap at 1 the tree predicts 5 for a demand whose optimum
+        # is 5/2; the fault is in the tree, not the program
+        graph, tree = grid
+        for node in tree.nodes:
+            if node.parent is not None:
+                node.cap = 1
+        with pytest.raises(ArgumentError, match="tree node 1 has cap 1, below the "
+                                                "graph's cut capacity 2"):
+            quality_ratio(graph, tree, [{0: 5, 3: -5}])
+
+    def test_sound_caps_blame_the_optimum(self, grid, monkeypatch):
+        graph, tree = grid
+        monkeypatch.setattr(hierarchy, "opt_congestion", lambda *_a: Fraction(1, 100))
+        with pytest.raises(InternalError, match="exceeded the exact optimum"):
+            quality_ratio(graph, tree, [{0: 5, 3: -5}])

@@ -1,7 +1,8 @@
-"""Dense walk diagnostics: references the tests check the game's walk against.
+"""Walk and sweep diagnostics: references the tests check the cut player against.
 
 The game itself only tracks a projection estimate of its potential; these
-evaluate the exact potential and the explicit mixing matrix at small k.
+evaluate the exact potential and the explicit mixing matrix at small k, and
+check a sweep cut's properties.
 """
 
 from __future__ import annotations
@@ -62,3 +63,33 @@ def potential(matchings: Sequence[Matching], active_sets: Sequence[Iterable[int]
     perms = [m.permutation(k) for m in matchings]
     cols = _apply_walk(np.eye(k)[:, mask], perms, mask, slowdown)
     return float((cols * cols).sum())
+
+
+def sweep_cut_violations(active, values, left, right, level) -> list[int]:
+    """Check the sweep-cut properties; returns the indices that fail.
+
+    1 separation, 2 side sizes, 3 per-unit distance from the level,
+    4 mass captured by the proposal side, 5 disjointness.
+    """
+    act = [int(i) for i in sorted(active)]
+    vals = np.asarray(values, dtype=float)
+    a = len(act)
+    bad = []
+    lv = [float(vals[i]) for i in sorted(left)]
+    rv = [float(vals[i]) for i in sorted(right)]
+    tol = 1e-9 * max(1.0, float(np.abs(vals[act]).max(initial=0.0)))
+    if lv and rv:
+        ordered = (max(lv) <= level + tol <= min(rv) + 2 * tol) or \
+                  (min(lv) >= level - tol >= max(rv) - 2 * tol)
+        if not ordered:
+            bad.append(1)
+    if not (len(right) >= a / 2 and len(left) <= -(-a // 8)):
+        bad.append(2)
+    if any((x - level) ** 2 + tol ** 2 < x ** 2 / 9.0 for x in lv):
+        bad.append(3)
+    total = float((vals[act] ** 2).sum())
+    if sum(x * x for x in lv) + 1e-9 * max(total, 1.0) < total / 80.0:
+        bad.append(4)
+    if set(left) & set(right):
+        bad.append(5)
+    return bad
