@@ -9,7 +9,7 @@ from .errors import (ArgumentError, ConsistencyError, InputError, InternalError,
                      OversizeError)
 from .graphs import (Cut, Graph, Partition, VertexWeights, boundary_capacity,
                      boundary_degree_map, brute_force_sparsest_cut, check_expanding,
-                     check_laminar, fuse, partition_boundary_degree)
+                     check_laminar, fuse)
 from .flow import (FairCutResult, FlowAssignment, PathDecomposition, PathFlow,
                    brute_force_opt_congestion, fair_cut, max_flow, opt_congestion,
                    path_decomposition, verify_fair_cut)

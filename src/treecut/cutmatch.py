@@ -34,7 +34,7 @@ MATCH_FAIRNESS = Fraction(3, 2)
 #: evaluate; the benchmark corpora (bench/workloads.py) split on it
 POTENTIAL_UNIT_CAP = 512
 
-#: a game on k units plays at most ceil(ROUND_COEFF * log2(k)^2) rounds
+#: a game on k units plays at most ROUND_COEFF * ceil_log2(k)^2 rounds
 ROUND_COEFF = 10
 
 
@@ -45,25 +45,26 @@ def ceil_log2(x: int) -> int:
 
 
 def slowdown_for(k: int) -> int:
-    """Mixing slow-down: the largest power of two meeting the convergence bound."""
-    raw = max(2, int(3 * math.log(k) / (2 * math.log(20))))
+    """Mixing slow-down: the largest power of two at most r, the largest
+    integer with 400^r <= k^3 (r <= 3 ln k / (2 ln 20), the convergence
+    bound), or at most 2 when r < 2."""
+    raw = 2
+    while 400 ** (raw + 1) <= k ** 3:
+        raw += 1
     return 1 << (raw.bit_length() - 1)
 
 
-def oracle_params(n: int, pi_total: int) -> tuple[int, Fraction, Fraction]:
+def oracle_params(pi_total: int) -> tuple[int, Fraction, Fraction]:
     """Quality, balance, and progress parameters of the sparse cut oracle.
 
-    Returns (quality q*, balance floor beta*, progress floor tau*).  The
-    balance floor uses the integer ceiling of log2 so that downstream
+    Returns (quality q*, balance floor beta*, progress floor tau*) =
+    (q, 1/(2q), 1/(440q)) for q = ceil_log2(pi_total), so that downstream
     threshold comparisons stay exact rationals.
     """
     if pi_total < 2:
         raise ArgumentError("oracle parameters need total weight at least 2")
-    log_pi = ceil_log2(pi_total)
-    quality = max(log_pi, math.ceil(math.log2(max(n, 2)) / 125))
-    balance = Fraction(1, 2 * log_pi)
-    progress = min(Fraction(1, 440 * quality), balance)
-    return quality, balance, progress
+    quality = ceil_log2(pi_total)
+    return quality, Fraction(1, 2 * quality), Fraction(1, 440 * quality)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +411,11 @@ class CutMatchingGame:
     ``within`` restricts the instance to an induced subgraph.  Each round
     records the cut player's projection estimate of the potential, and
     ``_evaluate_stop`` sets ``stopped`` to the first reason that holds:
-    "balance" once too much weight is deleted, "potential" (only with
-    ``early_stop``) once three consecutive estimates are at most
-    ``potential_floor``, and "budget" after ceil(ROUND_COEFF * log2(k)^2)
-    rounds.  The matching player's fair cuts are at MATCH_FAIRNESS.
+    "balance" once fewer than ``balance_floor`` = (1 - beta*) * k units stay
+    active, "potential" (only with ``early_stop``) once three consecutive
+    estimates are at most ``potential_floor``, and "budget" after ``budget``
+    = ROUND_COEFF * ceil_log2(k)^2 rounds.  The matching player's fair cuts
+    are at MATCH_FAIRNESS.
     """
 
     def __init__(self, graph: Graph, pi: Mapping[int, int], phi: Fraction, rng,
@@ -434,7 +436,8 @@ class CutMatchingGame:
         self.phi = phi
         self.units = UnitMapping.from_weights(self.pi)
         self.slowdown = slowdown_for(k)
-        self.budget = math.ceil(ROUND_COEFF * math.log2(k) ** 2)
+        self.budget = ROUND_COEFF * ceil_log2(k) ** 2
+        self.balance_floor = (1 - oracle_params(k)[1]) * k
         self.rng = rng
         self.mp = MatchingPlayerState(math.ceil(Fraction(10) / phi))
         self.active_mask = np.ones(k, dtype=bool)
@@ -492,9 +495,7 @@ class CutMatchingGame:
 
     def _evaluate_stop(self, rec: RoundRecord):
         """The game's one stopping rule: balance, then potential, then budget."""
-        k = self.k
-        threshold = (1.0 - 1.0 / (2 * math.log2(k))) * k
-        if rec.active < threshold or rec.active < 2:
+        if rec.active < self.balance_floor or rec.active < 2:
             self.stopped = "balance"
             return
         if self.early_stop:

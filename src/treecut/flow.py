@@ -250,6 +250,20 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     return _SolvedFlow(graph, res, value, scale, saturated, dinic.level)
 
 
+def _exact_weights(weights: Mapping[int, object], verts) -> dict[int, int | Fraction]:
+    """The entries of ``weights`` at ``verts``; every entry must be a
+    non-negative int or Fraction, and the first that is not is named."""
+    out: dict[int, int | Fraction] = {}
+    for v, w in weights.items():
+        if not isinstance(w, (int, Fraction)):
+            raise ArgumentError(f"weight at vertex {v} is {w!r}, not an int or Fraction")
+        if w < 0:
+            raise ArgumentError(f"weight at vertex {v} is negative")
+        if v in verts:
+            out[v] = w
+    return out
+
+
 def max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
              demand: Mapping[int, int | Fraction],
              within: Iterable[int] | None = None) -> tuple[int, FlowAssignment]:
@@ -258,12 +272,9 @@ def max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     Supplies and demands are ints or Fractions; the value and the flow are in
     units of 1/scale, the lcm of their denominators.
     """
-    for terminals in (supply, demand):
-        for v, x in terminals.items():
-            if not isinstance(x, (int, Fraction)):
-                raise ArgumentError(f"supply or demand at vertex {v} is {x!r}, "
-                                    "not an int or Fraction")
-    solved = _run_max_flow(graph, supply, demand, within)
+    every = range(graph.n)
+    solved = _run_max_flow(graph, _exact_weights(supply, every),
+                           _exact_weights(demand, every), within)
     return solved.value, solved.flow
 
 
@@ -283,19 +294,6 @@ class FairCutResult:
     @property
     def flow(self) -> FlowAssignment:
         return self._solved.flow
-
-
-def _exact_weights(weights: Mapping[int, object], verts) -> dict[int, int | Fraction]:
-    """The entries of ``weights`` at ``verts`` as ints or Fractions, checked non-negative."""
-    out: dict[int, int | Fraction] = {}
-    for v, w in weights.items():
-        if v in verts:
-            if not isinstance(w, (int, Fraction)):
-                w = Fraction(w)
-            if w < 0:
-                raise ArgumentError("source and target weights must be non-negative")
-            out[v] = w
-    return out
 
 
 def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int, object],
@@ -417,9 +415,7 @@ class PathDecomposition:
         return FlowAssignment(graph, self.denom, {k: v for k, v in nums.items() if v})
 
 
-def path_decomposition(graph: Graph, flow: FlowAssignment,
-                       sources: Iterable[int] | None = None,
-                       sinks: Iterable[int] | None = None) -> PathDecomposition:
+def path_decomposition(graph: Graph, flow: FlowAssignment) -> PathDecomposition:
     """Peel a flow into weighted paths from excess to deficit vertices.
 
     Each walk follows remaining flow from an excess vertex to a deficit; when
@@ -427,9 +423,7 @@ def path_decomposition(graph: Graph, flow: FlowAssignment,
     cycle's smallest remaining arc flow comes off each of its arcs) and walks
     on.  Flow left once every excess is drained is a circulation and is
     dropped.  So the paths keep every vertex's net flow, and on a cycle-free
-    flow their per-edge weights sum to the flow exactly.  Vertices with
-    nonzero net flow outside the declared source/sink sets raise a
-    consistency error.
+    flow their per-edge weights sum to the flow exactly.
     """
     net = [0] * graph.n
     for idx, num in flow.nums.items():
@@ -437,13 +431,6 @@ def path_decomposition(graph: Graph, flow: FlowAssignment,
         net[u] += num
         net[v] -= num
     excess = {v: num for v, num in enumerate(net) if num}
-    src_ok = set(sources) if sources is not None else None
-    snk_ok = set(sinks) if sinks is not None else None
-    for v, num in excess.items():
-        if num > 0 and src_ok is not None and v not in src_ok:
-            raise ConsistencyError(f"undeclared excess at vertex {v}")
-        if num < 0 and snk_ok is not None and v not in snk_ok:
-            raise ConsistencyError(f"undeclared deficit at vertex {v}")
 
     # outgoing remaining flow per vertex
     out: dict[int, list[list[int]]] = {}

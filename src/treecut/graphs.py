@@ -299,15 +299,6 @@ def boundary_degree_map(graph: Graph, partition: Partition) -> VertexWeights:
     return VertexWeights(out)
 
 
-def partition_boundary_degree(graph: Graph, partition: Partition,
-                              subset: Iterable[int]) -> int:
-    """Total boundary-edge capacity incident to ``subset``."""
-    s = set(subset)
-    if not s <= partition.ground:
-        raise ArgumentError("subset must be contained in the partition's ground set")
-    return boundary_degree_map(graph, partition).total(s)
-
-
 def incident_capacity(graph: Graph, sources: Iterable[int],
                       targets: Iterable[int]) -> VertexWeights:
     """For each source vertex, the capacity of its edges into ``targets``."""

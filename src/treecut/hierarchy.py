@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cutmatch import oracle_params
+from .cutmatch import ceil_log2, oracle_params
 from .errors import ArgumentError, InternalError
 from .flow import opt_congestion
 from .graphs import (Graph, Partition, boundary_capacity, boundary_degree_map,
@@ -40,14 +39,10 @@ class HierarchicalDecomposition:
         return self.levels[level - 1].cluster_of(min(cluster))
 
 
-def _loglog(n: int) -> float:
-    return max(1.0, math.log2(max(math.log2(n), 1.0)))
-
-
 def expansion_bound(decomposition: HierarchicalDecomposition,
                     cluster: Iterable[int], level: int) -> Fraction:
     """Per-cluster expansion bound: 1 at the root, otherwise scaled by how
-    much smaller the cluster is than its parent (logs base 2)."""
+    much smaller the cluster is than its parent (integer ceil-logs base 2)."""
     cl = frozenset(cluster)
     if level == 0:
         return Fraction(1)
@@ -56,7 +51,9 @@ def expansion_bound(decomposition: HierarchicalDecomposition,
 
 
 def _bound_for(n: int, parent_size: int, size: int) -> Fraction:
-    return Fraction(3.0 * _loglog(n) * math.log2(2 * parent_size / size))
+    """3 * max(1, ceil log log n) * ceil log(ceil(2 * parent_size / size))."""
+    loglog = max(1, ceil_log2(ceil_log2(n)))
+    return Fraction(3 * loglog * ceil_log2(-(-2 * parent_size // size)))
 
 
 @dataclass
@@ -87,7 +84,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
     if n < 2:
         raise ArgumentError("hierarchy construction needs at least two vertices")
     everything = graph._all_vertices
-    level_budget = 2 * math.ceil(math.log2(n)) + 2
+    level_budget = 2 * ceil_log2(n) + 2
 
     root_phi = min(Fraction(1), cfg.phi_cap)  # the root's bound is 1; cap applies
     root = partition_cluster(graph, everything, graph._singleton_partition,
@@ -135,7 +132,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
             sub[child] = Partition.trivial(child)
             sub[rest] = rest_partition
             unprocessed.add(child)
-            if _balanced_split(graph, before, result.partition, child, n):
+            if _balanced_split(graph, before, result.partition, child):
                 unprocessed.add(rest)
 
         levels[-1] = Partition.of(clusters)
@@ -155,7 +152,7 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
 
 
 def _balanced_split(graph: Graph, before: Partition, after: Partition,
-                    child: frozenset[int], n: int) -> bool:
+                    child: frozenset[int]) -> bool:
     """Did the bad child event keep the boundary weight balanced?
 
     When true both split parts need reprocessing; otherwise the remainder is
@@ -166,7 +163,7 @@ def _balanced_split(graph: Graph, before: Partition, after: Partition,
     total_after = deg_after.total()
     if total_after < 2:
         return False
-    progress = oracle_params(n, max(deg_before.total(), 2))[2]
+    progress = oracle_params(max(deg_before.total(), 2))[2]
     cut = boundary_capacity(graph, child, after.ground)
     return (Fraction(deg_after.total(child)) >= progress / 20 * total_after
             and total_after <= deg_before.total() + 2 * cut)
@@ -269,9 +266,10 @@ CERTIFY_SIZE_CAP = 20
 
 
 def default_gamma(graph: Graph) -> Fraction:
-    """The construction's expansion-quality constant for this graph."""
-    quality = oracle_params(graph.n, max(2, 2 * graph.total_capacity()))[0]
-    return Fraction(1.0 / (1000.0 * math.e * quality))
+    """The construction's expansion-quality constant 1/(1000 e q*) for this
+    graph, with 1000 e rounded down to 2718 so that gamma never falls below it."""
+    quality = oracle_params(max(2, 2 * graph.total_capacity()))[0]
+    return Fraction(1, 2718 * quality)
 
 
 @dataclass

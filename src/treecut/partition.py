@@ -8,12 +8,11 @@ exact rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .cutmatch import oracle_params, sparsest_cut_apx
+from .cutmatch import ceil_log2, oracle_params, sparsest_cut_apx
 from .errors import ArgumentError, InternalError
 from .flow import _run_max_flow, fair_cut
 from .graphs import (Graph, Partition, boundary_degree_map, fuse,
@@ -131,8 +130,7 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
     if len(c_set) == 1:
         return PartitionClusterResult(frozenset(), parts)
 
-    n = graph.n
-    outside = frozenset(range(n)) - c_set
+    outside = frozenset(range(graph.n)) - c_set
     current = parts
     iteration_cap = None
     iterations = 0
@@ -148,9 +146,9 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
         if total <= 1:
             # nothing left to weigh; the trivial answer is exact
             return PartitionClusterResult(frozenset(), current)
-        quality, _balance, progress = oracle_params(n, total)
+        quality, _balance, progress = oracle_params(total)
         if iteration_cap is None:
-            iteration_cap = 4 * math.log2(max(total, 2)) / progress + 4
+            iteration_cap = 4 * ceil_log2(total) / progress + 4
         iterations += 1
         if iterations > iteration_cap:
             raise InternalError("partition refinement exceeded its iteration budget")

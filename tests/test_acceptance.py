@@ -96,7 +96,7 @@ def test_04_sparse_cut_expansion_branch():
                                  for j in range(i + 1, 8)])
     degrees = VertexWeights.degrees(graph)
     phi = Fraction(1, 8)
-    qstar, beta, _tau = oracle_params(graph.n, degrees.total())
+    qstar, beta, _tau = oracle_params(degrees.total())
     good = 0
     for seed in range(50):
         cut = sparsest_cut_apx(graph, degrees, phi, philox(40_000 + seed))

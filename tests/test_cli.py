@@ -16,6 +16,14 @@ from treecut.generators import generate_diamond
 from treecut.textio import parse_edge_list
 
 
+def package_nodes():
+    """(path, node) for every syntax node of every module of the package."""
+    package = pathlib.Path(treecut.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path, node
+
+
 def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
@@ -209,11 +217,16 @@ class TestExitCodes:
     def test_package_has_no_assert_statement(self):
         # python -O strips asserts; every invariant behind exit code 3 must
         # raise an error that survives it
-        package = pathlib.Path(treecut.__file__).parent
-        found = [f"{path.name}:{node.lineno}"
-                 for path in sorted(package.glob("*.py"))
-                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        found = [f"{path.name}:{node.lineno}" for path, node in package_nodes()
                  if isinstance(node, ast.Assert)]
+        assert found == []
+
+    def test_package_takes_no_float_log(self):
+        # every bound and threshold is built from integer ceil-logs; a
+        # math.log, math.log2 or math.e would bring a float back into one
+        found = [f"{path.name}:{node.lineno}" for path, node in package_nodes()
+                 if isinstance(node, ast.Attribute) and node.attr in ("log", "log2", "e")
+                 and isinstance(node.value, ast.Name) and node.value.id == "math"]
         assert found == []
 
 

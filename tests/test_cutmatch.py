@@ -16,7 +16,7 @@ from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, Match
                      VertexWeights, boundary_capacity, cut_player_step,
                      generate_dumbbell, matching_player_step, oracle_params,
                      sparsest_cut_apx, sweep_cut)
-from treecut.cutmatch import POTENTIAL_UNIT_CAP, _apply_walk, slowdown_for
+from treecut.cutmatch import POTENTIAL_UNIT_CAP, RoundRecord, _apply_walk, slowdown_for
 from treecut import cutmatch as cutmatch_module
 from treecut import flow as flow_module
 from treecut.cutmatch import MATCH_FAIRNESS
@@ -689,13 +689,30 @@ class TestGameInvariants:
         game = make_game(graph, deg, Fraction(1, 4), 3)
         game.run()
         k = game.k
-        bound = k / (2 * math.log2(k))
+        bound = Fraction(k, 2 * math.ceil(math.log2(k)))
         for rec in game.records[:-1]:
-            assert k - rec.active <= bound + 1e-9
+            assert k - rec.active <= bound
+
+    def test_balance_stops_at_exactly_the_integer_floor(self, k8):
+        # k = 129 units: the floor is (1 - 1/(2 * 8)) * 129 = 120 + 15/16, so
+        # 121 active units play on and 120 stop the game; the float floor
+        # (1 - 1/(2 log2 129)) * 129 = 119.8 would let 120 play on
+        game = make_game(k8, {0: 122, **{v: 1 for v in range(1, 8)}}, Fraction(1, 4), 0)
+        assert game.balance_floor == Fraction(1935, 16)
+        game._evaluate_stop(RoundRecord(1, 121, 8, 0, 0.0, 1.0))
+        assert game.stopped is None
+        game._evaluate_stop(RoundRecord(2, 120, 1, 0, 0.0, 1.0))
+        assert game.stopped == "balance"
+
+    def test_budget_is_exact(self):
+        # ROUND_COEFF * ceil(log2 114)^2 = 10 * 7^2, not ceil(10 * log2(114)^2)
+        graph = generate_dumbbell(8)
+        game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
+        assert (game.k, game.budget) == (114, 490)
 
     def test_budget_stop_ends_the_game(self, k8):
         # four units on an expander: nothing is deleted, and without the
-        # potential stop the game plays its whole budget of ceil(10 log2(4)^2)
+        # potential stop the game plays its whole budget of 10 * ceil(log2 4)^2
         game = make_game(k8, {v: 1 for v in range(4)}, Fraction(1, 4), 0, early_stop=False)
         assert game.run() == frozenset()
         assert (game.stopped, game.round, game.budget) == ("budget", 40, 40)
@@ -829,12 +846,24 @@ class TestSparsestCutOracle:
 
 class TestOracleParams:
     def test_values(self):
-        qstar, beta, tau = oracle_params(8, 56)
+        qstar, beta, tau = oracle_params(56)
         assert qstar == 6
         assert beta == Fraction(1, 12)
         assert tau == Fraction(1, 440 * 6)
 
     def test_quality_floor(self):
-        qstar, beta, tau = oracle_params(2, 2)
+        qstar, beta, tau = oracle_params(2)
         assert qstar == 1 and beta == Fraction(1, 2)
         assert tau == Fraction(1, 440)
+
+
+def float_slowdown(k):
+    """The slow-down as the float formula floor(3 ln k / (2 ln 20)), floored to a power of two."""
+    raw = max(2, int(3 * math.log(k) / (2 * math.log(20))))
+    return 1 << (raw.bit_length() - 1)
+
+
+class TestSlowdown:
+    def test_matches_the_float_formula(self):
+        # the range crosses the step from 2 to 4 at k = 2948
+        assert all(slowdown_for(k) == float_slowdown(k) for k in range(2, 20_001))

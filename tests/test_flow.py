@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecut import (ArgumentError, ConsistencyError, FlowAssignment, Graph,
+from treecut import (ArgumentError, FlowAssignment, Graph,
                      VertexWeights, brute_force_opt_congestion, fair_cut,
                      generate_dumbbell, generate_grid, max_flow, opt_congestion,
                      path_decomposition, random_pair_demands, verify_fair_cut)
@@ -84,6 +84,10 @@ class TestFairCut:
                                        result.cut, result.flow)
         assert ok, violated
         assert result.flow.net(0) == Fraction(1)
+
+    def test_float_weight_rejected(self, path3):
+        with pytest.raises(ArgumentError, match="vertex 0"):
+            fair_cut(path3, {0: 2.5}, {2: 1})
 
     def test_negative_weights_rejected(self, path3):
         with pytest.raises(ArgumentError):
@@ -187,11 +191,6 @@ class TestPathDecomposition:
         flow = arc_flow(g, [(2, 3), (3, 4), (4, 2), (0, 1)])
         decomp = path_decomposition(g, flow)
         assert [(p.vertices, p.weight) for p in decomp.paths] == [((0, 1), 1)]
-
-    def test_undeclared_excess_rejected(self, path3):
-        _v, flow = max_flow(path3, {0: 1}, {2: 1})
-        with pytest.raises(ConsistencyError):
-            path_decomposition(path3, flow, sources={1}, sinks={2})
 
 
 class TestOptCongestion:

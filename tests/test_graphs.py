@@ -13,7 +13,7 @@ import treecut
 from treecut import (ArgumentError, Graph, InternalError, OversizeError, Partition,
                      VertexWeights, boundary_capacity, boundary_degree_map,
                      brute_force_sparsest_cut, check_expanding, check_laminar, fuse,
-                     graphs, partition_boundary_degree)
+                     graphs)
 
 from conftest import connected_graphs, philox, weighted_graphs
 
@@ -66,27 +66,26 @@ class TestBoundaryCapacity:
 class TestPartitionBoundaryDegree:
     def test_trivial_partition_is_zero(self, path3):
         part = Partition.trivial(range(3))
-        assert partition_boundary_degree(path3, part, {0, 1, 2}) == 0
+        assert boundary_degree_map(path3, part).total({0, 1, 2}) == 0
 
     def test_singletons_on_path(self, path3):
         part = Partition.singletons(range(3))
-        assert partition_boundary_degree(path3, part, {1}) == 2
+        assert boundary_degree_map(path3, part).total({1}) == 2
 
     def test_double_k4_total_is_twice_edges(self, double_k4):
         part = Partition.singletons(range(8))
-        assert partition_boundary_degree(double_k4, part, range(8)) == 26
+        assert boundary_degree_map(double_k4, part).total(range(8)) == 26
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_n=8))
     def test_additive_over_clusters(self, graph):
         part = Partition.singletons(range(graph.n))
-        total = partition_boundary_degree(graph, part, range(graph.n))
-        assert total == sum(partition_boundary_degree(graph, part, c)
-                            for c in part.clusters)
+        degrees = boundary_degree_map(graph, part)
+        assert degrees.total(range(graph.n)) == sum(degrees.total(c) for c in part.clusters)
 
     def test_counts_edges_leaving_ground(self, path3):
         part = Partition.singletons({1})
-        assert partition_boundary_degree(path3, part, {1}) == 2
+        assert boundary_degree_map(path3, part).total({1}) == 2
 
 
 class TestFuse:

@@ -62,6 +62,11 @@ class TestExpansionBound:
         h = HierarchicalDecomposition(levels)
         assert expansion_bound(h, frozenset({0}), 1) == Fraction(3.0 * math.log2(4.0))
 
+    def test_bound_rounds_every_log_up_exactly(self):
+        # n = 20: ceil log2 ceil log2 20 = 3; ceil(40 / 7) = 6: ceil log2 6 = 3
+        bound = hierarchy._bound_for(20, 20, 7)
+        assert type(bound) is Fraction and bound == 27
+
 
 class TestConstructHierarchy:
     def test_two_vertices(self):
@@ -230,6 +235,12 @@ class TestPredictCongestion:
 
 
 class TestCertify:
+    def test_default_gamma_is_exact(self):
+        # total capacity 3: q* = ceil log2 6 = 3; 2718 = floor(1000 e)
+        g = Graph.from_edges(2, [(0, 1, 3)])
+        assert default_gamma(g) == Fraction(1, 2718 * 3)
+        assert default_gamma(g) >= 1 / (1000 * math.e * 3)
+
     def test_two_vertex_graph_passes(self):
         g = Graph.from_edges(2, [(0, 1, 3)])
         h = construct_hierarchy(g, rng=philox(0))

@@ -137,8 +137,7 @@ class TestPartitionCluster:
                                        Partition.singletons(cluster),
                                        Fraction(1, 4), philox(seed))
             pi_after = boundary_degree_map(graph, result.partition)
-            qstar = oracle_params(graph.n,
-                                  max(2, 2 * graph.total_capacity()))[0]
+            qstar = oracle_params(max(2, 2 * graph.total_capacity()))[0]
             quality = Fraction(1, 4) / (500 * qstar)
             ok, witness = check_expanding(graph, cluster, pi_after, quality)
             assert ok, (seed, witness)
@@ -184,7 +183,7 @@ class TestPartitionCluster:
         # balanced bad child inequalities
         deg_after = boundary_degree_map(g, result.partition)
         deg_before = boundary_degree_map(g, before)
-        tau = oracle_params(g.n, pi.total())[2]
+        tau = oracle_params(pi.total())[2]
         assert Fraction(deg_after.total(child)) >= tau / 20 * deg_after.total()
         cut = boundary_capacity(g, child, cluster)
         assert deg_after.total() <= deg_before.total() + 2 * cut
