@@ -10,7 +10,7 @@ from .errors import (ArgumentError, ConsistencyError, InputError, InternalError,
 from .graphs import (Cut, Graph, Partition, VertexWeights, boundary_capacity,
                      boundary_degree_map, brute_force_sparsest_cut, check_expanding,
                      check_laminar, fuse)
-from .flow import (FairCutResult, FlowAssignment, PathDecomposition, PathFlow,
+from .flow import (FlowAssignment, PathDecomposition, PathFlow, SolvedFlow,
                    brute_force_opt_congestion, fair_cut, max_flow, opt_congestion,
                    path_decomposition, verify_fair_cut)
 from .cutmatch import (CutMatchingGame, Matching, MatchingPlayerState, UnitMapping,

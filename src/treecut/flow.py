@@ -1,15 +1,17 @@
 """Exact max flow, fair cut/flow pairs, path decomposition, and congestion oracles.
 
-Every max flow goes through ``_run_max_flow``: exact int or Fraction inputs
-in, one scale (the lcm of their denominators) that makes them integers, and
-the value, the saturation test and the residual cut read from the solver.
-The solver is a plain Dinic on the graph's arc layout, built once per graph
+Every max flow goes through ``_run_max_flow`` and comes back as one
+``SolvedFlow``: exact int or Fraction inputs in, one ``denom`` (the lcm of
+their denominators) that makes them integers, and the value and the
+saturation test read from the solver.  ``max_flow`` and ``fair_cut`` hand
+back that solve itself, and ``opt_congestion`` reads it step by step.  The
+solver is a plain Dinic on the graph's arc layout, built once per graph
 (``Graph._arc_layout``); a max flow fills only a fresh residual list, and a
-BFS stops once it labels the sink.  The edge flow, in units of 1/scale, is
-built only when a caller reads it, from the residuals as they are.
-``path_decomposition`` is the one place that deals with circulations: its
-walks cancel the cycles they meet and drop whatever circulation is left, so a
-cycle-free flow is reproduced edge-exactly.
+BFS stops once it labels the sink.  The residual cut and the edge flow, in
+units of 1/denom, are built only when a caller reads them, from the
+residuals as they are.  ``path_decomposition`` is the one place that deals
+with circulations: its walks cancel the cycles they meet and drop whatever
+circulation is left, so a cycle-free flow is reproduced edge-exactly.
 """
 
 from __future__ import annotations
@@ -173,28 +175,30 @@ class _Dinic:
 
 
 @dataclass
-class _SolvedFlow:
-    """A solved max flow in units of 1/``scale``, and what callers read from it.
+class SolvedFlow:
+    """A solved max flow in units of 1/``denom``: what every max flow returns.
 
-    ``saturated``: the flow routes every given supply.  ``level``: the labels
-    of the solver's last BFS, the one that missed the sink.
+    ``value``: the flow value.  ``saturated``: the flow routes every given
+    supply.  ``level``: the labels of the solver's last BFS, the one that
+    missed the sink.  ``cut`` and ``flow`` are built on first read.
     """
 
-    graph: Graph
-    res: list[int]
+    graph: Graph = field(repr=False)
+    res: list[int] = field(repr=False)
     value: int
-    scale: int
+    denom: int
     saturated: bool
-    level: list[int]
+    level: list[int] = field(repr=False)
 
-    def reach(self) -> frozenset[int]:
+    @cached_property
+    def cut(self) -> frozenset[int]:
         """The minimal minimum cut's source side: the vertices the last BFS labelled."""
         level = self.level
         return frozenset(v for v in range(self.graph.n) if level[v] >= 0)
 
     @cached_property
     def flow(self) -> FlowAssignment:
-        return FlowAssignment(self.graph, self.scale, self.edge_flow())
+        return FlowAssignment(self.graph, self.denom, self.edge_flow())
 
     def edge_flow(self) -> dict[int, int]:
         """Net edge flow numerators, keyed by edge index in edge order.
@@ -212,21 +216,21 @@ class _SolvedFlow:
 
 def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
                   demand: Mapping[int, int | Fraction], within: Iterable[int] | None = None,
-                  cap_scale: int | Fraction = 1) -> _SolvedFlow:
+                  cap_scale: int | Fraction = 1) -> SolvedFlow:
     """Exact max flow between virtual terminals; every max flow goes through here.
 
-    Supplies, demands and ``cap_scale`` are ints or Fractions; ``scale``, the
+    Supplies, demands and ``cap_scale`` are ints or Fractions; ``denom``, the
     lcm of their denominators, makes them integers.  The solve fills a fresh
-    residual list: edge capacities times ``cap_scale * scale`` (0 for edges
+    residual list: edge capacities times ``cap_scale * denom`` (0 for edges
     leaving ``within``) and the scaled terminals.  Its ``value``, ``saturated``
-    (value == sum of the supplies * scale), ``reach()`` and lazily built
-    ``flow`` are in units of 1/scale.
+    (value == sum of the supplies * denom), lazily built ``cut`` and ``flow``
+    are in units of 1/denom.
     """
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
-    scale = math.lcm(cap_scale.denominator,
+    denom = math.lcm(cap_scale.denominator,
                      *(x.denominator for part in (supply, demand) for x in part.values()))
-    edge_scale = int(cap_scale * scale)
+    edge_scale = int(cap_scale * denom)
     verts = range(n) if within is None else set(within)
     if within is None or verts.issuperset(range(n)):
         verts = range(n)
@@ -242,12 +246,12 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
             if x < 0:
                 raise ArgumentError("supplies and demands must be non-negative")
             if x and v in verts:
-                res[base + 2 * v] = int(x * scale)
+                res[base + 2 * v] = int(x * denom)
 
     dinic = _Dinic(to, head, res)
     value = dinic.solve(n, n + 1)
-    saturated = value == sum(supply.values()) * scale
-    return _SolvedFlow(graph, res, value, scale, saturated, dinic.level)
+    saturated = value == sum(supply.values()) * denom
+    return SolvedFlow(graph, res, value, denom, saturated, dinic.level)
 
 
 def _exact_weights(weights: Mapping[int, object], verts) -> dict[int, int | Fraction]:
@@ -266,16 +270,15 @@ def _exact_weights(weights: Mapping[int, object], verts) -> dict[int, int | Frac
 
 def max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
              demand: Mapping[int, int | Fraction],
-             within: Iterable[int] | None = None) -> tuple[int, FlowAssignment]:
+             within: Iterable[int] | None = None) -> SolvedFlow:
     """Maximum flow from a super-source over ``supply`` to a super-sink over ``demand``.
 
     Supplies and demands are ints or Fractions; the value and the flow are in
-    units of 1/scale, the lcm of their denominators.
+    units of 1/denom, the lcm of their denominators.
     """
     every = range(graph.n)
-    solved = _run_max_flow(graph, _exact_weights(supply, every),
-                           _exact_weights(demand, every), within)
-    return solved.value, solved.flow
+    return _run_max_flow(graph, _exact_weights(supply, every),
+                         _exact_weights(demand, every), within)
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +286,8 @@ def max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FairCutResult:
-    """A fair cut; its flow, in units of 1/``denom``, is built on first read."""
-
-    cut: frozenset[int]
-    denom: int
-    _solved: _SolvedFlow = field(repr=False, compare=False)
-
-    @property
-    def flow(self) -> FlowAssignment:
-        return self._solved.flow
-
-
 def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int, object],
-             within: Iterable[int] | None = None, cap_scale: int = 1) -> FairCutResult:
+             within: Iterable[int] | None = None, cap_scale: int = 1) -> SolvedFlow:
     """Compute a 1-fair (s, t)-cut/flow pair via the terminal reduction.
 
     Net weights s(v)-t(v) become capacities of arcs from a super-source (when
@@ -305,8 +295,7 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     reachable side minus the terminal; the exact max flow saturates its edges,
     the net sources outside it and the net targets inside it, so the pair is
     1-fair, hence alpha-fair for every alpha >= 1 (``verify_fair_cut`` checks
-    any alpha).  ``denom`` is the solve's scale, the least common denominator
-    of the net weights.
+    any alpha).  ``denom`` is the least common denominator of the net weights.
     """
     verts = set(range(graph.n)) if within is None else set(within)
     net = _exact_weights(source_w, verts)
@@ -314,8 +303,7 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
         net[v] = net.get(v, 0) - w
     supply = {v: x for v, x in net.items() if x > 0}
     demand = {v: -x for v, x in net.items() if x < 0}
-    solved = _run_max_flow(graph, supply, demand, verts, cap_scale)
-    return FairCutResult(solved.reach(), solved.scale, solved)
+    return _run_max_flow(graph, supply, demand, verts, cap_scale)
 
 
 #: verify_fair_cut property indices
@@ -498,17 +486,6 @@ def _demand_parts(graph: Graph, demand: Mapping[int, object]):
     return pos, neg
 
 
-def _routable(graph: Graph, pos: Mapping[int, int], neg: Mapping[int, int],
-              lam: Fraction) -> tuple[bool, frozenset[int]]:
-    """Can the demand be routed with congestion at most ``lam``?  Exact.
-
-    Also returns the super-source's residual-reachable vertex set S (terminals
-    excluded).  When routing fails, S is a cut with d(S) > lam * cap(S).
-    """
-    solved = _run_max_flow(graph, pos, neg, cap_scale=lam)
-    return solved.saturated, solved.reach()
-
-
 def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
     """Exact optimal congestion for routing a balanced single-commodity demand.
 
@@ -526,9 +503,10 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
     deg = graph.degree_list()
     lam = max(Fraction(x, deg[v]) for part in (pos, neg) for v, x in part.items())
     while True:
-        ok, side = _routable(graph, pos, neg, lam)
-        if ok:
+        solved = _run_max_flow(graph, pos, neg, cap_scale=lam)
+        if solved.saturated:
             return lam
+        side = solved.cut
         d_side = sum(pos.get(v, 0) - neg.get(v, 0) for v in side)
         cap = boundary_capacity(graph, side, range(graph.n))
         if not cap or d_side <= lam * cap:

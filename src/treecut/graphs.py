@@ -73,6 +73,9 @@ class Graph:
             raise ArgumentError("graph needs at least one vertex")
         agg: dict[tuple[int, int], int] = {}
         for u, v, c in edges:
+            if not all(type(x) is int for x in (u, v, c)):
+                raise ArgumentError(f"edge ({u!r}, {v!r}, {c!r}) must have int endpoints "
+                                    "and capacity")
             if not (0 <= u < n and 0 <= v < n):
                 raise ArgumentError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -271,11 +274,7 @@ def boundary_capacity(graph: Graph, subset: Iterable[int], ground: Iterable[int]
     g = set(ground)
     if not s <= g:
         raise ArgumentError("subset must be contained in the ground set")
-    total = 0
-    for u, v, c in graph.edges:
-        if u in g and v in g and (u in s) != (v in s):
-            total += c
-    return total
+    return incident_capacity(graph, s, g - s).total()
 
 
 def boundary_degree_map(graph: Graph, partition: Partition) -> VertexWeights:
@@ -334,10 +333,9 @@ def fuse(partition: Partition, merged: Iterable[int], graph: Graph) -> Partition
     fused = Partition.of(new_clusters)
     before = boundary_degree_map(graph, partition)
     after = boundary_degree_map(graph, fused)
-    rest = ground - t
     outside = set(graph.vertices()) - ground
     bound = (before.total(ground) - before.total(t)
-             + 2 * incident_capacity(graph, t, rest).total()
+             + 2 * boundary_capacity(graph, t, ground)
              + incident_capacity(graph, t, outside).total())
     if after.total(ground) > bound:
         raise InternalError("fuse boundary bound violated")

@@ -244,6 +244,10 @@ def to_tree_sparsifier(decomposition: HierarchicalDecomposition,
 def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fraction:
     """Max over tree cuts of demand crossing the cut divided by its capacity."""
     values = {v: Fraction(x) for v, x in demand.items()}
+    for v, x in values.items():
+        if x and not 0 <= v < tree.n:
+            raise ArgumentError(f"demand vertex {v} is not a vertex of the graph "
+                                f"(0..{tree.n - 1})")
     if sum(values.values(), Fraction(0)) != 0:
         raise ArgumentError("demand must sum to zero")
     best = Fraction(0)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .cutmatch import ceil_log2, oracle_params, sparsest_cut_apx
 from .errors import ArgumentError, InternalError
 from .flow import _run_max_flow, fair_cut
-from .graphs import (Graph, Partition, boundary_degree_map, fuse,
+from .graphs import (Graph, Partition, boundary_capacity, boundary_degree_map, fuse,
                      incident_capacity)
 
 
@@ -56,7 +56,7 @@ def two_way_trim(graph: Graph, cluster: Iterable[int], seed: Iterable[int],
     if not r_set < c_set:
         raise ArgumentError("seed must be a proper subset of the cluster")
     rest = c_set - r_set
-    seed_cut = incident_capacity(graph, r_set, rest).total()
+    seed_cut = boundary_capacity(graph, r_set, c_set)
     seed_weight = sum(int(pi.get(v, 0)) for v in r_set)
     if seed_cut > phi * seed_weight:
         raise ArgumentError("seed cut is not sparse enough for trimming")
@@ -107,7 +107,7 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
 
 
 def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
-                      phi, rng, sparse_oracle=None) -> PartitionClusterResult:
+                      phi, rng) -> PartitionClusterResult:
     """Refine a cluster's partition, possibly splitting off a bad child.
 
     Returns (U, Y) where Y partitions the cluster, U is empty or a member of
@@ -116,10 +116,6 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
     weight, or the remainder expands well against Y.  The oracle is the game
     at phi/20 with the paper's fixed constants; a border-heavy candidate is
     trimmed like ``two_way_trim``'s second cut.
-
-    ``sparse_oracle(graph, pi, phi, rng, within)`` overrides the cut-matching
-    oracle; any replacement must return a side of weight at most half whose
-    cut is phi-sparse.
     """
     phi = Fraction(phi)
     if not 0 < phi <= Fraction(1, 4):
@@ -153,10 +149,7 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
         if iterations > iteration_cap:
             raise InternalError("partition refinement exceeded its iteration budget")
 
-        if sparse_oracle is not None:
-            sparse = frozenset(sparse_oracle(graph, pi, phi / 20, rng, c_set))
-        else:
-            sparse = sparsest_cut_apx(graph, pi, phi / 20, rng, within=c_set)
+        sparse = sparsest_cut_apx(graph, pi, phi / 20, rng, within=c_set)
         if pi.total(sparse) == 0:
             return PartitionClusterResult(frozenset(), current)
 
@@ -203,6 +196,6 @@ def _assert_candidate(graph, c_set, candidate, pi, total, progress, phi):
     weight = pi.total(candidate)
     if weight < progress * total:
         raise InternalError("candidate carries too little boundary weight")
-    cut = incident_capacity(graph, candidate, c_set - candidate).total()
+    cut = boundary_capacity(graph, candidate, c_set)
     if cut > phi / 10 * weight:
         raise InternalError("candidate cut is not sparse enough")

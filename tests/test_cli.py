@@ -229,6 +229,20 @@ class TestExitCodes:
                  and isinstance(node.value, ast.Name) and node.value.id == "math"]
         assert found == []
 
+    def test_package_settable_values_are_pinned(self):
+        # a value that only ever holds its default is a constant, not an
+        # option: a new defaulted parameter or CLI option raises this pin,
+        # and only with a second user that sets it
+        defaults = options = 0
+        for _path, node in package_nodes():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults += len(node.args.defaults)
+                defaults += sum(d is not None for d in node.args.kw_defaults)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument"):
+                options += 1
+        assert defaults + options == 40, (defaults, options)
+
 
 class TestMalformedEvalInput:
     """Broken tree and demand files exit 2 and name the offending node or vertex."""

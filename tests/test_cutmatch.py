@@ -580,9 +580,9 @@ class TestMatchingPlayer:
 
     @pytest.fixture
     def flow_builds(self, monkeypatch):
-        """Counts edge flows built (_SolvedFlow.edge_flow calls) and matching max-flows."""
+        """Counts edge flows built (SolvedFlow.edge_flow calls) and matching max-flows."""
         counts = {"edge_flows": 0, "matching_flows": 0}
-        edge_flow, run = flow_module._SolvedFlow.edge_flow, cutmatch_module._run_max_flow
+        edge_flow, run = flow_module.SolvedFlow.edge_flow, cutmatch_module._run_max_flow
 
         def counting_edge_flow(solved):
             counts["edge_flows"] += 1
@@ -592,7 +592,7 @@ class TestMatchingPlayer:
             counts["matching_flows"] += 1
             return run(*args, **kwargs)
 
-        monkeypatch.setattr(flow_module._SolvedFlow, "edge_flow", counting_edge_flow)
+        monkeypatch.setattr(flow_module.SolvedFlow, "edge_flow", counting_edge_flow)
         monkeypatch.setattr(cutmatch_module, "_run_max_flow", counting_run)
         return counts
 

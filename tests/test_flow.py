@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecut import (ArgumentError, FlowAssignment, Graph,
+from treecut import (ArgumentError, FlowAssignment, Graph, SolvedFlow,
                      VertexWeights, brute_force_opt_congestion, fair_cut,
                      generate_dumbbell, generate_grid, max_flow, opt_congestion,
                      path_decomposition, random_pair_demands, verify_fair_cut)
@@ -28,26 +28,34 @@ def arc_flow(graph, arcs):
 
 class TestMaxFlow:
     def test_zero_terminals(self, path3):
-        value, flow = max_flow(path3, {}, {})
-        assert value == 0 and flow.is_zero()
+        solved = max_flow(path3, {}, {})
+        assert solved.value == 0 and solved.flow.is_zero()
 
     def test_bottleneck_edge(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
-        value, flow = max_flow(g, {0: 2}, {1: 2})
-        assert value == 1
-        assert flow.value(0, 1) == 1
+        solved = max_flow(g, {0: 2}, {1: 2})
+        assert solved.value == 1
+        assert solved.flow.value(0, 1) == 1
 
     def test_double_k4_bridge_limits(self, double_k4):
-        value, _flow = max_flow(double_k4, {0: 9}, {7: 9})
-        assert value == 1
+        assert max_flow(double_k4, {0: 9}, {7: 9}).value == 1
 
     def test_respects_induced_subgraph(self, path3):
-        value, _flow = max_flow(path3, {0: 1}, {2: 1}, within={0, 2})
-        assert value == 0
+        assert max_flow(path3, {0: 1}, {2: 1}, within={0, 2}).value == 0
 
     def test_float_terminal_rejected(self, path3):
         with pytest.raises(ArgumentError, match="vertex 0"):
             max_flow(path3, {0: 2.5}, {2: 2})
+
+    def test_every_max_flow_returns_the_solve(self, path3):
+        third = Fraction(1, 3)
+        solves = (max_flow(path3, {0: third}, {2: 1}),
+                  fair_cut(path3, {0: third}, {2: 1}),
+                  flow_module._run_max_flow(path3, {0: third}, {2: 1}))
+        assert all(type(solved) is SolvedFlow for solved in solves)
+        assert [(solved.value, solved.denom, solved.saturated) for solved in solves] == \
+            [(1, 3, True)] * 3
+        assert solves[1].denom == solves[1].flow.denom
 
 
 class TestFairCut:
@@ -146,7 +154,7 @@ class TestPathDecomposition:
         assert decomp.paths == ()
 
     def test_unit_path(self, path3):
-        _v, flow = max_flow(path3, {0: 1}, {2: 1})
+        flow = max_flow(path3, {0: 1}, {2: 1}).flow
         decomp = path_decomposition(path3, flow)
         assert len(decomp.paths) == 1
         path = decomp.paths[0]
@@ -154,7 +162,7 @@ class TestPathDecomposition:
 
     def test_two_parallel_routes(self):
         g = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (2, 3, 1)])
-        _v, flow = max_flow(g, {0: 2}, {2: 2})
+        flow = max_flow(g, {0: 2}, {2: 2}).flow
         decomp = path_decomposition(g, flow)
         assert sum(p.weight for p in decomp.paths) == 2
         assert all(p.start == 0 and p.end == 2 for p in decomp.paths)
@@ -165,7 +173,7 @@ class TestPathDecomposition:
             graph = random_connected_graph(seed, max_n=10, max_cap=5)
             s = {v: int(rng.integers(0, 5)) for v in range(graph.n)}
             t = {v: int(rng.integers(0, 5)) for v in range(graph.n)}
-            _v, flow = max_flow(graph, s, t)
+            flow = max_flow(graph, s, t).flow
             decomp = path_decomposition(graph, flow)
             assert len(decomp.paths) <= graph.m + graph.n
             again = decomp.accumulate(graph)
@@ -277,8 +285,8 @@ class TestDinkelbachOracle:
             lam = opt_congestion(graph, demand)
             pos, neg = flow_module._demand_parts(graph, demand)
             assert lam.denominator <= cap_bound
-            assert flow_module._routable(graph, pos, neg, lam)[0]
-            assert not flow_module._routable(graph, pos, neg, lam - gap)[0]
+            assert flow_module._run_max_flow(graph, pos, neg, cap_scale=lam).saturated
+            assert not flow_module._run_max_flow(graph, pos, neg, cap_scale=lam - gap).saturated
 
     @pytest.fixture
     def flow_counter(self, monkeypatch):
@@ -310,6 +318,29 @@ class TestDinkelbachOracle:
             flow_counter[0] = 0
             assert opt_congestion(graph, {0: magnitude, size: -magnitude}) == magnitude
             assert flow_counter[0] <= 2
+
+    def test_only_failing_steps_build_the_cut(self, monkeypatch):
+        solves = []
+        original = flow_module._run_max_flow
+
+        def recording(*args, **kwargs):
+            solves.append(original(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(flow_module, "_run_max_flow", recording)
+        stepped = 0
+        for seed in range(100):
+            rng = philox(20_000 + seed)
+            graph = random_connected_graph(seed, max_n=12, max_cap=6)
+            solves.clear()
+            opt_congestion(graph, balanced_fuzz_demand(rng, graph.n))
+            if not solves:
+                continue
+            *failing, final = solves
+            assert final.saturated and "cut" not in final.__dict__, seed
+            assert all(not s.saturated and "cut" in s.__dict__ for s in failing), seed
+            stepped += bool(failing)
+        assert stepped >= 10, stepped
 
 
 def _networkx_max_flow(nx, graph, supply, demand, within, scale):
@@ -364,7 +395,7 @@ class TestAgainstNetworkx:
             if t >= s:
                 t += 1
             big = graph.total_capacity() + 1
-            value, _flow = max_flow(graph, {s: big}, {t: big})
+            value = max_flow(graph, {s: big}, {t: big}).value
             ref = nx.DiGraph()
             ref.add_nodes_from(range(graph.n))
             for u, v, c in graph.edges:
@@ -384,11 +415,11 @@ class TestAgainstNetworkx:
                 solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
                 value, reach = _networkx_max_flow(nx, graph, supply, demand, within, scale)
                 assert solved.value == value
-                assert solved.reach() == reach
+                assert solved.cut == reach
                 nums = solved.edge_flow()
                 fresh = flow_module._run_max_flow(Graph(graph.n, graph.edges),
                                                   supply, demand, within, scale)
-                assert (fresh.value, fresh.reach(), fresh.edge_flow()) == \
+                assert (fresh.value, fresh.cut, fresh.edge_flow()) == \
                     (value, reach, nums)
 
                 verts = set(range(graph.n)) if within is None else within
@@ -509,7 +540,7 @@ class TestEdgeFlow:
         for seed in range(600):
             graph, supply, demand, within, scale = _scaling_instance(seed)
             solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
-            assert solved.reach() == residual_dfs_reach(solved), seed
+            assert solved.cut == residual_dfs_reach(solved), seed
             # the solved flow, then the same flow plus a circulation
             for circulate in (False, True):
                 if circulate and not _push_circulation(graph, solved.res,
@@ -551,7 +582,7 @@ class TestUnscaledSolve:
             graph, supply, demand, within, scale = _scaling_instance(seed)
             solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
             reference = _networkx_max_flow(nx, graph, supply, demand, within, scale)
-            assert (solved.value, solved.reach()) == reference, seed
+            assert (solved.value, solved.cut) == reference, seed
 
     def test_whole_vertex_set_solves_like_no_within(self):
         for seed in range(60):
@@ -587,7 +618,7 @@ class TestUnscaledSolve:
 
         monkeypatch.setattr(flow_module, "_Dinic", Recording)
         graph = generate_grid(3, 3)
-        assert max_flow(graph, {0: 5}, {8: 5})[0] == 2
+        assert max_flow(graph, {0: 5}, {8: 5}).value == 2
         assert fair_cut(graph, {0: 5}, {8: 5}).cut == frozenset({0})
         assert opt_congestion(graph, {0: 4, 8: -4}) == 2
         # the Dinkelbach iteration stops at its first lambda, 2, routing all 4
@@ -669,7 +700,6 @@ class TestLazyFairFlow:
             t = {v: int(rng.integers(0, 7)) for v in range(graph.n)}
             result = fair_cut(graph, s, t)
             assert "flow" not in result.__dict__
-            assert "flow" not in result._solved.__dict__
             for _later in range(3):
                 supply, demand, within, scale = _multi_terminal_instance(rng, graph)
                 max_flow(graph, supply, demand, within)
@@ -682,7 +712,7 @@ class TestLazyFairFlow:
 
 class TestSerialization:
     def test_flow_lines(self, path3):
-        _v, flow = max_flow(path3, {0: 1}, {2: 1})
+        flow = max_flow(path3, {0: 1}, {2: 1}).flow
         lines = flow.serialize().splitlines()
         assert lines == ["0 1 1 1", "1 2 1 1"]
 

@@ -39,6 +39,13 @@ class TestGraphConstruction:
         g = Graph.from_edges(4, [(0, 1, 1), (2, 3, 1)], require_connected=False)
         assert len(g.components()) == 2
 
+    @pytest.mark.parametrize("edge", [(0, 1, 1.5), (0, 1, True), (0.0, 1, 1),
+                                      (0, 1, "2"), (True, 1, 1)])
+    def test_non_int_edge_rejected(self, edge):
+        with pytest.raises(ArgumentError) as info:
+            Graph.from_edges(2, [edge])
+        assert repr(edge) in str(info.value)
+
 
 class TestBoundaryCapacity:
     def test_full_ground_has_no_boundary(self, path3):

@@ -14,8 +14,9 @@ import treecut
 from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalError,
                      Partition, certify_well_expanding, check_laminar,
                      construct_hierarchy, default_gamma, expansion_bound,
-                     generate_diamond, generate_grid, hierarchy, opt_congestion, predict_congestion,
-                     quality_ratio, textio, to_tree_sparsifier)
+                     generate_diamond, generate_dumbbell, generate_grid, hierarchy,
+                     opt_congestion, predict_congestion, quality_ratio, textio,
+                     to_tree_sparsifier)
 from treecut.hierarchy import HierarchyConfig
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
@@ -210,6 +211,13 @@ class TestPredictCongestion:
         tree = to_tree_sparsifier(construct_hierarchy(path3, rng=philox(0)), path3)
         with pytest.raises(ArgumentError):
             predict_congestion(tree, {0: 1})
+
+    @pytest.mark.parametrize("vertex", [99, -1])
+    def test_vertex_outside_graph_rejected(self, vertex):
+        graph = generate_dumbbell(4)
+        tree = to_tree_sparsifier(construct_hierarchy(graph, rng=philox(0)), graph)
+        with pytest.raises(ArgumentError, match=f"vertex {vertex} "):
+            predict_congestion(tree, {0: 3, vertex: -3})
 
     def test_never_exceeds_optimum(self):
         for seed in range(10):

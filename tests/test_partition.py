@@ -7,6 +7,7 @@ import pytest
 from treecut import (ArgumentError, Graph, Partition, VertexWeights,
                      boundary_capacity, boundary_degree_map, check_border_routable,
                      check_expanding, oracle_params, partition_cluster, two_way_trim)
+from treecut import partition as partition_module
 from treecut.graphs import incident_capacity
 
 from conftest import philox, random_connected_graph, two_cliques_bridge
@@ -162,7 +163,7 @@ class TestPartitionCluster:
         assert result.partition.max_cluster_size() <= 8
         assert any(len(c) > 1 for c in result.partition.clusters)
 
-    def test_trim_branch_with_injected_oracle(self):
+    def test_trim_branch_with_injected_oracle(self, monkeypatch):
         # heavy border at vertex 1 forces the trim branch for T = {1, 2}
         g = Graph.from_edges(6, [(0, 1, 200), (1, 2, 50), (2, 3, 1),
                                  (3, 4, 50), (4, 5, 50)])
@@ -173,9 +174,9 @@ class TestPartitionCluster:
         def oracle(graph, weights, phi, rng, within):
             return frozenset({1, 2})
 
+        monkeypatch.setattr(partition_module, "sparsest_cut_apx", oracle)
         before = Partition.singletons(cluster)
-        result = partition_cluster(g, cluster, before, Fraction(1, 4),
-                                   philox(0), sparse_oracle=oracle)
+        result = partition_cluster(g, cluster, before, Fraction(1, 4), philox(0))
         child = result.bad_child
         assert child == frozenset({1, 2})
         assert child in result.partition.clusters
@@ -188,7 +189,7 @@ class TestPartitionCluster:
         cut = boundary_capacity(g, child, cluster)
         assert deg_after.total() <= deg_before.total() + 2 * cut
 
-    def test_fuse_branch_reduces_weight(self):
+    def test_fuse_branch_reduces_weight(self, monkeypatch):
         # interior-heavy side gets fused, then the loop finishes cleanly
         g = Graph.from_edges(6, [(0, 1, 50), (1, 2, 50), (2, 3, 1),
                                  (3, 4, 50), (4, 5, 50)])
@@ -201,9 +202,9 @@ class TestPartitionCluster:
                 return frozenset({1, 2})  # sparse side, light border: fused
             return frozenset()
 
+        monkeypatch.setattr(partition_module, "sparsest_cut_apx", oracle)
         result = partition_cluster(g, cluster, Partition.singletons(cluster),
-                                   Fraction(1, 4), philox(0),
-                                   sparse_oracle=oracle)
+                                   Fraction(1, 4), philox(0))
         assert result.bad_child == frozenset()
         assert frozenset({1, 2}) in result.partition.clusters
         assert len(calls) == 2

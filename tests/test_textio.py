@@ -158,7 +158,7 @@ class TestDemands:
 
 class TestFlowDump:
     def test_lines_have_fixed_denominator(self, path3):
-        _v, flow = max_flow(path3, {0: 1}, {2: 1})
+        flow = max_flow(path3, {0: 1}, {2: 1}).flow
         for line in flow.serialize().splitlines():
             parts = line.split()
             assert len(parts) == 4
