@@ -233,11 +233,18 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     edge_scale = int(cap_scale * denom)
     verts = range(n) if within is None else set(within)
     if within is None or verts.issuperset(range(n)):
+        if len(verts) > n:
+            stray = next(v for v in verts if v not in range(n))
+            raise ArgumentError(f"within holds {stray!r}, not a vertex of the graph "
+                                f"(0..{n - 1})")
         verts = range(n)
         res = [c * edge_scale for c in cap]
     else:
         res = [0] * len(to)
         for v in verts:
+            if not 0 <= v < n:
+                raise ArgumentError(f"within holds {v!r}, not a vertex of the graph "
+                                    f"(0..{n - 1})")
             for idx in head[v]:
                 if to[idx] in verts:
                     res[idx] = cap[idx] * edge_scale
@@ -254,11 +261,16 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     return SolvedFlow(graph, res, value, denom, saturated, dinic.level)
 
 
-def _exact_weights(weights: Mapping[int, object], verts) -> dict[int, int | Fraction]:
-    """The entries of ``weights`` at ``verts``; every entry must be a
-    non-negative int or Fraction, and the first that is not is named."""
+def _exact_weights(weights: Mapping[int, object], n: int,
+                   verts) -> dict[int, int | Fraction]:
+    """The entries of ``weights`` at ``verts``; every entry must be at a
+    vertex in 0..n-1 and a non-negative int or Fraction, and the first that
+    is not is named."""
     out: dict[int, int | Fraction] = {}
     for v, w in weights.items():
+        if not 0 <= v < n:
+            raise ArgumentError(f"weight at vertex {v}: not a vertex of the graph "
+                                f"(0..{n - 1})")
         if not isinstance(w, (int, Fraction)):
             raise ArgumentError(f"weight at vertex {v} is {w!r}, not an int or Fraction")
         if w < 0:
@@ -277,8 +289,8 @@ def max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     units of 1/denom, the lcm of their denominators.
     """
     every = range(graph.n)
-    return _run_max_flow(graph, _exact_weights(supply, every),
-                         _exact_weights(demand, every), within)
+    return _run_max_flow(graph, _exact_weights(supply, graph.n, every),
+                         _exact_weights(demand, graph.n, every), within)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +310,8 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     any alpha).  ``denom`` is the least common denominator of the net weights.
     """
     verts = set(range(graph.n)) if within is None else set(within)
-    net = _exact_weights(source_w, verts)
-    for v, w in _exact_weights(target_w, verts).items():
+    net = _exact_weights(source_w, graph.n, verts)
+    for v, w in _exact_weights(target_w, graph.n, verts).items():
         net[v] = net.get(v, 0) - w
     supply = {v: x for v, x in net.items() if x > 0}
     demand = {v: -x for v, x in net.items() if x < 0}
@@ -500,7 +512,7 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
     if not graph.is_connected():
         raise ArgumentError("optimal congestion requires a connected graph")
 
-    deg = graph.degree_list()
+    deg = graph._degrees
     lam = max(Fraction(x, deg[v]) for part in (pos, neg) for v, x in part.items())
     while True:
         solved = _run_max_flow(graph, pos, neg, cap_scale=lam)

@@ -131,17 +131,13 @@ def _tree_load_chooser(tree) -> Callable:
         for demand in demands_so_far:
             for v, x in demand.items():
                 accumulated[v] = accumulated.get(v, Fraction(0)) + Fraction(x)
+        loads = [(tree.nodes[pos], abs(crossing))
+                 for pos, crossing in tree.crossings(accumulated).items() if crossing]
         best_idx, best_score = 0, None
         for idx, (first, second) in enumerate(paths):
             span = first.span | second.span
-            score = Fraction(0)
-            for node in tree.nodes:
-                if node.parent is None or not node.cluster <= span:
-                    continue
-                crossing = abs(sum((accumulated.get(v, Fraction(0))
-                                    for v in node.cluster), Fraction(0)))
-                if crossing:
-                    score = max(score, crossing / node.cap)
+            score = max((load / node.cap for node, load in loads
+                         if node.cluster <= span), default=Fraction(0))
             if best_score is None or score > best_score:
                 best_idx, best_score = idx, score
         return best_idx
@@ -159,7 +155,10 @@ def diamond_adversarial_demands(order: int, tree=None) -> list[dict[int, int]]:
     """
     if order < 1:
         raise ArgumentError("adversarial demands need order >= 1")
-    structure = diamond_structure(order)[1]
+    graph, structure = diamond_structure(order)
+    if tree is not None and tree.n != graph.n:
+        raise ArgumentError(f"the tree has {tree.n} vertices, the order-{order} "
+                            f"diamond {graph.n}")
     chooser = _tree_load_chooser(tree) if tree is not None else \
         (lambda paths, demands: 0)
 

@@ -115,11 +115,17 @@ class Graph:
         return self._eindex.get((u, v) if u < v else (v, u))
 
     def degree_list(self) -> list[int]:
+        """Capacity-weighted degrees, a fresh list on every call."""
+        return list(self._degrees)
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        """Capacity-weighted degrees, summed once; the graph is immutable."""
         deg = [0] * self.n
         for u, v, c in self.edges:
             deg[u] += c
             deg[v] += c
-        return deg
+        return tuple(deg)
 
     def edges_within(self, subset: Iterable[int]) -> list[tuple[int, int, int, int]]:
         """Edges with both endpoints in ``subset`` as (edge index, u, v, cap)."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -211,6 +212,32 @@ class TreeSparsifier:
     def leaves(self) -> list[TreeNode]:
         return [nd for nd in self.nodes if nd.leaf_vertex is not None]
 
+    @cached_property
+    def _nodes_at(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex v, the positions in ``nodes`` of the non-root nodes
+        whose cluster holds v.  Built once per tree from the clusters; caps
+        are not copied, so a cap edited later is still read."""
+        at: list[list[int]] = [[] for _ in range(self.n)]
+        for pos, node in enumerate(self.nodes):
+            if node.parent is not None:
+                for v in node.cluster:
+                    if 0 <= v < self.n:
+                        at[v].append(pos)
+        return tuple(tuple(positions) for positions in at)
+
+    def crossings(self, values: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Signed demand crossing each non-root node's cut, keyed by the node's
+        position in ``nodes``, for every node above a nonzero entry of
+        ``values``; a node missing from the result has crossing 0.  Each
+        nonzero entry must be at a vertex in 0..n-1."""
+        nodes_at = self._nodes_at
+        out: dict[int, Fraction] = {}
+        for v, x in values.items():
+            if x:
+                for pos in nodes_at[v]:
+                    out[pos] = out.get(pos, 0) + x
+        return out
+
 
 def to_tree_sparsifier(decomposition: HierarchicalDecomposition,
                        graph: Graph) -> TreeSparsifier:
@@ -242,7 +269,12 @@ def to_tree_sparsifier(decomposition: HierarchicalDecomposition,
 
 
 def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fraction:
-    """Max over tree cuts of demand crossing the cut divided by its capacity."""
+    """Max over tree cuts of demand crossing the cut divided by its capacity.
+
+    Cost: one pass over the demand's nonzero entries, each adding to the tree
+    nodes whose clusters hold its vertex, plus the tree's vertex-to-node
+    index, built on the first call for a tree (``TreeSparsifier._nodes_at``).
+    """
     values = {v: Fraction(x) for v, x in demand.items()}
     for v, x in values.items():
         if x and not 0 <= v < tree.n:
@@ -250,15 +282,10 @@ def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fr
                                 f"(0..{tree.n - 1})")
     if sum(values.values(), Fraction(0)) != 0:
         raise ArgumentError("demand must sum to zero")
-    best = Fraction(0)
-    for node in tree.nodes:
-        if node.parent is None:
-            continue
-        crossing = abs(sum((values.get(v, Fraction(0)) for v in node.cluster),
-                           Fraction(0)))
-        if crossing:
-            best = max(best, crossing / node.cap)
-    return best
+    nodes = tree.nodes
+    return max((abs(crossing) / nodes[pos].cap
+                for pos, crossing in tree.crossings(values).items() if crossing),
+               default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from treecut import Graph, VertexWeights
+from treecut import Graph, VertexWeights, boundary_capacity
 from treecut import cutmatch
+from treecut.hierarchy import TreeNode, TreeSparsifier
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -70,6 +71,27 @@ def two_cliques_bridge(size: int, cap: int = 1, bridge_cap: int = 1) -> Graph:
                 edges.append((base + i, base + j, cap))
     edges.append((size - 1, size, bridge_cap))
     return Graph.from_edges(2 * size, edges)
+
+
+def bisection_tree(graph: Graph) -> TreeSparsifier:
+    """A hand-made tree whose clusters halve the vertex range 0..n-1 down to
+    singletons, each non-root node capped by the graph's cut around it."""
+    nodes: list[TreeNode] = []
+
+    def add(cluster: range, parent: int | None):
+        cap = 0 if parent is None else boundary_capacity(graph, cluster, range(graph.n))
+        node = TreeNode(len(nodes), parent, cap, frozenset(cluster),
+                        cluster[0] if len(cluster) == 1 else None)
+        nodes.append(node)
+        if parent is not None:
+            nodes[parent].children.append(node.id)
+        if len(cluster) > 1:
+            half = len(cluster) // 2
+            add(cluster[:half], node.id)
+            add(cluster[half:], node.id)
+
+    add(range(graph.n), None)
+    return TreeSparsifier(nodes, graph.n)
 
 
 @pytest.fixture

@@ -47,6 +47,15 @@ class TestMaxFlow:
         with pytest.raises(ArgumentError, match="vertex 0"):
             max_flow(path3, {0: 2.5}, {2: 2})
 
+    @pytest.mark.parametrize("supply, demand, within, vertex", [
+        ({99: 5}, {2: 5}, None, 99),
+        ({0: 5}, {-1: 5}, None, -1),
+        ({0: 1}, {2: 1}, {0, 1, 99}, 99),
+        ({0: 1}, {2: 1}, {0, 1, 2, -1}, -1)])
+    def test_vertex_outside_graph_rejected(self, path3, supply, demand, within, vertex):
+        with pytest.raises(ArgumentError, match=f"{vertex}[:,] not a vertex of the graph"):
+            max_flow(path3, supply, demand, within=within)
+
     def test_every_max_flow_returns_the_solve(self, path3):
         third = Fraction(1, 3)
         solves = (max_flow(path3, {0: third}, {2: 1}),
@@ -100,6 +109,20 @@ class TestFairCut:
     def test_negative_weights_rejected(self, path3):
         with pytest.raises(ArgumentError):
             fair_cut(path3, {0: -1}, {2: 1})
+
+    @pytest.mark.parametrize("source_w, target_w, within, vertex", [
+        ({99: 5}, {2: 5}, None, 99),
+        ({0: 5}, {-1: 5}, {0, 1}, -1),
+        ({0: 1}, {2: 1}, {0, 1, 99}, 99),
+        ({0: 1}, {2: 1}, {0, 1, 2, -1}, -1)])
+    def test_vertex_outside_graph_rejected(self, path3, source_w, target_w, within,
+                                           vertex):
+        with pytest.raises(ArgumentError, match=f"{vertex}[:,] not a vertex of the graph"):
+            fair_cut(path3, source_w, target_w, within=within)
+
+    def test_weights_outside_within_are_dropped(self, path3):
+        result = fair_cut(path3, {0: 1, 2: 5}, {1: 1}, within={0, 1})
+        assert (result.value, result.saturated, result.cut) == (1, True, frozenset())
 
     def test_fuzz_always_verifies(self):
         for seed in range(60):
@@ -222,6 +245,18 @@ class TestOptCongestion:
     def test_unbalanced_rejected(self, path3):
         with pytest.raises(ArgumentError):
             opt_congestion(path3, {0: 1})
+
+    def test_degree_list_is_a_fresh_copy(self, double_k4):
+        # the oracle's starting ratio reads the graph's own degrees: were the
+        # list shared, unit degrees would start (and end) it at 1, not 1/3
+        demand = {0: 1, 1: -1}
+        assert opt_congestion(double_k4, demand) == Fraction(1, 3)
+        before = VertexWeights.degrees(double_k4)
+        degrees = double_k4.degree_list()
+        degrees[:] = [1] * double_k4.n
+        assert double_k4.degree_list() == [3, 3, 3, 4, 4, 3, 3, 3]
+        assert opt_congestion(double_k4, demand) == Fraction(1, 3)
+        assert VertexWeights.degrees(double_k4) == before
 
     @pytest.mark.parametrize("oracle", [opt_congestion, brute_force_opt_congestion])
     @pytest.mark.parametrize("vertex", [3, -1])

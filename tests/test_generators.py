@@ -1,13 +1,15 @@
 """Graph generators and demand samplers."""
 
+from fractions import Fraction
+
 import pytest
 
 from treecut import (ArgumentError, construct_hierarchy, diamond_adversarial_demands,
                      diamond_structure, generate_diamond, generate_dumbbell,
-                     generate_erdos_renyi, generate_grid, random_pair_demands,
-                     to_tree_sparsifier)
+                     generate_erdos_renyi, generate_grid, generators,
+                     random_pair_demands, to_tree_sparsifier)
 
-from conftest import philox
+from conftest import bisection_tree, philox
 
 
 def bfs_distance(graph, start, goal):
@@ -57,6 +59,33 @@ class TestDiamond:
             generate_diamond(-1)
 
 
+def cluster_sum_chooser(tree):
+    """The reference tree-load chooser: every candidate path scored by summing
+    the accumulated demand over the whole cluster of each node inside it."""
+
+    def choose(paths, demands_so_far):
+        accumulated = {}
+        for demand in demands_so_far:
+            for v, x in demand.items():
+                accumulated[v] = accumulated.get(v, Fraction(0)) + Fraction(x)
+        best_idx, best_score = 0, None
+        for idx, (first, second) in enumerate(paths):
+            span = first.span | second.span
+            score = Fraction(0)
+            for node in tree.nodes:
+                if node.parent is None or not node.cluster <= span:
+                    continue
+                crossing = abs(sum((accumulated.get(v, Fraction(0))
+                                    for v in node.cluster), Fraction(0)))
+                if crossing:
+                    score = max(score, crossing / node.cap)
+            if best_score is None or score > best_score:
+                best_idx, best_score = idx, score
+        return best_idx
+
+    return choose
+
+
 class TestAdversarialDemands:
     def test_order_one(self):
         demands = diamond_adversarial_demands(1)
@@ -83,6 +112,31 @@ class TestAdversarialDemands:
     def test_order_zero_rejected(self):
         with pytest.raises(ArgumentError):
             diamond_adversarial_demands(0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_tree_chooser_matches_the_cluster_sums(self, order, monkeypatch):
+        # random caps break the diamond's symmetry, so from order 3 on some
+        # tree steers the sequence off the first sub-path
+        graph, _root = diamond_structure(order)
+        trees = [None, bisection_tree(graph),
+                 to_tree_sparsifier(construct_hierarchy(graph, rng=philox(order)), graph)]
+        for seed in range(4):
+            tree = bisection_tree(graph)
+            rng = philox(seed)
+            for node in tree.nodes[1:]:
+                node.cap = int(rng.integers(1, 10))
+            trees.append(tree)
+        chosen = [repr(diamond_adversarial_demands(order, tree)) for tree in trees]
+        assert order < 3 or len(set(chosen)) > 1
+        monkeypatch.setattr(generators, "_tree_load_chooser", cluster_sum_chooser)
+        assert chosen == [repr(diamond_adversarial_demands(order, tree))
+                          for tree in trees]
+
+    def test_tree_of_another_graph_rejected(self):
+        graph, _root = diamond_structure(1)
+        with pytest.raises(ArgumentError, match="the tree has 4 vertices, "
+                                                "the order-2 diamond 12"):
+            diamond_adversarial_demands(2, tree=bisection_tree(graph))
 
 
 class TestOtherGenerators:

@@ -7,8 +7,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treecut
 from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalError,
@@ -17,9 +20,9 @@ from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalEr
                      generate_diamond, generate_dumbbell, generate_grid, hierarchy,
                      opt_congestion, predict_congestion, quality_ratio, textio,
                      to_tree_sparsifier)
-from treecut.hierarchy import HierarchyConfig
+from treecut.hierarchy import HierarchyConfig, TreeSparsifier
 
-from conftest import philox, random_connected_graph, two_cliques_bridge
+from conftest import bisection_tree, philox, random_connected_graph, two_cliques_bridge
 
 
 @pytest.fixture(scope="class")
@@ -197,6 +200,36 @@ class TestTreeSparsifier:
         assert len(clusters) == len(set(clusters))
 
 
+def cluster_sum_prediction(tree, demand):
+    """The reference prediction: the demand summed over every non-root node's
+    whole cluster, divided by the node's cap, maximised over the nodes."""
+    values = {v: Fraction(x) for v, x in demand.items()}
+    best = Fraction(0)
+    for node in tree.nodes:
+        if node.parent is None:
+            continue
+        crossing = abs(sum((values.get(v, Fraction(0)) for v in node.cluster),
+                           Fraction(0)))
+        if crossing:
+            best = max(best, crossing / node.cap)
+    return best
+
+
+@pytest.fixture(scope="class")
+def prediction_trees(bottleneck):
+    """Built and hand-made trees, each also round-tripped through JSON; the
+    first is the height-3 build on two_cliques_bridge(8, cap=100)."""
+    graph, build = bottleneck
+    assert build(4).height == 3
+    trees = [to_tree_sparsifier(build(4), graph), bisection_tree(graph)]
+    for seed in range(3):
+        other = random_connected_graph(700 + seed, max_n=12, max_cap=5)
+        trees.append(to_tree_sparsifier(construct_hierarchy(other, rng=philox(seed)),
+                                        other))
+        trees.append(bisection_tree(other))
+    return trees + [textio.tree_from_json(textio.tree_to_json(tree)) for tree in trees]
+
+
 class TestPredictCongestion:
     def test_zero_demand(self, path3):
         tree = to_tree_sparsifier(construct_hierarchy(path3, rng=philox(0)), path3)
@@ -240,6 +273,56 @@ class TestPredictCongestion:
         demand = {0: 1, 7: -1}
         base = predict_congestion(tree, demand)
         assert predict_congestion(tree, {0: 6, 7: -6}) == 6 * base
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_cluster_sum(self, prediction_trees, data):
+        # the support-indexed prediction is the whole-cluster formula, exactly;
+        # zero entries at non-vertices are accepted and ignored
+        tree = data.draw(st.sampled_from(prediction_trees))
+        value = st.one_of(st.integers(-9, 9),
+                          st.fractions(-9, 9, max_denominator=6))
+        demand = data.draw(st.dictionaries(st.integers(0, tree.n - 1), value,
+                                           max_size=6))
+        sink = data.draw(st.integers(0, tree.n - 1))
+        demand[sink] = demand.get(sink, 0) - sum(demand.values())
+        if data.draw(st.booleans()):
+            demand.update({99: 0, -1: Fraction(0)})
+        predicted = predict_congestion(tree, demand)
+        assert type(predicted) is Fraction
+        assert predicted == cluster_sum_prediction(tree, demand)
+
+    def test_index_built_once_per_tree(self, monkeypatch):
+        builds = []
+        index = TreeSparsifier.__dict__["_nodes_at"]
+
+        def counting(tree):
+            builds.append(tree)
+            return index.func(tree)
+
+        spy = cached_property(counting)
+        spy.__set_name__(TreeSparsifier, "_nodes_at")
+        monkeypatch.setattr(TreeSparsifier, "_nodes_at", spy)
+        graph = generate_grid(3, 3)
+        trees = [to_tree_sparsifier(construct_hierarchy(graph, rng=philox(0)), graph),
+                 bisection_tree(graph)]
+        for tree in trees:
+            for u in range(graph.n):
+                demand = {u: 2, (u + 4) % graph.n: -2}
+                assert predict_congestion(tree, demand) == \
+                    cluster_sum_prediction(tree, demand)
+        assert builds == trees
+
+    def test_cap_edited_after_a_prediction_is_read(self):
+        graph = generate_grid(2, 2)
+        tree = to_tree_sparsifier(construct_hierarchy(graph, rng=philox(0)), graph)
+        demand = {0: 5, 3: -5}
+        assert predict_congestion(tree, demand) == Fraction(5, 2)
+        for node in tree.nodes:
+            if node.parent is not None:
+                node.cap = 1
+        assert predict_congestion(tree, demand) == 5 == \
+            cluster_sum_prediction(tree, demand)
 
 
 class TestCertify:
