@@ -1,11 +1,14 @@
 """Vertex-weighted non-stop cut-matching game and the sparse cut oracle on top of it.
 
 The game runs on integral weight units rather than vertices: each vertex
-contributes pi(v) units, and the cut player never sees the graph.  Per round
-the cut player proposes a bisection of the active units from a slowed random
-walk over past matchings plus a sweep cut; the matching player answers with a
-fair cut, deleting a sparse vertex set and matching the surviving proposal
-across integral flow paths whose congestion it tracks.
+contributes pi(v) units, ``game.vertex_of`` maps each unit to its vertex, and
+the cut player never sees the graph.  Per round the cut player proposes a
+bisection of the active units from a slowed random walk over past matchings
+plus a sweep cut; the matching player answers with a fair cut, deleting a
+sparse vertex set and matching the surviving proposal across integral flow
+paths whose congestion it tracks.  Both players take the game itself,
+``cut_player_step(game)`` and ``matching_player_step(game, left, right)``,
+and read its state from there.
 
 A round's per-unit work is numpy array work on sorted unit-index arrays: the
 walk, the sweep cut's ordering and far filter, and the matching player's
@@ -65,62 +68,6 @@ def oracle_params(pi_total: int) -> tuple[int, Fraction, Fraction]:
         raise ArgumentError("oracle parameters need total weight at least 2")
     quality = ceil_log2(pi_total)
     return quality, Fraction(1, 2 * quality), Fraction(1, 440 * quality)
-
-
-# ---------------------------------------------------------------------------
-# units
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class UnitMapping:
-    """Contiguous unit ranges per vertex, in vertex order.
-
-    ``vertex_of`` is a read-only int array, so the units of a sorted unit
-    array sit in vertex order with each vertex's units contiguous.
-    """
-
-    vertex_of: np.ndarray
-    first_unit: dict
-    counts: dict
-
-    @classmethod
-    def from_weights(cls, pi: Mapping[int, int]) -> "UnitMapping":
-        first: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        k = 0
-        for v in sorted(pi):
-            w = int(pi[v])
-            if w < 0:
-                raise ArgumentError("unit weights must be non-negative")
-            if w == 0:
-                continue
-            first[v] = k
-            counts[v] = w
-            k += w
-        vertex_of = np.repeat(np.array(list(counts), dtype=np.intp),
-                              list(counts.values()))
-        vertex_of.flags.writeable = False
-        return cls(vertex_of, first, counts)
-
-    @property
-    def k(self) -> int:
-        return len(self.vertex_of)
-
-    def vertex(self, unit: int) -> int:
-        return int(self.vertex_of[unit])
-
-    def units_of(self, v: int) -> range:
-        start = self.first_unit.get(v)
-        if start is None:
-            return range(0)
-        return range(start, start + self.counts[v])
-
-    def units_of_set(self, vertices: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for v in vertices:
-            out.update(self.units_of(v))
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -235,24 +182,24 @@ def _sweep_orientation(act, vals, order, svals, a, side):
     return frozenset(act[top].tolist()), frozenset(act[resp_pos].tolist()), level
 
 
-def cut_player_step(state: "CutMatchingGame") -> tuple[frozenset[int], frozenset[int]]:
+def cut_player_step(game: "CutMatchingGame") -> tuple[frozenset[int], frozenset[int]]:
     """One cut-player move: project a random direction through the walk, sweep."""
-    mask = state.active_mask
+    mask = game.active_mask
     count = int(mask.sum())
     if count < 2:
         raise ArgumentError("cut player needs at least two active units")
-    r = state.rng.standard_normal(state.k)
+    r = game.rng.standard_normal(game.k)
     r /= np.linalg.norm(r)
-    u = _apply_walk(r, state.perms, mask, state.slowdown)
+    u = _apply_walk(r, game.perms, mask, game.slowdown)
     drift = abs(float(u.sum()))
     # rounding scale: the walk contracts a unit vector, so absolute float noise
     # is relative to 1/sqrt(k) even when the output itself underflows
-    scale = max(float(np.abs(u).max()), state.k ** -0.5)
-    if drift > 1e-9 * state.k * scale:
+    scale = max(float(np.abs(u).max()), game.k ** -0.5)
+    if drift > 1e-9 * game.k * scale:
         raise InternalError("walk output lost orthogonality to the constant vector")
     # k * ||u||^2 is an unbiased estimate of the potential; it is the game's
     # only convergence signal
-    state.last_projection_energy = float(u @ u)
+    game.last_projection_energy = float(u @ u)
     left, right, _level = sweep_cut(np.flatnonzero(mask), u)
     return left, right
 
@@ -293,40 +240,32 @@ def _counts_by_vertex(vertex_of: np.ndarray, units: np.ndarray) -> dict[int, int
     return dict(zip(verts.tolist(), counts[verts].tolist()))
 
 
-def matching_player_step(graph: Graph, units: UnitMapping,
-                         mp: MatchingPlayerState, active: Iterable[int] | np.ndarray,
-                         left: frozenset[int], right: frozenset[int],
-                         scope: Iterable[int] | None = None
-                         ) -> tuple[frozenset[int], Matching]:
-    """Answer a bisection: delete a sparse fair-cut side, match the rest.
+def matching_player_step(game: "CutMatchingGame", left: frozenset[int],
+                         right: frozenset[int]) -> tuple[frozenset[int], Matching]:
+    """Answer a bisection of the game's active units: delete a sparse fair-cut
+    side, match the rest.
 
     Matches every surviving proposal unit to a distinct response unit,
     pairing locally at shared vertices first and routing the remainder along
     integral flow paths.  Failure to match all survivors would contradict the
     fair cut and raises an internal error.
 
-    ``scope`` is the routable vertex set; it must contain every vertex with
-    an active unit and may add zero-weight vertices.  Including them keeps
-    the deleted set sparse against full-graph capacities, since every edge
-    leaving a deleted region is then visible to some fair cut.
+    Routes within the game's vertices not yet deleted, zero-weight vertices
+    included.  That keeps the deleted set sparse against full-graph
+    capacities, since every edge leaving a deleted region is then visible to
+    some fair cut.
     """
-    vertex_of = units.vertex_of
-    act, lft, rgt = (_unit_array(x) for x in (active, left, right))
-    for x in (act, lft, rgt):
-        if len(x) and not 0 <= x[0] <= x[-1] < units.k:
+    graph, vertex_of, mp, k = game.graph, game.vertex_of, game.mp, game.k
+    lft, rgt = _unit_array(left), _unit_array(right)
+    for x in (lft, rgt):
+        if len(x) and not 0 <= x[0] <= x[-1] < k:
             raise ArgumentError("units must lie in 0..k-1")
-    in_active = np.zeros(units.k, dtype=bool)
-    in_active[act] = True
-    in_left = np.zeros(units.k, dtype=bool)
+    active = game.active_mask
+    in_left = np.zeros(k, dtype=bool)
     in_left[lft] = True
-    if not (in_active[lft].all() and in_active[rgt].all()) or in_left[rgt].any():
+    if not (active[lft].all() and active[rgt].all()) or in_left[rgt].any():
         raise ArgumentError("proposal sides must be disjoint subsets of the active units")
-    alive = frozenset(np.flatnonzero(np.bincount(vertex_of[act])).tolist())
-    if scope is not None:
-        alive_scope = frozenset(scope)
-        if not alive <= alive_scope:
-            raise ArgumentError("scope must contain every vertex with active units")
-        alive = alive_scope
+    alive = game.vertices - mp.deleted
 
     cap = mp.cap_multiplier
     # source weight count, target weight count / MATCH_FAIRNESS, capacities
@@ -342,7 +281,7 @@ def matching_player_step(graph: Graph, units: UnitMapping,
     mp.deleted |= cut_side
     in_cut = np.zeros(graph.n, dtype=bool)
     in_cut[list(cut_side)] = True
-    dropped = frozenset(act[in_cut[vertex_of[act]]].tolist())
+    dropped = frozenset(np.flatnonzero(active & in_cut[vertex_of]).tolist())
 
     survivors = alive - cut_side
     left_at = _units_by_vertex(vertex_of, lft[~in_cut[vertex_of[lft]]])
@@ -408,9 +347,11 @@ class RoundRecord:
 class CutMatchingGame:
     """State and driver for one run of the cut-matching game on a graph.
 
-    ``within`` restricts the instance to an induced subgraph.  Each round
-    records the cut player's projection estimate of the potential, and
-    ``_evaluate_stop`` sets ``stopped`` to the first reason that holds:
+    ``within`` restricts the instance to an induced subgraph.  The game plays
+    on k = pi(V) weight units; ``vertex_of``, a read-only array, maps each
+    unit to its vertex, with each vertex's units contiguous in vertex order.
+    Each round records the cut player's projection estimate of the potential,
+    and ``_evaluate_stop`` sets ``stopped`` to the first reason that holds:
     "balance" once fewer than ``balance_floor`` = (1 - beta*) * k units stay
     active, "potential" (only with ``early_stop``) once three consecutive
     estimates are at most ``potential_floor``, and "budget" after ``budget``
@@ -425,16 +366,23 @@ class CutMatchingGame:
             raise ArgumentError("phi must lie strictly between 0 and 1")
         self.graph = graph
         self.vertices = frozenset(within) if within is not None else frozenset(range(graph.n))
-        pi_local = {v: int(pi.get(v, 0)) for v in self.vertices}
-        if any(w < 0 for w in pi_local.values()):
-            raise ArgumentError("pi must be non-negative")
-        self.pi = VertexWeights({v: w for v, w in pi_local.items() if w > 0})
+        n = graph.n
+        for v, w in pi.items():
+            if not 0 <= v < n:
+                raise ArgumentError(f"weight at vertex {v}: not a vertex of the graph "
+                                    f"(0..{n - 1})")
+            if not isinstance(w, int) or w < 0:
+                raise ArgumentError(f"weight at vertex {v} is {w!r}, not a non-negative int")
+        self.pi = VertexWeights({v: w for v, w in pi.items() if w > 0 and v in self.vertices})
         k = self.pi.total()
         if k < 2:
             raise ArgumentError("the game needs total weight at least 2")
         self.k = k
         self.phi = phi
-        self.units = UnitMapping.from_weights(self.pi)
+        support = sorted(self.pi)
+        self.vertex_of = np.repeat(np.array(support, dtype=np.intp),
+                                   [self.pi[v] for v in support])
+        self.vertex_of.flags.writeable = False
         self.slowdown = slowdown_for(k)
         self.budget = ROUND_COEFF * ceil_log2(k) ** 2
         self.balance_floor = (1 - oracle_params(k)[1]) * k
@@ -456,14 +404,8 @@ class CutMatchingGame:
     def round(self) -> int:
         return len(self.matchings)
 
-    def active_units(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.nonzero(self.active_mask)[0])
-
     def active_count(self) -> int:
         return int(self.active_mask.sum())
-
-    def deleted_vertices(self) -> frozenset[int]:
-        return frozenset(self.mp.deleted)
 
     def current_potential(self) -> float | None:
         """k times the last projection energy; None before the first round."""
@@ -477,10 +419,7 @@ class CutMatchingGame:
         if self.stopped is not None:
             raise InternalError("game already stopped")
         left, right = cut_player_step(self)
-        scope = self.vertices - frozenset(self.mp.deleted)
-        dropped, matching = matching_player_step(
-            self.graph, self.units, self.mp, np.flatnonzero(self.active_mask),
-            left, right, scope=scope)
+        dropped, matching = matching_player_step(self, left, right)
         if dropped:
             self.active_mask[list(dropped)] = False
         self.matchings.append(matching)
@@ -513,7 +452,7 @@ class CutMatchingGame:
     def run(self) -> frozenset[int]:
         while self.stopped is None:
             self.step()
-        inactive = self.deleted_vertices()
+        inactive = frozenset(self.mp.deleted)
         complement = self.vertices - inactive
         if self.pi.total(inactive) <= self.pi.total(complement):
             return inactive

@@ -335,9 +335,20 @@ def verify_fair_cut(graph: Graph, source_w: Mapping[int, object],
                     target_w: Mapping[int, object], alpha, cut: Iterable[int],
                     flow: FlowAssignment, within: Iterable[int] | None = None,
                     cap_scale: int = 1) -> tuple[bool, list[int]]:
-    """Exhaustively check the fair cut/flow properties; returns violated indices."""
+    """Exhaustively check the fair cut/flow properties; returns violated indices.
+
+    Weights are checked as ``fair_cut`` checks them, and a ``within`` vertex
+    outside the graph is named.
+    """
     alpha = Fraction(alpha)
-    verts = set(range(graph.n)) if within is None else set(within)
+    n = graph.n
+    verts = set(range(n)) if within is None else set(within)
+    stray = [v for v in verts if v not in range(n)]
+    if stray:
+        raise ArgumentError(f"within holds {stray[0]!r}, not a vertex of the graph "
+                            f"(0..{n - 1})")
+    source_w = _exact_weights(source_w, n, verts)
+    target_w = _exact_weights(target_w, n, verts)
     u_side = frozenset(cut)
     violated: set[int] = set()
 

@@ -26,8 +26,6 @@ class DiamondNode:
     s: int
     t: int
     order: int
-    left_mid: int | None
-    right_mid: int | None
     parts: tuple["DiamondNode", ...] | None
     span: frozenset[int]
 
@@ -42,14 +40,14 @@ def diamond_structure(order: int) -> tuple[Graph, DiamondNode]:
     def build(s: int, t: int, k: int) -> DiamondNode:
         if k == 0:
             edges.append((s, t, 1))
-            return DiamondNode(s, t, 0, None, None, None, frozenset((s, t)))
+            return DiamondNode(s, t, 0, None, frozenset((s, t)))
         left = counter[0]
         right = counter[0] + 1
         counter[0] += 2
         parts = (build(s, left, k - 1), build(left, t, k - 1),
                  build(s, right, k - 1), build(right, t, k - 1))
         span = frozenset().union(*(p.span for p in parts))
-        return DiamondNode(s, t, k, left, right, parts, span)
+        return DiamondNode(s, t, k, parts, span)
 
     root = build(0, 1, order)
     graph = Graph.from_edges(counter[0], edges)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -194,7 +194,6 @@ class TreeNode:
     cap: int
     cluster: frozenset[int]
     leaf_vertex: int | None = None
-    children: list[int] = field(default_factory=list)
 
 
 class TreeSparsifier:
@@ -263,8 +262,6 @@ def to_tree_sparsifier(decomposition: HierarchicalDecomposition,
                             min(cluster) if len(cluster) == 1 else None)
             nodes.append(node)
             by_cluster[cluster] = node.id
-            if parent_id is not None:
-                nodes[parent_id].children.append(node.id)
     return TreeSparsifier(nodes, graph.n)
 
 

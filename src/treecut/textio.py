@@ -115,6 +115,7 @@ def tree_from_json(text: str) -> TreeSparsifier:
     roots = [node for node in by_id.values() if node.parent is None]
     if len(roots) != 1:
         raise InputError(f"tree must have one root, found {len(roots)}")
+    children: dict[int, list[TreeNode]] = {node_id: [] for node_id in by_id}
     for node in by_id.values():
         if node.parent is None:
             continue
@@ -122,11 +123,11 @@ def tree_from_json(text: str) -> TreeSparsifier:
             raise InputError(f"tree node {node.id} names unknown parent {node.parent}")
         if node.cap < 1:
             raise InputError(f"tree node {node.id} needs a positive cap, got {node.cap}")
-        by_id[node.parent].children.append(node.id)
+        children[node.parent].append(node)
     # top-down order from the root; a node it misses hangs off a parent cycle
     order = [roots[0]]
     for node in order:
-        order.extend(by_id[child] for child in node.children)
+        order.extend(children[node.id])
     if len(order) < len(by_id):
         stray = min(set(by_id) - {node.id for node in order})
         raise InputError(f"tree node {stray} lies on or below a parent cycle")

@@ -47,15 +47,17 @@ def played_rounds():
     """Record every round games play: active units, proposal sides, dropped units.
 
     ``CutMatchingGame.step`` calls the matching player through the module
-    global ``cutmatch.matching_player_step`` with the round's active units and
-    both proposal sides, so wrapping that name records the game's own round.
+    global ``cutmatch.matching_player_step`` with the game and both proposal
+    sides, so wrapping that name records the game's own round; the active
+    units are read from the game before the matching player answers.
     """
     rounds: list[PlayedRound] = []
     play = cutmatch.matching_player_step
 
-    def recording(graph, units, mp, active, left, right, scope=None):
-        dropped, matching = play(graph, units, mp, active, left, right, scope=scope)
-        rounds.append(PlayedRound(frozenset(int(u) for u in active), left, right, dropped))
+    def recording(game, left, right):
+        active = frozenset(np.flatnonzero(game.active_mask).tolist())
+        dropped, matching = play(game, left, right)
+        rounds.append(PlayedRound(active, left, right, dropped))
         return dropped, matching
 
     with pytest.MonkeyPatch.context() as patch:
@@ -83,8 +85,6 @@ def bisection_tree(graph: Graph) -> TreeSparsifier:
         node = TreeNode(len(nodes), parent, cap, frozenset(cluster),
                         cluster[0] if len(cluster) == 1 else None)
         nodes.append(node)
-        if parent is not None:
-            nodes[parent].children.append(node.id)
         if len(cluster) > 1:
             half = len(cluster) // 2
             add(cluster[:half], node.id)

@@ -126,7 +126,7 @@ def test_05_cut_player_potential():
             values = [float(k - 1)]
             while game.stopped is None:
                 game.step()
-                values.append(potential(game.matchings, [game.active_units()],
+                values.append(potential(game.matchings, [game.active_mask],
                                         game.slowdown, k=k))
             tol = 1e-9 * k
             if any(b > a + tol for a, b in zip(values, values[1:])):
@@ -205,16 +205,15 @@ def test_07_matching_player_invariants():
         # the potential stop is off: games end on balance, budget or 40 rounds
         game = CutMatchingGame(graph, pi, phi, philox(71_000 + seed), early_stop=False)
         c = game.mp.congestion_factor
-        dropped_units: set[int] = set()
         with played_rounds() as rounds:
             while game.stopped is None and game.round < 40:
                 game.step()
                 played = rounds[-1]
-                dropped_units |= played.dropped
 
-                if game.units.units_of_set(game.mp.deleted) != frozenset(dropped_units):
+                lockstep = ~game.active_mask == np.isin(game.vertex_of, list(game.mp.deleted))
+                if not lockstep.all():
                     bad.append((seed, "unit-vertex lockstep"))
-                inactive = game.deleted_vertices()
+                inactive = frozenset(game.mp.deleted)
                 if inactive:
                     cap = boundary_capacity(graph, inactive, range(graph.n))
                     if c * cap > game.pi.total(inactive):

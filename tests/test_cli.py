@@ -241,7 +241,7 @@ class TestExitCodes:
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "add_argument"):
                 options += 1
-        assert defaults + options == 40, (defaults, options)
+        assert defaults + options == 39, (defaults, options)
 
 
 class TestMalformedEvalInput:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, Matching,
-                     MatchingPlayerState, OversizeError, UnitMapping,
+                     MatchingPlayerState, OversizeError,
                      VertexWeights, boundary_capacity, cut_player_step,
                      generate_dumbbell, matching_player_step, oracle_params,
                      sparsest_cut_apx, sweep_cut)
@@ -30,19 +30,24 @@ def make_game(graph, pi, phi, seed, **kw):
     return CutMatchingGame(graph, pi, phi, philox(seed), **kw)
 
 
-class TestUnitMapping:
-    def test_contiguous_ranges(self):
-        theta = UnitMapping.from_weights({2: 2, 0: 1, 5: 3})
-        assert theta.k == 6
-        assert [theta.vertex(u) for u in range(6)] == [0, 2, 2, 5, 5, 5]
-        assert list(theta.units_of(5)) == [3, 4, 5]
-        assert theta.units_of_set({0, 5}) == frozenset({0, 3, 4, 5})
+class TestGameWeights:
+    def test_vertex_of_is_contiguous_per_vertex(self, k8):
+        # each vertex's units in a row, in vertex order; zero weights hold none
+        game = make_game(k8, {2: 2, 0: 1, 7: 0, 5: 3}, Fraction(1, 4), 0)
+        assert game.k == 6
+        assert game.vertex_of.tolist() == [0, 2, 2, 5, 5, 5]
+        assert game.vertex_of.dtype == np.intp
+        with pytest.raises(ValueError):
+            game.vertex_of[0] = 1
 
-    def test_counts_match_weights(self):
-        pi = {0: 3, 1: 0, 2: 4}
-        theta = UnitMapping.from_weights(pi)
-        for v, w in pi.items():
-            assert len(theta.units_of(v)) == w
+    @pytest.mark.parametrize("pi, vertex", [({0: 1, 1: 1, 99: 5}, 99),
+                                            ({0: 1, 1: 1, -1: 5}, -1),
+                                            ({0: 2.7, 1: 1}, 0),
+                                            ({0: 2, 1: -1}, 1)])
+    def test_bad_weight_is_named(self, pi, vertex):
+        # a vertex outside the graph is not dropped, nor a float truncated
+        with pytest.raises(ArgumentError, match=f"weight at vertex {vertex}[: ]"):
+            make_game(generate_dumbbell(4), pi, Fraction(1, 4), 0)
 
 
 class TestSweepCut:
@@ -131,26 +136,23 @@ def loop_sweep_orientation(act, vals, order, svals, a, side):
     return left, right, level
 
 
-def loop_matching_player_step(graph, units, mp, active, left, right, scope=None):
-    active = frozenset(int(u) for u in active)
+def loop_matching_player_step(game, left, right):
+    graph, mp = game.graph, game.mp
+    vertex = [v for v in sorted(game.pi) for _ in range(game.pi[v])]
+    active = frozenset(u for u in range(game.k) if game.active_mask[u])
     left = frozenset(int(u) for u in left)
     right = frozenset(int(u) for u in right)
     if not (left <= active and right <= active and not left & right):
         raise ArgumentError("proposal sides must be disjoint subsets of the active units")
-    alive = frozenset(units.vertex(u) for u in active)
-    if scope is not None:
-        alive_scope = frozenset(scope)
-        if not alive <= alive_scope:
-            raise ArgumentError("scope must contain every vertex with active units")
-        alive = alive_scope
+    alive = game.vertices - mp.deleted
 
     s_counts: dict[int, int] = {}
     for u in left:
-        v = units.vertex(u)
+        v = vertex[u]
         s_counts[v] = s_counts.get(v, 0) + 1
     r_counts: dict[int, int] = {}
     for u in right:
-        v = units.vertex(u)
+        v = vertex[u]
         r_counts[v] = r_counts.get(v, 0) + 1
     t_weights = {v: Fraction(count, 1) / MATCH_FAIRNESS
                  for v, count in r_counts.items()}
@@ -159,15 +161,15 @@ def loop_matching_player_step(graph, units, mp, active, left, right, scope=None)
                       cap_scale=mp.cap_multiplier)
     cut_side = result.cut
     mp.deleted |= cut_side
-    dropped = units.units_of_set(cut_side) & active
+    dropped = frozenset(u for u in active if vertex[u] in cut_side)
 
     survivors = alive - cut_side
     left_at: dict[int, list[int]] = {}
     for u in sorted(left - dropped):
-        left_at.setdefault(units.vertex(u), []).append(u)
+        left_at.setdefault(vertex[u], []).append(u)
     right_at: dict[int, list[int]] = {}
     for u in sorted(right - dropped):
-        right_at.setdefault(units.vertex(u), []).append(u)
+        right_at.setdefault(vertex[u], []).append(u)
 
     pairs: list[tuple[int, int]] = []
     for v in sorted(left_at):
@@ -270,28 +272,26 @@ class TestMatchingPlayerMatchesLoop:
             rng = philox(4000 + seed)
             graph = random_connected_graph(seed, max_n=10, max_cap=4)
             pi = VertexWeights({v: int(rng.integers(0, 7)) for v in range(graph.n)})
-            theta = UnitMapping.from_weights(pi)
-            if theta.k < 2:
+            if pi.total() < 2:
                 continue
+            # no phi in (0, 1) gives the congestion factors 1, 2 and 5
             factor = int(rng.choice([1, 2, 5, 40]))
-            mp_loop, mp_array = (MatchingPlayerState(congestion_factor=factor)
-                                 for _ in range(2))
-            active = set(range(theta.k))
+            game_loop, game_array = (make_game(graph, pi, Fraction(1, 4), seed)
+                                     for _ in range(2))
+            for game in (game_loop, game_array):
+                game.mp = MatchingPlayerState(congestion_factor=factor)
+            mp_loop, mp_array = game_loop.mp, game_array.mp
             for _round in range(4):
-                if len(active) < 2:
+                units = np.flatnonzero(game_loop.active_mask).tolist()
+                if len(units) < 2:
                     break
-                units = sorted(active)
                 rng.shuffle(units)
                 cut = int(rng.integers(0, len(units) // 2 + 1))
                 left = frozenset(units[:cut])
                 right = frozenset(units[cut:cut + int(rng.integers(0, len(units) - cut + 1))])
-                scope = set(range(graph.n)) - mp_loop.deleted
                 loads_before = dict(mp_loop.edge_load)
-                expected = loop_matching_player_step(graph, theta, mp_loop, active,
-                                                     left, right, scope=scope)
-                got = matching_player_step(graph, theta, mp_array,
-                                           np.array(sorted(active)), left, right,
-                                           scope=scope)
+                expected = loop_matching_player_step(game_loop, left, right)
+                got = matching_player_step(game_array, left, right)
                 assert got == expected
                 routed = mp_loop.edge_load != loads_before
                 assert mp_array.edge_load == mp_loop.edge_load
@@ -299,7 +299,8 @@ class TestMatchingPlayerMatchesLoop:
                 assert mp_array.max_load_ratio == max(
                     (load / graph.edges[e][2] for e, load in mp_loop.edge_load.items()),
                     default=0.0)
-                active -= expected[0]
+                for game in (game_loop, game_array):
+                    game.active_mask[list(expected[0])] = False
                 seen["rounds"] += 1
                 seen["dropping"] += bool(expected[0])
                 seen["routing"] += routed
@@ -323,28 +324,26 @@ class TestMatchingPlayerMatchesLoop:
             rng = philox(9000 + seed)
             graph = random_connected_graph(seed, max_n=10, max_cap=4)
             pi = VertexWeights({v: int(rng.integers(0, 9)) for v in range(graph.n)})
-            theta = UnitMapping.from_weights(pi)
-            if theta.k < 2:
+            if pi.total() < 2:
                 continue
-            mp = MatchingPlayerState(congestion_factor=int(rng.choice([1, 2, 5, 40])))
-            units = rng.permutation(theta.k)
-            cut = int(rng.integers(0, theta.k // 2 + 1))
+            game = make_game(graph, pi, Fraction(1, 4), seed)
+            mp = game.mp = MatchingPlayerState(congestion_factor=int(rng.choice([1, 2, 5, 40])))
+            units = rng.permutation(game.k)
+            cut = int(rng.integers(0, game.k // 2 + 1))
             left = frozenset(units[:cut].tolist())
             right = frozenset(units[cut:].tolist())
-            scope = frozenset(range(graph.n))
             calls.clear()
-            matching_player_step(graph, theta, mp, np.arange(theta.k), left, right,
-                                 scope=scope)
+            matching_player_step(game, left, right)
             (source_w, target_w, got), = calls
             assert all(type(w) is int for part in (source_w, target_w)
                        for w in part.values())
             s_counts, t_counts = {}, {}
             for side, counts in ((left, s_counts), (right, t_counts)):
                 for u in side:
-                    v = theta.vertex(u)
+                    v = int(game.vertex_of[u])
                     counts[v] = counts.get(v, 0) + 1
             t_fractions = {v: Fraction(c) / MATCH_FAIRNESS for v, c in t_counts.items()}
-            expected = real_fair_cut(graph, s_counts, t_fractions, within=scope,
+            expected = real_fair_cut(graph, s_counts, t_fractions, within=range(graph.n),
                                      cap_scale=mp.cap_multiplier).cut
             assert got == expected, seed
             seen["rounds"] += 1
@@ -353,12 +352,12 @@ class TestMatchingPlayerMatchesLoop:
         assert seen["rounds"] >= 250 and min(seen.values()) >= 40, seen
 
     def test_out_of_range_unit_rejected(self, path3):
-        theta = UnitMapping.from_weights({0: 1, 2: 1})
-        mp = MatchingPlayerState(congestion_factor=40)
+        game = make_game(path3, {0: 1, 2: 1}, Fraction(1, 4), 0)
         for bad in (-1, 2):
-            with pytest.raises(ArgumentError):
-                matching_player_step(path3, theta, mp, {0, 1, bad},
-                                     frozenset({0}), frozenset({1}))
+            with pytest.raises(ArgumentError, match="0..k-1"):
+                matching_player_step(game, frozenset({0}), frozenset({1, bad}))
+            with pytest.raises(ArgumentError, match="0..k-1"):
+                matching_player_step(game, frozenset({bad}), frozenset({1}))
 
 
 class TestCutPlayerStep:
@@ -506,7 +505,7 @@ class TestPotential:
         for rounds in (0, 3, 5, 8):
             while game.round < rounds:
                 game.step()
-            exact = potential(game.matchings, [game.active_units()],
+            exact = potential(game.matchings, [game.active_mask],
                               game.slowdown, k=k)
             r = rng.standard_normal((k, 2000))
             r /= np.linalg.norm(r, axis=0)
@@ -522,7 +521,7 @@ class TestPotential:
             if game.stopped:
                 break
             game.step()
-            values.append(potential(game.matchings, [game.active_units()],
+            values.append(potential(game.matchings, [game.active_mask],
                                     game.slowdown, k=game.k))
         tol = 1e-9 * game.k
         assert all(b <= a + tol for a, b in zip(values, values[1:]))
@@ -530,53 +529,40 @@ class TestPotential:
 
 class TestMatchingPlayer:
     def test_empty_proposal(self, path3):
-        pi = VertexWeights({0: 1, 2: 1})
-        theta = UnitMapping.from_weights(pi)
-        mp = MatchingPlayerState(congestion_factor=40)
-        dropped, matching = matching_player_step(
-            path3, theta, mp, {0, 1}, frozenset(), frozenset({1}))
+        game = make_game(path3, {0: 1, 2: 1}, Fraction(1, 4), 0)
+        dropped, matching = matching_player_step(game, frozenset(), frozenset({1}))
         assert dropped == frozenset() and len(matching) == 0
 
     def test_single_edge_tiny_instance(self):
         # sink capacity 2/3 cannot absorb a full unit, so the fair cut
         # swallows the whole instance and both units are dropped
         g = Graph.from_edges(2, [(0, 1, 1)])
-        pi = VertexWeights({0: 1, 1: 1})
-        theta = UnitMapping.from_weights(pi)
-        mp = MatchingPlayerState(congestion_factor=1000)
-        dropped, matching = matching_player_step(
-            g, theta, mp, {0, 1}, frozenset({0}), frozenset({1}))
+        game = make_game(g, {0: 1, 1: 1}, Fraction(1, 100), 0)
+        assert game.mp.congestion_factor == 1000
+        dropped, matching = matching_player_step(game, frozenset({0}), frozenset({1}))
         survivors_matched = frozenset(i for i, _j in matching.pairs)
         assert survivors_matched == frozenset({0}) - dropped
-        assert theta.units_of_set(mp.deleted) == dropped
+        assert game.mp.deleted == {0, 1} and dropped == frozenset({0, 1})
 
     def test_local_pairing_uses_no_flow(self, path3):
         # two proposal units and three responders at the same vertex: the
         # vertex is a net target, nothing is deleted, pairing stays local
-        weights = VertexWeights({0: 5, 2: 2})
-        theta = UnitMapping.from_weights(weights)
-        mp = MatchingPlayerState(congestion_factor=40)
-        left = frozenset(list(theta.units_of(0))[:2])
-        right = frozenset(list(theta.units_of(0))[2:])
-        dropped, matching = matching_player_step(
-            path3, theta, mp, frozenset(range(theta.k)), left, right,
-            scope=range(3))
+        game = make_game(path3, {0: 5, 2: 2}, Fraction(1, 4), 0)
+        dropped, matching = matching_player_step(game, frozenset({0, 1}),
+                                                 frozenset({2, 3, 4}))
         assert dropped == frozenset()
         assert len(matching) == 2
-        assert all(theta.vertex(i) == theta.vertex(j) == 0
+        assert all(game.vertex_of[i] == game.vertex_of[j] == 0
                    for i, j in matching.pairs)
-        assert mp.edge_load == {}
+        assert game.mp.edge_load == {}
 
     def test_cross_edge_matching_tracks_load(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
-        pi = VertexWeights({0: 1, 1: 2})
-        theta = UnitMapping.from_weights(pi)
-        mp = MatchingPlayerState(congestion_factor=40)
-        dropped, matching = matching_player_step(
-            g, theta, mp, {0, 1, 2}, frozenset({0}), frozenset({1, 2}))
+        game = make_game(g, {0: 1, 1: 2}, Fraction(1, 4), 0)
+        dropped, matching = matching_player_step(game, frozenset({0}), frozenset({1, 2}))
         assert dropped == frozenset()
         assert matching.pairs == ((0, 1),)
-        assert mp.edge_load == {0: 1}
+        assert game.mp.edge_load == {0: 1}
 
     @pytest.fixture
     def flow_builds(self, monkeypatch):
@@ -598,18 +584,12 @@ class TestMatchingPlayer:
 
     def test_only_the_matching_flow_is_built(self, flow_builds, path3):
         g = Graph.from_edges(2, [(0, 1, 1)])
-        pi = VertexWeights({0: 1, 1: 2})
-        theta = UnitMapping.from_weights(pi)
-        matching_player_step(g, theta, MatchingPlayerState(congestion_factor=40),
-                             {0, 1, 2}, frozenset({0}), frozenset({1, 2}))
+        game = make_game(g, {0: 1, 1: 2}, Fraction(1, 4), 0)
+        matching_player_step(game, frozenset({0}), frozenset({1, 2}))
         assert flow_builds == {"edge_flows": 1, "matching_flows": 1}
 
-        weights = VertexWeights({0: 5, 2: 2})
-        theta = UnitMapping.from_weights(weights)
-        left = frozenset(list(theta.units_of(0))[:2])
-        right = frozenset(list(theta.units_of(0))[2:])
-        matching_player_step(path3, theta, MatchingPlayerState(congestion_factor=40),
-                             frozenset(range(theta.k)), left, right, scope=range(3))
+        game = make_game(path3, {0: 5, 2: 2}, Fraction(1, 4), 0)
+        matching_player_step(game, frozenset({0, 1}), frozenset({2, 3, 4}))
         assert flow_builds == {"edge_flows": 1, "matching_flows": 1}
 
     def test_game_builds_one_edge_flow_per_matching_flow(self, flow_builds, double_k4):
@@ -619,12 +599,15 @@ class TestMatchingPlayer:
         assert flow_builds["edge_flows"] == flow_builds["matching_flows"] > 0
 
     def test_overlapping_sides_rejected(self, path3):
-        pi = VertexWeights({0: 1, 2: 1})
-        theta = UnitMapping.from_weights(pi)
-        mp = MatchingPlayerState(congestion_factor=40)
+        game = make_game(path3, {0: 1, 2: 1}, Fraction(1, 4), 0)
         with pytest.raises(ArgumentError):
-            matching_player_step(path3, theta, mp, {0, 1},
-                                 frozenset({0}), frozenset({0}))
+            matching_player_step(game, frozenset({0}), frozenset({0}))
+
+    def test_inactive_unit_rejected(self, path3):
+        game = make_game(path3, {0: 1, 2: 2}, Fraction(1, 4), 0)
+        game.active_mask[2] = False
+        with pytest.raises(ArgumentError, match="active units"):
+            matching_player_step(game, frozenset({0}), frozenset({1, 2}))
 
 
 def run_game_with_invariants(graph, pi, phi, seed, max_rounds):
@@ -635,18 +618,16 @@ def run_game_with_invariants(graph, pi, phi, seed, max_rounds):
     """
     game = CutMatchingGame(graph, pi, phi, philox(seed), early_stop=False)
     c = game.mp.congestion_factor
-    seen_units: set[int] = set()
     survivor_ok = True
     with played_rounds() as rounds:
         while game.stopped is None and game.round < max_rounds:
             game.step()
             played = rounds[-1]
-            seen_units |= played.dropped
 
-            # deleted units and deleted vertices stay in lockstep
-            assert game.units.units_of_set(game.mp.deleted) == frozenset(seen_units)
+            # inactive units and deleted vertices stay in lockstep
+            assert (~game.active_mask == np.isin(game.vertex_of, list(game.mp.deleted))).all()
             # the union of deleted vertices is 1/c-sparse, exactly
-            inactive = game.deleted_vertices()
+            inactive = frozenset(game.mp.deleted)
             if inactive:
                 cap = boundary_capacity(graph, inactive & game.vertices, game.vertices)
                 assert c * cap <= game.pi.total(inactive)
@@ -767,7 +748,7 @@ class TestExpansionCertificates:
                 break
             game.step()
         f = dense_flow_matrix(game.matchings, None, game.slowdown, k=k)
-        active = sorted(game.active_units())
+        active = np.flatnonzero(game.active_mask).tolist()
         pot = potential(game.matchings, [active], game.slowdown, k=k)
         floor = 0.25 - pot ** (1 / (2 * game.slowdown)) if pot > 0 else 0.25
         ones = np.ones(k)
@@ -795,7 +776,7 @@ class TestExpansionCertificates:
             if game.stopped == "balance":
                 continue
             k = game.k
-            active = game.active_units()
+            active = frozenset(np.flatnonzero(game.active_mask).tolist())
             degree = np.zeros((k, k))
             for matching in game.matchings:
                 for i, j in matching.pairs:

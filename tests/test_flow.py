@@ -150,6 +150,13 @@ class TestFairCut:
 
 
 class TestVerifyFairCut:
+    @pytest.mark.parametrize("source_w, within", [({0: 1}, {0, 1, 2, 99}),
+                                                  ({0: 1, 99: 5}, None)])
+    def test_vertex_outside_graph_rejected(self, path3, source_w, within):
+        with pytest.raises(ArgumentError, match="99[:,] not a vertex of the graph"):
+            verify_fair_cut(path3, source_w, {2: 1}, 1, set(), FlowAssignment(path3),
+                            within=within)
+
     def test_zero_flow_with_cut_edges_violates_saturation(self, path3):
         ok, violated = verify_fair_cut(path3, {0: 1}, {2: 1}, 1, {0},
                                        FlowAssignment(path3))
