@@ -30,16 +30,27 @@ def make_game(graph, pi, phi, seed, **kw):
     return CutMatchingGame(graph, pi, phi, philox(seed), **kw)
 
 
-class TestGameWeights:
-    def test_vertex_of_is_contiguous_per_vertex(self, k8):
+class TestUnitMapping:
+    # the game's vertex_of array maps each unit to its vertex
+    def test_contiguous_ranges(self, k8):
         # each vertex's units in a row, in vertex order; zero weights hold none
         game = make_game(k8, {2: 2, 0: 1, 7: 0, 5: 3}, Fraction(1, 4), 0)
         assert game.k == 6
         assert game.vertex_of.tolist() == [0, 2, 2, 5, 5, 5]
+        assert np.flatnonzero(game.vertex_of == 5).tolist() == [3, 4, 5]
         assert game.vertex_of.dtype == np.intp
         with pytest.raises(ValueError):
             game.vertex_of[0] = 1
 
+    def test_counts_match_weights(self, k8):
+        pi = {0: 3, 1: 0, 2: 4}
+        game = make_game(k8, pi, Fraction(1, 4), 0)
+        counts = np.bincount(game.vertex_of, minlength=k8.n)
+        for v in range(k8.n):
+            assert counts[v] == pi.get(v, 0)
+
+
+class TestGameWeights:
     @pytest.mark.parametrize("pi, vertex", [({0: 1, 1: 1, 99: 5}, 99),
                                             ({0: 1, 1: 1, -1: 5}, -1),
                                             ({0: 2.7, 1: 1}, 0),
