@@ -10,6 +10,18 @@ paths whose congestion it tracks.  Both players take the game itself,
 ``cut_player_step(game)`` and ``matching_player_step(game, left, right)``,
 and read its state from there.
 
+The matching player solves its fair cut only when a cut bound cannot prove
+it empty (``flow._fair_cut_is_empty``).  With net supply S = sum of
+(3L(v) - 2R(v))+ and net demand D = sum of (2R(v) - 3L(v))+ over the alive
+vertices, for L(v) and R(v) a vertex's proposal and response units, the cut
+is empty when G[alive] is connected, S <= D and S <= 3 * cap_multiplier.
+Corollary: the sweep cut proposes at most ceil(a/8) of the a active units
+and answers with ceil(a/2), so S <= D once a >= 3, and S <= 3 * ceil(a/8).
+A game on a connected alive set therefore deletes nothing while
+3 <= a <= 8 * cap_multiplier.  At the root oracle's phi/20 = 1/80 the
+congestion factor is 800 and the cap multiplier 1200, so a root game on a
+connected graph deletes nothing while at most 9600 units are active.
+
 A round's per-unit work is numpy array work on sorted unit-index arrays: the
 walk, the sweep cut's ordering and far filter, and the matching player's
 per-vertex counts and grouping.  Python loops run once per vertex, flow path
@@ -27,7 +39,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ArgumentError, InternalError
-from .flow import _run_max_flow, fair_cut, path_decomposition
+from .flow import (_fair_cut_is_empty, _run_max_flow, _vertex_set, fair_cut,
+                   path_decomposition)
 from .graphs import Graph, VertexWeights
 
 #: fairness factor of the matching player's fair cuts
@@ -276,8 +289,13 @@ def matching_player_step(game: "CutMatchingGame", left: frozenset[int],
     s_weights = {v: up * count for v, count in _counts_by_vertex(vertex_of, lft).items()}
     t_weights = {v: down * count for v, count in _counts_by_vertex(vertex_of, rgt).items()}
 
-    result = fair_cut(graph, s_weights, t_weights, within=alive, cap_scale=up * cap)
-    cut_side = result.cut
+    # the fair cut's only use here is its cut; skip the max flow when a cut
+    # bound already proves that cut empty
+    if _fair_cut_is_empty(graph, s_weights, t_weights, alive, up * cap):
+        cut_side = frozenset()
+    else:
+        cut_side = fair_cut(graph, s_weights, t_weights, within=alive,
+                            cap_scale=up * cap).cut
     mp.deleted |= cut_side
     in_cut = np.zeros(graph.n, dtype=bool)
     in_cut[list(cut_side)] = True
@@ -365,8 +383,9 @@ class CutMatchingGame:
         if not 0 < phi < 1:
             raise ArgumentError("phi must lie strictly between 0 and 1")
         self.graph = graph
-        self.vertices = frozenset(within) if within is not None else frozenset(range(graph.n))
         n = graph.n
+        # a within vertex outside the graph is named here, not at the first step
+        self.vertices = frozenset(_vertex_set(n, within))
         for v, w in pi.items():
             if not 0 <= v < n:
                 raise ArgumentError(f"weight at vertex {v}: not a vertex of the graph "

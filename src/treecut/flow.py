@@ -214,6 +214,19 @@ class SolvedFlow:
         return {idx: (res[2 * idx + 1] - res[2 * idx]) // 2 for idx in used}
 
 
+def _vertex_set(n: int, within: Iterable[int] | None) -> range | set[int]:
+    """``within`` as a vertex set, ``range(n)`` when it holds every vertex;
+    a vertex outside 0..n-1 is named."""
+    if within is None:
+        return range(n)
+    verts = set(within)
+    for v in verts:
+        if v not in range(n):
+            raise ArgumentError(f"within holds {v!r}, not a vertex of the graph "
+                                f"(0..{n - 1})")
+    return range(n) if len(verts) == n else verts
+
+
 def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
                   demand: Mapping[int, int | Fraction], within: Iterable[int] | None = None,
                   cap_scale: int | Fraction = 1) -> SolvedFlow:
@@ -231,20 +244,12 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     denom = math.lcm(cap_scale.denominator,
                      *(x.denominator for part in (supply, demand) for x in part.values()))
     edge_scale = int(cap_scale * denom)
-    verts = range(n) if within is None else set(within)
-    if within is None or verts.issuperset(range(n)):
-        if len(verts) > n:
-            stray = next(v for v in verts if v not in range(n))
-            raise ArgumentError(f"within holds {stray!r}, not a vertex of the graph "
-                                f"(0..{n - 1})")
-        verts = range(n)
+    verts = _vertex_set(n, within)
+    if isinstance(verts, range):
         res = [c * edge_scale for c in cap]
     else:
         res = [0] * len(to)
         for v in verts:
-            if not 0 <= v < n:
-                raise ArgumentError(f"within holds {v!r}, not a vertex of the graph "
-                                    f"(0..{n - 1})")
             for idx in head[v]:
                 if to[idx] in verts:
                     res[idx] = cap[idx] * edge_scale
@@ -309,13 +314,62 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     1-fair, hence alpha-fair for every alpha >= 1 (``verify_fair_cut`` checks
     any alpha).  ``denom`` is the least common denominator of the net weights.
     """
-    verts = set(range(graph.n)) if within is None else set(within)
+    verts = _vertex_set(graph.n, within)
+    supply, demand = _net_terminals(graph, source_w, target_w, verts)
+    return _run_max_flow(graph, supply, demand, verts, cap_scale)
+
+
+def _net_terminals(graph: Graph, source_w: Mapping[int, object],
+                   target_w: Mapping[int, object], verts) -> tuple[dict, dict]:
+    """The terminal reduction's net supplies s(v)-t(v) > 0 and net demands
+    t(v)-s(v) > 0 at the vertices of ``verts``."""
     net = _exact_weights(source_w, graph.n, verts)
     for v, w in _exact_weights(target_w, graph.n, verts).items():
         net[v] = net.get(v, 0) - w
     supply = {v: x for v, x in net.items() if x > 0}
     demand = {v: -x for v, x in net.items() if x < 0}
-    return _run_max_flow(graph, supply, demand, verts, cap_scale)
+    return supply, demand
+
+
+def _fair_cut_is_empty(graph: Graph, source_w: Mapping[int, object],
+                       target_w: Mapping[int, object], within: Iterable[int] | None,
+                       cap_scale: int) -> bool:
+    """Whether a cut bound proves that ``fair_cut`` on the same arguments
+    returns the empty cut; False proves nothing.
+
+    Take S, the net supply, and D, the net demand, over ``within``.  Let
+    G[within] be connected through edges of positive capacity, S <= D and
+    S <= cap_scale.  Capacities are positive ints, so every proper nonempty
+    X of ``within`` has cap_scale * cap(dX) >= cap_scale >= S >=
+    supply(X) - demand(X), and X = ``within`` has supply(X) - demand(X) =
+    S - D <= 0.  By Gale's condition the max flow then saturates every net
+    supply, the empty source side is a minimum cut, and so the minimal one,
+    the fair cut, is empty.
+    """
+    verts = _vertex_set(graph.n, within)
+    supply, demand = _net_terminals(graph, source_w, target_w, verts)
+    total = sum(supply.values())
+    if total > sum(demand.values()) or total > cap_scale:
+        return False
+    if isinstance(verts, range):
+        return graph.is_connected()
+    return _connected_within(graph, verts)
+
+
+def _connected_within(graph: Graph, verts: set[int]) -> bool:
+    """Whether G[verts] is connected through edges of positive capacity."""
+    if not verts:
+        return True
+    to, cap, head = graph._arc_layout
+    stack = [next(iter(verts))]
+    seen = set(stack)
+    while stack:
+        for idx in head[stack.pop()]:
+            w = to[idx]
+            if cap[idx] and w not in seen and w in verts:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(verts)
 
 
 #: verify_fair_cut property indices
@@ -342,11 +396,7 @@ def verify_fair_cut(graph: Graph, source_w: Mapping[int, object],
     """
     alpha = Fraction(alpha)
     n = graph.n
-    verts = set(range(n)) if within is None else set(within)
-    stray = [v for v in verts if v not in range(n)]
-    if stray:
-        raise ArgumentError(f"within holds {stray[0]!r}, not a vertex of the graph "
-                            f"(0..{n - 1})")
+    verts = _vertex_set(n, within)
     source_w = _exact_weights(source_w, n, verts)
     target_w = _exact_weights(target_w, n, verts)
     u_side = frozenset(cut)

@@ -60,6 +60,13 @@ class TestGameWeights:
         with pytest.raises(ArgumentError, match=f"weight at vertex {vertex}[: ]"):
             make_game(generate_dumbbell(4), pi, Fraction(1, 4), 0)
 
+    @pytest.mark.parametrize("vertex", [99, -1])
+    def test_within_vertex_outside_the_graph_is_named(self, path3, vertex):
+        # rejected when the game is built, not at its first fair cut
+        with pytest.raises(ArgumentError, match=f"within holds {vertex}, not a vertex"):
+            make_game(path3, {0: 1, 1: 1, 2: 1}, Fraction(1, 4), 0,
+                      within={0, 1, 2, vertex})
+
 
 class TestSweepCut:
     def test_outlier_lands_on_proposal_side(self):
@@ -319,7 +326,9 @@ class TestMatchingPlayerMatchesLoop:
 
     def test_integer_fair_cut_weights_cut_like_fractions(self, monkeypatch):
         # the fair cut on source 3c, target 2c and capacities times 3 cap is
-        # the one on source c, target 2c/3 and capacities times cap
+        # the one on source c, target 2c/3 and capacities times cap; a round
+        # that calls no fair cut takes the empty cut, and the Fraction-weight
+        # fair cut must be empty there too
         real_fair_cut = cutmatch_module.fair_cut
         calls = []
 
@@ -330,7 +339,7 @@ class TestMatchingPlayerMatchesLoop:
             return result
 
         monkeypatch.setattr(cutmatch_module, "fair_cut", recording)
-        seen = {"rounds": 0, "cutting": 0, "thirds": 0}
+        seen = {"rounds": 0, "cutting": 0, "thirds": 0, "certified": 0}
         for seed in range(300):
             rng = philox(9000 + seed)
             graph = random_connected_graph(seed, max_n=10, max_cap=4)
@@ -344,10 +353,7 @@ class TestMatchingPlayerMatchesLoop:
             left = frozenset(units[:cut].tolist())
             right = frozenset(units[cut:].tolist())
             calls.clear()
-            matching_player_step(game, left, right)
-            (source_w, target_w, got), = calls
-            assert all(type(w) is int for part in (source_w, target_w)
-                       for w in part.values())
+            dropped, _matching = matching_player_step(game, left, right)
             s_counts, t_counts = {}, {}
             for side, counts in ((left, s_counts), (right, t_counts)):
                 for u in side:
@@ -356,6 +362,14 @@ class TestMatchingPlayerMatchesLoop:
             t_fractions = {v: Fraction(c) / MATCH_FAIRNESS for v, c in t_counts.items()}
             expected = real_fair_cut(graph, s_counts, t_fractions, within=range(graph.n),
                                      cap_scale=mp.cap_multiplier).cut
+            if calls:
+                (source_w, target_w, got), = calls
+                assert all(type(w) is int for part in (source_w, target_w)
+                           for w in part.values())
+            else:
+                got = frozenset()
+                assert not dropped and not mp.deleted
+                seen["certified"] += 1
             assert got == expected, seed
             seen["rounds"] += 1
             seen["cutting"] += bool(got)
@@ -609,6 +623,30 @@ class TestMatchingPlayer:
         assert game.round > 0
         assert flow_builds["edge_flows"] == flow_builds["matching_flows"] > 0
 
+    def test_certified_root_game_solves_no_fair_cut(self, flow_builds, monkeypatch):
+        # dumbbell 12 at the oracle's root sparsity phi/20 = 1/80: every
+        # proposal's net supply is far below the capacity scale 3 * 1200, so
+        # the cut bound answers every fair cut, and only rounds that route
+        # solve a max flow, one each
+        fair_cuts = []
+        real_fair_cut = cutmatch_module.fair_cut
+
+        def recording(*args, **kwargs):
+            fair_cuts.append(args)
+            return real_fair_cut(*args, **kwargs)
+
+        monkeypatch.setattr(cutmatch_module, "fair_cut", recording)
+        graph = generate_dumbbell(12)
+        game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
+        routing = 0
+        while game.stopped is None:
+            before = sum(game.mp.edge_load.values())
+            game.step()
+            routing += sum(game.mp.edge_load.values()) > before
+        assert game.round > 0 and routing > 0
+        assert fair_cuts == []
+        assert flow_builds["matching_flows"] == routing
+
     def test_overlapping_sides_rejected(self, path3):
         game = make_game(path3, {0: 1, 2: 1}, Fraction(1, 4), 0)
         with pytest.raises(ArgumentError):
@@ -621,13 +659,16 @@ class TestMatchingPlayer:
             matching_player_step(game, frozenset({0}), frozenset({1, 2}))
 
 
-def run_game_with_invariants(graph, pi, phi, seed, max_rounds):
+def run_game_with_invariants(graph, pi, phi, seed, max_rounds, congestion_factor=None):
     """Play a game, checking the matching-player invariants after each round.
 
     Without the potential stop the game ends on balance, on its budget or
-    after ``max_rounds`` rounds.
+    after ``max_rounds`` rounds.  ``congestion_factor`` replaces the one phi
+    gives, as no phi in (0, 1) gives a factor below 11.
     """
     game = CutMatchingGame(graph, pi, phi, philox(seed), early_stop=False)
+    if congestion_factor is not None:
+        game.mp = MatchingPlayerState(congestion_factor)
     c = game.mp.congestion_factor
     survivor_ok = True
     with played_rounds() as rounds:
@@ -657,14 +698,26 @@ def run_game_with_invariants(graph, pi, phi, seed, max_rounds):
 
 class TestGameInvariants:
     def test_fuzzed_games(self):
-        for seed in range(12):
+        # the first dozen games cannot delete: with k <= 23 a proposal holds
+        # at most 3 units, so its net supply of at most 9 stays below the
+        # fair cut's capacity scale of at least 54 at the factors phi gives,
+        # and the cut bound proves every fair cut empty.  The second dozen
+        # play at factor 1 or 2 on heavier weights, and most of them delete
+        deleting = 0
+        for seed in range(24):
             rng = philox(900 + seed)
             graph = random_connected_graph(seed, max_n=8, max_cap=3)
-            pi = VertexWeights({v: int(rng.integers(0, 6)) for v in range(graph.n)})
+            heavy = seed >= 12
+            pi = VertexWeights({v: int(rng.integers(0, 20 if heavy else 6))
+                                for v in range(graph.n)})
             if pi.total() < 2:
                 pi = VertexWeights.degrees(graph)
             phi = Fraction(int(rng.integers(1, 10)), 10)
-            run_game_with_invariants(graph, pi, phi, seed, max_rounds=40)
+            factor = int(rng.choice([1, 2])) if heavy else None
+            game = run_game_with_invariants(graph, pi, phi, seed, max_rounds=40,
+                                            congestion_factor=factor)
+            deleting += bool(game.mp.deleted)
+        assert deleting >= 6, deleting
 
     def test_active_set_shrinks_monotonically(self, double_k8):
         deg = VertexWeights.degrees(double_k8)

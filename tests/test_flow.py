@@ -149,6 +149,64 @@ class TestFairCut:
                     assert result.flow.value(outer, inner) <= 0
 
 
+def _induced_connected(graph, verts):
+    """Whether G[verts] is connected, by merging the ends of its edges."""
+    comp = {v: v for v in verts}
+
+    def find(v):
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    for u, v, _c in graph.edges:
+        if u in comp and v in comp:
+            comp[find(u)] = find(v)
+    return len({find(v) for v in verts}) <= 1
+
+
+class TestEmptyCutBound:
+    """``_fair_cut_is_empty`` against the fair cut it stands in for."""
+
+    @staticmethod
+    def _instance(seed):
+        """Int sources, int or Fraction targets, a capacity scale in 1..24 and
+        ``within`` None, the whole vertex set or a random subset (often
+        disconnected), a third of the time each."""
+        graph = random_connected_graph(11000 + seed, max_n=10, max_cap=4)
+        rng = philox(12000 + seed)
+        source_w = {v: int(rng.integers(1, 9)) for v in range(graph.n) if rng.random() < 0.4}
+        target_w = {v: Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 4)))
+                    for v in range(graph.n) if rng.random() < 0.6}
+        kind = int(rng.integers(3))
+        if kind == 0:
+            within = None
+        elif kind == 1:
+            within = frozenset(range(graph.n))
+        else:
+            keep = rng.uniform(0.3, 0.9)
+            within = frozenset(v for v in range(graph.n) if rng.random() < keep)
+        return graph, source_w, target_w, within, int(rng.integers(1, 25))
+
+    def test_certified_cut_is_empty_and_the_flow_saturates(self):
+        seen = {"certified": 0, "solved": 0, "walked": 0, "disconnected": 0}
+        for seed in range(800):
+            graph, source_w, target_w, within, scale = self._instance(seed)
+            result = fair_cut(graph, source_w, target_w, within=within, cap_scale=scale)
+            certified = flow_module._fair_cut_is_empty(graph, source_w, target_w,
+                                                       within, scale)
+            if certified:
+                assert result.cut == frozenset() and result.saturated, seed
+            seen["certified" if certified else "solved"] += 1
+            if within is not None and len(within) < graph.n:
+                # a subset is walked; a disconnected one is never certified
+                if _induced_connected(graph, within):
+                    seen["walked"] += certified
+                else:
+                    assert not certified, seed
+                    seen["disconnected"] += 1
+        assert min(seen.values()) >= 40, seen
+
+
 class TestVerifyFairCut:
     @pytest.mark.parametrize("source_w, within", [({0: 1}, {0, 1, 2, 99}),
                                                   ({0: 1, 99: 5}, None)])
