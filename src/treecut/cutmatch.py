@@ -15,6 +15,8 @@ it empty (``flow._fair_cut_is_empty``).  With net supply S = sum of
 (3L(v) - 2R(v))+ and net demand D = sum of (2R(v) - 3L(v))+ over the alive
 vertices, for L(v) and R(v) a vertex's proposal and response units, the cut
 is empty when G[alive] is connected, S <= D and S <= 3 * cap_multiplier.
+The bound is taken only when alive is every vertex of a connected graph,
+as in a root game that has deleted nothing; other games solve every cut.
 Corollary: the sweep cut proposes at most ceil(a/8) of the a active units
 and answers with ceil(a/2), so S <= D once a >= 3, and S <= 3 * ceil(a/8).
 A game on a connected alive set therefore deletes nothing while
@@ -290,11 +292,14 @@ def matching_player_step(game: "CutMatchingGame", left: frozenset[int],
     t_weights = {v: down * count for v, count in _counts_by_vertex(vertex_of, rgt).items()}
 
     # the fair cut's only use here is its cut; skip the max flow when a cut
-    # bound already proves that cut empty
-    if _fair_cut_is_empty(graph, s_weights, t_weights, alive, up * cap):
+    # bound already proves that cut empty.  alive lies in the checked
+    # game.vertices, so at full size it is every vertex and goes on as
+    # range(n), which the flow code takes without a pass
+    within = range(graph.n) if len(alive) == graph.n else alive
+    if _fair_cut_is_empty(graph, s_weights, t_weights, within, up * cap):
         cut_side = frozenset()
     else:
-        cut_side = fair_cut(graph, s_weights, t_weights, within=alive,
+        cut_side = fair_cut(graph, s_weights, t_weights, within=within,
                             cap_scale=up * cap).cut
     mp.deleted |= cut_side
     in_cut = np.zeros(graph.n, dtype=bool)

@@ -214,10 +214,15 @@ class SolvedFlow:
         return {idx: (res[2 * idx + 1] - res[2 * idx]) // 2 for idx in used}
 
 
+def _every_vertex(n: int, within: Iterable[int] | None) -> bool:
+    """Whether ``within`` is None or ``range(n)``, told without a pass."""
+    return within is None or isinstance(within, range) and within == range(n)
+
+
 def _vertex_set(n: int, within: Iterable[int] | None) -> range | set[int]:
     """``within`` as a vertex set, ``range(n)`` when it holds every vertex;
     a vertex outside 0..n-1 is named."""
-    if within is None:
+    if _every_vertex(n, within):
         return range(n)
     verts = set(within)
     for v in verts:
@@ -337,39 +342,21 @@ def _fair_cut_is_empty(graph: Graph, source_w: Mapping[int, object],
     """Whether a cut bound proves that ``fair_cut`` on the same arguments
     returns the empty cut; False proves nothing.
 
-    Take S, the net supply, and D, the net demand, over ``within``.  Let
-    G[within] be connected through edges of positive capacity, S <= D and
-    S <= cap_scale.  Capacities are positive ints, so every proper nonempty
-    X of ``within`` has cap_scale * cap(dX) >= cap_scale >= S >=
-    supply(X) - demand(X), and X = ``within`` has supply(X) - demand(X) =
-    S - D <= 0.  By Gale's condition the max flow then saturates every net
-    supply, the empty source side is a minimum cut, and so the minimal one,
-    the fair cut, is empty.
+    The bound is taken only when ``within`` is every vertex (None or
+    ``range(n)``) and the graph is connected; anything else returns False
+    before the weights are read.  Take S, the net supply, and D, the net
+    demand.  Capacities are positive ints, so when S <= D and S <= cap_scale
+    every proper nonempty X has cap_scale * cap(dX) >= cap_scale >= S >=
+    supply(X) - demand(X), and X = V has supply(X) - demand(X) = S - D <= 0.
+    By Gale's condition the max flow then saturates every net supply, the
+    empty source side is a minimum cut, and so the minimal one, the fair
+    cut, is empty.
     """
-    verts = _vertex_set(graph.n, within)
-    supply, demand = _net_terminals(graph, source_w, target_w, verts)
-    total = sum(supply.values())
-    if total > sum(demand.values()) or total > cap_scale:
+    if not _every_vertex(graph.n, within) or not graph.is_connected():
         return False
-    if isinstance(verts, range):
-        return graph.is_connected()
-    return _connected_within(graph, verts)
-
-
-def _connected_within(graph: Graph, verts: set[int]) -> bool:
-    """Whether G[verts] is connected through edges of positive capacity."""
-    if not verts:
-        return True
-    to, cap, head = graph._arc_layout
-    stack = [next(iter(verts))]
-    seen = set(stack)
-    while stack:
-        for idx in head[stack.pop()]:
-            w = to[idx]
-            if cap[idx] and w not in seen and w in verts:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+    supply, demand = _net_terminals(graph, source_w, target_w, range(graph.n))
+    total = sum(supply.values())
+    return total <= sum(demand.values()) and total <= cap_scale
 
 
 #: verify_fair_cut property indices
