@@ -13,8 +13,8 @@ from .graphs import (Cut, Graph, Partition, VertexWeights, boundary_capacity,
 from .flow import (FlowAssignment, PathDecomposition, PathFlow, SolvedFlow,
                    brute_force_opt_congestion, fair_cut, max_flow, opt_congestion,
                    path_decomposition, verify_fair_cut)
-from .cutmatch import (CutMatchingGame, Matching, MatchingPlayerState, cut_player_step,
-                       matching_player_step, oracle_params, sparsest_cut_apx, sweep_cut)
+from .cutmatch import (CutMatchingGame, cut_player_step, matching_player_step,
+                       oracle_params, sparsest_cut_apx, sweep_cut)
 from .partition import (PartitionClusterResult, TrimResult, check_border_routable,
                         partition_cluster, two_way_trim)
 from .hierarchy import (HierarchicalDecomposition, HierarchyConfig, TreeSparsifier,

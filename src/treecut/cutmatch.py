@@ -8,7 +8,8 @@ plus a sweep cut; the matching player answers with a fair cut, deleting a
 sparse vertex set and matching the surviving proposal across integral flow
 paths whose congestion it tracks.  Both players take the game itself,
 ``cut_player_step(game)`` and ``matching_player_step(game, left, right)``,
-and read its state from there.
+and update its state there: ``matchings`` and ``perms``, ``active_mask``,
+and the matching player's ``deleted``, ``edge_load`` and ``max_load_ratio``.
 
 The matching player solves its fair cut only when a cut bound cannot prove
 it empty (``flow._fair_cut_is_empty``).  With net supply S = sum of
@@ -34,7 +35,7 @@ also grouped by vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -83,22 +84,6 @@ def oracle_params(pi_total: int) -> tuple[int, Fraction, Fraction]:
         raise ArgumentError("oracle parameters need total weight at least 2")
     quality = ceil_log2(pi_total)
     return quality, Fraction(1, 2 * quality), Fraction(1, 440 * quality)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Unit pairs matched in one round; left units appear exactly once."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def permutation(self, k: int) -> np.ndarray:
-        perm = np.arange(k)
-        for i, j in self.pairs:
-            perm[i], perm[j] = j, i
-        return perm
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +209,6 @@ def cut_player_step(game: "CutMatchingGame") -> tuple[frozenset[int], frozenset[
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MatchingPlayerState:
-    """Deleted vertices, congestion bookkeeping, and the trade-off factor c."""
-
-    congestion_factor: int
-    deleted: set = field(default_factory=set)
-    edge_load: dict = field(default_factory=dict)
-    #: largest edge_load[e] / cap(e); loads only grow, so each round updates
-    #: it from the edges it routed and the maximum stays exact
-    max_load_ratio: float = 0.0
-
-    @property
-    def cap_multiplier(self) -> int:
-        return math.ceil(self.congestion_factor * MATCH_FAIRNESS)
-
-
 def _units_by_vertex(vertex_of: np.ndarray, units: np.ndarray) -> dict[int, list[int]]:
     """Group a sorted unit array by vertex; each vertex's units are contiguous."""
     verts = vertex_of[units]
@@ -256,21 +225,24 @@ def _counts_by_vertex(vertex_of: np.ndarray, units: np.ndarray) -> dict[int, int
 
 
 def matching_player_step(game: "CutMatchingGame", left: frozenset[int],
-                         right: frozenset[int]) -> tuple[frozenset[int], Matching]:
+                         right: frozenset[int]
+                         ) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
     """Answer a bisection of the game's active units: delete a sparse fair-cut
     side, match the rest.
 
-    Matches every surviving proposal unit to a distinct response unit,
-    pairing locally at shared vertices first and routing the remainder along
-    integral flow paths.  Failure to match all survivors would contradict the
-    fair cut and raises an internal error.
+    Returns the dropped units and the round's matching, a sorted tuple of
+    (proposal unit, response unit) pairs.  Matches every surviving proposal
+    unit to a distinct response unit, pairing locally at shared vertices
+    first and routing the remainder along integral flow paths.  Failure to
+    match all survivors would contradict the fair cut and raises an internal
+    error.
 
     Routes within the game's vertices not yet deleted, zero-weight vertices
     included.  That keeps the deleted set sparse against full-graph
     capacities, since every edge leaving a deleted region is then visible to
     some fair cut.
     """
-    graph, vertex_of, mp, k = game.graph, game.vertex_of, game.mp, game.k
+    graph, vertex_of, k = game.graph, game.vertex_of, game.k
     lft, rgt = _unit_array(left), _unit_array(right)
     for x in (lft, rgt):
         if len(x) and not 0 <= x[0] <= x[-1] < k:
@@ -280,9 +252,9 @@ def matching_player_step(game: "CutMatchingGame", left: frozenset[int],
     in_left[lft] = True
     if not (active[lft].all() and active[rgt].all()) or in_left[rgt].any():
         raise ArgumentError("proposal sides must be disjoint subsets of the active units")
-    alive = game.vertices - mp.deleted
+    alive = game.vertices - game.deleted
 
-    cap = mp.cap_multiplier
+    cap = game.cap_multiplier
     # source weight count, target weight count / MATCH_FAIRNESS, capacities
     # times cap, all scaled by the fairness's numerator to integers: a
     # multiple of one instance has the same minimal minimum cut, so the same
@@ -301,12 +273,13 @@ def matching_player_step(game: "CutMatchingGame", left: frozenset[int],
     else:
         cut_side = fair_cut(graph, s_weights, t_weights, within=within,
                             cap_scale=up * cap).cut
-    mp.deleted |= cut_side
+    game.deleted |= cut_side
     in_cut = np.zeros(graph.n, dtype=bool)
     in_cut[list(cut_side)] = True
     dropped = frozenset(np.flatnonzero(active & in_cut[vertex_of]).tolist())
 
-    survivors = alive - cut_side
+    # an empty cut leaves the fair cut's own vertex set to route within
+    survivors = alive - cut_side if cut_side else within
     left_at = _units_by_vertex(vertex_of, lft[~in_cut[vertex_of[lft]]])
     right_at = _units_by_vertex(vertex_of, rgt[~in_cut[vertex_of[rgt]]])
 
@@ -346,10 +319,10 @@ def matching_player_step(game: "CutMatchingGame", left: frozenset[int],
         capacity = graph.edges[eidx][2]
         if load > 2 * cap * capacity:
             raise InternalError("per-round embedding load too high")
-        total = mp.edge_load.get(eidx, 0) + load
-        mp.edge_load[eidx] = total
-        mp.max_load_ratio = max(mp.max_load_ratio, total / capacity)
-    return dropped, Matching(tuple(sorted(pairs)))
+        total = game.edge_load.get(eidx, 0) + load
+        game.edge_load[eidx] = total
+        game.max_load_ratio = max(game.max_load_ratio, total / capacity)
+    return dropped, tuple(sorted(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +337,7 @@ class RoundRecord:
     deleted: int
     matched: int
     max_load_ratio: float
-    potential: float | None = None
+    potential: float
 
 
 class CutMatchingGame:
@@ -380,6 +353,13 @@ class CutMatchingGame:
     estimates are at most ``potential_floor``, and "budget" after ``budget``
     = ROUND_COEFF * ceil_log2(k)^2 rounds.  The matching player's fair cuts
     are at MATCH_FAIRNESS.
+
+    State: ``matchings`` holds each round's sorted (proposal, response) unit
+    pairs and ``perms`` their walk permutations; ``deleted`` holds the
+    vertices the matching player cut off, ``edge_load`` its routed load per
+    edge index and ``max_load_ratio`` the largest load over capacity.  Fair
+    cuts scale capacities by ``cap_multiplier`` = ceil(c * MATCH_FAIRNESS)
+    for the congestion factor c = ``congestion_factor`` = ceil(10/phi).
     """
 
     def __init__(self, graph: Graph, pi: Mapping[int, int], phi: Fraction, rng,
@@ -411,9 +391,14 @@ class CutMatchingGame:
         self.budget = ROUND_COEFF * ceil_log2(k) ** 2
         self.balance_floor = (1 - oracle_params(k)[1]) * k
         self.rng = rng
-        self.mp = MatchingPlayerState(math.ceil(Fraction(10) / phi))
+        self.congestion_factor = math.ceil(Fraction(10) / phi)
+        self.deleted: set[int] = set()
+        self.edge_load: dict[int, int] = {}
+        # loads only grow, so each round updates the maximum from the edges
+        # it routed and it stays exact
+        self.max_load_ratio = 0.0
         self.active_mask = np.ones(k, dtype=bool)
-        self.matchings: list[Matching] = []
+        self.matchings: list[tuple[tuple[int, int], ...]] = []
         self.perms: list[np.ndarray] = []
         self.records: list[RoundRecord] = []
         self.stopped: str | None = None
@@ -423,6 +408,12 @@ class CutMatchingGame:
         self._quiet_rounds = 0
 
     # -- state views -------------------------------------------------------
+
+    @property
+    def cap_multiplier(self) -> int:
+        """ceil(congestion_factor * MATCH_FAIRNESS), in integers."""
+        up, down = MATCH_FAIRNESS.numerator, MATCH_FAIRNESS.denominator
+        return -(-self.congestion_factor * up // down)
 
     @property
     def round(self) -> int:
@@ -443,14 +434,19 @@ class CutMatchingGame:
         if self.stopped is not None:
             raise InternalError("game already stopped")
         left, right = cut_player_step(self)
-        dropped, matching = matching_player_step(self, left, right)
+        dropped, pairs = matching_player_step(self, left, right)
         if dropped:
             self.active_mask[list(dropped)] = False
-        self.matchings.append(matching)
-        self.perms.append(matching.permutation(self.k))
+        self.matchings.append(pairs)
+        # the pairs are disjoint, so each unit is written at most once
+        ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        perm = np.arange(self.k)
+        perm[ends[:, 0]] = ends[:, 1]
+        perm[ends[:, 1]] = ends[:, 0]
+        self.perms.append(perm)
 
         rec = RoundRecord(self.round, self.active_count(), len(dropped),
-                          len(matching), self.mp.max_load_ratio,
+                          len(pairs), self.max_load_ratio,
                           self.current_potential())
         self.records.append(rec)
         self._evaluate_stop(rec)
@@ -476,7 +472,7 @@ class CutMatchingGame:
     def run(self) -> frozenset[int]:
         while self.stopped is None:
             self.step()
-        inactive = frozenset(self.mp.deleted)
+        inactive = frozenset(self.deleted)
         complement = self.vertices - inactive
         if self.pi.total(inactive) <= self.pi.total(complement):
             return inactive

@@ -71,19 +71,6 @@ class FlowAssignment:
     def is_zero(self) -> bool:
         return all(n == 0 for n in self.nums.values())
 
-    def serialize(self) -> str:
-        """One line "u v num den" per directed edge with positive flow."""
-        lines = []
-        for idx in sorted(self.nums):
-            num = self.nums[idx]
-            if num == 0:
-                continue
-            u, v, _c = self.graph.edges[idx]
-            if num < 0:
-                u, v, num = v, u, -num
-            lines.append(f"{u} {v} {num} {self.denom}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Dinic solver

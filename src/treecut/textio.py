@@ -1,4 +1,4 @@
-"""Text formats: edge lists, weight sidecars, tree files, DOT, traces."""
+"""Text formats: edge lists, weight sidecars, tree files, DOT, demand lists."""
 
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from treecut import (CutMatchingGame, Graph, Matching, VertexWeights,
+from treecut import (CutMatchingGame, Graph, VertexWeights,
                      boundary_capacity, brute_force_opt_congestion,
                      certify_well_expanding, check_expanding, check_laminar,
                      construct_hierarchy, default_gamma, diamond_adversarial_demands,
@@ -20,7 +20,7 @@ from treecut import (CutMatchingGame, Graph, Matching, VertexWeights,
 from treecut.cutmatch import slowdown_for
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
-from walk_diagnostics import dense_flow_matrix, potential
+from walk_diagnostics import dense_flow_matrix, pair_permutation, potential
 
 
 def report(number: int, name: str, ok: bool, detail: str, started: float):
@@ -114,8 +114,7 @@ def test_05_cut_player_potential():
     started = time.perf_counter()
     base = Graph.from_edges(8, [(i, j, 1) for i in range(8)
                                 for j in range(i + 1, 8)])
-    initial_exact = abs(potential([], [list(range(32))], slowdown_for(32), k=32)
-                        - 31.0) < 1e-9
+    initial_exact = abs(potential([], range(32), slowdown_for(32), 32) - 31.0) < 1e-9
     monotone = True
     converged = {32: 0, 64: 0}
     for per_vertex, k in ((4, 32), (8, 64)):
@@ -126,8 +125,7 @@ def test_05_cut_player_potential():
             values = [float(k - 1)]
             while game.stopped is None:
                 game.step()
-                values.append(potential(game.matchings, [game.active_mask],
-                                        game.slowdown, k=k))
+                values.append(potential(game.perms, game.active_mask, game.slowdown, k))
             tol = 1e-9 * k
             if any(b > a + tol for a, b in zip(values, values[1:])):
                 monotone = False
@@ -154,15 +152,15 @@ def test_06_walk_identities():
             alive = [u for u in range(k) if u not in deleted]
             rng.shuffle(alive)
             take = int(rng.integers(0, len(alive) // 2 + 1))
-            matchings.append(Matching(tuple(
+            matchings.append(tuple(
                 (min(alive[2 * i], alive[2 * i + 1]),
-                 max(alive[2 * i], alive[2 * i + 1])) for i in range(take))))
+                 max(alive[2 * i], alive[2 * i + 1])) for i in range(take)))
             if len(deleted) < budget and len(alive) > 2:
                 deleted.add(alive[-1])
         active = [u for u in range(k) if u not in deleted]
 
         # closed form for the slowed mixing power
-        pairs = matchings[-1].pairs
+        pairs = matchings[-1]
         m = np.zeros((k, k))
         i_act = np.zeros((k, k))
         for v in active:
@@ -178,7 +176,7 @@ def test_06_walk_identities():
         if lam < 0.25 or np.abs(power - (np.eye(k) - lam * (i_act - m))).max() > 1e-9:
             identity_ok = False
 
-        f = dense_flow_matrix(matchings, None, slowdown, k=k)
+        f = dense_flow_matrix([pair_permutation(m, k) for m in matchings], slowdown, k)
         if np.abs(f.sum(axis=0) - 1).max() > 1e-12 or \
                 np.abs(f.sum(axis=1) - 1).max() > 1e-12:
             stochastic_ok = False
@@ -204,21 +202,21 @@ def test_07_matching_player_invariants():
         phi = Fraction(int(rng.integers(1, 10)), 10)
         # the potential stop is off: games end on balance, budget or 40 rounds
         game = CutMatchingGame(graph, pi, phi, philox(71_000 + seed), early_stop=False)
-        c = game.mp.congestion_factor
+        c = game.congestion_factor
         with played_rounds() as rounds:
             while game.stopped is None and game.round < 40:
                 game.step()
                 played = rounds[-1]
 
-                lockstep = ~game.active_mask == np.isin(game.vertex_of, list(game.mp.deleted))
+                lockstep = ~game.active_mask == np.isin(game.vertex_of, list(game.deleted))
                 if not lockstep.all():
                     bad.append((seed, "unit-vertex lockstep"))
-                inactive = frozenset(game.mp.deleted)
+                inactive = frozenset(game.deleted)
                 if inactive:
                     cap = boundary_capacity(graph, inactive, range(graph.n))
                     if c * cap > game.pi.total(inactive):
                         bad.append((seed, "deleted set sparsity"))
-                for eidx, load in game.mp.edge_load.items():
+                for eidx, load in game.edge_load.items():
                     if load > 4 * c * game.round * graph.edges[eidx][2]:
                         bad.append((seed, "embedding load"))
                 a = len(played.active)

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, Matching,
-                     MatchingPlayerState, OversizeError,
+from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, OversizeError,
                      VertexWeights, boundary_capacity, cut_player_step,
                      generate_dumbbell, matching_player_step, oracle_params,
                      sparsest_cut_apx, sweep_cut)
@@ -23,7 +22,7 @@ from treecut.cutmatch import MATCH_FAIRNESS
 from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
-from walk_diagnostics import dense_flow_matrix, potential, sweep_cut_violations
+from walk_diagnostics import dense_flow_matrix, pair_permutation, potential, sweep_cut_violations
 
 
 def make_game(graph, pi, phi, seed, **kw):
@@ -155,14 +154,14 @@ def loop_sweep_orientation(act, vals, order, svals, a, side):
 
 
 def loop_matching_player_step(game, left, right):
-    graph, mp = game.graph, game.mp
+    graph = game.graph
     vertex = [v for v in sorted(game.pi) for _ in range(game.pi[v])]
     active = frozenset(u for u in range(game.k) if game.active_mask[u])
     left = frozenset(int(u) for u in left)
     right = frozenset(int(u) for u in right)
     if not (left <= active and right <= active and not left & right):
         raise ArgumentError("proposal sides must be disjoint subsets of the active units")
-    alive = game.vertices - mp.deleted
+    alive = game.vertices - game.deleted
 
     s_counts: dict[int, int] = {}
     for u in left:
@@ -176,9 +175,9 @@ def loop_matching_player_step(game, left, right):
                  for v, count in r_counts.items()}
 
     result = fair_cut(graph, s_counts, t_weights, within=alive,
-                      cap_scale=mp.cap_multiplier)
+                      cap_scale=game.cap_multiplier)
     cut_side = result.cut
-    mp.deleted |= cut_side
+    game.deleted |= cut_side
     dropped = frozenset(u for u in active if vertex[u] in cut_side)
 
     survivors = alive - cut_side
@@ -200,7 +199,7 @@ def loop_matching_player_step(game, left, right):
     if leftover_s:
         leftover_r = {v: len(us) for v, us in right_at.items() if us}
         solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
-                               cap_scale=2 * mp.cap_multiplier)
+                               cap_scale=2 * game.cap_multiplier)
         if solved.value != sum(leftover_s.values()):
             raise InternalError("matching flow failed to saturate all sources; "
                                 "the fair cut contract was violated")
@@ -215,10 +214,10 @@ def loop_matching_player_step(game, left, right):
     if any(us for us in left_at.values()):
         raise InternalError("not every surviving proposal unit was matched")
     for eidx, load in round_load.items():
-        if load > 2 * mp.cap_multiplier * graph.edges[eidx][2]:
+        if load > 2 * game.cap_multiplier * graph.edges[eidx][2]:
             raise InternalError("per-round embedding load too high")
-        mp.edge_load[eidx] = mp.edge_load.get(eidx, 0) + load
-    return dropped, Matching(tuple(sorted(pairs)))
+        game.edge_load[eidx] = game.edge_load.get(eidx, 0) + load
+    return dropped, tuple(sorted(pairs))
 
 
 def fuzz_sweep_vectors(seed, count):
@@ -297,8 +296,7 @@ class TestMatchingPlayerMatchesLoop:
             game_loop, game_array = (make_game(graph, pi, Fraction(1, 4), seed)
                                      for _ in range(2))
             for game in (game_loop, game_array):
-                game.mp = MatchingPlayerState(congestion_factor=factor)
-            mp_loop, mp_array = game_loop.mp, game_array.mp
+                game.congestion_factor = factor
             for _round in range(4):
                 units = np.flatnonzero(game_loop.active_mask).tolist()
                 if len(units) < 2:
@@ -307,15 +305,15 @@ class TestMatchingPlayerMatchesLoop:
                 cut = int(rng.integers(0, len(units) // 2 + 1))
                 left = frozenset(units[:cut])
                 right = frozenset(units[cut:cut + int(rng.integers(0, len(units) - cut + 1))])
-                loads_before = dict(mp_loop.edge_load)
+                loads_before = dict(game_loop.edge_load)
                 expected = loop_matching_player_step(game_loop, left, right)
                 got = matching_player_step(game_array, left, right)
                 assert got == expected
-                routed = mp_loop.edge_load != loads_before
-                assert mp_array.edge_load == mp_loop.edge_load
-                assert mp_array.deleted == mp_loop.deleted
-                assert mp_array.max_load_ratio == max(
-                    (load / graph.edges[e][2] for e, load in mp_loop.edge_load.items()),
+                routed = game_loop.edge_load != loads_before
+                assert game_array.edge_load == game_loop.edge_load
+                assert game_array.deleted == game_loop.deleted
+                assert game_array.max_load_ratio == max(
+                    (load / graph.edges[e][2] for e, load in game_loop.edge_load.items()),
                     default=0.0)
                 for game in (game_loop, game_array):
                     game.active_mask[list(expected[0])] = False
@@ -347,7 +345,7 @@ class TestMatchingPlayerMatchesLoop:
             if pi.total() < 2:
                 continue
             game = make_game(graph, pi, Fraction(1, 4), seed)
-            mp = game.mp = MatchingPlayerState(congestion_factor=int(rng.choice([1, 2, 5, 40])))
+            game.congestion_factor = int(rng.choice([1, 2, 5, 40]))
             units = rng.permutation(game.k)
             cut = int(rng.integers(0, game.k // 2 + 1))
             left = frozenset(units[:cut].tolist())
@@ -361,14 +359,14 @@ class TestMatchingPlayerMatchesLoop:
                     counts[v] = counts.get(v, 0) + 1
             t_fractions = {v: Fraction(c) / MATCH_FAIRNESS for v, c in t_counts.items()}
             expected = real_fair_cut(graph, s_counts, t_fractions, within=range(graph.n),
-                                     cap_scale=mp.cap_multiplier).cut
+                                     cap_scale=game.cap_multiplier).cut
             if calls:
                 (source_w, target_w, got), = calls
                 assert all(type(w) is int for part in (source_w, target_w)
                            for w in part.values())
             else:
                 got = frozenset()
-                assert not dropped and not mp.deleted
+                assert not dropped and not game.deleted
                 seen["certified"] += 1
             assert got == expected, seed
             seen["rounds"] += 1
@@ -409,30 +407,30 @@ class TestCutPlayerStep:
 
 class TestDenseDiagnostics:
     def test_no_matchings_is_identity(self):
-        assert np.allclose(dense_flow_matrix([], None, 2, k=5), np.eye(5))
+        assert np.allclose(dense_flow_matrix([], 2, 5), np.eye(5))
 
     def test_full_matching_blocks(self):
-        matchings = [Matching(((0, 1), (2, 3)))]
+        perms = [pair_permutation(((0, 1), (2, 3)), 4)]
         # slowdown 2: one mixing pass each side collapses the pair block
-        f2 = dense_flow_matrix(matchings, None, 2, k=4)
+        f2 = dense_flow_matrix(perms, 2, 4)
         assert np.allclose(f2[:2, :2], [[0.5, 0.5], [0.5, 0.5]])
         # slowdown 4 keeps 5/8 of the mass in place
-        f4 = dense_flow_matrix(matchings, None, 4, k=4)
+        f4 = dense_flow_matrix(perms, 4, 4)
         assert np.allclose(f4[:2, :2], [[0.625, 0.375], [0.375, 0.625]])
         assert np.allclose(f4[2:, 2:], [[0.625, 0.375], [0.375, 0.625]])
 
     def test_row_sums_exactly_one(self):
         rng = philox(7)
-        matchings = [Matching(tuple((2 * i, 2 * i + 1) for i in range(4)))
-                     for _ in range(5)]
-        f = dense_flow_matrix(matchings, None, 2, k=8)
+        perms = [pair_permutation(((2 * i, 2 * i + 1) for i in range(4)), 8)
+                 for _ in range(5)]
+        f = dense_flow_matrix(perms, 2, 8)
         assert np.abs(f.sum(axis=0) - 1).max() < 1e-12
         assert np.abs(f.sum(axis=1) - 1).max() < 1e-12
         assert (f >= -1e-15).all()
 
     def test_oversize_refused(self):
         with pytest.raises(OversizeError):
-            dense_flow_matrix([], None, 2, k=300)
+            dense_flow_matrix([], 2, 300)
 
     def test_mixing_power_identity(self):
         # N^(4*slowdown) == I - lam * (I_active - M) with the closed-form lam
@@ -479,7 +477,7 @@ def random_matching_perm(rng, k, mask):
     """The permutation of a random matching on some of the masked units."""
     units = rng.permutation(np.flatnonzero(mask))
     units = units[:2 * int(rng.integers(0, len(units) // 2 + 1))]
-    return Matching(tuple(zip(units[0::2].tolist(), units[1::2].tolist()))).permutation(k)
+    return pair_permutation(zip(units[0::2].tolist(), units[1::2].tolist()), k)
 
 
 class TestWalkMatchesFormula:
@@ -510,16 +508,16 @@ class TestWalkMatchesFormula:
 class TestPotential:
     def test_initial_value_is_k_minus_one(self):
         for k in (4, 9, 16):
-            value = potential([], [list(range(k))], slowdown_for(k), k=k)
+            value = potential([], range(k), slowdown_for(k), k)
             assert abs(value - (k - 1)) < 1e-9
 
     def test_single_active_unit_gives_zero(self):
-        value = potential([Matching(((0, 1),))], [list(range(4)), [2]], 2, k=4)
+        value = potential([pair_permutation(((0, 1),), 4)], [2], 2, 4)
         assert abs(value) < 1e-12
 
     def test_oversize_refused(self):
         with pytest.raises(OversizeError):
-            potential([], [list(range(600))], 2)
+            potential([], range(600), 2, 600)
 
     def test_projection_estimate_is_unbiased(self, k8):
         # the game's stop signal k * ||walk(r)||^2 averages to the potential
@@ -530,8 +528,7 @@ class TestPotential:
         for rounds in (0, 3, 5, 8):
             while game.round < rounds:
                 game.step()
-            exact = potential(game.matchings, [game.active_mask],
-                              game.slowdown, k=k)
+            exact = potential(game.perms, game.active_mask, game.slowdown, k)
             r = rng.standard_normal((k, 2000))
             r /= np.linalg.norm(r, axis=0)
             walked = _apply_walk(r, game.perms, game.active_mask, game.slowdown)
@@ -546,8 +543,7 @@ class TestPotential:
             if game.stopped:
                 break
             game.step()
-            values.append(potential(game.matchings, [game.active_mask],
-                                    game.slowdown, k=game.k))
+            values.append(potential(game.perms, game.active_mask, game.slowdown, game.k))
         tol = 1e-9 * game.k
         assert all(b <= a + tol for a, b in zip(values, values[1:]))
 
@@ -563,11 +559,19 @@ class TestMatchingPlayer:
         # swallows the whole instance and both units are dropped
         g = Graph.from_edges(2, [(0, 1, 1)])
         game = make_game(g, {0: 1, 1: 1}, Fraction(1, 100), 0)
-        assert game.mp.congestion_factor == 1000
+        assert game.congestion_factor == 1000
+        assert game.cap_multiplier == 1500
         dropped, matching = matching_player_step(game, frozenset({0}), frozenset({1}))
-        survivors_matched = frozenset(i for i, _j in matching.pairs)
+        survivors_matched = frozenset(i for i, _j in matching)
         assert survivors_matched == frozenset({0}) - dropped
-        assert game.mp.deleted == {0, 1} and dropped == frozenset({0, 1})
+        assert game.deleted == {0, 1} and dropped == frozenset({0, 1})
+
+    @pytest.mark.parametrize("factor", range(1, 61))
+    def test_cap_multiplier_is_exact(self, path3, factor):
+        # the integer property against the Fraction formula it replaced
+        game = make_game(path3, {0: 1, 2: 1}, Fraction(1, 4), 0)
+        game.congestion_factor = factor
+        assert game.cap_multiplier == math.ceil(factor * MATCH_FAIRNESS)
 
     def test_local_pairing_uses_no_flow(self, path3):
         # two proposal units and three responders at the same vertex: the
@@ -578,16 +582,16 @@ class TestMatchingPlayer:
         assert dropped == frozenset()
         assert len(matching) == 2
         assert all(game.vertex_of[i] == game.vertex_of[j] == 0
-                   for i, j in matching.pairs)
-        assert game.mp.edge_load == {}
+                   for i, j in matching)
+        assert game.edge_load == {}
 
     def test_cross_edge_matching_tracks_load(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
         game = make_game(g, {0: 1, 1: 2}, Fraction(1, 4), 0)
         dropped, matching = matching_player_step(game, frozenset({0}), frozenset({1, 2}))
         assert dropped == frozenset()
-        assert matching.pairs == ((0, 1),)
-        assert game.mp.edge_load == {0: 1}
+        assert matching == ((0, 1),)
+        assert game.edge_load == {0: 1}
 
     @pytest.fixture
     def flow_builds(self, monkeypatch):
@@ -640,9 +644,9 @@ class TestMatchingPlayer:
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
         routing = 0
         while game.stopped is None:
-            before = sum(game.mp.edge_load.values())
+            before = sum(game.edge_load.values())
             game.step()
-            routing += sum(game.mp.edge_load.values()) > before
+            routing += sum(game.edge_load.values()) > before
         assert game.round > 0 and routing > 0
         assert fair_cuts == []
         assert flow_builds["matching_flows"] == routing
@@ -668,8 +672,8 @@ def run_game_with_invariants(graph, pi, phi, seed, max_rounds, congestion_factor
     """
     game = CutMatchingGame(graph, pi, phi, philox(seed), early_stop=False)
     if congestion_factor is not None:
-        game.mp = MatchingPlayerState(congestion_factor)
-    c = game.mp.congestion_factor
+        game.congestion_factor = congestion_factor
+    c = game.congestion_factor
     survivor_ok = True
     with played_rounds() as rounds:
         while game.stopped is None and game.round < max_rounds:
@@ -677,14 +681,14 @@ def run_game_with_invariants(graph, pi, phi, seed, max_rounds, congestion_factor
             played = rounds[-1]
 
             # inactive units and deleted vertices stay in lockstep
-            assert (~game.active_mask == np.isin(game.vertex_of, list(game.mp.deleted))).all()
+            assert (~game.active_mask == np.isin(game.vertex_of, list(game.deleted))).all()
             # the union of deleted vertices is 1/c-sparse, exactly
-            inactive = frozenset(game.mp.deleted)
+            inactive = frozenset(game.deleted)
             if inactive:
                 cap = boundary_capacity(graph, inactive & game.vertices, game.vertices)
                 assert c * cap <= game.pi.total(inactive)
             # cumulative embedding load within 4 c t cap(e)
-            for eidx, load in game.mp.edge_load.items():
+            for eidx, load in game.edge_load.items():
                 assert load <= 4 * c * game.round * graph.edges[eidx][2]
             # the per-round survivor bound, whenever the sweep sizes allowed it
             a = len(played.active)
@@ -716,7 +720,7 @@ class TestGameInvariants:
             factor = int(rng.choice([1, 2])) if heavy else None
             game = run_game_with_invariants(graph, pi, phi, seed, max_rounds=40,
                                             congestion_factor=factor)
-            deleting += bool(game.mp.deleted)
+            deleting += bool(game.deleted)
         assert deleting >= 6, deleting
 
     def test_active_set_shrinks_monotonically(self, double_k8):
@@ -785,10 +789,13 @@ class TestGameInvariants:
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
         assert game.run() == frozenset()
         assert (game.stopped, game.round, game.k) == ("potential", 44, 114)
-        pairs = json.dumps([list(m.pairs) for m in game.matchings])
+        pairs = json.dumps([list(m) for m in game.matchings])
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
             "0ef0960ae3f8e1eb2b93df290b3aac382c33fea0ba9534b00673053700239422")
-        load = json.dumps(sorted(game.mp.edge_load.items()))
+        # each round's walk permutation is its pairs swapped one by one
+        assert all((perm == pair_permutation(m, game.k)).all()
+                   for m, perm in zip(game.matchings, game.perms, strict=True))
+        load = json.dumps(sorted(game.edge_load.items()))
         assert hashlib.sha256(load.encode()).hexdigest() == (
             "21be08ce5d54fbe4bdb55bd38d710b9c51e10358f85dd89834f1f65d3e4cd342")
         # every RoundRecord field, max_load_ratio and potential included
@@ -811,9 +818,9 @@ class TestExpansionCertificates:
             if game.stopped:
                 break
             game.step()
-        f = dense_flow_matrix(game.matchings, None, game.slowdown, k=k)
+        f = dense_flow_matrix(game.perms, game.slowdown, k)
         active = np.flatnonzero(game.active_mask).tolist()
-        pot = potential(game.matchings, [active], game.slowdown, k=k)
+        pot = potential(game.perms, active, game.slowdown, k)
         floor = 0.25 - pot ** (1 / (2 * game.slowdown)) if pot > 0 else 0.25
         ones = np.ones(k)
         for mask in range(1, 1 << k):
@@ -843,7 +850,7 @@ class TestExpansionCertificates:
             active = frozenset(np.flatnonzero(game.active_mask).tolist())
             degree = np.zeros((k, k))
             for matching in game.matchings:
-                for i, j in matching.pairs:
+                for i, j in matching:
                     degree[i, j] += 1
                     degree[j, i] += 1
             ok = True

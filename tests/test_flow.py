@@ -810,12 +810,11 @@ class TestLazyFairFlow:
             assert result.flow is result.flow
 
 
-class TestSerialization:
-    def test_flow_lines(self, path3):
+class TestFlowOrientation:
+    def test_path_flow_values(self, path3):
         flow = max_flow(path3, {0: 1}, {2: 1}).flow
-        lines = flow.serialize().splitlines()
-        assert lines == ["0 1 1 1", "1 2 1 1"]
+        assert [flow.value(0, 1), flow.value(1, 2), flow.value(2, 1)] == [1, 1, -1]
 
     def test_negative_orientation_flipped(self, path3):
         flow = FlowAssignment(path3, 2, {0: -1})
-        assert flow.serialize() == "1 0 1 2"
+        assert (flow.value(1, 0), flow.value(0, 1)) == (Fraction(1, 2), Fraction(-1, 2))

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from treecut import InputError, construct_hierarchy, generate_diamond, max_flow, \
-    predict_congestion, to_tree_sparsifier
+from treecut import (InputError, construct_hierarchy, generate_diamond, predict_congestion,
+                     to_tree_sparsifier)
 from treecut.textio import (format_demands, format_edge_list, parse_demands,
                             parse_edge_list, parse_vertex_weights, tree_from_json,
                             tree_to_dot, tree_to_json)
@@ -154,12 +154,3 @@ class TestDemands:
     def test_non_integer_pair_rejected(self, text):
         with pytest.raises(InputError, match="demand 0"):
             parse_demands(text)
-
-
-class TestFlowDump:
-    def test_lines_have_fixed_denominator(self, path3):
-        flow = max_flow(path3, {0: 1}, {2: 1}).flow
-        for line in flow.serialize().splitlines():
-            parts = line.split()
-            assert len(parts) == 4
-            assert parts[3] == "1"

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from treecut import ArgumentError, Matching, OversizeError
+from treecut import OversizeError
 from treecut.cutmatch import POTENTIAL_UNIT_CAP, _apply_walk
 
 #: size cap of the explicit k x k mixing matrix
@@ -26,41 +26,37 @@ def _as_mask(active, k: int) -> np.ndarray:
     return mask
 
 
-def _infer_k(matchings, active_sets, k):
-    if k is not None:
-        return k
-    if active_sets:
-        return len(active_sets[0])
-    raise ArgumentError("cannot infer the unit count; pass k explicitly")
+def pair_permutation(pairs: Iterable[tuple[int, int]], k: int) -> np.ndarray:
+    """The walk permutation of a matching on k units, swapped pair by pair."""
+    perm = np.arange(k)
+    for i, j in pairs:
+        perm[i], perm[j] = j, i
+    return perm
 
 
-def dense_flow_matrix(matchings: Sequence[Matching],
-                      active_sets: Sequence[Iterable[int]] | None = None,
-                      slowdown: int = 2, k: int | None = None) -> np.ndarray:
-    """Explicit mixing matrix after the given matchings; doubly stochastic."""
-    k = _infer_k(matchings, active_sets, k)
+def dense_flow_matrix(perms: Sequence[np.ndarray], slowdown: int, k: int) -> np.ndarray:
+    """Explicit mixing matrix after the matchings with the given walk
+    permutations (``game.perms``); doubly stochastic."""
     if k > DENSE_UNIT_CAP:
         raise OversizeError(f"dense matrix limited to {DENSE_UNIT_CAP} units")
     share = 1.0 / slowdown
     keep = 1.0 - share
     f = np.eye(k)
-    for matching in matchings:
-        perm = matching.permutation(k)
+    for perm in perms:
         f = keep * f + share * f[perm, :]
         f = keep * f + share * f[:, perm]
     return f
 
 
-def potential(matchings: Sequence[Matching], active_sets: Sequence[Iterable[int]],
-              slowdown: int, k: int | None = None) -> float:
-    """Convergence potential of the game state, via matrix-free column walks."""
-    k = _infer_k(matchings, active_sets, k)
+def potential(perms: Sequence[np.ndarray], active: Iterable[int], slowdown: int,
+              k: int) -> float:
+    """Convergence potential after the matchings with the given walk
+    permutations, on the active units, via matrix-free column walks."""
     if k > POTENTIAL_UNIT_CAP:
         raise OversizeError(f"potential evaluation limited to {POTENTIAL_UNIT_CAP} units")
-    mask = _as_mask(active_sets[-1] if active_sets else range(k), k)
+    mask = _as_mask(active, k)
     if not mask.any():
         return 0.0
-    perms = [m.permutation(k) for m in matchings]
     cols = _apply_walk(np.eye(k)[:, mask], perms, mask, slowdown)
     return float((cols * cols).sum())
 
