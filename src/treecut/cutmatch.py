@@ -1,35 +1,28 @@
 """Vertex-weighted non-stop cut-matching game and the sparse cut oracle on top of it.
 
 The game runs on integral weight units rather than vertices: each vertex
-contributes pi(v) units, ``game.vertex_of`` maps each unit to its vertex, and
-the cut player never sees the graph.  Per round the cut player proposes a
-bisection of the active units from a slowed random walk over past matchings
-plus a sweep cut; the matching player answers with a fair cut, deleting a
-sparse vertex set and matching the surviving proposal across integral flow
-paths whose congestion it tracks.  Both players take the game itself,
-``cut_player_step(game)`` and ``matching_player_step(game, left, right)``,
-and update its state there: ``matchings`` and ``perms``, ``active_mask``,
-and the matching player's ``deleted``, ``edge_load`` and ``max_load_ratio``.
+contributes pi(v) units, ``game.vertex_of`` maps each unit to its vertex
+(each vertex's units contiguous, so a sorted unit array is grouped by
+vertex), and the cut player never sees the graph.  Per round
+``cut_player_step(game)`` pushes a random vector through the slowed walk over
+past matchings, scaling once per block of passes, and sweeps it into two
+sorted unit arrays; ``matching_player_step(game, left, right)`` takes them,
+deletes a sparse fair-cut side, matches the surviving proposal units locally
+and across integral flow paths whose congestion it tracks, and returns the
+matching as a pair array sorted by proposal unit, from which ``step`` builds
+the walk permutation.  The game holds ``matchings``, ``perms``,
+``active_mask``, ``deleted``, ``edge_load`` and ``max_load_ratio``.  Per-unit
+work is numpy array work; Python loops run once per vertex, flow path or
+routed edge.
 
-The matching player solves its fair cut only when a cut bound cannot prove
-it empty (``flow._fair_cut_is_empty``).  With net supply S = sum of
-(3L(v) - 2R(v))+ and net demand D = sum of (2R(v) - 3L(v))+ over the alive
-vertices, for L(v) and R(v) a vertex's proposal and response units, the cut
-is empty when G[alive] is connected, S <= D and S <= 3 * cap_multiplier.
-The bound is taken only when alive is every vertex of a connected graph,
-as in a root game that has deleted nothing; other games solve every cut.
-Corollary: the sweep cut proposes at most ceil(a/8) of the a active units
-and answers with ceil(a/2), so S <= D once a >= 3, and S <= 3 * ceil(a/8).
-A game on a connected alive set therefore deletes nothing while
-3 <= a <= 8 * cap_multiplier.  At the root oracle's phi/20 = 1/80 the
-congestion factor is 800 and the cap multiplier 1200, so a root game on a
-connected graph deletes nothing while at most 9600 units are active.
-
-A round's per-unit work is numpy array work on sorted unit-index arrays: the
-walk, the sweep cut's ordering and far filter, and the matching player's
-per-vertex counts and grouping.  Python loops run once per vertex, flow path
-or routed edge.  A vertex's units are contiguous, so a sorted unit array is
-also grouped by vertex.
+The fair cut is solved only when a cut bound cannot prove it empty
+(``flow._fair_cut_is_empty``): with net supply S = sum of (3L(v) - 2R(v))+
+and net demand D = sum of (2R(v) - 3L(v))+, for L(v) and R(v) a vertex's
+proposal and response units, it is empty when the alive vertices are every
+vertex of a connected graph, S <= D and S <= 3 * cap_multiplier.  The sweep
+proposes at most ceil(a/8) of the a active units against ceil(a/2), so a root
+game on a connected graph deletes nothing while 3 <= a <= 8 * cap_multiplier,
+9600 units at the root oracle's phi/20 = 1/80 (congestion factor 800).
 """
 
 from __future__ import annotations
@@ -55,6 +48,9 @@ POTENTIAL_UNIT_CAP = 512
 
 #: a game on k units plays at most ROUND_COEFF * ceil_log2(k)^2 rounds
 ROUND_COEFF = 10
+
+#: a block of ``_apply_walk`` passes grows values at most 2^WALK_BLOCK_BITS-fold
+WALK_BLOCK_BITS = 256
 
 
 def ceil_log2(x: int) -> int:
@@ -96,54 +92,67 @@ def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
     """Matrix-free application of the centered, slowed walk operator.
 
     ``vec`` is one vector of length k or a k x m block of column vectors.
-    Each mixing pass computes ``(1 - 1/s) * y + (1/s) * y[perm]`` for the
-    slowdown s as ``((s - 1) * y + y[perm]) * (1/s)``, three array operations
-    where the first form takes four at s = 2.  For a power of two s, as
-    ``slowdown_for`` returns, both give the same bits, since scaling by a
-    power of two is exact away from subnormals.  At s = 2 the ``(s - 1) * y``
-    factor is the identity and is skipped.
+    A mixing pass ``(1 - 1/s) * y + (1/s) * y[perm]`` for the slowdown s runs
+    as ``y += y[perm]``, after ``y *= s - 1`` when s > 2, and y is scaled by
+    (1/s)^b once per block of b = WALK_BLOCK_BITS // ceil_log2(s) passes and
+    for the passes left before each centering.  For a power of two s, as
+    ``slowdown_for`` returns, the bits are the per-pass formula's: scaling by
+    a power of two commutes with rounding while no value is subnormal or
+    overflows.  A unit-norm input such as ``cut_player_step``'s cannot
+    overflow; a value the walk shrinks below 2^-1022, far past the game's
+    potential stop, or an input near 1e+-300 can round differently.
     """
     y = vec.astype(float, copy=True)
     count = int(mask.sum())
     share = 1.0 / slowdown
     lag = float(slowdown - 1)
+    block = WALK_BLOCK_BITS // ceil_log2(slowdown)
     passes = [*reversed(perms), *perms]
     for _ in range(slowdown):
         y[~mask] = 0.0
         y[mask] -= y[mask].sum(axis=0) / count
-        for perm in passes:
-            moved = y[perm]
-            if lag != 1.0:
-                y *= lag
-            y += moved
-            y *= share
+        for start in range(0, len(passes), block):
+            chunk = passes[start:start + block]
+            for perm in chunk:
+                moved = y[perm]
+                if lag != 1.0:
+                    y *= lag
+                y += moved
+            y *= share ** len(chunk)
         y[~mask] = 0.0
         y[mask] -= y[mask].sum(axis=0) / count
     return y
 
 
-def _unit_array(units) -> np.ndarray:
-    """Unit indices as a sorted int array."""
+def _unit_array(units, k: int) -> np.ndarray:
+    """Distinct units in 0..k-1 as a sorted int array, else an argument error."""
     if not isinstance(units, np.ndarray):
         units = np.fromiter(units, dtype=np.intp)
-    return np.sort(units.astype(np.intp, copy=False))
+    units = np.sort(units.astype(np.intp, copy=False))
+    if len(units) and not 0 <= units[0] <= units[-1] < k:
+        raise ArgumentError("units must lie in 0..k-1")
+    if not np.diff(units).all():
+        raise ArgumentError("a unit appears more than once")
+    return units
 
 
 def sweep_cut(active: Iterable[int] | np.ndarray, values: np.ndarray
-              ) -> tuple[frozenset[int], frozenset[int], float]:
+              ) -> tuple[np.ndarray, np.ndarray, float]:
     """Split the active units around a separation level of the walk values.
 
-    Returns (proposal side, response side, separation level).  The proposal
-    side is small (at most ceil(a/8) units), far from the level, and carries
-    at least 1/80 of the active mass; the response side holds at least half
-    the units.  Both orientations are tried; failure of both is a bug.
-    Units are ordered by (value, unit index); all per-unit work is array work.
+    Returns (proposal side, response side, separation level), the sides as
+    sorted unit arrays.  The proposal side is small (at most ceil(a/8) of the
+    a distinct active units), far from the level, and carries at least 1/80
+    of the active mass; the response side holds at least half the units.
+    Both orientations are tried; failure of both is a bug.  Units are
+    ordered by (value, unit index); all per-unit work is array work.
     """
-    act = _unit_array(active)
+    vals = np.asarray(values, dtype=float)
+    act = _unit_array(active, len(vals))
     a = len(act)
     if a < 2:
         raise ArgumentError("sweep cut needs at least two active units")
-    vals = np.asarray(values, dtype=float)[act]
+    vals = vals[act]
     # act is sorted, so a stable sort breaks value ties by unit index
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
@@ -179,11 +188,13 @@ def _sweep_orientation(act, vals, order, svals, a, side):
     picked = sum(x ** 2 for x in vals[top].tolist())
     if picked + 1e-12 * max(total, 1.0) < total / 80.0:
         return None
-    return frozenset(act[top].tolist()), frozenset(act[resp_pos].tolist()), level
+    # act is sorted, so sorted positions give sorted units
+    return act[np.sort(top)], act[np.sort(resp_pos)], level
 
 
-def cut_player_step(game: "CutMatchingGame") -> tuple[frozenset[int], frozenset[int]]:
-    """One cut-player move: project a random direction through the walk, sweep."""
+def cut_player_step(game: "CutMatchingGame") -> tuple[np.ndarray, np.ndarray]:
+    """One cut-player move: project a random direction through the walk,
+    sweep; returns the proposal and response sides as sorted unit arrays."""
     mask = game.active_mask
     count = int(mask.sum())
     if count < 2:
@@ -209,120 +220,113 @@ def cut_player_step(game: "CutMatchingGame") -> tuple[frozenset[int], frozenset[
 # ---------------------------------------------------------------------------
 
 
-def _units_by_vertex(vertex_of: np.ndarray, units: np.ndarray) -> dict[int, list[int]]:
-    """Group a sorted unit array by vertex; each vertex's units are contiguous."""
-    verts = vertex_of[units]
-    starts = np.flatnonzero(np.diff(verts, prepend=-1))
-    flat = units.tolist()
-    bounds = starts.tolist() + [len(flat)]
-    return {v: flat[i:j] for v, i, j in zip(verts[starts].tolist(), bounds, bounds[1:])}
-
-
-def _counts_by_vertex(vertex_of: np.ndarray, units: np.ndarray) -> dict[int, int]:
-    counts = np.bincount(vertex_of[units])
+def _nonzero_counts(counts: np.ndarray) -> dict[int, int]:
+    """The nonzero entries of a per-vertex count array, as {vertex: count}."""
     verts = np.flatnonzero(counts)
     return dict(zip(verts.tolist(), counts[verts].tolist()))
 
 
-def matching_player_step(game: "CutMatchingGame", left: frozenset[int],
-                         right: frozenset[int]
-                         ) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the earlier entries equal to it."""
+    order = np.argsort(x, kind="stable")
+    rank = np.empty_like(x)
+    rank[order] = np.arange(len(x)) - np.searchsorted(x[order], x[order])
+    return rank
+
+
+def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarray,
+                         right: Iterable[int] | np.ndarray
+                         ) -> tuple[frozenset[int], np.ndarray]:
     """Answer a bisection of the game's active units: delete a sparse fair-cut
     side, match the rest.
 
-    Returns the dropped units and the round's matching, a sorted tuple of
-    (proposal unit, response unit) pairs.  Matches every surviving proposal
-    unit to a distinct response unit, pairing locally at shared vertices
-    first and routing the remainder along integral flow paths.  Failure to
-    match all survivors would contradict the fair cut and raises an internal
-    error.
-
-    Routes within the game's vertices not yet deleted, zero-weight vertices
-    included.  That keeps the deleted set sparse against full-graph
-    capacities, since every edge leaving a deleted region is then visible to
-    some fair cut.
+    ``left`` and ``right`` hold distinct units, such as the sorted arrays
+    ``sweep_cut`` returns.  Returns the dropped units and the matching, a
+    (p, 2) array of (proposal, response) unit rows sorted by proposal unit:
+    at each vertex its r-th proposal unit pairs with its r-th response unit,
+    and the rest route along integral flow paths, each taking the next units
+    by offset at its two ends.  Failure to match all survivors would
+    contradict the fair cut and raises an internal error.  Routes within the
+    game's vertices not yet deleted, zero-weight vertices included, so that
+    every edge leaving a deleted region is visible to some fair cut and the
+    deleted set stays sparse against full-graph capacities.
     """
-    graph, vertex_of, k = game.graph, game.vertex_of, game.k
-    lft, rgt = _unit_array(left), _unit_array(right)
-    for x in (lft, rgt):
-        if len(x) and not 0 <= x[0] <= x[-1] < k:
-            raise ArgumentError("units must lie in 0..k-1")
-    active = game.active_mask
-    in_left = np.zeros(k, dtype=bool)
+    graph, vertex_of, k, n = game.graph, game.vertex_of, game.k, game.graph.n
+    lft, rgt = _unit_array(left, k), _unit_array(right, k)
+    active, in_left = game.active_mask, np.zeros(k, dtype=bool)
     in_left[lft] = True
     if not (active[lft].all() and active[rgt].all()) or in_left[rgt].any():
         raise ArgumentError("proposal sides must be disjoint subsets of the active units")
     alive = game.vertices - game.deleted
 
     cap = game.cap_multiplier
-    # source weight count, target weight count / MATCH_FAIRNESS, capacities
-    # times cap, all scaled by the fairness's numerator to integers: a
-    # multiple of one instance has the same minimal minimum cut, so the same
-    # fair cut, without a Fraction per vertex
+    # the instance with targets count / MATCH_FAIRNESS and capacities times cap,
+    # times the fairness's numerator: integral, with the same minimal min cut
     up, down = MATCH_FAIRNESS.numerator, MATCH_FAIRNESS.denominator
-    s_weights = {v: up * count for v, count in _counts_by_vertex(vertex_of, lft).items()}
-    t_weights = {v: down * count for v, count in _counts_by_vertex(vertex_of, rgt).items()}
+    n_left = np.bincount(vertex_of[lft], minlength=n)
+    n_right = np.bincount(vertex_of[rgt], minlength=n)
+    net = up * n_left - down * n_right
 
-    # the fair cut's only use here is its cut; skip the max flow when a cut
-    # bound already proves that cut empty.  alive lies in the checked
-    # game.vertices, so at full size it is every vertex and goes on as
-    # range(n), which the flow code takes without a pass
-    within = range(graph.n) if len(alive) == graph.n else alive
-    if _fair_cut_is_empty(graph, s_weights, t_weights, within, up * cap):
+    # skip the fair cut's max flow when a cut bound proves its cut empty; alive
+    # lies in the checked game.vertices, so at full size it goes on as range(n)
+    within = range(n) if len(alive) == n else alive
+    if _fair_cut_is_empty(graph, int(net[net > 0].sum()), int(-net[net < 0].sum()),
+                          within, up * cap):
         cut_side = frozenset()
     else:
-        cut_side = fair_cut(graph, s_weights, t_weights, within=within,
+        cut_side = fair_cut(graph, _nonzero_counts(up * n_left),
+                            _nonzero_counts(down * n_right), within=within,
                             cap_scale=up * cap).cut
     game.deleted |= cut_side
-    in_cut = np.zeros(graph.n, dtype=bool)
-    in_cut[list(cut_side)] = True
-    dropped = frozenset(np.flatnonzero(active & in_cut[vertex_of]).tolist())
-
     # an empty cut leaves the fair cut's own vertex set to route within
-    survivors = alive - cut_side if cut_side else within
-    left_at = _units_by_vertex(vertex_of, lft[~in_cut[vertex_of[lft]]])
-    right_at = _units_by_vertex(vertex_of, rgt[~in_cut[vertex_of[rgt]]])
+    dropped, survivors = frozenset(), within
+    if cut_side:
+        in_cut = np.zeros(n, dtype=bool)
+        in_cut[list(cut_side)] = True
+        dropped = frozenset(np.flatnonzero(active & in_cut[vertex_of]).tolist())
+        survivors = alive - cut_side
+        lft, rgt = lft[~in_cut[vertex_of[lft]]], rgt[~in_cut[vertex_of[rgt]]]
+        n_left[in_cut] = n_right[in_cut] = 0
 
-    # pair locally first, then route the leftovers; every list is consumed
-    # from its front, smallest unit first
-    pairs: list[tuple[int, int]] = []
-    for v, mine in left_at.items():
-        theirs = right_at.get(v)
-        if theirs:
-            m = min(len(mine), len(theirs))
-            pairs.extend(zip(mine[:m], theirs[:m]))
-            del mine[:m], theirs[:m]
-
-    leftover_s = {v: len(us) for v, us in left_at.items() if us}
-    round_load: dict[int, int] = {}
+    # (start, end, weight) rows: first the local pairs at each vertex, then
+    # the flow paths, which take the units left over
+    local = np.minimum(n_left, n_right)
+    verts = np.flatnonzero(local)
+    ends = [np.column_stack((verts, verts, local[verts]))]
+    leftover_s = _nonzero_counts(n_left - local)
+    round_load: dict[int, int] = {}  # signed edge flow
     if leftover_s:
-        leftover_r = {v: len(us) for v, us in right_at.items() if us}
-        solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
-                               cap_scale=2 * cap)
+        solved = _run_max_flow(graph, leftover_s, _nonzero_counts(n_right - local),
+                               within=survivors, cap_scale=2 * cap)
         if not solved.saturated:
             raise InternalError("matching flow failed to saturate all sources; "
                                 "the fair cut contract was violated")
         # the paths put at most an edge's flow on it, exactly that when the
         # flow has no circulation: the flow is the round's load bound
-        round_load = {eidx: abs(num) for eidx, num in solved.flow.nums.items()}
-        decomp = path_decomposition(graph, solved.flow)
-        for path in decomp.paths:
-            mine, theirs, w = left_at[path.start], right_at[path.end], path.weight
-            if len(mine) < w or len(theirs) < w:
-                raise InternalError("a flow path carries more than its end units")
-            pairs.extend(zip(mine[:w], theirs[:w]))
-            del mine[:w], theirs[:w]
-
-    if any(us for us in left_at.values()):
+        round_load = solved.flow.nums
+        ends.append(np.array([(p.start, p.end, p.weight) for p in
+                              path_decomposition(graph, solved.flow).paths],
+                             dtype=np.intp).reshape(-1, 3))
+    ends = np.concatenate(ends)
+    src, dst = np.repeat(ends[:, :2], ends[:, 2], axis=0).T
+    src_rank, dst_rank = _ranks(src), _ranks(dst)
+    if (src_rank >= n_left[src]).any() or (dst_rank >= n_right[dst]).any():
+        raise InternalError("a flow path carries more than its end units")
+    if len(src) < len(lft):
         raise InternalError("not every surviving proposal unit was matched")
-    for eidx, load in round_load.items():
-        capacity = graph.edges[eidx][2]
+    for eidx, num in round_load.items():
+        load, capacity = abs(num), graph.edges[eidx][2]
         if load > 2 * cap * capacity:
             raise InternalError("per-round embedding load too high")
         total = game.edge_load.get(eidx, 0) + load
         game.edge_load[eidx] = total
         game.max_load_ratio = max(game.max_load_ratio, total / capacity)
-    return dropped, tuple(sorted(pairs))
+    # a sorted unit array holds the n(v) units at v from offset first(v) on,
+    # and the r-th row unit at v is the one at first(v) + r
+    partner = np.empty_like(lft)
+    partner[np.cumsum(n_left)[src] - n_left[src] + src_rank] = \
+        rgt[np.cumsum(n_right)[dst] - n_right[dst] + dst_rank]
+    return dropped, np.column_stack((lft, partner))
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +358,12 @@ class CutMatchingGame:
     = ROUND_COEFF * ceil_log2(k)^2 rounds.  The matching player's fair cuts
     are at MATCH_FAIRNESS.
 
-    State: ``matchings`` holds each round's sorted (proposal, response) unit
-    pairs and ``perms`` their walk permutations; ``deleted`` holds the
-    vertices the matching player cut off, ``edge_load`` its routed load per
-    edge index and ``max_load_ratio`` the largest load over capacity.  Fair
-    cuts scale capacities by ``cap_multiplier`` = ceil(c * MATCH_FAIRNESS)
-    for the congestion factor c = ``congestion_factor`` = ceil(10/phi).
+    State: ``matchings`` holds each round's (p, 2) array of (proposal,
+    response) unit pairs and ``perms`` their walk permutations; ``deleted``
+    holds the vertices the matching player cut off, ``edge_load`` its routed
+    load per edge index and ``max_load_ratio`` the largest load over
+    capacity.  Fair cuts scale capacities by ``cap_multiplier`` =
+    ceil(c * MATCH_FAIRNESS) for c = ``congestion_factor`` = ceil(10/phi).
     """
 
     def __init__(self, graph: Graph, pi: Mapping[int, int], phi: Fraction, rng,
@@ -398,7 +402,7 @@ class CutMatchingGame:
         # it routed and it stays exact
         self.max_load_ratio = 0.0
         self.active_mask = np.ones(k, dtype=bool)
-        self.matchings: list[tuple[tuple[int, int], ...]] = []
+        self.matchings: list[np.ndarray] = []
         self.perms: list[np.ndarray] = []
         self.records: list[RoundRecord] = []
         self.stopped: str | None = None
@@ -439,10 +443,9 @@ class CutMatchingGame:
             self.active_mask[list(dropped)] = False
         self.matchings.append(pairs)
         # the pairs are disjoint, so each unit is written at most once
-        ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
         perm = np.arange(self.k)
-        perm[ends[:, 0]] = ends[:, 1]
-        perm[ends[:, 1]] = ends[:, 0]
+        perm[pairs[:, 0]] = pairs[:, 1]
+        perm[pairs[:, 1]] = pairs[:, 0]
         self.perms.append(perm)
 
         rec = RoundRecord(self.round, self.active_count(), len(dropped),

@@ -323,16 +323,15 @@ def _net_terminals(graph: Graph, source_w: Mapping[int, object],
     return supply, demand
 
 
-def _fair_cut_is_empty(graph: Graph, source_w: Mapping[int, object],
-                       target_w: Mapping[int, object], within: Iterable[int] | None,
-                       cap_scale: int) -> bool:
-    """Whether a cut bound proves that ``fair_cut`` on the same arguments
-    returns the empty cut; False proves nothing.
+def _fair_cut_is_empty(graph: Graph, supply: int | Fraction, demand: int | Fraction,
+                       within: Iterable[int] | None, cap_scale: int) -> bool:
+    """Whether a cut bound proves that ``fair_cut`` returns the empty cut on
+    weights with net supply S = ``supply`` and net demand D = ``demand``, the
+    totals of ``_net_terminals`` over every vertex; False proves nothing.
 
     The bound is taken only when ``within`` is every vertex (None or
-    ``range(n)``) and the graph is connected; anything else returns False
-    before the weights are read.  Take S, the net supply, and D, the net
-    demand.  Capacities are positive ints, so when S <= D and S <= cap_scale
+    ``range(n)``) and the graph is connected; anything else returns False.
+    Capacities are positive ints, so when S <= D and S <= cap_scale
     every proper nonempty X has cap_scale * cap(dX) >= cap_scale >= S >=
     supply(X) - demand(X), and X = V has supply(X) - demand(X) = S - D <= 0.
     By Gale's condition the max flow then saturates every net supply, the
@@ -341,9 +340,7 @@ def _fair_cut_is_empty(graph: Graph, source_w: Mapping[int, object],
     """
     if not _every_vertex(graph.n, within) or not graph.is_connected():
         return False
-    supply, demand = _net_terminals(graph, source_w, target_w, range(graph.n))
-    total = sum(supply.values())
-    return total <= sum(demand.values()) and total <= cap_scale
+    return supply <= demand and supply <= cap_scale
 
 
 #: verify_fair_cut property indices

@@ -37,8 +37,8 @@ def random_connected_graph(seed: int, max_n: int = 12, max_cap: int = 8,
 
 class PlayedRound(NamedTuple):
     active: frozenset[int]
-    left: frozenset[int]
-    right: frozenset[int]
+    left: np.ndarray
+    right: np.ndarray
     dropped: frozenset[int]
 
 

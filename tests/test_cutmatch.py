@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, OversizeError,
                      VertexWeights, boundary_capacity, cut_player_step,
-                     generate_dumbbell, matching_player_step, oracle_params,
-                     sparsest_cut_apx, sweep_cut)
+                     generate_dumbbell, generate_grid, matching_player_step,
+                     oracle_params, sparsest_cut_apx, sweep_cut)
 from treecut.cutmatch import POTENTIAL_UNIT_CAP, RoundRecord, _apply_walk, slowdown_for
 from treecut import cutmatch as cutmatch_module
 from treecut import flow as flow_module
@@ -71,7 +71,7 @@ class TestSweepCut:
     def test_outlier_lands_on_proposal_side(self):
         u = np.array([-7.0, 1, 1, 1, 1, 1, 1, 1])
         left, right, level = sweep_cut(range(8), u)
-        assert left == frozenset({0})
+        assert frozenset(left.tolist()) == frozenset({0})
         assert sweep_cut_violations(range(8), u, left, right, level) == []
 
     def test_symmetric_values(self):
@@ -84,7 +84,7 @@ class TestSweepCut:
         u = np.array([1.5, -1.5])
         left, right, level = sweep_cut(range(2), u)
         assert len(left) == 1 and len(right) == 1
-        assert left != right
+        assert left.tolist() != right.tolist()
         assert sweep_cut_violations(range(2), u, left, right, level) == []
 
     def test_all_zero_vector_still_valid(self):
@@ -95,6 +95,19 @@ class TestSweepCut:
     def test_too_few_units_rejected(self):
         with pytest.raises(ArgumentError):
             sweep_cut([3], np.zeros(5))
+
+    def test_out_of_range_active_unit_rejected(self):
+        # a negative unit would read the last value instead
+        for active in ([-1, 0, 1], [0, 1, 5]):
+            with pytest.raises(ArgumentError, match="0..k-1"):
+                sweep_cut(active, np.array([3.0, -1.0, -1.0, -1.0, 0.0]))
+
+    def test_repeated_active_unit_rejected(self):
+        # unit 0 counted twice would make a = 4 where three units are active
+        values = np.array([5.0, -1.0, -1.0, -3.0])
+        for active in ([0, 0, 1, 2], np.array([2, 1, 2, 0])):
+            with pytest.raises(ArgumentError, match="more than once"):
+                sweep_cut(active, values)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=40),
@@ -220,6 +233,17 @@ def loop_matching_player_step(game, left, right):
     return dropped, tuple(sorted(pairs))
 
 
+def side_sets(result):
+    """A sweep result with its sides as frozensets, for the loop references;
+    each side must come as a sorted array of distinct units."""
+    if result is None:
+        return None
+    left, right, level = result
+    for side in (left, right):
+        assert side.dtype == np.intp and (np.diff(side) > 0).all()
+    return frozenset(left.tolist()), frozenset(right.tolist()), level
+
+
 def fuzz_sweep_vectors(seed, count):
     """Seeded sweep-cut inputs: ties, signed zeros, inactive units, k up to 900."""
     rng = philox(seed)
@@ -257,7 +281,7 @@ class TestSweepCutMatchesLoops:
                     sweep_cut(np.sort(active), values)
                 continue
             for given in (as_set, np.sort(active), list(active)):
-                assert sweep_cut(given, values) == expected
+                assert side_sets(sweep_cut(given, values)) == expected
             calls += 1
         assert calls >= 2000
 
@@ -277,7 +301,7 @@ class TestSweepCutMatchesLoops:
                 expected = loop_sweep_orientation(act, vals, order, svals, a, side)
                 got = cutmatch_module._sweep_orientation(
                     np.array(act), vals, arr_order, svals, a, side)
-                assert got == expected
+                assert side_sets(got) == expected
                 seen[side if expected is not None else "none"] += 1
         assert min(seen.values()) > 0
 
@@ -308,7 +332,7 @@ class TestMatchingPlayerMatchesLoop:
                 loads_before = dict(game_loop.edge_load)
                 expected = loop_matching_player_step(game_loop, left, right)
                 got = matching_player_step(game_array, left, right)
-                assert got == expected
+                assert (got[0], tuple(map(tuple, got[1].tolist()))) == expected
                 routed = game_loop.edge_load != loads_before
                 assert game_array.edge_load == game_loop.edge_load
                 assert game_array.deleted == game_loop.deleted
@@ -395,7 +419,7 @@ class TestCutPlayerStep:
         assert sorted(left) == [5]
         assert sorted(right) == [1, 2, 6, 7]
         again = play()
-        assert again == (left, right)
+        assert (again[0].tolist(), again[1].tolist()) == (left.tolist(), right.tolist())
 
     def test_walk_output_is_centered(self, k8):
         game = make_game(k8, {v: 2 for v in range(8)}, Fraction(1, 4), 3)
@@ -504,6 +528,46 @@ class TestWalkMatchesFormula:
             seen.add((slowdown, block))
         assert len(seen) == 6
 
+    def test_bit_equal_across_rescale_blocks(self):
+        # histories of 40-600 matchings on unit-norm inputs: each walk runs
+        # more passes than one rescale block holds, at every power of two
+        rng = philox(909)
+        seen = set()
+        for trial in range(24):
+            slowdown = (2, 4, 8)[trial % 3]
+            block = cutmatch_module.WALK_BLOCK_BITS // (slowdown.bit_length() - 1)
+            k = int(rng.integers(4, 40))
+            mask = rng.random(k) < rng.uniform(0.3, 0.9)
+            mask[:2] = True
+            mask[int(rng.integers(2, k))] = False
+            perms = clustered_history(rng, k, int(rng.integers(max(40, block // 2 + 1), 601)))
+            assert 2 * len(perms) > block
+            blocked = trial % 2 == 1
+            vec = rng.standard_normal((k, int(rng.integers(1, 6))) if blocked else k)
+            vec /= np.linalg.norm(vec, axis=0)
+            got = _apply_walk(vec, perms, mask, slowdown)
+            expected = formula_apply_walk(vec, perms, mask, slowdown)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (trial, slowdown, blocked)
+            seen.add((slowdown, blocked))
+        assert len(seen) == 6
+
+
+def clustered_history(rng, k, count):
+    """Permutations of random matchings within two fixed halves of all k
+    units, inactive ones included.  The walk keeps the difference between
+    the halves, so its values stay far from subnormal however long the
+    history; on one well-mixed set they would reach it."""
+    halves = np.array_split(rng.permutation(k), 2)
+    perms = []
+    for _ in range(count):
+        pairs = []
+        for half in halves:
+            units = rng.permutation(half)[:2 * int(rng.integers(0, len(half) // 2 + 1))]
+            pairs += zip(units[0::2].tolist(), units[1::2].tolist())
+        perms.append(pair_permutation(pairs, k))
+    return perms
+
 
 class TestPotential:
     def test_initial_value_is_k_minus_one(self):
@@ -590,7 +654,7 @@ class TestMatchingPlayer:
         game = make_game(g, {0: 1, 1: 2}, Fraction(1, 4), 0)
         dropped, matching = matching_player_step(game, frozenset({0}), frozenset({1, 2}))
         assert dropped == frozenset()
-        assert matching == ((0, 1),)
+        assert tuple(map(tuple, matching.tolist())) == ((0, 1),)
         assert game.edge_load == {0: 1}
 
     @pytest.fixture
@@ -650,6 +714,18 @@ class TestMatchingPlayer:
         assert game.round > 0 and routing > 0
         assert fair_cuts == []
         assert flow_builds["matching_flows"] == routing
+
+    @pytest.mark.parametrize("left, right", [([0, 0], [5, 6, 7]),
+                                             ([0], [5, 6, 6]),
+                                             (np.array([1, 0, 1]), np.array([5]))])
+    def test_repeated_unit_rejected(self, left, right):
+        # a repeated proposal unit would be matched twice, and the walk
+        # permutation built from those pairs would not be an involution
+        graph = generate_dumbbell(4)
+        game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 4), 0)
+        with pytest.raises(ArgumentError, match="more than once"):
+            matching_player_step(game, left, right)
+        assert game.deleted == set() and game.edge_load == {}
 
     def test_overlapping_sides_rejected(self, path3):
         game = make_game(path3, {0: 1, 2: 1}, Fraction(1, 4), 0)
@@ -789,7 +865,7 @@ class TestGameInvariants:
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
         assert game.run() == frozenset()
         assert (game.stopped, game.round, game.k) == ("potential", 44, 114)
-        pairs = json.dumps([list(m) for m in game.matchings])
+        pairs = json.dumps([m.tolist() for m in game.matchings])
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
             "0ef0960ae3f8e1eb2b93df290b3aac382c33fea0ba9534b00673053700239422")
         # each round's walk permutation is its pairs swapped one by one
@@ -802,6 +878,25 @@ class TestGameInvariants:
         records = json.dumps([dataclasses.astuple(r) for r in game.records])
         assert hashlib.sha256(records.encode()).hexdigest() == (
             "981773e25bc52f86206f92b23730d8dc73e586888ca8a6360ef357e19b633872")
+
+    def test_seeded_large_root_game_is_pinned(self):
+        # grid 12x12 at phi/80 with degree weights, k = 528 > POTENTIAL_UNIT_CAP
+        # as in the build-large corpus: the same three digests as above
+        graph = generate_grid(12, 12)
+        game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
+        assert game.run() == frozenset()
+        assert (game.stopped, game.round, game.k) == ("potential", 61, 528)
+        pairs = json.dumps([m.tolist() for m in game.matchings])
+        assert hashlib.sha256(pairs.encode()).hexdigest() == (
+            "43f6041711cdaee8ef4d259838e939ad589e961a7ef4d91aab54c75a026acdb1")
+        assert all((perm == pair_permutation(m, game.k)).all()
+                   for m, perm in zip(game.matchings, game.perms, strict=True))
+        load = json.dumps(sorted(game.edge_load.items()))
+        assert hashlib.sha256(load.encode()).hexdigest() == (
+            "dba01b24620c62b31ba762ae501772af74259f388344de9256b13916e78d3cca")
+        records = json.dumps([dataclasses.astuple(r) for r in game.records])
+        assert hashlib.sha256(records.encode()).hexdigest() == (
+            "802782af01f34455d0c6e3cb41176d6228821a6f3d836c74e3cd9bbc5b931972")
 
 
 class TestExpansionCertificates:

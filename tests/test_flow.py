@@ -180,6 +180,13 @@ class TestEmptyCutBound:
             within = frozenset(v for v in range(graph.n) if rng.random() < keep)
         return graph, source_w, target_w, within, int(rng.integers(1, 25))
 
+    @staticmethod
+    def _totals(graph, source_w, target_w):
+        """Net supply and net demand of the terminal reduction over every vertex."""
+        supply, demand = flow_module._net_terminals(graph, source_w, target_w,
+                                                    range(graph.n))
+        return sum(supply.values()), sum(demand.values())
+
     def test_certified_cut_is_empty_and_the_flow_saturates(self):
         # "sums pass, cut not empty" counts disconnected whole-graph instances
         # that the same sums on a connected twin certify, yet whose fair cut
@@ -189,8 +196,8 @@ class TestEmptyCutBound:
         for seed in range(800):
             graph, source_w, target_w, within, scale = self._instance(seed)
             result = fair_cut(graph, source_w, target_w, within=within, cap_scale=scale)
-            certified = flow_module._fair_cut_is_empty(graph, source_w, target_w,
-                                                       within, scale)
+            totals = self._totals(graph, source_w, target_w)
+            certified = flow_module._fair_cut_is_empty(graph, *totals, within, scale)
             if certified:
                 assert result.cut == frozenset() and result.saturated, seed
             seen["certified" if certified else "solved"] += 1
@@ -203,7 +210,7 @@ class TestEmptyCutBound:
                 twin = Graph.from_edges(graph.n, list(graph.edges) + [(0, graph.n - 1, 1)])
                 seen["sums pass, cut not empty"] += bool(
                     result.cut and flow_module._fair_cut_is_empty(
-                        twin, source_w, target_w, within, scale))
+                        twin, *totals, within, scale))
         assert min(seen.values()) >= 10 and seen["certified"] >= 100, seen
 
 
