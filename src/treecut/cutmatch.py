@@ -8,11 +8,11 @@ vertex), and the cut player never sees the graph.  Per round
 past matchings, scaling once per block of passes, and sweeps it into two
 sorted unit arrays; ``matching_player_step(game, left, right)`` takes them,
 deletes a sparse fair-cut side, matches the surviving proposal units locally
-and across integral flow paths whose congestion it tracks, and returns the
+and across integral routed paths whose congestion it tracks, and returns the
 matching as a pair array sorted by proposal unit, from which ``step`` builds
 the walk permutation.  The game holds ``matchings``, ``perms``,
 ``active_mask``, ``deleted``, ``edge_load`` and ``max_load_ratio``.  Per-unit
-work is numpy array work; Python loops run once per vertex, flow path or
+work is numpy array work; Python loops run once per vertex, routed path or
 routed edge.
 
 The fair cut is solved only when a cut bound cannot prove it empty
@@ -23,6 +23,18 @@ vertex of a connected graph, S <= D and S <= 3 * cap_multiplier.  The sweep
 proposes at most ceil(a/8) of the a active units against ceil(a/2), so a root
 game on a connected graph deletes nothing while 3 <= a <= 8 * cap_multiplier,
 9600 units at the root oracle's phi/20 = 1/80 (congestion factor 800).
+
+Such a certified round routes without a flow too (``flow._route_certified``):
+its leftover supply is at most cap_multiplier, half of any edge's per-round
+capacity 2 * cap_multiplier * cap(e), so no capacity can bind and each
+leftover proposal unit goes to the nearest response units a BFS reaches.
+The cut player wins against any matching that embeds with bounded
+congestion (Khandekar-Rao-Vazirani), so the routing may be chosen for speed.
+A round's load on an edge is then the plain sum of the weights of the paths
+over it, an upper bound on the |net flow| that is exact unless two paths
+cross the edge in opposite directions.  Every other round (a game within a
+proper subset, any round after a deletion, a supply above the bound) solves
+the exact max flow and decomposes it into paths.
 """
 
 from __future__ import annotations
@@ -35,8 +47,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ArgumentError, InternalError
-from .flow import (_fair_cut_is_empty, _run_max_flow, _vertex_set, fair_cut,
-                   path_decomposition)
+from .flow import (_fair_cut_is_empty, _route_certified, _run_max_flow, _vertex_set,
+                   fair_cut, path_decomposition)
 from .graphs import Graph, VertexWeights
 
 #: fairness factor of the matching player's fair cuts
@@ -244,8 +256,14 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     ``sweep_cut`` returns.  Returns the dropped units and the matching, a
     (p, 2) array of (proposal, response) unit rows sorted by proposal unit:
     at each vertex its r-th proposal unit pairs with its r-th response unit,
-    and the rest route along integral flow paths, each taking the next units
-    by offset at its two ends.  Failure to match all survivors would
+    and the rest route along integral paths, each taking the next units by
+    offset at its two ends.  A round whose fair cut the cut bound proves
+    empty routes each leftover proposal vertex, in ascending order, to the
+    nearest leftover response units by BFS (``flow._route_certified``): no
+    capacity can bind there, so no max flow is needed, and an edge's load
+    is the summed weight of the paths over it.  Any other round routes along
+    the exact matching flow's path decomposition, an edge's load being its
+    |net flow|.  Failure to match all survivors would
     contradict the fair cut and raises an internal error.  Routes within the
     game's vertices not yet deleted, zero-weight vertices included, so that
     every edge leaving a deleted region is visible to some fair cut and the
@@ -270,8 +288,9 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     # skip the fair cut's max flow when a cut bound proves its cut empty; alive
     # lies in the checked game.vertices, so at full size it goes on as range(n)
     within = range(n) if len(alive) == n else alive
-    if _fair_cut_is_empty(graph, int(net[net > 0].sum()), int(-net[net < 0].sum()),
-                          within, up * cap):
+    certified = _fair_cut_is_empty(graph, int(net[net > 0].sum()),
+                                   int(-net[net < 0].sum()), within, up * cap)
+    if certified:
         cut_side = frozenset()
     else:
         cut_side = fair_cut(graph, _nonzero_counts(up * n_left),
@@ -289,23 +308,28 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
         n_left[in_cut] = n_right[in_cut] = 0
 
     # (start, end, weight) rows: first the local pairs at each vertex, then
-    # the flow paths, which take the units left over
+    # the routed paths, which take the units left over
     local = np.minimum(n_left, n_right)
     verts = np.flatnonzero(local)
     ends = [np.column_stack((verts, verts, local[verts]))]
     leftover_s = _nonzero_counts(n_left - local)
-    round_load: dict[int, int] = {}  # signed edge flow
+    round_load: dict[int, int] = {}  # signed edge flow, or summed path weights
     if leftover_s:
-        solved = _run_max_flow(graph, leftover_s, _nonzero_counts(n_right - local),
-                               within=survivors, cap_scale=2 * cap)
-        if not solved.saturated:
-            raise InternalError("matching flow failed to saturate all sources; "
-                                "the fair cut contract was violated")
-        # the paths put at most an edge's flow on it, exactly that when the
-        # flow has no circulation: the flow is the round's load bound
-        round_load = solved.flow.nums
-        ends.append(np.array([(p.start, p.end, p.weight) for p in
-                              path_decomposition(graph, solved.flow).paths],
+        leftover_r = _nonzero_counts(n_right - local)
+        if certified:
+            # no capacity binds in a certified round: the nearest sinks will do
+            paths, round_load = _route_certified(graph, leftover_s, leftover_r)
+        else:
+            solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
+                                   cap_scale=2 * cap)
+            if not solved.saturated:
+                raise InternalError("matching flow failed to saturate all sources; "
+                                    "the fair cut contract was violated")
+            # the paths put at most an edge's flow on it, exactly that when
+            # the flow has no circulation: the flow is the round's load bound
+            round_load = solved.flow.nums
+            paths = path_decomposition(graph, solved.flow).paths
+        ends.append(np.array([(p.start, p.end, p.weight) for p in paths],
                              dtype=np.intp).reshape(-1, 3))
     ends = np.concatenate(ends)
     src, dst = np.repeat(ends[:, :2], ends[:, 2], axis=0).T

@@ -12,6 +12,9 @@ units of 1/denom, are built only when a caller reads them, from the
 residuals as they are.  ``path_decomposition`` is the one place that deals
 with circulations: its walks cancel the cycles they meet and drop whatever
 circulation is left, so a cycle-free flow is reproduced edge-exactly.
+The one routing without a max flow is ``_route_certified``: a matching
+round whose fair cut ``_fair_cut_is_empty`` proves empty goes to the
+nearest sinks by BFS, since no capacity can bind there.
 """
 
 from __future__ import annotations
@@ -341,6 +344,68 @@ def _fair_cut_is_empty(graph: Graph, supply: int | Fraction, demand: int | Fract
     if not _every_vertex(graph.n, within) or not graph.is_connected():
         return False
     return supply <= demand and supply <= cap_scale
+
+
+def _route_certified(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int]
+                     ) -> tuple[list[PathFlow], dict[int, int]]:
+    """Nearest-sink routing of a matching round that ``_fair_cut_is_empty``
+    certified: returns the paths and the load per edge index.
+
+    ``supply`` and ``demand`` are the leftover proposal and response units
+    per vertex, L - R and R - L after pairing min(L, R) at each vertex, at
+    disjoint vertices.  Sources go in ascending order; each runs a BFS over
+    ``graph._adj`` and takes the units left at each sink as the BFS reaches
+    it, nearest first, until the source's units are used up.  A path's
+    weight is the units it moves, and an edge's load is the plain sum of the
+    weights of the paths over it: at least the |net flow| on the edge, equal
+    to it when no two paths cross the edge in opposite directions, so it is
+    a sound congestion bound.  A source whose BFS runs out of sinks is left
+    short, for the caller's count to catch.
+
+    No capacity can bind, so any routing is as feasible as the exact max
+    flow's.  The round was certified with cap_scale 3c (c the cap multiplier)
+    on S = sum (3L - 2R)+ <= D = sum (2R - 3L)+ and S <= 3c, with the alive
+    vertices every vertex of a connected graph.  When L >= R, 3L - 2R >=
+    3(L - R), so the leftover supply L' = sum (L - R)+ is at most S/3 <= c:
+    no edge carries more than L' <= c, half the round's capacity 2c * cap(e)
+    at least.  S <= D gives 3 sum L <= 2 sum R, so sum R >= sum L and the
+    leftover demand sum (R - L)+ is at least L'.  The graph is connected, so
+    every BFS reaches a sink while any demand is left.
+    """
+    adj, edges = graph._adj, graph.edges
+    room = [0] * graph.n
+    for v, x in demand.items():
+        room[v] = x
+    # per vertex: the last source whose BFS reached it, and the edge it came by
+    seen, via = [-1] * graph.n, [-1] * graph.n
+    paths: list[PathFlow] = []
+    load: dict[int, int] = {}
+    for start in sorted(supply):
+        need, taken, queue = supply[start], [], [start]
+        seen[start], via[start] = start, -1
+        for v in queue:
+            for w, idx in adj[v]:
+                if seen[w] != start:
+                    seen[w], via[w] = start, idx
+                    queue.append(w)
+                    if got := room[w]:
+                        take = min(need, got)
+                        room[w] = got - take
+                        taken.append((w, take))
+                        need -= take
+                        if not need:
+                            break
+            if not need:
+                break
+        for sink, take in taken:
+            walk, v = [sink], sink
+            while (idx := via[v]) >= 0:
+                a, b, _c = edges[idx]
+                v = a if b == v else b
+                load[idx] = load.get(idx, 0) + take
+                walk.append(v)
+            paths.append(PathFlow(start, sink, tuple(reversed(walk)), take))
+    return paths, load
 
 
 #: verify_fair_cut property indices

@@ -1,5 +1,6 @@
 """Cut player, matching player, and the sparse cut oracle."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -19,7 +20,7 @@ from treecut.cutmatch import POTENTIAL_UNIT_CAP, RoundRecord, _apply_walk, slowd
 from treecut import cutmatch as cutmatch_module
 from treecut import flow as flow_module
 from treecut.cutmatch import MATCH_FAIRNESS
-from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
+from treecut.flow import FlowAssignment, PathFlow, _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
 from walk_diagnostics import dense_flow_matrix, pair_permutation, potential, sweep_cut_violations
@@ -121,9 +122,10 @@ class TestSweepCut:
 
 
 # -- loop references: the per-unit Python loops the array code replaced,
-# -- kept verbatim; the array code must reproduce their results exactly.  The
-# -- far test squares by multiplying where the loops call pow, which can differ
-# -- by 1 ulp, so a verdict could only flip with both sides within 1 ulp.
+# -- kept verbatim, and a unit-by-unit nearest-sink router for the rounds the
+# -- cut bound certifies; the array code must reproduce their results exactly.
+# -- The far test squares by multiplying where the loops call pow, which can
+# -- differ by 1 ulp, so a verdict could only flip with both sides within 1 ulp.
 
 def loop_sweep_cut(active, values):
     act = [int(i) for i in sorted(active)]
@@ -207,9 +209,44 @@ def loop_matching_player_step(game, left, right):
         while mine and theirs:
             pairs.append((mine.pop(0), theirs.pop(0)))
 
+    # the cut bound: every vertex of a connected graph alive, net supply at
+    # most net demand and at most the fair cut's capacity scale
+    up, down = MATCH_FAIRNESS.numerator, MATCH_FAIRNESS.denominator
+    net_supply = net_demand = 0
+    for v in graph.vertices():
+        net = up * s_counts.get(v, 0) - down * r_counts.get(v, 0)
+        if net > 0:
+            net_supply += net
+        else:
+            net_demand -= net
+    certified = (alive == frozenset(graph.vertices()) and graph.is_connected()
+                 and net_supply <= net_demand and net_supply <= up * game.cap_multiplier)
+    if certified and cut_side:
+        raise InternalError("a certified round cut vertices off")
+
     leftover_s = {v: len(us) for v, us in left_at.items() if us}
     round_load: dict[int, int] = {}
-    if leftover_s:
+    if leftover_s and certified:
+        # each source in turn, one unit at a time, to the sinks in the order a
+        # full BFS from it reaches them; each unit adds 1 to its path's edges
+        for start in sorted(leftover_s):
+            reached, parent = [start], {start: None}
+            queue = collections.deque([start])
+            while queue:
+                v = queue.popleft()
+                for w, eidx, _c in graph.neighbors(v):
+                    if w not in parent:
+                        parent[w] = (v, eidx)
+                        reached.append(w)
+                        queue.append(w)
+            for sink in reached:
+                while left_at[start] and right_at.get(sink):
+                    pairs.append((left_at[start].pop(0), right_at[sink].pop(0)))
+                    v = sink
+                    while parent[v] is not None:
+                        v, eidx = parent[v]
+                        round_load[eidx] = round_load.get(eidx, 0) + 1
+    elif leftover_s:
         leftover_r = {v: len(us) for v, us in right_at.items() if us}
         solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
                                cap_scale=2 * game.cap_multiplier)
@@ -230,7 +267,7 @@ def loop_matching_player_step(game, left, right):
         if load > 2 * game.cap_multiplier * graph.edges[eidx][2]:
             raise InternalError("per-round embedding load too high")
         game.edge_load[eidx] = game.edge_load.get(eidx, 0) + load
-    return dropped, tuple(sorted(pairs))
+    return dropped, tuple(sorted(pairs)), certified
 
 
 def side_sets(result):
@@ -308,43 +345,49 @@ class TestSweepCutMatchesLoops:
 
 class TestMatchingPlayerMatchesLoop:
     def test_random_rounds_give_the_loop_result(self):
-        seen = {"rounds": 0, "dropping": 0, "routing": 0}
+        # "routing" counts rounds routed by the max flow, "certified" those
+        # the cut bound certified, routed to the nearest sinks; each graph
+        # also plays a game without its last vertex, which is never certified
+        seen = {"rounds": 0, "dropping": 0, "routing": 0, "certified": 0}
         for seed in range(120):
             rng = philox(4000 + seed)
             graph = random_connected_graph(seed, max_n=10, max_cap=4)
             pi = VertexWeights({v: int(rng.integers(0, 7)) for v in range(graph.n)})
-            if pi.total() < 2:
-                continue
             # no phi in (0, 1) gives the congestion factors 1, 2 and 5
             factor = int(rng.choice([1, 2, 5, 40]))
-            game_loop, game_array = (make_game(graph, pi, Fraction(1, 4), seed)
-                                     for _ in range(2))
-            for game in (game_loop, game_array):
-                game.congestion_factor = factor
-            for _round in range(4):
-                units = np.flatnonzero(game_loop.active_mask).tolist()
-                if len(units) < 2:
-                    break
-                rng.shuffle(units)
-                cut = int(rng.integers(0, len(units) // 2 + 1))
-                left = frozenset(units[:cut])
-                right = frozenset(units[cut:cut + int(rng.integers(0, len(units) - cut + 1))])
-                loads_before = dict(game_loop.edge_load)
-                expected = loop_matching_player_step(game_loop, left, right)
-                got = matching_player_step(game_array, left, right)
-                assert (got[0], tuple(map(tuple, got[1].tolist()))) == expected
-                routed = game_loop.edge_load != loads_before
-                assert game_array.edge_load == game_loop.edge_load
-                assert game_array.deleted == game_loop.deleted
-                assert game_array.max_load_ratio == max(
-                    (load / graph.edges[e][2] for e, load in game_loop.edge_load.items()),
-                    default=0.0)
+            for within in (None, range(graph.n - 1)):
+                if pi.total(within) < 2:
+                    continue
+                game_loop, game_array = (make_game(graph, pi, Fraction(1, 4), seed,
+                                                   within=within) for _ in range(2))
                 for game in (game_loop, game_array):
-                    game.active_mask[list(expected[0])] = False
-                seen["rounds"] += 1
-                seen["dropping"] += bool(expected[0])
-                seen["routing"] += routed
-        assert seen["rounds"] >= 200 and min(seen.values()) >= 30, seen
+                    game.congestion_factor = factor
+                for _round in range(4):
+                    units = np.flatnonzero(game_loop.active_mask).tolist()
+                    if len(units) < 2:
+                        break
+                    rng.shuffle(units)
+                    cut = int(rng.integers(0, len(units) // 2 + 1))
+                    left = frozenset(units[:cut])
+                    right = frozenset(units[cut:cut + int(rng.integers(0, len(units) - cut + 1))])
+                    loads_before = dict(game_loop.edge_load)
+                    dropped, pairs, certified = loop_matching_player_step(game_loop, left,
+                                                                          right)
+                    got = matching_player_step(game_array, left, right)
+                    assert (got[0], tuple(map(tuple, got[1].tolist()))) == (dropped, pairs)
+                    routed = game_loop.edge_load != loads_before
+                    assert game_array.edge_load == game_loop.edge_load
+                    assert game_array.deleted == game_loop.deleted
+                    assert game_array.max_load_ratio == max(
+                        (load / graph.edges[e][2] for e, load in game_loop.edge_load.items()),
+                        default=0.0)
+                    for game in (game_loop, game_array):
+                        game.active_mask[list(dropped)] = False
+                    seen["rounds"] += 1
+                    seen["dropping"] += bool(dropped)
+                    seen["routing"] += routed and not certified
+                    seen["certified"] += routed and certified
+        assert seen["rounds"] >= 400 and min(seen.values()) >= 30, seen
 
     def test_integer_fair_cut_weights_cut_like_fractions(self, monkeypatch):
         # the fair cut on source 3c, target 2c and capacities times 3 cap is
@@ -659,43 +702,73 @@ class TestMatchingPlayer:
 
     @pytest.fixture
     def flow_builds(self, monkeypatch):
-        """Counts edge flows built (SolvedFlow.edge_flow calls) and matching max-flows."""
-        counts = {"edge_flows": 0, "matching_flows": 0}
-        edge_flow, run = flow_module.SolvedFlow.edge_flow, cutmatch_module._run_max_flow
+        """Counts edge flows built (SolvedFlow.edge_flow calls), matching
+        max flows and the matching player's path decompositions."""
+        counts = {"edge_flows": 0, "matching_flows": 0, "decompositions": 0}
+        edge_flow = flow_module.SolvedFlow.edge_flow
+        run, decompose = cutmatch_module._run_max_flow, cutmatch_module.path_decomposition
 
-        def counting_edge_flow(solved):
-            counts["edge_flows"] += 1
-            return edge_flow(solved)
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        def counting_run(*args, **kwargs):
-            counts["matching_flows"] += 1
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(flow_module.SolvedFlow, "edge_flow", counting_edge_flow)
-        monkeypatch.setattr(cutmatch_module, "_run_max_flow", counting_run)
+        monkeypatch.setattr(flow_module.SolvedFlow, "edge_flow",
+                            counting("edge_flows", edge_flow))
+        monkeypatch.setattr(cutmatch_module, "_run_max_flow", counting("matching_flows", run))
+        monkeypatch.setattr(cutmatch_module, "path_decomposition",
+                            counting("decompositions", decompose))
         return counts
 
     def test_only_the_matching_flow_is_built(self, flow_builds, path3):
+        # a certified round routes to the nearest sinks and builds no flow
         g = Graph.from_edges(2, [(0, 1, 1)])
         game = make_game(g, {0: 1, 1: 2}, Fraction(1, 4), 0)
         matching_player_step(game, frozenset({0}), frozenset({1, 2}))
-        assert flow_builds == {"edge_flows": 1, "matching_flows": 1}
+        assert game.edge_load == {0: 1}
+        assert flow_builds == {"edge_flows": 0, "matching_flows": 0, "decompositions": 0}
 
         game = make_game(path3, {0: 5, 2: 2}, Fraction(1, 4), 0)
         matching_player_step(game, frozenset({0, 1}), frozenset({2, 3, 4}))
-        assert flow_builds == {"edge_flows": 1, "matching_flows": 1}
+        assert flow_builds == {"edge_flows": 0, "matching_flows": 0, "decompositions": 0}
+
+        # rounds the cut bound leaves open build the matching flow, one edge
+        # flow and one decomposition: a game within a proper subset, and a
+        # net supply of 9 above the capacity scale 3 * 2 at factor 1, on an
+        # edge wide enough for the fair cut to stay empty
+        wide = Graph.from_edges(2, [(0, 1, 5)])
+        for game, left, right in (
+                (make_game(path3, {0: 1, 1: 2}, Fraction(1, 4), 0, within={0, 1}),
+                 {0}, {1, 2}),
+                (make_game(wide, {0: 3, 1: 9}, Fraction(1, 4), 0), {0, 1, 2}, range(3, 12))):
+            game.congestion_factor = 1
+            before = dict(flow_builds)
+            dropped, matching = matching_player_step(game, frozenset(left), frozenset(right))
+            assert not dropped and len(matching) == len(left) and game.edge_load
+            assert {key: flow_builds[key] - before[key] for key in before} == {
+                "edge_flows": 1, "matching_flows": 1, "decompositions": 1}
 
     def test_game_builds_one_edge_flow_per_matching_flow(self, flow_builds, double_k4):
-        game = make_game(double_k4, VertexWeights.degrees(double_k4), Fraction(1, 4), 3)
+        # the root game's rounds are all certified and build no flow; a game
+        # without vertex 7 solves, and decomposes, one flow per routing round
+        pi = VertexWeights.degrees(double_k4)
+        game = make_game(double_k4, pi, Fraction(1, 4), 3)
+        game.run()
+        assert game.round > 0 and game.edge_load
+        assert flow_builds == {"edge_flows": 0, "matching_flows": 0, "decompositions": 0}
+
+        game = make_game(double_k4, pi, Fraction(1, 4), 3, within=range(7))
         game.run()
         assert game.round > 0
-        assert flow_builds["edge_flows"] == flow_builds["matching_flows"] > 0
+        assert flow_builds["edge_flows"] == flow_builds["matching_flows"] == \
+            flow_builds["decompositions"] > 0
 
     def test_certified_root_game_solves_no_fair_cut(self, flow_builds, monkeypatch):
         # dumbbell 12 at the oracle's root sparsity phi/20 = 1/80: every
         # proposal's net supply is far below the capacity scale 3 * 1200, so
-        # the cut bound answers every fair cut, and only rounds that route
-        # solve a max flow, one each
+        # the cut bound answers every fair cut and every routing round goes
+        # to the nearest sinks, without a max flow or a path decomposition
         fair_cuts = []
         real_fair_cut = cutmatch_module.fair_cut
 
@@ -713,7 +786,21 @@ class TestMatchingPlayer:
             routing += sum(game.edge_load.values()) > before
         assert game.round > 0 and routing > 0
         assert fair_cuts == []
-        assert flow_builds["matching_flows"] == routing
+        assert flow_builds == {"edge_flows": 0, "matching_flows": 0, "decompositions": 0}
+
+    @pytest.mark.parametrize("paths, load, message", [
+        ([], {}, "not every surviving proposal unit was matched"),
+        ([PathFlow(0, 1, (0, 1), 2)], {0: 2}, "a flow path carries more than its end units"),
+        ([PathFlow(0, 1, (0, 1), 1)], {0: 2 * 1500 + 1}, "per-round embedding load too high")])
+    def test_certified_routing_is_checked(self, monkeypatch, paths, load, message):
+        # the nearest-sink routing of a certified round passes the checks the
+        # max-flow routing does: a faulty router is caught, not trusted
+        g = Graph.from_edges(2, [(0, 1, 1)])
+        game = make_game(g, {0: 1, 1: 2}, Fraction(1, 100), 0)
+        assert game.cap_multiplier == 1500
+        monkeypatch.setattr(cutmatch_module, "_route_certified", lambda *_args: (paths, load))
+        with pytest.raises(InternalError, match=message):
+            matching_player_step(game, frozenset({0}), frozenset({1, 2}))
 
     @pytest.mark.parametrize("left, right", [([0, 0], [5, 6, 7]),
                                              ([0], [5, 6, 6]),
@@ -864,20 +951,20 @@ class TestGameInvariants:
         graph = generate_dumbbell(8)
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
         assert game.run() == frozenset()
-        assert (game.stopped, game.round, game.k) == ("potential", 44, 114)
+        assert (game.stopped, game.round, game.k) == ("potential", 42, 114)
         pairs = json.dumps([m.tolist() for m in game.matchings])
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
-            "0ef0960ae3f8e1eb2b93df290b3aac382c33fea0ba9534b00673053700239422")
+            "1bd313f12f40dda6ccc1c93bb54c87d57dfdc9b8d1bd4da001a92406575dbb11")
         # each round's walk permutation is its pairs swapped one by one
         assert all((perm == pair_permutation(m, game.k)).all()
                    for m, perm in zip(game.matchings, game.perms, strict=True))
         load = json.dumps(sorted(game.edge_load.items()))
         assert hashlib.sha256(load.encode()).hexdigest() == (
-            "21be08ce5d54fbe4bdb55bd38d710b9c51e10358f85dd89834f1f65d3e4cd342")
+            "fe7def8ef809001000b29e46047cdfe1797d379d2fbf9d9bf1641632efe88a14")
         # every RoundRecord field, max_load_ratio and potential included
         records = json.dumps([dataclasses.astuple(r) for r in game.records])
         assert hashlib.sha256(records.encode()).hexdigest() == (
-            "981773e25bc52f86206f92b23730d8dc73e586888ca8a6360ef357e19b633872")
+            "c778c00c9d0c3107909c1714be8a92742dd138063607cab05afea3a21a74ee32")
 
     def test_seeded_large_root_game_is_pinned(self):
         # grid 12x12 at phi/80 with degree weights, k = 528 > POTENTIAL_UNIT_CAP
@@ -885,18 +972,18 @@ class TestGameInvariants:
         graph = generate_grid(12, 12)
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
         assert game.run() == frozenset()
-        assert (game.stopped, game.round, game.k) == ("potential", 61, 528)
+        assert (game.stopped, game.round, game.k) == ("potential", 59, 528)
         pairs = json.dumps([m.tolist() for m in game.matchings])
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
-            "43f6041711cdaee8ef4d259838e939ad589e961a7ef4d91aab54c75a026acdb1")
+            "1ef826a03c5dcc8029b9be86d8153b12068a2e7d7dd78e7005dbf42a5566b0e8")
         assert all((perm == pair_permutation(m, game.k)).all()
                    for m, perm in zip(game.matchings, game.perms, strict=True))
         load = json.dumps(sorted(game.edge_load.items()))
         assert hashlib.sha256(load.encode()).hexdigest() == (
-            "dba01b24620c62b31ba762ae501772af74259f388344de9256b13916e78d3cca")
+            "2062a0b1e9b64e00546a7f719ec837686b8a74a4de8f688194761bd3d2724633")
         records = json.dumps([dataclasses.astuple(r) for r in game.records])
         assert hashlib.sha256(records.encode()).hexdigest() == (
-            "802782af01f34455d0c6e3cb41176d6228821a6f3d836c74e3cd9bbc5b931972")
+            "76f9861a305f1d86f30c710ae24db570b5f38f6dbcd8a96acef9d17e4e4cd92d")
 
 
 class TestExpansionCertificates:

@@ -1,5 +1,6 @@
 """Max flow, fair cuts, path decomposition, and congestion oracles."""
 
+import collections
 import math
 from fractions import Fraction
 
@@ -212,6 +213,79 @@ class TestEmptyCutBound:
                     result.cut and flow_module._fair_cut_is_empty(
                         twin, *totals, within, scale))
         assert min(seen.values()) >= 10 and seen["certified"] >= 100, seen
+
+
+def bfs_distances(graph, start):
+    """Hop distance from ``start`` to every vertex of a connected graph."""
+    dist, queue = {start: 0}, collections.deque([start])
+    while queue:
+        v = queue.popleft()
+        for w, _idx, _c in graph.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+class TestCertifiedRouting:
+    """``_route_certified`` on the matching rounds the cut bound certifies."""
+
+    @staticmethod
+    def _round(seed):
+        """(graph, L, R, S, D): a connected graph, proposal and response unit
+        counts L and R per vertex, some vertex with L > R, and the net supply
+        S = sum (3L - 2R)+, at most the net demand D = sum (2R - 3L)+."""
+        rng = philox(15000 + seed)
+        graph = random_connected_graph(14000 + seed, max_n=14, extra_factor=0.5,
+                                       max_cap=int(rng.choice([1, 4])))
+        while True:
+            left = [int(rng.integers(1, 4)) if rng.random() < 0.4 else 0
+                    for _ in range(graph.n)]
+            right = [int(rng.integers(1, 7)) if rng.random() < 0.6 else 0
+                     for _ in range(graph.n)]
+            net = [3 * x - 2 * y for x, y in zip(left, right)]
+            supply = sum(x for x in net if x > 0)
+            if supply <= -sum(x for x in net if x < 0) and any(
+                    x > y for x, y in zip(left, right)):
+                return graph, left, right, supply, -sum(x for x in net if x < 0)
+
+    def test_paths_are_nearest_sink_walks_within_the_bound(self):
+        seen = {"rounds": 0, "multi-hop paths": 0, "split sources": 0, "shared edges": 0}
+        for seed in range(500):
+            graph, left, right, net_supply, net_demand = self._round(seed)
+            cap = -(-net_supply // 3)
+            assert flow_module._fair_cut_is_empty(graph, net_supply, net_demand, None,
+                                                  3 * cap), seed
+            supply = {v: x - y for v, (x, y) in enumerate(zip(left, right)) if x > y}
+            demand = {v: y - x for v, (x, y) in enumerate(zip(left, right)) if y > x}
+            paths, load = flow_module._route_certified(graph, supply, demand)
+
+            sent, absorbed, summed, last_hops = {}, {}, {}, {}
+            for p in paths:
+                assert p.start in supply and p.end in demand and p.weight > 0, seed
+                assert (p.vertices[0], p.vertices[-1]) == (p.start, p.end), seed
+                # a shortest walk, and each source's sinks nearest first
+                hops = len(p.vertices) - 1
+                assert hops == bfs_distances(graph, p.start)[p.end], seed
+                assert hops >= last_hops.get(p.start, 0), seed
+                last_hops[p.start] = hops
+                for a, b in zip(p.vertices, p.vertices[1:]):
+                    idx = graph.edge_index(a, b)
+                    assert idx is not None, seed
+                    summed[idx] = summed.get(idx, 0) + p.weight
+                sent[p.start] = sent.get(p.start, 0) + p.weight
+                absorbed[p.end] = absorbed.get(p.end, 0) + p.weight
+                seen["multi-hop paths"] += hops > 1
+            assert sent == supply, seed
+            assert all(absorbed[v] <= demand[v] for v in absorbed), seed
+            assert load == summed, seed
+            spare = sum(supply.values())
+            assert spare <= cap and max(load.values()) <= spare, seed
+            seen["rounds"] += 1
+            seen["split sources"] += any(
+                sum(p.start == v for p in paths) > 1 for v in supply)
+            seen["shared edges"] += any(x > 1 for x in load.values())
+        assert seen["rounds"] == 500 and min(seen.values()) >= 50, seen
 
 
 class TestVerifyFairCut:
