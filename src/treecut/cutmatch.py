@@ -11,9 +11,9 @@ deletes a sparse fair-cut side, matches the surviving proposal units locally
 and across integral routed paths whose congestion it tracks, and returns the
 matching as a pair array sorted by proposal unit, from which ``step`` builds
 the walk permutation.  The game holds ``matchings``, ``perms``,
-``active_mask``, ``deleted``, ``edge_load`` and ``max_load_ratio``.  Per-unit
-work is numpy array work; Python loops run once per vertex, routed path or
-routed edge.
+``active_mask``, ``deleted``, the per-edge ``load`` and ``max_load_ratio``.
+Per-unit work is numpy array work; Python loops run once per vertex or
+routed path.
 
 The fair cut is solved only when a cut bound cannot prove it empty
 (``flow._fair_cut_is_empty``): with net supply S = sum of (3L(v) - 2R(v))+
@@ -114,15 +114,16 @@ def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
     overflow; a value the walk shrinks below 2^-1022, far past the game's
     potential stop, or an input near 1e+-300 can round differently.
     """
-    y = vec.astype(float, copy=True)
+    y = vec.astype(float, order="C", copy=True)
+    # every unit active: the centering needs no mask
+    active = None if mask.all() else mask
     count = int(mask.sum())
     share = 1.0 / slowdown
     lag = float(slowdown - 1)
     block = WALK_BLOCK_BITS // ceil_log2(slowdown)
     passes = [*reversed(perms), *perms]
     for _ in range(slowdown):
-        y[~mask] = 0.0
-        y[mask] -= y[mask].sum(axis=0) / count
+        _center(y, active, count)
         for start in range(0, len(passes), block):
             chunk = passes[start:start + block]
             for perm in chunk:
@@ -131,19 +132,42 @@ def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
                     y *= lag
                 y += moved
             y *= share ** len(chunk)
-        y[~mask] = 0.0
-        y[mask] -= y[mask].sum(axis=0) / count
+        _center(y, active, count)
     return y
 
 
+def _center(y: np.ndarray, active: np.ndarray | None, count: int) -> None:
+    """Zero the inactive rows of the C-ordered ``y`` in place and subtract
+    the mean of the ``count`` active rows; ``active`` None means every row.
+    With every row active, ``y[active]`` would be a C-ordered copy of y,
+    summed in the same order as y itself, so both branches give the same
+    bits."""
+    if active is None:
+        y -= y.sum(axis=0) / count
+    else:
+        y[~active] = 0.0
+        y[active] -= y[active].sum(axis=0) / count
+
+
 def _unit_array(units, k: int) -> np.ndarray:
-    """Distinct units in 0..k-1 as a sorted int array, else an argument error."""
+    """Distinct units in 0..k-1 as a sorted int array, else an argument error.
+
+    Units must be integers: a float or bool input is refused by its dtype,
+    not truncated or read as a mask.  An input that is already strictly
+    increasing is not sorted again and may come back as the same array.
+    """
     if not isinstance(units, np.ndarray):
-        units = np.fromiter(units, dtype=np.intp)
-    units = np.sort(units.astype(np.intp, copy=False))
+        units = list(units)
+        units = np.array(units) if units else np.empty(0, dtype=np.intp)
+    if units.dtype.kind not in "iu":
+        raise ArgumentError(f"units must be integers, not {units.dtype}")
+    units = units.astype(np.intp, copy=False)
+    increasing = bool((units[1:] > units[:-1]).all())
+    if not increasing:
+        units = np.sort(units)
     if len(units) and not 0 <= units[0] <= units[-1] < k:
         raise ArgumentError("units must lie in 0..k-1")
-    if not np.diff(units).all():
+    if not increasing and not np.diff(units).all():
         raise ArgumentError("a unit appears more than once")
     return units
 
@@ -168,19 +192,21 @@ def sweep_cut(active: Iterable[int] | np.ndarray, values: np.ndarray
     # act is sorted, so a stable sort breaks value ties by unit index
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
+    squares = svals ** 2
     median = svals[(a - 1) // 2]
-    mass_low = float((svals[svals < median] ** 2).sum())
-    mass_high = float((svals[svals > median] ** 2).sum())
+    mass_low = float(squares[svals < median].sum())
+    mass_high = float(squares[svals > median].sum())
+    total = float(squares.sum())
 
     first = "low" if mass_low >= mass_high else "high"
     for side in (first, "high" if first == "low" else "low"):
-        res = _sweep_orientation(act, vals, order, svals, a, side)
+        res = _sweep_orientation(act, vals, order, svals, total, a, side)
         if res is not None:
             return res
     raise InternalError("sweep cut failed in both orientations")
 
 
-def _sweep_orientation(act, vals, order, svals, a, side):
+def _sweep_orientation(act, vals, order, svals, total, a, side):
     half = -(-a // 2)       # ceil(a/2) response units
     cap_small = -(-a // 8)  # ceil(a/8) proposal units
     if side == "low":
@@ -193,11 +219,17 @@ def _sweep_orientation(act, vals, order, svals, a, side):
     gap = pool - level
     is_far = gap * gap >= pool * pool / 9.0
     far = pool_pos[is_far]
-    # farthest from the level first, ties by unit index
-    top = far[np.lexsort((act[far], -np.abs(gap[is_far])))[:cap_small]]
+    # farthest from the level first, ties by unit index; only units at most
+    # as far as the cap_small-th farthest can be among the first cap_small
+    key = -np.abs(gap[is_far])
+    if len(far) > cap_small:
+        near = np.flatnonzero(key <= np.partition(key, cap_small - 1)[cap_small - 1])
+        far, key = far[near], key[near]
+    top = far[np.lexsort((act[far], key))[:cap_small]]
 
-    total = float((svals ** 2).sum())
-    picked = sum(x ** 2 for x in vals[top].tolist())
+    # the proposal mass: pow(x, 2), which can differ from x * x in the last
+    # bit, summed from left to right as a Python sum of floats is
+    picked = float(np.cumsum(np.float_power(vals[top], 2))[-1]) if len(top) else 0.0
     if picked + 1e-12 * max(total, 1.0) < total / 80.0:
         return None
     # act is sorted, so sorted positions give sorted units
@@ -275,7 +307,7 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     in_left[lft] = True
     if not (active[lft].all() and active[rgt].all()) or in_left[rgt].any():
         raise ArgumentError("proposal sides must be disjoint subsets of the active units")
-    alive = game.vertices - game.deleted
+    alive = game.vertices - game.deleted if game.deleted else game.vertices
 
     cap = game.cap_multiplier
     # the instance with targets count / MATCH_FAIRNESS and capacities times cap,
@@ -318,7 +350,7 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
         leftover_r = _nonzero_counts(n_right - local)
         if certified:
             # no capacity binds in a certified round: the nearest sinks will do
-            paths, round_load = _route_certified(graph, leftover_s, leftover_r)
+            rows, _walks, round_load = _route_certified(graph, leftover_s, leftover_r)
         else:
             solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
                                    cap_scale=2 * cap)
@@ -328,9 +360,9 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
             # the paths put at most an edge's flow on it, exactly that when
             # the flow has no circulation: the flow is the round's load bound
             round_load = solved.flow.nums
-            paths = path_decomposition(graph, solved.flow).paths
-        ends.append(np.array([(p.start, p.end, p.weight) for p in paths],
-                             dtype=np.intp).reshape(-1, 3))
+            rows = [(p.start, p.end, p.weight)
+                    for p in path_decomposition(graph, solved.flow).paths]
+        ends.append(np.array(rows, dtype=np.intp).reshape(-1, 3))
     ends = np.concatenate(ends)
     src, dst = np.repeat(ends[:, :2], ends[:, 2], axis=0).T
     src_rank, dst_rank = _ranks(src), _ranks(dst)
@@ -338,13 +370,19 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
         raise InternalError("a flow path carries more than its end units")
     if len(src) < len(lft):
         raise InternalError("not every surviving proposal unit was matched")
-    for eidx, num in round_load.items():
-        load, capacity = abs(num), graph.edges[eidx][2]
-        if load > 2 * cap * capacity:
-            raise InternalError("per-round embedding load too high")
-        total = game.edge_load.get(eidx, 0) + load
-        game.edge_load[eidx] = total
-        game.max_load_ratio = max(game.max_load_ratio, total / capacity)
+    routed = len(round_load)
+    eidx = np.fromiter(round_load, dtype=np.intp, count=routed)
+    load = np.abs(np.fromiter(round_load.values(), dtype=np.int64, count=routed))
+    # loads stay below 2^53, so the check on float capacities is exact: a
+    # product that rounds is at least 2^53
+    capacity = graph._capacities[eidx]
+    if (load > 2 * cap * capacity).any():
+        raise InternalError("per-round embedding load too high")
+    total = game.load[eidx] + load
+    game.load[eidx] = total
+    # loads only grow, so the largest ratio over the routed edges updates
+    # the maximum exactly
+    game.max_load_ratio = float((total / capacity).max(initial=game.max_load_ratio))
     # a sorted unit array holds the n(v) units at v from offset first(v) on,
     # and the r-th row unit at v is the one at first(v) + r
     partner = np.empty_like(lft)
@@ -384,10 +422,14 @@ class CutMatchingGame:
 
     State: ``matchings`` holds each round's (p, 2) array of (proposal,
     response) unit pairs and ``perms`` their walk permutations; ``deleted``
-    holds the vertices the matching player cut off, ``edge_load`` its routed
-    load per edge index and ``max_load_ratio`` the largest load over
-    capacity.  Fair cuts scale capacities by ``cap_multiplier`` =
-    ceil(c * MATCH_FAIRNESS) for c = ``congestion_factor`` = ceil(10/phi).
+    holds the vertices the matching player cut off, ``load`` its routed load
+    per edge index as an int64 array, and ``max_load_ratio`` the largest
+    load over capacity (a capacity of 2^53 or more is rounded to a float
+    first).  ``edge_load`` is a read-only view of ``load``: each read builds
+    a fresh {edge index: load} dict of the edges that carry any, so changing
+    it leaves the game unchanged.  Fair cuts scale capacities by
+    ``cap_multiplier`` = ceil(c * MATCH_FAIRNESS) for c =
+    ``congestion_factor`` = ceil(10/phi).
     """
 
     def __init__(self, graph: Graph, pi: Mapping[int, int], phi: Fraction, rng,
@@ -421,9 +463,7 @@ class CutMatchingGame:
         self.rng = rng
         self.congestion_factor = math.ceil(Fraction(10) / phi)
         self.deleted: set[int] = set()
-        self.edge_load: dict[int, int] = {}
-        # loads only grow, so each round updates the maximum from the edges
-        # it routed and it stays exact
+        self.load = np.zeros(graph.m, dtype=np.int64)
         self.max_load_ratio = 0.0
         self.active_mask = np.ones(k, dtype=bool)
         self.matchings: list[np.ndarray] = []
@@ -442,6 +482,12 @@ class CutMatchingGame:
         """ceil(congestion_factor * MATCH_FAIRNESS), in integers."""
         up, down = MATCH_FAIRNESS.numerator, MATCH_FAIRNESS.denominator
         return -(-self.congestion_factor * up // down)
+
+    @property
+    def edge_load(self) -> dict[int, int]:
+        """The routed load per edge index of the edges that carry any: a
+        fresh dict built from ``load`` on each read."""
+        return _nonzero_counts(self.load)
 
     @property
     def round(self) -> int:

@@ -347,9 +347,11 @@ def _fair_cut_is_empty(graph: Graph, supply: int | Fraction, demand: int | Fract
 
 
 def _route_certified(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int]
-                     ) -> tuple[list[PathFlow], dict[int, int]]:
+                     ) -> tuple[list[tuple[int, int, int]], list[list[int]], dict[int, int]]:
     """Nearest-sink routing of a matching round that ``_fair_cut_is_empty``
-    certified: returns the paths and the load per edge index.
+    certified: returns the paths as (source, sink, units) rows, each row's
+    walk as the edge indices from its sink back to its source, and the load
+    per edge index.
 
     ``supply`` and ``demand`` are the leftover proposal and response units
     per vertex, L - R and R - L after pairing min(L, R) at each vertex, at
@@ -378,7 +380,8 @@ def _route_certified(graph: Graph, supply: Mapping[int, int], demand: Mapping[in
         room[v] = x
     # per vertex: the last source whose BFS reached it, and the edge it came by
     seen, via = [-1] * graph.n, [-1] * graph.n
-    paths: list[PathFlow] = []
+    rows: list[tuple[int, int, int]] = []
+    walks: list[list[int]] = []
     load: dict[int, int] = {}
     for start in sorted(supply):
         need, taken, queue = supply[start], [], [start]
@@ -398,14 +401,15 @@ def _route_certified(graph: Graph, supply: Mapping[int, int], demand: Mapping[in
             if not need:
                 break
         for sink, take in taken:
-            walk, v = [sink], sink
+            walk, v = [], sink
             while (idx := via[v]) >= 0:
                 a, b, _c = edges[idx]
                 v = a if b == v else b
                 load[idx] = load.get(idx, 0) + take
-                walk.append(v)
-            paths.append(PathFlow(start, sink, tuple(reversed(walk)), take))
-    return paths, load
+                walk.append(idx)
+            rows.append((start, sink, take))
+            walks.append(walk)
+    return rows, walks, load
 
 
 #: verify_fair_cut property indices

@@ -127,6 +127,14 @@ class Graph:
             deg[v] += c
         return tuple(deg)
 
+    @cached_property
+    def _capacities(self) -> np.ndarray:
+        """Edge capacities as a read-only float array in edge order; a
+        capacity below 2^53 is held exactly."""
+        caps = np.array([c for _u, _v, c in self.edges], dtype=float)
+        caps.flags.writeable = False
+        return caps
+
     def edges_within(self, subset: Iterable[int]) -> list[tuple[int, int, int, int]]:
         """Edges with both endpoints in ``subset`` as (edge index, u, v, cap)."""
         keep = set(subset)

@@ -16,11 +16,12 @@ from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, Overs
                      VertexWeights, boundary_capacity, cut_player_step,
                      generate_dumbbell, generate_grid, matching_player_step,
                      oracle_params, sparsest_cut_apx, sweep_cut)
-from treecut.cutmatch import POTENTIAL_UNIT_CAP, RoundRecord, _apply_walk, slowdown_for
+from treecut.cutmatch import (POTENTIAL_UNIT_CAP, RoundRecord, _apply_walk, _unit_array,
+                              slowdown_for)
 from treecut import cutmatch as cutmatch_module
 from treecut import flow as flow_module
 from treecut.cutmatch import MATCH_FAIRNESS
-from treecut.flow import FlowAssignment, PathFlow, _run_max_flow, fair_cut, path_decomposition
+from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
 from walk_diagnostics import dense_flow_matrix, pair_permutation, potential, sweep_cut_violations
@@ -66,6 +67,67 @@ class TestGameWeights:
         with pytest.raises(ArgumentError, match=f"within holds {vertex}, not a vertex"):
             make_game(path3, {0: 1, 1: 1, 2: 1}, Fraction(1, 4), 0,
                       within={0, 1, 2, vertex})
+
+
+class TestUnitArray:
+    RANGE = "units must lie in 0..k-1"
+    REPEAT = "a unit appears more than once"
+
+    @pytest.mark.parametrize("units, expected", [
+        ([1, 4, 6], [1, 4, 6]),        # strictly increasing
+        ([0, 6, 2, 5], [0, 2, 5, 6]),  # unsorted
+        ([1, 3, 3, 5], REPEAT),        # sorted, with a duplicate
+        ([-1, 2, 4], RANGE),           # negative
+        ([0, 3, 7], RANGE),            # k itself
+        ([2, 9, 11], RANGE),           # beyond k
+        ([-2, -2, 3], RANGE),          # out of range and repeated
+        ([5], [5]),
+        ([], [])])
+    def test_fast_path_matches_sort_path(self, units, expected):
+        # the units in their own order and reversed, as a list and as int
+        # arrays: a strictly increasing input skips the sort, the rest are
+        # sorted, and each gives the same units or the same error
+        k = 7
+        outcomes = []
+        for ordered in (units, units[::-1]):
+            for given in (list(ordered), np.array(ordered, dtype=np.intp),
+                          np.array(ordered, dtype=np.int32)):
+                try:
+                    got = _unit_array(given, k)
+                except ArgumentError as exc:
+                    outcomes.append(str(exc))
+                    continue
+                assert got.dtype == np.intp
+                increasing = all(a < b for a, b in zip(ordered, ordered[1:]))
+                if isinstance(given, np.ndarray) and given.dtype == np.intp:
+                    assert (got is given) == increasing
+                outcomes.append(got.tolist())
+        assert outcomes == [expected] * 6
+
+    @pytest.mark.parametrize("units, dtype", [
+        ([1.5, 3.2], "float64"),                 # increasing: the fast path
+        ([3.2, 1.5], "float64"),                 # unsorted: the sort path
+        (np.array([0.9, 1.9, 2.9, 3.9]), "float64"),
+        (np.array([2.0, 1.0], dtype=np.float32), "float32"),
+        (np.array([True, False, True, True]), "bool"),
+        ([False, True], "bool"),
+        ([True, False], "bool")])
+    def test_non_integer_units_rejected(self, units, dtype):
+        # a float was truncated to a unit and a boolean mask read as units 0
+        # and 1, which failed as a repeated unit
+        with pytest.raises(ArgumentError, match=f"units must be integers, not {dtype}$"):
+            _unit_array(units, 4)
+
+    def test_players_refuse_non_integer_units(self, path3):
+        values = np.array([3.0, -1.0, -1.0, -1.0])
+        with pytest.raises(ArgumentError, match="not float64"):
+            sweep_cut(np.array([0.9, 1.9, 2.9, 3.9]), values)
+        with pytest.raises(ArgumentError, match="not bool"):
+            sweep_cut(np.ones(4, dtype=bool), values)
+        game = make_game(path3, {0: 2, 2: 2}, Fraction(1, 4), 0)
+        with pytest.raises(ArgumentError, match="not float64"):
+            matching_player_step(game, [0.5], [1.5, 2.5])
+        assert game.deleted == set() and game.edge_load == {}
 
 
 class TestSweepCut:
@@ -168,7 +230,9 @@ def loop_sweep_orientation(act, vals, order, svals, a, side):
     return left, right, level
 
 
-def loop_matching_player_step(game, left, right):
+def loop_matching_player_step(game, left, right, edge_load):
+    """The matching player as loops; adds the round's routed load to the
+    {edge index: load} dict ``edge_load``, not to the game."""
     graph = game.graph
     vertex = [v for v in sorted(game.pi) for _ in range(game.pi[v])]
     active = frozenset(u for u in range(game.k) if game.active_mask[u])
@@ -266,7 +330,7 @@ def loop_matching_player_step(game, left, right):
     for eidx, load in round_load.items():
         if load > 2 * game.cap_multiplier * graph.edges[eidx][2]:
             raise InternalError("per-round embedding load too high")
-        game.edge_load[eidx] = game.edge_load.get(eidx, 0) + load
+        edge_load[eidx] = edge_load.get(eidx, 0) + load
     return dropped, tuple(sorted(pairs)), certified
 
 
@@ -337,7 +401,7 @@ class TestSweepCutMatchesLoops:
             for side in ("low", "high"):
                 expected = loop_sweep_orientation(act, vals, order, svals, a, side)
                 got = cutmatch_module._sweep_orientation(
-                    np.array(act), vals, arr_order, svals, a, side)
+                    np.array(act), vals, arr_order, svals, float((svals ** 2).sum()), a, side)
                 assert side_sets(got) == expected
                 seen[side if expected is not None else "none"] += 1
         assert min(seen.values()) > 0
@@ -362,6 +426,7 @@ class TestMatchingPlayerMatchesLoop:
                                                    within=within) for _ in range(2))
                 for game in (game_loop, game_array):
                     game.congestion_factor = factor
+                loop_load: dict[int, int] = {}
                 for _round in range(4):
                     units = np.flatnonzero(game_loop.active_mask).tolist()
                     if len(units) < 2:
@@ -370,16 +435,16 @@ class TestMatchingPlayerMatchesLoop:
                     cut = int(rng.integers(0, len(units) // 2 + 1))
                     left = frozenset(units[:cut])
                     right = frozenset(units[cut:cut + int(rng.integers(0, len(units) - cut + 1))])
-                    loads_before = dict(game_loop.edge_load)
+                    loads_before = dict(loop_load)
                     dropped, pairs, certified = loop_matching_player_step(game_loop, left,
-                                                                          right)
+                                                                          right, loop_load)
                     got = matching_player_step(game_array, left, right)
                     assert (got[0], tuple(map(tuple, got[1].tolist()))) == (dropped, pairs)
-                    routed = game_loop.edge_load != loads_before
-                    assert game_array.edge_load == game_loop.edge_load
+                    routed = loop_load != loads_before
+                    assert game_array.edge_load == loop_load
                     assert game_array.deleted == game_loop.deleted
                     assert game_array.max_load_ratio == max(
-                        (load / graph.edges[e][2] for e, load in game_loop.edge_load.items()),
+                        (load / graph.edges[e][2] for e, load in loop_load.items()),
                         default=0.0)
                     for game in (game_loop, game_array):
                         game.active_mask[list(dropped)] = False
@@ -549,13 +614,15 @@ def random_matching_perm(rng, k, mask):
 
 class TestWalkMatchesFormula:
     def test_bit_equal_at_power_of_two_slowdowns(self):
+        # every unit is active in half the trials, one vector and blocks
+        # alike, where the walk centers without the mask
         rng = philox(808)
         seen = set()
         for trial in range(240):
             slowdown = (2, 4, 8)[trial % 3]
             k = int(rng.integers(2, 70))
             mask = rng.random(k) < rng.uniform(0.3, 1.0)
-            if trial % 4 == 0:
+            if trial % 4 < 2:
                 mask[:] = True
             if mask.sum() < 2:
                 mask[:2] = True
@@ -568,8 +635,8 @@ class TestWalkMatchesFormula:
             expected = formula_apply_walk(vec, perms, mask, slowdown)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (trial, slowdown, block)
-            seen.add((slowdown, block))
-        assert len(seen) == 6
+            seen.add((slowdown, block, bool(mask.all())))
+        assert len(seen) == 12
 
     def test_bit_equal_across_rescale_blocks(self):
         # histories of 40-600 matchings on unit-norm inputs: each walk runs
@@ -700,6 +767,22 @@ class TestMatchingPlayer:
         assert tuple(map(tuple, matching.tolist())) == ((0, 1),)
         assert game.edge_load == {0: 1}
 
+    def test_edge_load_is_a_fresh_dict(self):
+        # edge_load reads the game's per-edge load array; changing the dict
+        # it returns changes nothing in the game
+        g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
+        game = make_game(g, {0: 1, 2: 2}, Fraction(1, 4), 0)
+        matching_player_step(game, frozenset({0}), frozenset({1, 2}))
+        view = game.edge_load
+        assert view == {0: 1, 1: 1} and game.max_load_ratio == 1.0
+        view[0] = 99
+        view[7] = 3
+        del view[1]
+        assert view is not game.edge_load
+        assert game.edge_load == {0: 1, 1: 1}
+        assert game.load.tolist() == [1, 1] and game.load.dtype == np.int64
+        assert game.max_load_ratio == 1.0
+
     @pytest.fixture
     def flow_builds(self, monkeypatch):
         """Counts edge flows built (SolvedFlow.edge_flow calls), matching
@@ -790,17 +873,21 @@ class TestMatchingPlayer:
 
     @pytest.mark.parametrize("paths, load, message", [
         ([], {}, "not every surviving proposal unit was matched"),
-        ([PathFlow(0, 1, (0, 1), 2)], {0: 2}, "a flow path carries more than its end units"),
-        ([PathFlow(0, 1, (0, 1), 1)], {0: 2 * 1500 + 1}, "per-round embedding load too high")])
+        ([(0, 1, 2)], {0: 2}, "a flow path carries more than its end units"),
+        ([(0, 1, 1)], {0: 2 * 1500 + 1}, "per-round embedding load too high")])
     def test_certified_routing_is_checked(self, monkeypatch, paths, load, message):
         # the nearest-sink routing of a certified round passes the checks the
-        # max-flow routing does: a faulty router is caught, not trusted
+        # max-flow routing does: a faulty router is caught, not trusted; each
+        # path is a (source, sink, units) row with its walk over edge 0
         g = Graph.from_edges(2, [(0, 1, 1)])
         game = make_game(g, {0: 1, 1: 2}, Fraction(1, 100), 0)
         assert game.cap_multiplier == 1500
-        monkeypatch.setattr(cutmatch_module, "_route_certified", lambda *_args: (paths, load))
+        walks = [[0] for _path in paths]
+        monkeypatch.setattr(cutmatch_module, "_route_certified",
+                            lambda *_args: (paths, walks, load))
         with pytest.raises(InternalError, match=message):
             matching_player_step(game, frozenset({0}), frozenset({1, 2}))
+        assert game.edge_load == {}
 
     @pytest.mark.parametrize("left, right", [([0, 0], [5, 6, 7]),
                                              ([0], [5, 6, 6]),

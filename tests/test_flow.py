@@ -258,23 +258,29 @@ class TestCertifiedRouting:
                                                   3 * cap), seed
             supply = {v: x - y for v, (x, y) in enumerate(zip(left, right)) if x > y}
             demand = {v: y - x for v, (x, y) in enumerate(zip(left, right)) if y > x}
-            paths, load = flow_module._route_certified(graph, supply, demand)
+            rows, walks, load = flow_module._route_certified(graph, supply, demand)
+            assert len(rows) == len(walks), seed
 
             sent, absorbed, summed, last_hops = {}, {}, {}, {}
-            for p in paths:
-                assert p.start in supply and p.end in demand and p.weight > 0, seed
-                assert (p.vertices[0], p.vertices[-1]) == (p.start, p.end), seed
+            for (start, end, weight), walk in zip(rows, walks):
+                assert start in supply and end in demand and weight > 0, seed
+                # the walk, hop by hop from the sink: each edge leaves the
+                # vertex reached so far, and the last one reaches the source
+                v = end
+                for idx in walk:
+                    assert 0 <= idx < graph.m, seed
+                    a, b, _c = graph.edges[idx]
+                    assert v in (a, b), seed
+                    v = a if b == v else b
+                    summed[idx] = summed.get(idx, 0) + weight
+                assert v == start, seed
                 # a shortest walk, and each source's sinks nearest first
-                hops = len(p.vertices) - 1
-                assert hops == bfs_distances(graph, p.start)[p.end], seed
-                assert hops >= last_hops.get(p.start, 0), seed
-                last_hops[p.start] = hops
-                for a, b in zip(p.vertices, p.vertices[1:]):
-                    idx = graph.edge_index(a, b)
-                    assert idx is not None, seed
-                    summed[idx] = summed.get(idx, 0) + p.weight
-                sent[p.start] = sent.get(p.start, 0) + p.weight
-                absorbed[p.end] = absorbed.get(p.end, 0) + p.weight
+                hops = len(walk)
+                assert hops == bfs_distances(graph, start)[end], seed
+                assert hops >= last_hops.get(start, 0), seed
+                last_hops[start] = hops
+                sent[start] = sent.get(start, 0) + weight
+                absorbed[end] = absorbed.get(end, 0) + weight
                 seen["multi-hop paths"] += hops > 1
             assert sent == supply, seed
             assert all(absorbed[v] <= demand[v] for v in absorbed), seed
@@ -283,7 +289,7 @@ class TestCertifiedRouting:
             assert spare <= cap and max(load.values()) <= spare, seed
             seen["rounds"] += 1
             seen["split sources"] += any(
-                sum(p.start == v for p in paths) > 1 for v in supply)
+                sum(start == v for start, _end, _weight in rows) > 1 for v in supply)
             seen["shared edges"] += any(x > 1 for x in load.values())
         assert seen["rounds"] == 500 and min(seen.values()) >= 50, seen
 
