@@ -181,7 +181,8 @@ def sweep_cut(active: Iterable[int] | np.ndarray, values: np.ndarray
     a distinct active units), far from the level, and carries at least 1/80
     of the active mass; the response side holds at least half the units.
     Both orientations are tried; failure of both is a bug.  Units are
-    ordered by (value, unit index); all per-unit work is array work.
+    ordered by (value, unit index); all per-unit work is array work.  The
+    squares of the active values must sum to a finite float.
     """
     vals = np.asarray(values, dtype=float)
     act = _unit_array(active, len(vals))
@@ -193,10 +194,12 @@ def sweep_cut(active: Iterable[int] | np.ndarray, values: np.ndarray
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
     squares = svals ** 2
+    total = float(squares.sum())
+    if not math.isfinite(total):
+        raise ArgumentError("sweep values must be finite")
     median = svals[(a - 1) // 2]
     mass_low = float(squares[svals < median].sum())
     mass_high = float(squares[svals > median].sum())
-    total = float(squares.sum())
 
     first = "low" if mass_low >= mass_high else "high"
     for side in (first, "high" if first == "low" else "low"):
@@ -250,7 +253,8 @@ def cut_player_step(game: "CutMatchingGame") -> tuple[np.ndarray, np.ndarray]:
     # rounding scale: the walk contracts a unit vector, so absolute float noise
     # is relative to 1/sqrt(k) even when the output itself underflows
     scale = max(float(np.abs(u).max()), game.k ** -0.5)
-    if drift > 1e-9 * game.k * scale:
+    # written so that a NaN output fails it too
+    if not drift <= 1e-9 * game.k * scale:
         raise InternalError("walk output lost orthogonality to the constant vector")
     # k * ||u||^2 is an unbiased estimate of the potential; it is the game's
     # only convergence signal
@@ -361,7 +365,7 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
             # the flow has no circulation: the flow is the round's load bound
             round_load = solved.flow.nums
             rows = [(p.start, p.end, p.weight)
-                    for p in path_decomposition(graph, solved.flow).paths]
+                    for p in path_decomposition(graph, solved.flow)]
         ends.append(np.array(rows, dtype=np.intp).reshape(-1, 3))
     ends = np.concatenate(ends)
     src, dst = np.repeat(ends[:, :2], ends[:, 2], axis=0).T
@@ -445,7 +449,7 @@ class CutMatchingGame:
             if not 0 <= v < n:
                 raise ArgumentError(f"weight at vertex {v}: not a vertex of the graph "
                                     f"(0..{n - 1})")
-            if not isinstance(w, int) or w < 0:
+            if isinstance(w, bool) or not isinstance(w, int) or w < 0:
                 raise ArgumentError(f"weight at vertex {v} is {w!r}, not a non-negative int")
         self.pi = VertexWeights({v: w for v, w in pi.items() if w > 0 and v in self.vertices})
         k = self.pi.total()

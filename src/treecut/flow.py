@@ -51,29 +51,6 @@ class FlowAssignment:
     denom: int = 1
     nums: dict[int, int] = field(default_factory=dict)
 
-    def value(self, u: int, v: int) -> Fraction:
-        idx = self.graph.edge_index(u, v)
-        if idx is None or idx not in self.nums:
-            return Fraction(0)
-        num = self.nums[idx]
-        eu, _ev, _c = self.graph.edges[idx]
-        return Fraction(num if u == eu else -num, self.denom)
-
-    def net_numerator(self, v: int) -> int:
-        """Numerator of the net flow out of ``v``."""
-        total = 0
-        for _w, idx, _c in self.graph.neighbors(v):
-            num = self.nums.get(idx, 0)
-            eu = self.graph.edges[idx][0]
-            total += num if v == eu else -num
-        return total
-
-    def net(self, v: int) -> Fraction:
-        return Fraction(self.net_numerator(v), self.denom)
-
-    def is_zero(self) -> bool:
-        return all(n == 0 for n in self.nums.values())
-
 
 # ---------------------------------------------------------------------------
 # Dinic solver
@@ -271,7 +248,7 @@ def _exact_weights(weights: Mapping[int, object], n: int,
         if not 0 <= v < n:
             raise ArgumentError(f"weight at vertex {v}: not a vertex of the graph "
                                 f"(0..{n - 1})")
-        if not isinstance(w, (int, Fraction)):
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
             raise ArgumentError(f"weight at vertex {v} is {w!r}, not an int or Fraction")
         if w < 0:
             raise ArgumentError(f"weight at vertex {v} is negative")
@@ -306,8 +283,9 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     positive) or to a super-sink (when negative).  The cut is the residual
     reachable side minus the terminal; the exact max flow saturates its edges,
     the net sources outside it and the net targets inside it, so the pair is
-    1-fair, hence alpha-fair for every alpha >= 1 (``verify_fair_cut`` checks
-    any alpha).  ``denom`` is the least common denominator of the net weights.
+    1-fair, hence alpha-fair for every alpha >= 1 (the tests' ``verify_fair_cut``
+    in ``tests/oracles.py`` checks any alpha).  ``denom`` is the least common
+    denominator of the net weights.
     """
     verts = _vertex_set(graph.n, within)
     supply, demand = _net_terminals(graph, source_w, target_w, verts)
@@ -412,77 +390,6 @@ def _route_certified(graph: Graph, supply: Mapping[int, int], demand: Mapping[in
     return rows, walks, load
 
 
-#: verify_fair_cut property indices
-FAIRNESS_PROPERTIES = {
-    0: "flow feasibility",
-    1: "net sources do not send too much",
-    2: "net targets do not absorb too much",
-    3: "net sources outside the cut are nearly saturated",
-    4: "net targets inside the cut are nearly saturated",
-    5: "cut edges are nearly saturated and carry no reverse flow",
-    6: "cut capacity plus absorbed target weight bounded by alpha * source weight",
-    7: "cut capacity plus outside source weight bounded by alpha * outside target weight",
-}
-
-
-def verify_fair_cut(graph: Graph, source_w: Mapping[int, object],
-                    target_w: Mapping[int, object], alpha, cut: Iterable[int],
-                    flow: FlowAssignment, within: Iterable[int] | None = None,
-                    cap_scale: int = 1) -> tuple[bool, list[int]]:
-    """Exhaustively check the fair cut/flow properties; returns violated indices.
-
-    Weights are checked as ``fair_cut`` checks them, and a ``within`` vertex
-    outside the graph is named.
-    """
-    alpha = Fraction(alpha)
-    n = graph.n
-    verts = _vertex_set(n, within)
-    source_w = _exact_weights(source_w, n, verts)
-    target_w = _exact_weights(target_w, n, verts)
-    u_side = frozenset(cut)
-    violated: set[int] = set()
-
-    for idx, u, v, c in graph.edges_within(verts):
-        if abs(flow.value(u, v)) > cap_scale * c:
-            violated.add(0)
-
-    cut_cap = 0
-    for idx, u, v, c in graph.edges_within(verts):
-        if (u in u_side) != (v in u_side):
-            cut_cap += c
-            inner, outer = (u, v) if u in u_side else (v, u)
-            if flow.value(inner, outer) * alpha < Fraction(cap_scale * c):
-                violated.add(5)
-
-    s_total_u = t_total_u = Fraction(0)
-    s_total_out = t_total_out = Fraction(0)
-    for v in verts:
-        s = Fraction(source_w.get(v, 0))
-        t = Fraction(target_w.get(v, 0))
-        if v in u_side:
-            s_total_u += s
-            t_total_u += t
-        else:
-            s_total_out += s
-            t_total_out += t
-        net = s - t
-        f = flow.net(v)
-        if net >= 0 and not (0 <= f <= net):
-            violated.add(1)
-        if net <= 0 and not (net <= f <= 0):
-            violated.add(2)
-        if net >= 0 and v not in u_side and f * alpha < net:
-            violated.add(3)
-        if net <= 0 and v in u_side and f * alpha > net:
-            violated.add(4)
-
-    if Fraction(cut_cap * cap_scale) + t_total_u > alpha * s_total_u:
-        violated.add(6)
-    if Fraction(cut_cap * cap_scale) + s_total_out > alpha * t_total_out:
-        violated.add(7)
-    return not violated, sorted(violated)
-
-
 # ---------------------------------------------------------------------------
 # path decomposition
 # ---------------------------------------------------------------------------
@@ -496,27 +403,7 @@ class PathFlow:
     weight: int  # in numerator units of the decomposed assignment
 
 
-@dataclass
-class PathDecomposition:
-    paths: tuple[PathFlow, ...]
-    denom: int
-
-    def accumulate(self, graph: Graph) -> FlowAssignment:
-        """Re-sum the paths into a flow assignment (round-trip check helper).
-
-        This is the decomposed flow less its circulations; for a cycle-free
-        flow, exactly that flow.
-        """
-        nums: dict[int, int] = {}
-        for p in self.paths:
-            for a, b in zip(p.vertices, p.vertices[1:]):
-                idx = graph.edge_index(a, b)
-                sign = 1 if a == graph.edges[idx][0] else -1
-                nums[idx] = nums.get(idx, 0) + sign * p.weight
-        return FlowAssignment(graph, self.denom, {k: v for k, v in nums.items() if v})
-
-
-def path_decomposition(graph: Graph, flow: FlowAssignment) -> PathDecomposition:
+def path_decomposition(graph: Graph, flow: FlowAssignment) -> tuple[PathFlow, ...]:
     """Peel a flow into weighted paths from excess to deficit vertices.
 
     Each walk follows remaining flow from an excess vertex to a deficit; when
@@ -576,7 +463,7 @@ def path_decomposition(graph: Graph, flow: FlowAssignment) -> PathDecomposition:
 
     if len(paths) > graph.m + graph.n:
         raise InternalError("path decomposition exceeded the m + n path bound")
-    return PathDecomposition(tuple(paths), flow.denom)
+    return tuple(paths)
 
 
 # ---------------------------------------------------------------------------

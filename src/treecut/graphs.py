@@ -36,14 +36,6 @@ class VertexWeights(dict):
             return sum(self.values())
         return sum(self.get(v, 0) for v in subset)
 
-    def restrict(self, subset: Iterable[int]) -> "VertexWeights":
-        """Zero out all entries outside ``subset``."""
-        keep = set(subset)
-        return VertexWeights({v: w for v, w in self.items() if v in keep and w != 0})
-
-    def support(self) -> frozenset[int]:
-        return frozenset(v for v, w in self.items() if w != 0)
-
     @classmethod
     def degrees(cls, graph: "Graph") -> "VertexWeights":
         """Capacity-weighted degrees."""
@@ -63,7 +55,6 @@ class Graph:
             adj[u].append((v, idx))
             adj[v].append((u, idx))
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "_eindex", {(u, v): i for i, (u, v, _c) in enumerate(self.edges)})
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]],
@@ -98,21 +89,10 @@ class Graph:
     def total_capacity(self) -> int:
         return sum(c for _u, _v, c in self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> Iterator[tuple[int, int, int]]:
         """Yield (neighbor, edge index, capacity) for edges at ``v``."""
         for w, idx in self._adj[v]:
             yield w, idx, self.edges[idx][2]
-
-    def capacity(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        idx = self._eindex.get(key)
-        return 0 if idx is None else self.edges[idx][2]
-
-    def edge_index(self, u: int, v: int) -> int | None:
-        return self._eindex.get((u, v) if u < v else (v, u))
 
     def degree_list(self) -> list[int]:
         """Capacity-weighted degrees, a fresh list on every call."""
@@ -134,12 +114,6 @@ class Graph:
         caps = np.array([c for _u, _v, c in self.edges], dtype=float)
         caps.flags.writeable = False
         return caps
-
-    def edges_within(self, subset: Iterable[int]) -> list[tuple[int, int, int, int]]:
-        """Edges with both endpoints in ``subset`` as (edge index, u, v, cap)."""
-        keep = set(subset)
-        return [(i, u, v, c) for i, (u, v, c) in enumerate(self.edges)
-                if u in keep and v in keep]
 
     # -- connectivity ------------------------------------------------------
 
@@ -273,9 +247,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.clusters)
 
-    def max_cluster_size(self) -> int:
-        return max(len(c) for c in self.clusters)
-
 
 # ---------------------------------------------------------------------------
 # boundary and partition operations
@@ -347,7 +318,7 @@ def fuse(partition: Partition, merged: Iterable[int], graph: Graph) -> Partition
     fused = Partition.of(new_clusters)
     before = boundary_degree_map(graph, partition)
     after = boundary_degree_map(graph, fused)
-    outside = set(graph.vertices()) - ground
+    outside = set(range(graph.n)) - ground
     bound = (before.total(ground) - before.total(t)
              + 2 * boundary_capacity(graph, t, ground)
              + incident_capacity(graph, t, outside).total())
@@ -393,47 +364,6 @@ def _check_enumeration_size(verts: Sequence[int], totals: Iterable[int]):
 
 def _mask_set(mask: int, verts: Sequence[int]) -> frozenset[int]:
     return frozenset(verts[i] for i in range(len(verts)) if (mask >> i) & 1)
-
-
-def brute_force_sparsest_cut(graph: Graph, pi: Mapping[int, int]) -> tuple[Cut, Fraction]:
-    """Exact sparsest cut by subset enumeration.
-
-    Minimizes cap(S, V-S) / pi(S) over all S with 0 < pi(S) <= pi(V-S);
-    ties resolved toward the lexicographically smallest bitmask.
-    """
-    verts = list(range(graph.n))
-    total_pi = sum(int(pi.get(v, 0)) for v in verts)
-    if any(int(pi.get(v, 0)) < 0 for v in verts):
-        raise ArgumentError("pi must be non-negative")
-    if total_pi == 0:
-        raise ArgumentError("pi must not be identically zero")
-    if sum(1 for v in verts if pi.get(v, 0)) == 1:
-        raise ArgumentError("no valid cut: all weight sits on a single vertex")
-    _check_enumeration_size(verts, [total_pi, graph.total_capacity()])
-
-    nmasks = 1 << graph.n
-    best_ratio = None
-    best_mask = None
-    for lo in range(1, nmasks, _CHUNK):
-        hi = min(lo + _CHUNK, nmasks)
-        caps, wts = _mask_tables(graph, verts, pi, lo, hi)
-        valid = (wts > 0) & (2 * wts <= total_pi)
-        if not valid.any():
-            continue
-        ratios = np.where(valid, caps / np.maximum(wts, 1), np.inf)
-        floor = ratios.min()
-        # near-minimal candidates get exact comparison
-        cand = np.nonzero(ratios <= floor * (1 + 1e-9) + 1e-12)[0]
-        for off in cand:
-            mask = lo + int(off)
-            ratio = Fraction(int(caps[off]), int(wts[off]))
-            if best_ratio is None or ratio < best_ratio or \
-                    (ratio == best_ratio and mask < best_mask):
-                best_ratio, best_mask = ratio, mask
-    if best_mask is None:
-        raise InternalError("no valid cut found despite two weighted vertices")
-    subset = _mask_set(best_mask, verts)
-    return Cut(subset, boundary_capacity(graph, subset, verts)), best_ratio
 
 
 def check_expanding(graph: Graph, cluster: Iterable[int], pi: Mapping[int, int],

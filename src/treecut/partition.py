@@ -87,7 +87,9 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
     The worst admissible source (full capacity on the cut toward the rest of
     the cluster) must route inside G[side] to sinks bounded by the outer
     border capacities divided by gamma, at the stated congestion.  A single
-    max flow decides this; smaller sources follow by dropping paths.
+    max flow decides this; smaller sources follow by dropping paths.  Only
+    tests call it so far; it stays in the package as the border certificate
+    that ``treecut certify`` is to run for every bad child.
     """
     gamma = Fraction(gamma)
     congestion = Fraction(congestion)

@@ -55,9 +55,11 @@ class TestGameWeights:
     @pytest.mark.parametrize("pi, vertex", [({0: 1, 1: 1, 99: 5}, 99),
                                             ({0: 1, 1: 1, -1: 5}, -1),
                                             ({0: 2.7, 1: 1}, 0),
-                                            ({0: 2, 1: -1}, 1)])
+                                            ({0: 2, 1: -1}, 1),
+                                            ({0: True, 1: True, 5: 2}, 0)])
     def test_bad_weight_is_named(self, pi, vertex):
-        # a vertex outside the graph is not dropped, nor a float truncated
+        # a vertex outside the graph is not dropped, nor a float truncated,
+        # nor a bool read as 1
         with pytest.raises(ArgumentError, match=f"weight at vertex {vertex}[: ]"):
             make_game(generate_dumbbell(4), pi, Fraction(1, 4), 0)
 
@@ -158,6 +160,17 @@ class TestSweepCut:
     def test_too_few_units_rejected(self):
         with pytest.raises(ArgumentError):
             sweep_cut([3], np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN was sorted as a plain value and an inf became the whole
+        # proposal side
+        values = np.array([0.1, bad, -0.3, 0.5, 0.2, -0.1, 0.0, 0.4])
+        with pytest.raises(ArgumentError, match="must be finite"):
+            sweep_cut(np.arange(8), values)
+        # only the active units' values are read
+        left, right, _level = sweep_cut([0, 2, 3, 4, 5, 6, 7], values)
+        assert 1 not in left.tolist() + right.tolist()
 
     def test_out_of_range_active_unit_rejected(self):
         # a negative unit would read the last value instead
@@ -277,13 +290,13 @@ def loop_matching_player_step(game, left, right, edge_load):
     # most net demand and at most the fair cut's capacity scale
     up, down = MATCH_FAIRNESS.numerator, MATCH_FAIRNESS.denominator
     net_supply = net_demand = 0
-    for v in graph.vertices():
+    for v in range(graph.n):
         net = up * s_counts.get(v, 0) - down * r_counts.get(v, 0)
         if net > 0:
             net_supply += net
         else:
             net_demand -= net
-    certified = (alive == frozenset(graph.vertices()) and graph.is_connected()
+    certified = (alive == frozenset(range(graph.n)) and graph.is_connected()
                  and net_supply <= net_demand and net_supply <= up * game.cap_multiplier)
     if certified and cut_side:
         raise InternalError("a certified round cut vertices off")
@@ -320,7 +333,7 @@ def loop_matching_player_step(game, left, right, edge_load):
         nums = solved.edge_flow()
         round_load = {eidx: abs(num) for eidx, num in nums.items()}
         decomp = path_decomposition(graph, FlowAssignment(graph, 1, nums))
-        for path in decomp.paths:
+        for path in decomp:
             for _ in range(path.weight):
                 pairs.append((left_at[path.start].pop(0),
                               right_at[path.end].pop(0)))
@@ -535,6 +548,14 @@ class TestCutPlayerStep:
             game.step()
         # orthogonality is asserted inside the step; reaching here is the test
         assert game.round == 4
+
+    def test_nan_walk_output_is_refused(self, k8, monkeypatch):
+        # a NaN drift compared False with "drift > bound" and reached the sweep
+        game = make_game(k8, {v: 2 for v in range(8)}, Fraction(1, 4), 3)
+        monkeypatch.setattr(cutmatch_module, "_apply_walk",
+                            lambda vec, *_args: np.full_like(vec, np.nan))
+        with pytest.raises(InternalError, match="orthogonality"):
+            cut_player_step(game)
 
 
 class TestDenseDiagnostics:

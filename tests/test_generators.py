@@ -10,6 +10,7 @@ from treecut import (ArgumentError, construct_hierarchy, diamond_adversarial_dem
                      random_pair_demands, to_tree_sparsifier)
 
 from conftest import bisection_tree, philox
+from oracles import capacity
 
 
 def bfs_distance(graph, start, goal):
@@ -144,7 +145,7 @@ class TestOtherGenerators:
         g = generate_dumbbell(4, 2)
         assert g.n == 8
         assert g.m == 2 * 6 + 2
-        assert g.capacity(0, 4) == 1 and g.capacity(1, 5) == 1
+        assert capacity(g, 0, 4) == 1 and capacity(g, 1, 5) == 1
 
     def test_dumbbell_validation(self):
         with pytest.raises(ArgumentError):

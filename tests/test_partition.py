@@ -160,7 +160,7 @@ class TestPartitionCluster:
                                    Fraction(1, 4), philox(4))
         # the cluster is the whole graph: no border, so no bad child
         assert result.bad_child == frozenset()
-        assert result.partition.max_cluster_size() <= 8
+        assert max(map(len, result.partition.clusters)) <= 8
         assert any(len(c) > 1 for c in result.partition.clusters)
 
     def test_trim_branch_with_injected_oracle(self, monkeypatch):
@@ -226,7 +226,7 @@ class TestPartitionCluster:
             if child:
                 assert child in result.partition.clusters
                 assert check_border_routable(graph, cluster, child, 4, 2)
-            assert result.partition.max_cluster_size() <= max(1, len(cluster) / 2)
+            assert max(map(len, result.partition.clusters)) <= max(1, len(cluster) / 2)
 
     def test_precondition_checks(self, path3):
         with pytest.raises(ArgumentError):
