@@ -6,14 +6,16 @@ contributes pi(v) units, ``game.vertex_of`` maps each unit to its vertex
 vertex), and the cut player never sees the graph.  Per round
 ``cut_player_step(game)`` pushes a random vector through the slowed walk over
 past matchings, scaling once per block of passes, and sweeps it into two
-sorted unit arrays; ``matching_player_step(game, left, right)`` takes them,
-deletes a sparse fair-cut side, matches the surviving proposal units locally
-and across integral routed paths whose congestion it tracks, and returns the
-matching as a pair array sorted by proposal unit, from which ``step`` builds
-the walk permutation.  The game holds ``matchings``, ``perms``,
-``active_mask``, ``deleted``, the per-edge ``load`` and ``max_load_ratio``.
-Per-unit work is numpy array work; Python loops run once per vertex or
-routed path.
+sorted unit arrays: one value sort, with a tie at the split between the
+sides split by unit index, as a stable sort by (value, unit) would.
+``matching_player_step(game, left, right)`` takes them, deletes a sparse
+fair-cut side, matches the surviving proposal units locally and across
+integral routed paths whose congestion it tracks, and returns the matching
+as a pair array sorted by proposal unit, the partners read in stable order
+of the pairs' start vertices; ``step`` builds the walk permutation from it.
+The game holds ``matchings``, ``perms``, ``active_mask``, ``deleted``, the
+per-edge ``load`` and ``max_load_ratio``.  Per-unit work is numpy array
+work; Python loops run once per vertex or routed path.
 
 The fair cut is solved only when a cut bound cannot prove it empty
 (``flow._fair_cut_is_empty``): with net supply S = sum of (3L(v) - 2R(v))+
@@ -152,13 +154,16 @@ def _center(y: np.ndarray, active: np.ndarray | None, count: int) -> None:
 def _unit_array(units, k: int) -> np.ndarray:
     """Distinct units in 0..k-1 as a sorted int array, else an argument error.
 
-    Units must be integers: a float or bool input is refused by its dtype,
-    not truncated or read as a mask.  An input that is already strictly
-    increasing is not sorted again and may come back as the same array.
+    Units must be integers in one dimension: a float or bool input is
+    refused by its dtype, not truncated or read as a mask, and a 0-d or 2-D
+    array by its shape.  An input that is already strictly increasing is not
+    sorted again and may come back as the same array.
     """
     if not isinstance(units, np.ndarray):
         units = list(units)
         units = np.array(units) if units else np.empty(0, dtype=np.intp)
+    if units.ndim != 1:
+        raise ArgumentError(f"units must be a 1-D array, not {units.ndim}-D")
     if units.dtype.kind not in "iu":
         raise ArgumentError(f"units must be integers, not {units.dtype}")
     units = units.astype(np.intp, copy=False)
@@ -181,43 +186,66 @@ def sweep_cut(active: Iterable[int] | np.ndarray, values: np.ndarray
     a distinct active units), far from the level, and carries at least 1/80
     of the active mass; the response side holds at least half the units.
     Both orientations are tried; failure of both is a bug.  Units are
-    ordered by (value, unit index); all per-unit work is array work.  The
-    squares of the active values must sum to a finite float.
+    ordered by (value, unit index): the values are sorted once, and a tie
+    that straddles the split goes by unit index, its highest units to the
+    response side of the "low" orientation and its lowest to that of the
+    "high" one.  All per-unit work is array work.  ``values`` is a 1-D
+    array, and the squares of the active values must sum to a finite float.
     """
     vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1:
+        raise ArgumentError(f"sweep values must be a 1-D array, not {vals.ndim}-D")
     act = _unit_array(active, len(vals))
     a = len(act)
     if a < 2:
         raise ArgumentError("sweep cut needs at least two active units")
     vals = vals[act]
-    # act is sorted, so a stable sort breaks value ties by unit index
-    order = np.argsort(vals, kind="stable")
-    svals = vals[order]
+    # equal values have equal squares, so the order among ties changes no
+    # sum below; _sweep_orientation splits ties by unit index itself
+    svals = np.sort(vals)
     squares = svals ** 2
     total = float(squares.sum())
     if not math.isfinite(total):
         raise ArgumentError("sweep values must be finite")
     median = svals[(a - 1) // 2]
-    mass_low = float(squares[svals < median].sum())
-    mass_high = float(squares[svals > median].sum())
+    mass_low = float(squares[:svals.searchsorted(median)].sum())
+    mass_high = float(squares[svals.searchsorted(median, "right"):].sum())
 
     first = "low" if mass_low >= mass_high else "high"
     for side in (first, "high" if first == "low" else "low"):
-        res = _sweep_orientation(act, vals, order, svals, total, a, side)
+        res = _sweep_orientation(act, vals, svals, total, a, side)
         if res is not None:
             return res
     raise InternalError("sweep cut failed in both orientations")
 
 
-def _sweep_orientation(act, vals, order, svals, total, a, side):
+def _sweep_orientation(act, vals, svals, total, a, side):
+    # array methods rather than numpy's function wrappers, which cost about
+    # as much as the work itself at a few hundred units
     half = -(-a // 2)       # ceil(a/2) response units
     cap_small = -(-a // 8)  # ceil(a/8) proposal units
+    # the response side is the half units at one end of the (value, unit
+    # index) order, the level the value at its inner end
     if side == "low":
-        pool_pos, resp_pos = order[: a - half], order[a - half:]
-        level = float(svals[a - half])
+        split = a - half
+        resp, cut = vals >= svals[split], svals[split - 1] == svals[split]
     else:
-        pool_pos, resp_pos = order[half:], order[:half]
-        level = float(svals[half - 1])
+        split = half - 1
+        resp, cut = vals <= svals[split], svals[split + 1] == svals[split]
+    level = svals[split]
+    if cut or level == 0.0:
+        # the units tied with the level, in unit order, and the rank of the
+        # level's unit among them
+        ties = (vals == level).nonzero()[0]
+        rank = split - int(svals.searchsorted(level))
+        if cut and side == "low":
+            resp[ties[:rank]] = False
+        elif cut:
+            resp[ties[rank + 1:]] = False
+        # -0.0 == 0.0: the level takes the sign of that unit's own zero
+        level = vals[ties[rank]]
+    level = float(level)
+    pool_pos = (~resp).nonzero()[0]
     pool = vals[pool_pos]
     gap = pool - level
     is_far = gap * gap >= pool * pool / 9.0
@@ -226,9 +254,10 @@ def _sweep_orientation(act, vals, order, svals, total, a, side):
     # as far as the cap_small-th farthest can be among the first cap_small
     key = -np.abs(gap[is_far])
     if len(far) > cap_small:
-        near = np.flatnonzero(key <= np.partition(key, cap_small - 1)[cap_small - 1])
+        near = (key <= np.partition(key, cap_small - 1)[cap_small - 1]).nonzero()[0]
         far, key = far[near], key[near]
-    top = far[np.lexsort((act[far], key))[:cap_small]]
+    # far is in unit order, so a stable sort breaks key ties by unit index
+    top = far[key.argsort(kind="stable")[:cap_small]]
 
     # the proposal mass: pow(x, 2), which can differ from x * x in the last
     # bit, summed from left to right as a Python sum of floats is
@@ -236,7 +265,8 @@ def _sweep_orientation(act, vals, order, svals, total, a, side):
     if picked + 1e-12 * max(total, 1.0) < total / 80.0:
         return None
     # act is sorted, so sorted positions give sorted units
-    return act[np.sort(top)], act[np.sort(resp_pos)], level
+    top.sort()
+    return act[top], act[resp.nonzero()[0]], level
 
 
 def cut_player_step(game: "CutMatchingGame") -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +277,7 @@ def cut_player_step(game: "CutMatchingGame") -> tuple[np.ndarray, np.ndarray]:
     if count < 2:
         raise ArgumentError("cut player needs at least two active units")
     r = game.rng.standard_normal(game.k)
-    r /= np.linalg.norm(r)
+    r /= math.sqrt(r @ r)
     u = _apply_walk(r, game.perms, mask, game.slowdown)
     drift = abs(float(u.sum()))
     # rounding scale: the walk contracts a unit vector, so absolute float noise
@@ -276,9 +306,10 @@ def _nonzero_counts(counts: np.ndarray) -> dict[int, int]:
 
 def _ranks(x: np.ndarray) -> np.ndarray:
     """Each entry's rank among the earlier entries equal to it."""
-    order = np.argsort(x, kind="stable")
+    order = x.argsort(kind="stable")
+    ordered = x[order]
     rank = np.empty_like(x)
-    rank[order] = np.arange(len(x)) - np.searchsorted(x[order], x[order])
+    rank[order] = np.arange(len(x)) - ordered.searchsorted(ordered)
     return rank
 
 
@@ -369,8 +400,8 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
         ends.append(np.array(rows, dtype=np.intp).reshape(-1, 3))
     ends = np.concatenate(ends)
     src, dst = np.repeat(ends[:, :2], ends[:, 2], axis=0).T
-    src_rank, dst_rank = _ranks(src), _ranks(dst)
-    if (src_rank >= n_left[src]).any() or (dst_rank >= n_right[dst]).any():
+    dst_rank = _ranks(dst)
+    if (np.bincount(src, minlength=n) > n_left).any() or (dst_rank >= n_right[dst]).any():
         raise InternalError("a flow path carries more than its end units")
     if len(src) < len(lft):
         raise InternalError("not every surviving proposal unit was matched")
@@ -388,11 +419,11 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     # the maximum exactly
     game.max_load_ratio = float((total / capacity).max(initial=game.max_load_ratio))
     # a sorted unit array holds the n(v) units at v from offset first(v) on,
-    # and the r-th row unit at v is the one at first(v) + r
-    partner = np.empty_like(lft)
-    partner[np.cumsum(n_left)[src] - n_left[src] + src_rank] = \
-        rgt[np.cumsum(n_right)[dst] - n_right[dst] + dst_rank]
-    return dropped, np.column_stack((lft, partner))
+    # and the r-th row unit at v is the one at first(v) + r; each vertex
+    # starts exactly n_left(v) row units, so the row units in stable order of
+    # their starts run through lft unit by unit
+    partner = rgt[np.cumsum(n_right)[dst] - n_right[dst] + dst_rank]
+    return dropped, np.column_stack((lft, partner[src.argsort(kind="stable")]))
 
 
 # ---------------------------------------------------------------------------

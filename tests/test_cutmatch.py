@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,8 @@ from treecut.cutmatch import MATCH_FAIRNESS
 from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
-from walk_diagnostics import dense_flow_matrix, pair_permutation, potential, sweep_cut_violations
+from walk_diagnostics import (dense_flow_matrix, pair_permutation, potential,
+                              stable_sort_sweep_cut, sweep_cut_violations)
 
 
 def make_game(graph, pi, phi, seed, **kw):
@@ -130,6 +132,27 @@ class TestUnitArray:
         with pytest.raises(ArgumentError, match="not float64"):
             matching_player_step(game, [0.5], [1.5, 2.5])
         assert game.deleted == set() and game.edge_load == {}
+
+    @pytest.mark.parametrize("given", ["active", "values", "left", "right"])
+    def test_players_refuse_arrays_not_1d(self, path3, given):
+        # a 2-D unit array failed with numpy's "truth value is ambiguous", a
+        # 0-d one with an IndexError, and a 2-D or 0-d values array with a
+        # TypeError
+        what = "sweep values" if given == "values" else "units"
+        bads = ((np.arange(8.0).reshape(4, 2), np.array(2.0)) if given == "values"
+                else (np.array([[0, 1], [2, 3]]), np.array(2)))
+        for bad in bads:
+            args = {"active": np.arange(4), "values": np.array([3.0, -1.0, -1.0, -1.0]),
+                    "left": np.array([0]), "right": np.array([2, 3])}
+            args[given] = bad
+            game = make_game(path3, {0: 2, 2: 2}, Fraction(1, 4), 0)
+            with pytest.raises(ArgumentError,
+                               match=f"{what} must be a 1-D array, not {bad.ndim}-D$"):
+                if given in ("active", "values"):
+                    sweep_cut(args["active"], args["values"])
+                else:
+                    matching_player_step(game, args["left"], args["right"])
+            assert game.deleted == set() and game.edge_load == {}
 
 
 class TestSweepCut:
@@ -414,10 +437,99 @@ class TestSweepCutMatchesLoops:
             for side in ("low", "high"):
                 expected = loop_sweep_orientation(act, vals, order, svals, a, side)
                 got = cutmatch_module._sweep_orientation(
-                    np.array(act), vals, arr_order, svals, float((svals ** 2).sum()), a, side)
+                    np.array(act), vals, svals, float((svals ** 2).sum()), a, side)
                 assert side_sets(got) == expected
                 seen[side if expected is not None else "none"] += 1
         assert min(seen.values()) > 0
+
+
+def same_sweep(active, values):
+    """``sweep_cut`` against the stable-argsort reference: the same sides
+    and the level with the same bits, or the same error.  Returns the
+    orientation taken, or the error's message, and whether a tie straddled
+    the split."""
+    try:
+        expected = stable_sort_sweep_cut(active, values)
+    except (ArgumentError, InternalError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            sweep_cut(active, values)
+        return str(exc), False
+    left, right, level = sweep_cut(active, values)
+    for got, want in zip((left, right), expected[:2]):
+        assert got.dtype == np.intp and got.tolist() == want.tolist()
+    assert type(level) is float and level.hex() == expected[2].hex()
+    vals = np.asarray(values, dtype=float)
+    act = np.sort(np.asarray(list(active), dtype=np.intp))
+    # the response side of "low" holds the unit last in (value, unit) order
+    last = act[np.lexsort((act, vals[act]))[-1]]
+    side = "low" if last in right else "high"
+    # the level's own unit is on the response side; a tie straddles the
+    # split when another unit at the level is not
+    return side, bool((vals[np.setdiff1d(act, right)] == level).any())
+
+
+class TestSweepCutMatchesStableSort:
+    """The sweep sorts the values once and splits a tie at the level by
+    unit index; the stable-argsort sweep it replaced is the reference."""
+
+    def test_ties_straddling_the_split(self):
+        seen = collections.Counter()
+        rng = philox(23)
+        for i in range(3000):
+            k = int(rng.integers(2, 70))
+            values = rng.integers(-3, 4, size=k).astype(float)
+            active = np.flatnonzero(rng.random(k) < 0.8) if i % 2 else np.arange(k)
+            if len(active) < 2:
+                continue
+            side, straddles = same_sweep(active, values)
+            seen[side, straddles] += 1
+        assert min(seen[side, True] for side in ("low", "high")) >= 100, seen
+
+    def test_unsorted_active_units(self):
+        rng = philox(29)
+        for i in range(600):
+            k = int(rng.integers(2, 90))
+            values = rng.integers(-2, 3, size=k) * 0.5 if i % 2 else rng.standard_normal(k)
+            active = rng.permutation(k)[:int(rng.integers(2, k + 1))]
+            for given in (active, active.tolist(), frozenset(active.tolist())):
+                same_sweep(given, values)
+
+    def test_non_finite_values_and_signed_zeros(self):
+        # an active NaN or inf is refused by both; an inactive one is never
+        # read; a zero level takes the sign of its own unit's zero
+        rng = philox(31)
+        seen = collections.Counter()
+        for i in range(2000):
+            k = int(rng.integers(2, 60))
+            values = rng.choice([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 2.0], size=k)
+            if i % 3 == 0:
+                values[int(rng.integers(k))] = rng.choice([np.nan, np.inf, -np.inf])
+            active = np.flatnonzero(rng.random(k) < 0.9) if i % 2 else np.arange(k)
+            if len(active) < 2:
+                continue
+            side, straddles = same_sweep(active, values)
+            if side not in ("low", "high"):
+                seen[side] += 1
+            else:
+                seen[sweep_cut(active, values)[2].hex()] += 1
+                seen["straddles"] += straddles
+        keys = ("sweep values must be finite", "0x0.0p+0", "-0x0.0p+0", "straddles")
+        assert min(seen[key] for key in keys) >= 100, seen
+
+    def test_walk_outputs_of_a_seeded_game(self, monkeypatch):
+        captured = []
+        real_sweep = cutmatch_module.sweep_cut
+
+        def recording(active, values):
+            captured.append((active.copy(), values.copy()))
+            return real_sweep(active, values)
+
+        monkeypatch.setattr(cutmatch_module, "sweep_cut", recording)
+        graph = generate_grid(6, 6)
+        make_game(graph, VertexWeights.degrees(graph), Fraction(1, 4), 7).run()
+        assert len(captured) >= 20
+        for active, values in captured:
+            same_sweep(active, values)
 
 
 class TestMatchingPlayerMatchesLoop:
@@ -466,6 +578,33 @@ class TestMatchingPlayerMatchesLoop:
                     seen["routing"] += routed and not certified
                     seen["certified"] += routed and certified
         assert seen["rounds"] >= 400 and min(seen.values()) >= 30, seen
+
+    def test_certified_round_with_shared_sink_and_local_pair(self, monkeypatch):
+        # a star around vertex 0: vertex 2 pairs one unit locally and routes
+        # two, split over two sinks, vertex 1 routes two, and sink 0 takes
+        # rows from both sources; the rows start at 2, 1, 1, 2, 2, so a
+        # proposal vertex's row units are not one run
+        routed = []
+        real_route = cutmatch_module._route_certified
+
+        def recording(*args):
+            result = real_route(*args)
+            routed.append(result[0])
+            return result
+
+        monkeypatch.setattr(cutmatch_module, "_route_certified", recording)
+        star = Graph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+        pi = {0: 3, 1: 2, 2: 4, 3: 4}
+        game_loop, game_array = (make_game(star, pi, Fraction(1, 4), 0) for _ in range(2))
+        left, right = frozenset({3, 4, 5, 6, 7}), frozenset({0, 1, 2, 8, 9, 10, 11, 12})
+        loop_load: dict[int, int] = {}
+        dropped, pairs, certified = loop_matching_player_step(game_loop, left, right,
+                                                              loop_load)
+        got_dropped, got_pairs = matching_player_step(game_array, left, right)
+        assert certified and routed == [[(1, 0, 2), (2, 0, 1), (2, 3, 1)]]
+        assert (got_dropped, tuple(map(tuple, got_pairs.tolist()))) == (dropped, pairs)
+        assert pairs == ((3, 0), (4, 1), (5, 8), (6, 2), (7, 9))
+        assert game_array.edge_load == loop_load == {0: 2, 1: 2, 2: 1}
 
     def test_integer_fair_cut_weights_cut_like_fractions(self, monkeypatch):
         # the fair cut on source 3c, target 2c and capacities times 3 cap is

@@ -1,18 +1,20 @@
 """Walk and sweep diagnostics: references the tests check the cut player against.
 
 The game itself only tracks a projection estimate of its potential; these
-evaluate the exact potential and the explicit mixing matrix at small k, and
-check a sweep cut's properties.
+evaluate the exact potential and the explicit mixing matrix at small k,
+check a sweep cut's properties, and sweep by a stable argsort, the order
+``sweep_cut`` must reproduce with one value sort.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from treecut import OversizeError
-from treecut.cutmatch import POTENTIAL_UNIT_CAP, _apply_walk
+from treecut import ArgumentError, InternalError, OversizeError
+from treecut.cutmatch import POTENTIAL_UNIT_CAP, _apply_walk, _unit_array
 
 #: size cap of the explicit k x k mixing matrix
 DENSE_UNIT_CAP = 256
@@ -59,6 +61,49 @@ def potential(perms: Sequence[np.ndarray], active: Iterable[int], slowdown: int,
         return 0.0
     cols = _apply_walk(np.eye(k)[:, mask], perms, mask, slowdown)
     return float((cols * cols).sum())
+
+
+def stable_sort_sweep_cut(active, values):
+    """``sweep_cut`` with a stable argsort of the active values in place of
+    one value sort: the order (value, unit index) is explicit, and each side
+    is a slice of it.  The sweep must equal it bit for bit."""
+    vals = np.asarray(values, dtype=float)
+    act = _unit_array(active, len(vals))
+    a = len(act)
+    if a < 2:
+        raise ArgumentError("sweep cut needs at least two active units")
+    vals = vals[act]
+    # act is sorted, so a stable sort breaks value ties by unit index
+    order = np.argsort(vals, kind="stable")
+    svals = vals[order]
+    squares = svals ** 2
+    total = float(squares.sum())
+    if not math.isfinite(total):
+        raise ArgumentError("sweep values must be finite")
+    median = svals[(a - 1) // 2]
+    mass_low = float(squares[svals < median].sum())
+    mass_high = float(squares[svals > median].sum())
+
+    half = -(-a // 2)       # ceil(a/2) response units
+    cap_small = -(-a // 8)  # ceil(a/8) proposal units
+    first = "low" if mass_low >= mass_high else "high"
+    for side in (first, "high" if first == "low" else "low"):
+        if side == "low":
+            pool_pos, resp_pos = order[: a - half], order[a - half:]
+            level = float(svals[a - half])
+        else:
+            pool_pos, resp_pos = order[half:], order[:half]
+            level = float(svals[half - 1])
+        pool = vals[pool_pos]
+        gap = pool - level
+        is_far = gap * gap >= pool * pool / 9.0
+        far = pool_pos[is_far]
+        top = far[np.lexsort((act[far], -np.abs(gap[is_far])))[:cap_small]]
+        picked = float(np.cumsum(np.float_power(vals[top], 2))[-1]) if len(top) else 0.0
+        if picked + 1e-12 * max(total, 1.0) < total / 80.0:
+            continue
+        return act[np.sort(top)], act[np.sort(resp_pos)], level
+    raise InternalError("sweep cut failed in both orientations")
 
 
 def sweep_cut_violations(active, values, left, right, level) -> list[int]:
