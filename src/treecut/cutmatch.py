@@ -117,9 +117,9 @@ def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
     potential stop, or an input near 1e+-300 can round differently.
     """
     y = vec.astype(float, order="C", copy=True)
-    # every unit active: the centering needs no mask
-    active = None if mask.all() else mask
     count = int(mask.sum())
+    # every unit active: the centering needs no mask
+    active = None if count == len(mask) else mask
     share = 1.0 / slowdown
     lag = float(slowdown - 1)
     block = WALK_BLOCK_BITS // ceil_log2(slowdown)
@@ -128,11 +128,14 @@ def _apply_walk(vec: np.ndarray, perms: Sequence[np.ndarray], mask: np.ndarray,
         _center(y, active, count)
         for start in range(0, len(passes), block):
             chunk = passes[start:start + block]
-            for perm in chunk:
-                moved = y[perm]
-                if lag != 1.0:
+            if lag == 1.0:
+                for perm in chunk:
+                    y += y[perm]
+            else:
+                for perm in chunk:
+                    moved = y[perm]
                     y *= lag
-                y += moved
+                    y += moved
             y *= share ** len(chunk)
         _center(y, active, count)
     return y
@@ -184,9 +187,15 @@ def sweep_cut(active: Iterable[int] | np.ndarray, values: np.ndarray
     Returns (proposal side, response side, separation level), the sides as
     sorted unit arrays.  The proposal side is small (at most ceil(a/8) of the
     a distinct active units), far from the level, and carries at least 1/80
-    of the active mass; the response side holds at least half the units.
-    Both orientations are tried; failure of both is a bug.  Units are
-    ordered by (value, unit index): the values are sorted once, and a tie
+    of the active mass, up to a rounding share of 1e-12 of it at every
+    scale; the response side holds at least half the units.  Both
+    orientations are tried.  For centered values, such as the walk's,
+    failure of both is a bug; values whose mean carries most of their mass
+    can fail both too.  Either way it raises InternalError.  A vector with
+    no spread, all active values equal and not zero, has no unit far from
+    any level that splits it: its proposal side is the ceil(a/8) highest
+    units, its response side the rest and its level their value.  Units
+    are ordered by (value, unit index): the values are sorted once, and a tie
     that straddles the split goes by unit index, its highest units to the
     response side of the "low" orientation and its lowest to that of the
     "high" one.  All per-unit work is array work.  ``values`` is a 1-D
@@ -216,6 +225,11 @@ def sweep_cut(active: Iterable[int] | np.ndarray, values: np.ndarray
         res = _sweep_orientation(act, vals, svals, total, a, side)
         if res is not None:
             return res
+    if svals[0] == svals[-1]:
+        # no spread: every level ties every unit, and the ceil(a/8) highest
+        # units carry at least an eighth of the mass
+        cap_small = -(-a // 8)
+        return act[a - cap_small:], act[:a - cap_small], float(svals[0])
     raise InternalError("sweep cut failed in both orientations")
 
 
@@ -254,15 +268,18 @@ def _sweep_orientation(act, vals, svals, total, a, side):
     # as far as the cap_small-th farthest can be among the first cap_small
     key = -np.abs(gap[is_far])
     if len(far) > cap_small:
-        near = (key <= np.partition(key, cap_small - 1)[cap_small - 1]).nonzero()[0]
+        bound = key.copy()
+        bound.partition(cap_small - 1)
+        near = (key <= bound[cap_small - 1]).nonzero()[0]
         far, key = far[near], key[near]
     # far is in unit order, so a stable sort breaks key ties by unit index
     top = far[key.argsort(kind="stable")[:cap_small]]
 
     # the proposal mass: pow(x, 2), which can differ from x * x in the last
-    # bit, summed from left to right as a Python sum of floats is
-    picked = float(np.cumsum(np.float_power(vals[top], 2))[-1]) if len(top) else 0.0
-    if picked + 1e-12 * max(total, 1.0) < total / 80.0:
+    # bit, summed from left to right as the builtin sum of floats was before
+    # Python 3.12 made it compensated
+    picked = float(np.float_power(vals[top], 2).cumsum()[-1]) if len(top) else 0.0
+    if picked + 1e-12 * total < total / 80.0:
         return None
     # act is sorted, so sorted positions give sorted units
     top.sort()
@@ -273,8 +290,8 @@ def cut_player_step(game: "CutMatchingGame") -> tuple[np.ndarray, np.ndarray]:
     """One cut-player move: project a random direction through the walk,
     sweep; returns the proposal and response sides as sorted unit arrays."""
     mask = game.active_mask
-    count = int(mask.sum())
-    if count < 2:
+    active = mask.nonzero()[0]
+    if len(active) < 2:
         raise ArgumentError("cut player needs at least two active units")
     r = game.rng.standard_normal(game.k)
     r /= math.sqrt(r @ r)
@@ -289,7 +306,7 @@ def cut_player_step(game: "CutMatchingGame") -> tuple[np.ndarray, np.ndarray]:
     # k * ||u||^2 is an unbiased estimate of the potential; it is the game's
     # only convergence signal
     game.last_projection_energy = float(u @ u)
-    left, right, _level = sweep_cut(np.flatnonzero(mask), u)
+    left, right, _level = sweep_cut(active, u)
     return left, right
 
 
@@ -300,7 +317,7 @@ def cut_player_step(game: "CutMatchingGame") -> tuple[np.ndarray, np.ndarray]:
 
 def _nonzero_counts(counts: np.ndarray) -> dict[int, int]:
     """The nonzero entries of a per-vertex count array, as {vertex: count}."""
-    verts = np.flatnonzero(counts)
+    verts = counts.nonzero()[0]
     return dict(zip(verts.tolist(), counts[verts].tolist()))
 
 
@@ -355,8 +372,10 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     # skip the fair cut's max flow when a cut bound proves its cut empty; alive
     # lies in the checked game.vertices, so at full size it goes on as range(n)
     within = range(n) if len(alive) == n else alive
-    certified = _fair_cut_is_empty(graph, int(net[net > 0].sum()),
-                                   int(-net[net < 0].sum()), within, up * cap)
+    # net supply S = sum (net)+, and net demand S - sum net = sum (-net)+
+    supply = int(np.maximum(net, 0).sum())
+    certified = _fair_cut_is_empty(graph, supply, supply - int(net.sum()), within,
+                                   up * cap)
     if certified:
         cut_side = frozenset()
     else:
@@ -369,25 +388,25 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     if cut_side:
         in_cut = np.zeros(n, dtype=bool)
         in_cut[list(cut_side)] = True
-        dropped = frozenset(np.flatnonzero(active & in_cut[vertex_of]).tolist())
+        dropped = frozenset((active & in_cut[vertex_of]).nonzero()[0].tolist())
         survivors = alive - cut_side
         lft, rgt = lft[~in_cut[vertex_of[lft]]], rgt[~in_cut[vertex_of[rgt]]]
         n_left[in_cut] = n_right[in_cut] = 0
 
-    # (start, end, weight) rows: first the local pairs at each vertex, then
-    # the routed paths, which take the units left over
+    # min(L, R) units pair locally at each vertex; the routed paths take the
+    # units left over
     local = np.minimum(n_left, n_right)
-    verts = np.flatnonzero(local)
-    ends = [np.column_stack((verts, verts, local[verts]))]
-    leftover_s = _nonzero_counts(n_left - local)
+    verts = local.nonzero()[0]
+    spare_left, spare_right = n_left - local, n_right - local
+    rows: Sequence[tuple[int, int, int]] = ()
     round_load: dict[int, int] = {}  # signed edge flow, or summed path weights
-    if leftover_s:
-        leftover_r = _nonzero_counts(n_right - local)
+    if spare_left.any():
         if certified:
             # no capacity binds in a certified round: the nearest sinks will do
-            rows, _walks, round_load = _route_certified(graph, leftover_s, leftover_r)
+            rows, _walks, round_load = _route_certified(graph, spare_left, spare_right)
         else:
-            solved = _run_max_flow(graph, leftover_s, leftover_r, within=survivors,
+            solved = _run_max_flow(graph, _nonzero_counts(spare_left),
+                                   _nonzero_counts(spare_right), within=survivors,
                                    cap_scale=2 * cap)
             if not solved.saturated:
                 raise InternalError("matching flow failed to saturate all sources; "
@@ -397,9 +416,14 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
             round_load = solved.flow.nums
             rows = [(p.start, p.end, p.weight)
                     for p in path_decomposition(graph, solved.flow)]
-        ends.append(np.array(rows, dtype=np.intp).reshape(-1, 3))
-    ends = np.concatenate(ends)
-    src, dst = np.repeat(ends[:, :2], ends[:, 2], axis=0).T
+    # (start, end, weight) rows, the local pairs first
+    paired = len(verts)
+    ends = np.empty((paired + len(rows), 3), dtype=np.intp)
+    ends[:paired, :2] = verts[:, None]
+    ends[:paired, 2] = local[verts]
+    if rows:
+        ends[paired:] = rows
+    src, dst = ends[:, :2].repeat(ends[:, 2], axis=0).T
     dst_rank = _ranks(dst)
     if (np.bincount(src, minlength=n) > n_left).any() or (dst_rank >= n_right[dst]).any():
         raise InternalError("a flow path carries more than its end units")
@@ -422,8 +446,11 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     # and the r-th row unit at v is the one at first(v) + r; each vertex
     # starts exactly n_left(v) row units, so the row units in stable order of
     # their starts run through lft unit by unit
-    partner = rgt[np.cumsum(n_right)[dst] - n_right[dst] + dst_rank]
-    return dropped, np.column_stack((lft, partner[src.argsort(kind="stable")]))
+    first = n_right.cumsum() - n_right
+    pairs = np.empty((len(lft), 2), dtype=np.intp)
+    pairs[:, 0] = lft
+    pairs[:, 1] = rgt[first[dst] + dst_rank][src.argsort(kind="stable")]
+    return dropped, pairs
 
 
 # ---------------------------------------------------------------------------

@@ -324,23 +324,24 @@ def _fair_cut_is_empty(graph: Graph, supply: int | Fraction, demand: int | Fract
     return supply <= demand and supply <= cap_scale
 
 
-def _route_certified(graph: Graph, supply: Mapping[int, int], demand: Mapping[int, int]
+def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
                      ) -> tuple[list[tuple[int, int, int]], list[list[int]], dict[int, int]]:
     """Nearest-sink routing of a matching round that ``_fair_cut_is_empty``
     certified: returns the paths as (source, sink, units) rows, each row's
     walk as the edge indices from its sink back to its source, and the load
     per edge index.
 
-    ``supply`` and ``demand`` are the leftover proposal and response units
-    per vertex, L - R and R - L after pairing min(L, R) at each vertex, at
-    disjoint vertices.  Sources go in ascending order; each runs a BFS over
-    ``graph._adj`` and takes the units left at each sink as the BFS reaches
-    it, nearest first, until the source's units are used up.  A path's
-    weight is the units it moves, and an edge's load is the plain sum of the
-    weights of the paths over it: at least the |net flow| on the edge, equal
-    to it when no two paths cross the edge in opposite directions, so it is
-    a sound congestion bound.  A source whose BFS runs out of sinks is left
-    short, for the caller's count to catch.
+    ``supply`` and ``demand`` are int arrays of the leftover proposal and
+    response units at each of the n vertices, L - R and R - L after pairing
+    min(L, R) at each vertex, nonzero at disjoint vertices.  Sources go in
+    ascending order; each runs a BFS over ``graph._adj`` and takes the units
+    left at each sink as the BFS reaches it, nearest first, until the
+    source's units are used up.  A path's weight is the units it moves, and
+    an edge's load is the plain sum of the weights of the paths over it: at
+    least the |net flow| on the edge, equal to it when no two paths cross
+    the edge in opposite directions, so it is a sound congestion bound.  A
+    source whose BFS runs out of sinks is left short, for the caller's count
+    to catch.
 
     No capacity can bind, so any routing is as feasible as the exact max
     flow's.  The round was certified with cap_scale 3c (c the cap multiplier)
@@ -353,16 +354,14 @@ def _route_certified(graph: Graph, supply: Mapping[int, int], demand: Mapping[in
     every BFS reaches a sink while any demand is left.
     """
     adj, edges = graph._adj, graph.edges
-    room = [0] * graph.n
-    for v, x in demand.items():
-        room[v] = x
+    room, units = demand.tolist(), supply.tolist()
     # per vertex: the last source whose BFS reached it, and the edge it came by
     seen, via = [-1] * graph.n, [-1] * graph.n
     rows: list[tuple[int, int, int]] = []
     walks: list[list[int]] = []
     load: dict[int, int] = {}
-    for start in sorted(supply):
-        need, taken, queue = supply[start], [], [start]
+    for start in supply.nonzero()[0].tolist():
+        need, taken, queue = units[start], [], [start]
         seen[start], via[start] = start, -1
         for v in queue:
             for w, idx in adj[v]:

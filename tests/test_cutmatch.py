@@ -175,6 +175,26 @@ class TestSweepCut:
         assert left.tolist() != right.tolist()
         assert sweep_cut_violations(range(2), u, left, right, level) == []
 
+    def test_uncentered_vector_is_not_cut_short(self):
+        # the mean of [10]*7 + [11] carries nearly all its mass, so no unit is
+        # far from a level that splits it: the sweep fails at every scale
+        # rather than return a proposal side with too little mass
+        for scale in (1.0, 2.0 ** -40):
+            with pytest.raises(InternalError, match="failed in both orientations"):
+                sweep_cut(range(8), np.array([10.0] * 7 + [11.0]) * scale)
+
+    def test_constant_vector_has_no_spread(self):
+        # a constant nonzero vector, such as the residue of centering
+        # [63.17] * 3, has its ceil(a/8) highest units as the proposal side
+        for value in (5.0, -(2.0 ** -47)):
+            left, right, level = sweep_cut(range(9), np.full(9, value))
+            assert (left.tolist(), right.tolist()) == ([7, 8], list(range(7)))
+            assert type(level) is float and level == value
+        residue = np.array([63.17] * 3) - np.mean([63.17] * 3)
+        assert (residue == 2.0 ** -47).all()
+        left, right, level = sweep_cut(range(3), residue)
+        assert sweep_cut_violations(range(3), residue, left, right, level) == []
+
     def test_all_zero_vector_still_valid(self):
         u = np.zeros(6)
         left, right, level = sweep_cut(range(6), u)
@@ -242,6 +262,10 @@ def loop_sweep_cut(active, values):
         res = loop_sweep_orientation(act, vals, order, svals, a, side)
         if res is not None:
             return res
+    if min(vals) == max(vals):
+        # no spread: the ceil(a/8) highest units are the proposal side
+        cap_small = -(-a // 8)
+        return frozenset(act[a - cap_small:]), frozenset(act[:a - cap_small]), float(vals[0])
     raise InternalError("sweep cut failed in both orientations")
 
 
@@ -260,8 +284,11 @@ def loop_sweep_orientation(act, vals, order, svals, a, side):
     right = frozenset(act[p] for p in resp_pos)
 
     total = float((svals ** 2).sum())
-    picked = sum(float(vals[p]) ** 2 for p in far[:cap_small])
-    if picked + 1e-12 * max(total, 1.0) < total / 80.0:
+    # from left to right: since Python 3.12 the builtin sum is compensated
+    picked = 0.0
+    for p in far[:cap_small]:
+        picked += float(vals[p]) ** 2
+    if picked + 1e-12 * total < total / 80.0:
         return None
     return left, right, level
 
@@ -421,6 +448,26 @@ class TestSweepCutMatchesLoops:
                 assert side_sets(sweep_cut(given, values)) == expected
             calls += 1
         assert calls >= 2000
+
+    def test_sweep_scales_with_its_values(self):
+        # scaling by 2^-40 is exact at these magnitudes, so the sweep must
+        # pick the same sides at the scaled level, or fail at both scales;
+        # its 1/80 mass check must not pass on small values alone
+        swept = 0
+        for active, values in fuzz_sweep_vectors(7, 2000):
+            if len(active) < 2:
+                continue
+            outcomes = []
+            for scale in (1.0, 2.0 ** -40):
+                try:
+                    left, right, level = sweep_cut(np.sort(active), values * scale)
+                except InternalError:
+                    outcomes.append(None)
+                else:
+                    outcomes.append((left.tolist(), right.tolist(), level / scale))
+            assert outcomes[0] == outcomes[1], (active, values)
+            swept += outcomes[0] is not None
+        assert swept >= 1900, swept
 
     def test_both_orientations_match(self):
         seen = {"low": 0, "high": 0, "none": 0}
@@ -1231,6 +1278,28 @@ class TestGameInvariants:
         records = json.dumps([dataclasses.astuple(r) for r in game.records])
         assert hashlib.sha256(records.encode()).hexdigest() == (
             "76f9861a305f1d86f30c710ae24db570b5f38f6dbcd8a96acef9d17e4e4cd92d")
+
+    def test_seeded_deleting_game_is_pinned(self):
+        # two 8-cliques on a bridge at phi/80 with degree weights: besides
+        # certified rounds it runs fair cuts, matching max flows and their
+        # path decompositions, and its last round deletes one clique; the
+        # same three digests as above
+        graph = two_cliques_bridge(8, cap=100)
+        game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 0)
+        assert game.run() == frozenset(range(8, 16))
+        assert (game.stopped, game.round, game.k) == ("balance", 28, 11202)
+        assert game.deleted == set(range(8, 16))
+        pairs = json.dumps([m.tolist() for m in game.matchings])
+        assert hashlib.sha256(pairs.encode()).hexdigest() == (
+            "a49d73c6023e04e2e50563db817cb1e508e2f33142a512e06f2cc877dd68d8fb")
+        assert all((perm == pair_permutation(m, game.k)).all()
+                   for m, perm in zip(game.matchings, game.perms, strict=True))
+        load = json.dumps(sorted(game.edge_load.items()))
+        assert hashlib.sha256(load.encode()).hexdigest() == (
+            "6269e53250283bca3415558defb3b100a4b10395ba9922406312e2876d076e12")
+        records = json.dumps([dataclasses.astuple(r) for r in game.records])
+        assert hashlib.sha256(records.encode()).hexdigest() == (
+            "ca679e25a8e117eadac5d32c70ff39b26d5dbcd60933e36ef88831e42649271f")
 
 
 class TestExpansionCertificates:

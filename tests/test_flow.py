@@ -4,6 +4,7 @@ import collections
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,7 +265,9 @@ class TestCertifiedRouting:
                                                   3 * cap), seed
             supply = {v: x - y for v, (x, y) in enumerate(zip(left, right)) if x > y}
             demand = {v: y - x for v, (x, y) in enumerate(zip(left, right)) if y > x}
-            rows, walks, load = flow_module._route_certified(graph, supply, demand)
+            spare = np.array(left) - np.array(right)
+            rows, walks, load = flow_module._route_certified(
+                graph, np.maximum(spare, 0), np.maximum(-spare, 0))
             assert len(rows) == len(walks), seed
 
             sent, absorbed, summed, last_hops = {}, {}, {}, {}

@@ -100,9 +100,11 @@ def stable_sort_sweep_cut(active, values):
         far = pool_pos[is_far]
         top = far[np.lexsort((act[far], -np.abs(gap[is_far])))[:cap_small]]
         picked = float(np.cumsum(np.float_power(vals[top], 2))[-1]) if len(top) else 0.0
-        if picked + 1e-12 * max(total, 1.0) < total / 80.0:
+        if picked + 1e-12 * total < total / 80.0:
             continue
         return act[np.sort(top)], act[np.sort(resp_pos)], level
+    if svals[0] == svals[-1]:
+        return act[a - cap_small:], act[:a - cap_small], float(svals[0])
     raise InternalError("sweep cut failed in both orientations")
 
 
@@ -129,7 +131,7 @@ def sweep_cut_violations(active, values, left, right, level) -> list[int]:
     if any((x - level) ** 2 + tol ** 2 < x ** 2 / 9.0 for x in lv):
         bad.append(3)
     total = float((vals[act] ** 2).sum())
-    if sum(x * x for x in lv) + 1e-9 * max(total, 1.0) < total / 80.0:
+    if sum(x * x for x in lv) + 1e-9 * total < total / 80.0:
         bad.append(4)
     if set(left) & set(right):
         bad.append(5)
