@@ -18,25 +18,15 @@ per-edge ``load`` and ``max_load_ratio``.  Per-unit work is numpy array
 work; Python loops run once per vertex or routed path.
 
 The fair cut is solved only when a cut bound cannot prove it empty
-(``flow._fair_cut_is_empty``): with net supply S = sum of (3L(v) - 2R(v))+
-and net demand D = sum of (2R(v) - 3L(v))+, for L(v) and R(v) a vertex's
-proposal and response units, it is empty when the alive vertices are every
-vertex of a connected graph, S <= D and S <= 3 * cap_multiplier.  The sweep
-proposes at most ceil(a/8) of the a active units against ceil(a/2), so a root
-game on a connected graph deletes nothing while 3 <= a <= 8 * cap_multiplier,
-9600 units at the root oracle's phi/20 = 1/80 (congestion factor 800).
-
-Such a certified round routes without a flow too (``flow._route_certified``):
-its leftover supply is at most cap_multiplier, half of any edge's per-round
-capacity 2 * cap_multiplier * cap(e), so no capacity can bind and each
-leftover proposal unit goes to the nearest response units a BFS reaches.
-The cut player wins against any matching that embeds with bounded
-congestion (Khandekar-Rao-Vazirani), so the routing may be chosen for speed.
-A round's load on an edge is then the plain sum of the weights of the paths
-over it, an upper bound on the |net flow| that is exact unless two paths
-cross the edge in opposite directions.  Every other round (a game within a
-proper subset, any round after a deletion, a supply above the bound) solves
-the exact max flow and decomposes it into paths.
+(``flow._fair_cut_is_empty``, whose docstring holds the bound), and a round
+the bound certifies routes without a flow too, to the nearest sinks by BFS
+(``_route_certified``, whose docstring holds the capacity proof).  Every
+other round (a game within a proper subset, any round after a deletion, a
+supply above the bound) solves the exact max flow and decomposes it into
+paths.  The sweep proposes at most ceil(a/8) of the a active units against
+ceil(a/2), so a root game on a connected graph deletes nothing while
+3 <= a <= 8 * cap_multiplier, 9600 units at the root oracle's phi/20 = 1/80
+(congestion factor 800).
 """
 
 from __future__ import annotations
@@ -49,8 +39,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ArgumentError, InternalError
-from .flow import (_fair_cut_is_empty, _route_certified, _run_max_flow, _vertex_set,
-                   fair_cut, path_decomposition)
+from .flow import (_fair_cut_is_empty, _run_max_flow, _vertex_set, fair_cut,
+                   path_decomposition)
 from .graphs import Graph, VertexWeights
 
 #: fairness factor of the matching player's fair cuts
@@ -330,6 +320,72 @@ def _ranks(x: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
+                     ) -> tuple[list[tuple[int, int, int]], dict[int, int]]:
+    """Nearest-sink routing of a matching round that ``_fair_cut_is_empty``
+    certified: returns the paths as (source, sink, units) rows and the load
+    per edge index.
+
+    ``supply`` and ``demand`` are int arrays of the leftover proposal and
+    response units at each of the n vertices, L - R and R - L after pairing
+    min(L, R) at each vertex, nonzero at disjoint vertices.  Sources go in
+    ascending order; each runs a BFS over ``graph._adj`` and takes the units
+    left at each sink as the BFS reaches it, nearest first, until the
+    source's units are used up.  A path's weight is the units it moves, and
+    an edge's load is the plain sum of the weights of the paths over it: at
+    least the |net flow| on the edge, equal to it when no two paths cross
+    the edge in opposite directions, so it is a sound congestion bound.  A
+    source whose BFS runs out of sinks is left short, for the caller's count
+    to catch.
+
+    The capacity proof holds for any router of simple paths.
+    ``matching_player_step`` certifies a round with cap_scale 3c (c the cap
+    multiplier) on net supply S = sum (3L - 2R)+, at most the net demand
+    D = sum (2R - 3L)+ and at most 3c, with the alive vertices every vertex
+    of a connected graph.  Where L >= R, 3L - 2R >= 3(L - R), so the
+    leftover supply L' = sum (L - R)+ is at most S/3 <= c.  A simple path
+    crosses an edge at most once, so any set of simple paths that carries
+    the L' units puts at most L' <= c on an edge, at most half its per-round
+    capacity 2c * cap(e): no capacity can bind, and the cut player wins
+    against any matching that embeds with low congestion
+    (Khandekar-Rao-Vazirani), so the paths may be chosen for speed.  S <= D
+    gives 3 sum L <= 2 sum R, so the leftover demand
+    sum (R - L)+ = L' + sum R - sum L is at least L'.  The graph is
+    connected, so every BFS reaches a sink while any demand is left.
+    """
+    adj, edges = graph._adj, graph.edges
+    room, units = demand.tolist(), supply.tolist()
+    # per vertex: the last source whose BFS reached it, and the edge it came by
+    seen, via = [-1] * graph.n, [-1] * graph.n
+    rows: list[tuple[int, int, int]] = []
+    load: dict[int, int] = {}
+    for start in supply.nonzero()[0].tolist():
+        need, taken, queue = units[start], [], [start]
+        seen[start], via[start] = start, -1
+        for v in queue:
+            for w, idx in adj[v]:
+                if seen[w] != start:
+                    seen[w], via[w] = start, idx
+                    queue.append(w)
+                    if got := room[w]:
+                        take = min(need, got)
+                        room[w] = got - take
+                        taken.append((w, take))
+                        need -= take
+                        if not need:
+                            break
+            if not need:
+                break
+        for sink, take in taken:
+            v = sink
+            while (idx := via[v]) >= 0:
+                a, b, _c = edges[idx]
+                v = a if b == v else b
+                load[idx] = load.get(idx, 0) + take
+            rows.append((start, sink, take))
+    return rows, load
+
+
 def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarray,
                          right: Iterable[int] | np.ndarray
                          ) -> tuple[frozenset[int], np.ndarray]:
@@ -342,16 +398,15 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     at each vertex its r-th proposal unit pairs with its r-th response unit,
     and the rest route along integral paths, each taking the next units by
     offset at its two ends.  A round whose fair cut the cut bound proves
-    empty routes each leftover proposal vertex, in ascending order, to the
-    nearest leftover response units by BFS (``flow._route_certified``): no
-    capacity can bind there, so no max flow is needed, and an edge's load
-    is the summed weight of the paths over it.  Any other round routes along
-    the exact matching flow's path decomposition, an edge's load being its
-    |net flow|.  Failure to match all survivors would
-    contradict the fair cut and raises an internal error.  Routes within the
-    game's vertices not yet deleted, zero-weight vertices included, so that
-    every edge leaving a deleted region is visible to some fair cut and the
-    deleted set stays sparse against full-graph capacities.
+    empty (``flow._fair_cut_is_empty``) skips that max flow and routes by
+    ``_route_certified``, an edge's load being the summed weight of the
+    paths over it.  Any other round routes along the exact matching flow's
+    path decomposition, an edge's load being its |net flow|.  Failure to
+    match all survivors would contradict the fair cut and raises an internal
+    error.  Routes within the game's vertices not yet deleted, zero-weight
+    vertices included, so that every edge leaving a deleted region is
+    visible to some fair cut and the deleted set stays sparse against
+    full-graph capacities.
     """
     graph, vertex_of, k, n = game.graph, game.vertex_of, game.k, game.graph.n
     lft, rgt = _unit_array(left, k), _unit_array(right, k)
@@ -403,7 +458,7 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     if spare_left.any():
         if certified:
             # no capacity binds in a certified round: the nearest sinks will do
-            rows, _walks, round_load = _route_certified(graph, spare_left, spare_right)
+            rows, round_load = _route_certified(graph, spare_left, spare_right)
         else:
             solved = _run_max_flow(graph, _nonzero_counts(spare_left),
                                    _nonzero_counts(spare_right), within=survivors,

@@ -173,11 +173,12 @@ class TestCertifyCommand:
 
 
 class TestReadme:
+    README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
     def test_cli_examples_parse(self):
         # every example in README's CLI block names real subcommands and
         # options; the parser only reads them, nothing runs
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+        block = self.README.read_text(encoding="utf-8").split("## CLI", 1)[1]
         block = block.split("```sh", 1)[1].split("```", 1)[0]
         examples = [shlex.split(line)[1:] for line in block.splitlines()
                     if line.startswith("treecut ")]
@@ -188,6 +189,12 @@ class TestReadme:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README example does not parse: treecut {shlex.join(argv)}")
+
+    def test_library_example_runs(self):
+        # README's library block runs as written; its assert is kept under -O
+        block = self.README.read_text(encoding="utf-8").split("```python", 1)[1]
+        block = block.split("```", 1)[0]
+        exec(compile(block, str(self.README), "exec", optimize=0), {})
 
 
 class TestExitCodes:

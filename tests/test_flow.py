@@ -1,10 +1,8 @@
 """Max flow, fair cuts, path decomposition, and congestion oracles."""
 
-import collections
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,87 +218,6 @@ class TestEmptyCutBound:
                     result.cut and flow_module._fair_cut_is_empty(
                         twin, *totals, within, scale))
         assert min(seen.values()) >= 10 and seen["certified"] >= 100, seen
-
-
-def bfs_distances(graph, start):
-    """Hop distance from ``start`` to every vertex of a connected graph."""
-    dist, queue = {start: 0}, collections.deque([start])
-    while queue:
-        v = queue.popleft()
-        for w, _idx, _c in graph.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-class TestCertifiedRouting:
-    """``_route_certified`` on the matching rounds the cut bound certifies."""
-
-    @staticmethod
-    def _round(seed):
-        """(graph, L, R, S, D): a connected graph, proposal and response unit
-        counts L and R per vertex, some vertex with L > R, and the net supply
-        S = sum (3L - 2R)+, at most the net demand D = sum (2R - 3L)+."""
-        rng = philox(15000 + seed)
-        graph = random_connected_graph(14000 + seed, max_n=14, extra_factor=0.5,
-                                       max_cap=int(rng.choice([1, 4])))
-        while True:
-            left = [int(rng.integers(1, 4)) if rng.random() < 0.4 else 0
-                    for _ in range(graph.n)]
-            right = [int(rng.integers(1, 7)) if rng.random() < 0.6 else 0
-                     for _ in range(graph.n)]
-            net = [3 * x - 2 * y for x, y in zip(left, right)]
-            supply = sum(x for x in net if x > 0)
-            if supply <= -sum(x for x in net if x < 0) and any(
-                    x > y for x, y in zip(left, right)):
-                return graph, left, right, supply, -sum(x for x in net if x < 0)
-
-    def test_paths_are_nearest_sink_walks_within_the_bound(self):
-        seen = {"rounds": 0, "multi-hop paths": 0, "split sources": 0, "shared edges": 0}
-        for seed in range(500):
-            graph, left, right, net_supply, net_demand = self._round(seed)
-            cap = -(-net_supply // 3)
-            assert flow_module._fair_cut_is_empty(graph, net_supply, net_demand, None,
-                                                  3 * cap), seed
-            supply = {v: x - y for v, (x, y) in enumerate(zip(left, right)) if x > y}
-            demand = {v: y - x for v, (x, y) in enumerate(zip(left, right)) if y > x}
-            spare = np.array(left) - np.array(right)
-            rows, walks, load = flow_module._route_certified(
-                graph, np.maximum(spare, 0), np.maximum(-spare, 0))
-            assert len(rows) == len(walks), seed
-
-            sent, absorbed, summed, last_hops = {}, {}, {}, {}
-            for (start, end, weight), walk in zip(rows, walks):
-                assert start in supply and end in demand and weight > 0, seed
-                # the walk, hop by hop from the sink: each edge leaves the
-                # vertex reached so far, and the last one reaches the source
-                v = end
-                for idx in walk:
-                    assert 0 <= idx < graph.m, seed
-                    a, b, _c = graph.edges[idx]
-                    assert v in (a, b), seed
-                    v = a if b == v else b
-                    summed[idx] = summed.get(idx, 0) + weight
-                assert v == start, seed
-                # a shortest walk, and each source's sinks nearest first
-                hops = len(walk)
-                assert hops == bfs_distances(graph, start)[end], seed
-                assert hops >= last_hops.get(start, 0), seed
-                last_hops[start] = hops
-                sent[start] = sent.get(start, 0) + weight
-                absorbed[end] = absorbed.get(end, 0) + weight
-                seen["multi-hop paths"] += hops > 1
-            assert sent == supply, seed
-            assert all(absorbed[v] <= demand[v] for v in absorbed), seed
-            assert load == summed, seed
-            spare = sum(supply.values())
-            assert spare <= cap and max(load.values()) <= spare, seed
-            seen["rounds"] += 1
-            seen["split sources"] += any(
-                sum(start == v for start, _end, _weight in rows) > 1 for v in supply)
-            seen["shared edges"] += any(x > 1 for x in load.values())
-        assert seen["rounds"] == 500 and min(seen.values()) >= 50, seen
 
 
 class TestVerifyFairCut:
