@@ -27,6 +27,12 @@ paths.  The sweep proposes at most ceil(a/8) of the a active units against
 ceil(a/2), so a root game on a connected graph deletes nothing while
 3 <= a <= 8 * cap_multiplier, 9600 units at the root oracle's phi/20 = 1/80
 (congestion factor 800).
+
+A game that has deleted nothing stops "certified" as soon as its matchings,
+contracted to its weighted vertices, prove them (phi/q*)-expanding
+(``CutMatchingGame._certified``, whose docstring holds the argument): an
+exact proof, by a shifted Cholesky of an integer matrix, not a
+high-probability bound.
 """
 
 from __future__ import annotations
@@ -55,6 +61,17 @@ ROUND_COEFF = 10
 
 #: a block of ``_apply_walk`` passes grows values at most 2^WALK_BLOCK_BITS-fold
 WALK_BLOCK_BITS = 256
+
+#: a game certifies its expansion only on at most this many weighted
+#: vertices; the proof factors a dense matrix of that order
+CERTIFY_VERTEX_CAP = 2500
+
+#: above this many weighted vertices a Lanczos screen of SCREEN_STEPS steps
+#: decides whether a proof is worth its dense factorisation: below it a
+#: failed proof costs less than the screen (the benchmark's games have at
+#: most 144), above it a proof every round made grid 32x32 slower
+SCREEN_VERTICES = 256
+SCREEN_STEPS = 24
 
 
 def ceil_log2(x: int) -> int:
@@ -509,6 +526,135 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# the expansion certificate
+# ---------------------------------------------------------------------------
+
+
+def _rump_shift(diagonal: list[int]) -> int:
+    """The integer shift c that makes a completed floating-point Cholesky of
+    A - cI prove A positive definite (Rump, "Verification of positive
+    definiteness", BIT 2006), for a symmetric matrix A of integers below
+    2^53 with this non-negative diagonal.
+
+    A Cholesky that runs to completion on the n x n matrix B, in any order of
+    summation, gives R^T R = B + E with |E| <= d d^T, d_i^2 = gamma b_ii /
+    (1 - gamma) for gamma = gamma_{n+1} = (n+1)u / (1 - (n+1)u), u = 2^-53;
+    underflow adds at most 4 n eta (2(n+1) + max b_ii), eta = 2^-1074, to
+    the norm of E.  So ||E|| < c once c is at least gamma / (1 - gamma) *
+    tr(A) plus that term, and A - cI + E = R^T R >= 0 leaves A >= (c -
+    ||E||) I > 0.  The shift is rounded up to an integer, so that A - cI is
+    exact in floats.  gamma / (1 - gamma) * tr(A) is a fraction with a
+    denominator below 2^53, so the rounding alone puts c at least 2^-53
+    above it, far more than any underflow term of this order: the proof
+    does not lean on that term's exact constant.
+    """
+    n = len(diagonal)
+    u = Fraction(1, 1 << 53)
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    underflow = 4 * n * Fraction(1, 1 << 1074) * (2 * (n + 1) + max(diagonal))
+    return math.ceil(gamma / (1 - gamma) * sum(diagonal) + underflow)
+
+
+def _proves_positive_definite(matrix: np.ndarray) -> bool:
+    """Whether a shifted floating-point Cholesky proves the symmetric
+    ``matrix``, a float array of integers below 2^53, positive definite.
+
+    True is a proof (``_rump_shift``); False proves nothing either way.  The
+    matrix is first scaled by the largest power of two that keeps every
+    entry below 2^53, which is exact, so that rounding the shift up to an
+    integer costs nothing; it is scaled and shifted in place, and so spent.
+    """
+    top = int(max(matrix.max(), -matrix.min()))
+    if top.bit_length() < 53:
+        matrix *= float(1 << (53 - top.bit_length()))
+    diagonal = [int(x) for x in np.diagonal(matrix).tolist()]
+    if min(diagonal) < 0:
+        return False
+    matrix[np.diag_indices_from(matrix)] -= _rump_shift(diagonal)
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _expansion_matrix(pi: np.ndarray, links: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      mu: Fraction) -> np.ndarray | None:
+    """b P K as a float array of exact integers, for mu = a/b, P = sum pi and
+    K = L_W - mu diag(pi) + ((mu + 1)/P) pi pi^T; None when an entry could
+    reach 2^53.
+
+    ``pi`` holds positive integer weights, and ``links`` the contracted
+    matchings W as (heads, tails, counts) with heads < tails.
+    """
+    heads, tails, counts = links
+    a, b, total = mu.numerator, mu.denominator, int(pi.sum())
+    degree = (np.bincount(heads, counts, len(pi)) + np.bincount(tails, counts, len(pi)))
+    top = int(pi.max())
+    bound = b * total * int(degree.max(initial=0)) + a * total * top + (a + b) * top * top
+    if bound >= 1 << 53:
+        return None
+    # every product and sum below is an integer under the bound, so exact
+    weights = pi.astype(float)
+    matrix = np.outer(weights, weights * (a + b))
+    scale = float(b * total)
+    matrix[heads, tails] -= scale * counts
+    matrix[tails, heads] -= scale * counts
+    matrix[np.diag_indices_from(matrix)] += scale * degree - (a * total) * weights
+    return matrix
+
+
+def _screen_start(size: int) -> np.ndarray:
+    """The screen's fixed start vector: unit-norm Gaussian from a
+    constant-seeded stream, so the game's own random stream is untouched."""
+    start = np.random.Generator(np.random.Philox(0)).standard_normal(size)
+    return start / math.sqrt(start @ start)
+
+
+def _screen(pi: np.ndarray, links: tuple[np.ndarray, np.ndarray, np.ndarray],
+            start: np.ndarray) -> tuple[float, np.ndarray]:
+    """A Lanczos estimate of lambda_2 of D^-1/2 L_W D^-1/2, D = diag(pi): the
+    smallest Ritz value after at most SCREEN_STEPS steps from ``start``,
+    never below the true value up to rounding, and its Ritz vector.  Costs
+    one pass over the links a step, and no n x n matrix."""
+    heads, tails, counts = links
+    n = len(pi)
+    root = np.sqrt(pi.astype(float))
+    inv = 1.0 / root
+    degree = np.bincount(heads, counts, n) + np.bincount(tails, counts, n)
+    steps = min(SCREEN_STEPS, n - 1)
+    # row 0 is the kernel vector sqrt(pi), the rest the Lanczos vectors
+    basis = np.empty((steps + 1, n))
+    basis[0] = root / math.sqrt(pi.sum())
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    vec = start - basis[0] * (basis[0] @ start)
+    size = 0
+    for j in range(steps):
+        norm = math.sqrt(vec @ vec)
+        # an invariant subspace ends the iteration early
+        if not norm > 1e-10 * max(abs(alpha[:j]).max(initial=0.0), 1e-300):
+            break
+        basis[j + 1] = vec / norm
+        if j:
+            beta[j - 1] = norm
+        x = basis[j + 1] * inv
+        out = degree * x
+        out -= np.bincount(heads, counts * x[tails], n)
+        out -= np.bincount(tails, counts * x[heads], n)
+        out *= inv
+        alpha[j] = basis[j + 1] @ out
+        # full re-orthogonalisation, twice, against the kernel vector too
+        for _ in range(2):
+            out -= basis[:j + 2].T @ (basis[:j + 2] @ out)
+        vec, size = out, j + 1
+    if not size:
+        return 0.0, start
+    tri = np.diag(alpha[:size]) + np.diag(beta[:size - 1], 1) + np.diag(beta[:size - 1], -1)
+    values, vectors = np.linalg.eigh(tri)
+    return float(values[0]), vectors[:, 0] @ basis[1:size + 1]
+
+
+# ---------------------------------------------------------------------------
 # the game and the sparse cut oracle
 # ---------------------------------------------------------------------------
 
@@ -532,21 +678,20 @@ class CutMatchingGame:
     Each round records the cut player's projection estimate of the potential,
     and ``_evaluate_stop`` sets ``stopped`` to the first reason that holds:
     "balance" once fewer than ``balance_floor`` = (1 - beta*) * k units stay
-    active, "potential" (only with ``early_stop``) once three consecutive
-    estimates are at most ``potential_floor``, and "budget" after ``budget``
-    = ROUND_COEFF * ceil_log2(k)^2 rounds.  The matching player's fair cuts
-    are at MATCH_FAIRNESS.
+    active; with ``early_stop`` only, "certified" once ``_certified`` proves
+    the game's weighted vertices (phi/q*)-expanding, q* = ceil_log2(k), or
+    "potential" once three consecutive estimates are at most
+    ``potential_floor``; and "budget" after ``budget`` = ROUND_COEFF *
+    ceil_log2(k)^2 rounds.  The matching player's fair cuts are at
+    MATCH_FAIRNESS.
 
     State: ``matchings`` holds each round's (p, 2) array of (proposal,
     response) unit pairs and ``perms`` their walk permutations; ``deleted``
     holds the vertices the matching player cut off, ``load`` its routed load
     per edge index as an int64 array, and ``max_load_ratio`` the largest
     load over capacity (a capacity of 2^53 or more is rounded to a float
-    first).  ``edge_load`` is a read-only view of ``load``: each read builds
-    a fresh {edge index: load} dict of the edges that carry any, so changing
-    it leaves the game unchanged.  Fair cuts scale capacities by
-    ``cap_multiplier`` = ceil(c * MATCH_FAIRNESS) for c =
-    ``congestion_factor`` = ceil(10/phi).
+    first).  Fair cuts scale capacities by ``cap_multiplier`` =
+    ceil(c * MATCH_FAIRNESS) for c = ``congestion_factor`` = ceil(10/phi).
     """
 
     def __init__(self, graph: Graph, pi: Mapping[int, int], phi: Fraction, rng,
@@ -591,6 +736,16 @@ class CutMatchingGame:
         self.potential_floor = 1.0 / k ** 3
         self.last_projection_energy: float | None = None
         self._quiet_rounds = 0
+        # the certificate's state: pi on the weighted vertices, each unit's
+        # position among them, the contracted matchings as (heads, tails,
+        # counts) and how many rounds they hold, and the screen's Ritz vector
+        self.expansion_target = phi / oracle_params(k)[0]
+        self._weights = np.array([self.pi[v] for v in support], dtype=np.int64)
+        self._slot = np.repeat(np.arange(len(support)), self._weights)
+        empty = np.empty(0, dtype=np.int64)
+        self._links = (empty, empty, empty)
+        self._folded = 0
+        self._ritz: np.ndarray | None = None
 
     # -- state views -------------------------------------------------------
 
@@ -599,12 +754,6 @@ class CutMatchingGame:
         """ceil(congestion_factor * MATCH_FAIRNESS), in integers."""
         up, down = MATCH_FAIRNESS.numerator, MATCH_FAIRNESS.denominator
         return -(-self.congestion_factor * up // down)
-
-    @property
-    def edge_load(self) -> dict[int, int]:
-        """The routed load per edge index of the edges that carry any: a
-        fresh dict built from ``load`` on each read."""
-        return _nonzero_counts(self.load)
 
     @property
     def round(self) -> int:
@@ -643,7 +792,8 @@ class CutMatchingGame:
         return rec
 
     def _evaluate_stop(self, rec: RoundRecord):
-        """The game's one stopping rule: balance, then potential, then budget."""
+        """The game's one stopping rule: balance, then certified, then
+        potential, then budget."""
         if rec.active < self.balance_floor or rec.active < 2:
             self.stopped = "balance"
             return
@@ -653,11 +803,86 @@ class CutMatchingGame:
                 self._quiet_rounds += 1
             else:
                 self._quiet_rounds = 0
+            if self._certified():
+                self.stopped = "certified"
+                return
             if self._quiet_rounds >= 3:
                 self.stopped = "potential"
                 return
         if self.round >= self.budget:
             self.stopped = "budget"
+
+    def _certified(self) -> bool:
+        """Whether the matchings so far prove every S within the game's
+        vertices to have cap(boundary of S) >= (phi/q*) * min(pi(S), pi(C - S)),
+        C the weighted vertices.
+
+        Let w(u, v) count the matched unit pairs, over all rounds, whose ends
+        lie at the distinct vertices u and v of C, L_W its Laplacian, P =
+        pi(C), rho = max load(e)/cap(e) and mu = 2 rho phi/q*.  If
+        K = L_W - mu diag(pi) + ((mu + 1)/P) pi pi^T is positive definite, the
+        claim holds.  Scaled by diag(pi)^-1/2 on both sides, K has eigenvalue
+        1 on sqrt(pi) and is N - mu I on its complement, N the normalised
+        Laplacian, so lambda_2(N) > mu.  For S's indicator x, splitting off
+        its pi-mean gives x^T L_W x > mu pi(S) pi(C - S)/P >= (mu/2)
+        min(pi(S), pi(C - S)).  Each pair that crosses S was routed along a
+        path of the game (a game that deleted nothing routes every pair
+        within its vertices), and that path put at least one unit of
+        ``load`` on the boundary of S, so at most rho cap(boundary of S)
+        pairs cross it.
+
+        Exact: rho comes from the integer loads and capacities, K is scaled
+        to integers, and a shifted Cholesky proves it positive definite
+        (``_proves_positive_definite``); floats only choose when to try.
+        Tries start at round ceil_log2(k), only for a game that has deleted
+        nothing and has at most CERTIFY_VERTEX_CAP weighted vertices; above
+        SCREEN_VERTICES a Lanczos screen on the sparse W (``_screen``) must
+        first put lambda_2(N) above mu.
+        """
+        size = len(self._weights)
+        if self.deleted or self.round < ceil_log2(self.k) or size > CERTIFY_VERTEX_CAP:
+            return False
+        links = self._fold()
+        mu = 2 * self._load_ratio() * self.expansion_target
+        if size > SCREEN_VERTICES:
+            start = _screen_start(size)
+            if self._ritz is not None:
+                start = start + self._ritz
+            estimate, self._ritz = _screen(self._weights, links, start)
+            if not estimate > mu:
+                return False
+        matrix = _expansion_matrix(self._weights, links, mu)
+        return matrix is not None and _proves_positive_definite(matrix)
+
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The contracted matchings W as (heads, tails, counts), heads <
+        tails positions among the weighted vertices, with the rounds played
+        since the last call folded in."""
+        fresh = self.matchings[self._folded:]
+        self._folded = len(self.matchings)
+        if fresh:
+            size = len(self._weights)
+            ends = self._slot[np.concatenate(fresh)]
+            low, high = ends.min(axis=1), ends.max(axis=1)
+            apart = low != high
+            heads, tails, counts = self._links
+            keys, inverse = np.unique(np.concatenate(
+                [heads * size + tails, low[apart] * size + high[apart]]), return_inverse=True)
+            counts = np.bincount(inverse, np.concatenate(
+                [counts, np.ones(int(apart.sum()), dtype=np.int64)])).astype(np.int64)
+            self._links = (keys // size, keys % size, counts)
+        return self._links
+
+    def _load_ratio(self) -> Fraction:
+        """max load(e)/cap(e) over the edges, exactly, from the integer loads
+        and capacities; the float ratios only pick the candidates."""
+        used = self.load.nonzero()[0]
+        if not len(used):
+            return Fraction(0)
+        ratio = self.load[used] / self.graph._capacities[used]
+        near = used[ratio >= ratio.max() * (1 - 2.0 ** -50)]
+        edges = self.graph.edges
+        return max(Fraction(int(self.load[e]), edges[e][2]) for e in near.tolist())
 
     def run(self) -> frozenset[int]:
         while self.stopped is None:
@@ -675,6 +900,8 @@ def sparsest_cut_apx(graph: Graph, pi: Mapping[int, int], phi, rng,
 
     Returns the lighter side R of the inactive set after the game: R is
     phi-sparse with respect to pi, and when R is very imbalanced the rest of
-    the graph is (phi / q*)-expanding with high probability.
+    the graph is (phi / q*)-expanding with high probability.  A game that
+    stops "certified" returns R empty and has proved the whole of its
+    vertices (phi / q*)-expanding with certainty.
     """
     return CutMatchingGame(graph, pi, phi, rng, within=within).run()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections.abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +18,7 @@ from .graphs import (Graph, Partition, boundary_capacity, boundary_degree_map,
 from .partition import partition_cluster
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HierarchicalDecomposition:
     """A refinement chain of partitions, the first being the whole vertex set."""
 
@@ -196,20 +197,123 @@ class TreeNode:
     leaf_vertex: int | None = None
 
 
-class TreeSparsifier:
-    """Rooted tree over the laminar cluster family; edges carry cut capacities."""
+class _NodeView:
+    """Node ``pos`` of a tree's columns, read as a ``TreeNode``; its ``cap``
+    writes back to the tree, the other fields are read-only."""
 
-    def __init__(self, nodes: list[TreeNode], n: int):
-        self.nodes = nodes
-        self.n = n
+    __slots__ = ("_tree", "_pos")
+
+    def __init__(self, tree: "TreeSparsifier", pos: int):
+        self._tree, self._pos = tree, pos
 
     @property
-    def root(self) -> TreeNode:
-        """The parentless node; a parsed tree may list it anywhere."""
-        return next(nd for nd in self.nodes if nd.parent is None)
+    def id(self) -> int:
+        ids = self._tree._ids
+        return self._pos if ids is None else ids[self._pos]
 
-    def leaves(self) -> list[TreeNode]:
-        return [nd for nd in self.nodes if nd.leaf_vertex is not None]
+    @property
+    def parent(self) -> int | None:
+        return self._tree._parents[self._pos]
+
+    @property
+    def cap(self) -> int:
+        return self._tree._caps[self._pos]
+
+    @cap.setter
+    def cap(self, value: int) -> None:
+        tree = self._tree
+        # the caps may be shared with other trees until the first write
+        if isinstance(tree._caps, tuple):
+            tree._caps = list(tree._caps)
+        tree._caps[self._pos] = value
+
+    @property
+    def cluster(self) -> frozenset[int]:
+        return self._tree._clusters[self._pos]
+
+    @property
+    def leaf_vertex(self) -> int | None:
+        return self._tree._leaf_vertex(self._pos)
+
+    def __repr__(self) -> str:
+        return repr(TreeNode(self.id, self.parent, self.cap, self.cluster, self.leaf_vertex))
+
+
+class _Nodes(collections.abc.Sequence):
+    """A tree's nodes in order, as ``_NodeView``s made on each read."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree: "TreeSparsifier"):
+        self._tree = tree
+
+    def __len__(self) -> int:
+        return len(self._tree._parents)
+
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return [_NodeView(self._tree, i) for i in range(*pos.indices(len(self)))]
+        if pos < 0:
+            pos += len(self)
+        if not 0 <= pos < len(self):
+            raise IndexError("tree node position out of range")
+        return _NodeView(self._tree, pos)
+
+    def __iter__(self):
+        tree = self._tree
+        return (_NodeView(tree, pos) for pos in range(len(tree._parents)))
+
+
+class TreeSparsifier:
+    """Rooted tree over the laminar cluster family; edges carry cut capacities.
+
+    The nodes are kept as columns, one entry per node in order: parent id,
+    cap, cluster and leaf vertex, and the ids when they are not the
+    positions 0, 1, ...  ``nodes`` reads them as ``TreeNode``-like views;
+    a cap set through a view is the tree's cap from then on.  The columns
+    are tuples, so equal trees may share them; the first cap set through a
+    view gives the tree its own cap list.
+    """
+
+    def __init__(self, nodes: Sequence[TreeNode], n: int):
+        ids = [nd.id for nd in nodes]
+        self._ids = None if ids == list(range(len(ids))) else tuple(ids)
+        self._parents = tuple(nd.parent for nd in nodes)
+        self._caps = tuple(nd.cap for nd in nodes)
+        self._clusters = tuple(nd.cluster for nd in nodes)
+        self._leaf_vertices = tuple(nd.leaf_vertex for nd in nodes)
+        self.n = n
+
+    @classmethod
+    def _of_columns(cls, parents: tuple[int | None, ...], caps: tuple[int, ...],
+                    clusters: tuple[frozenset[int], ...], n: int) -> "TreeSparsifier":
+        """A built tree: the ids are the positions, and the node of a
+        singleton cluster is the leaf of its vertex."""
+        tree = cls.__new__(cls)
+        tree._ids, tree._parents, tree._caps = None, parents, caps
+        tree._clusters, tree._leaf_vertices = clusters, None
+        tree.n = n
+        return tree
+
+    @property
+    def nodes(self) -> _Nodes:
+        return _Nodes(self)
+
+    @property
+    def root(self) -> _NodeView:
+        """The parentless node; a parsed tree may list it anywhere."""
+        return _NodeView(self, self._parents.index(None))
+
+    def leaves(self) -> list[_NodeView]:
+        return [_NodeView(self, pos) for pos in range(len(self._parents))
+                if self._leaf_vertex(pos) is not None]
+
+    def _leaf_vertex(self, pos: int) -> int | None:
+        """Node ``pos``'s leaf vertex; a built tree keeps no column for them."""
+        if self._leaf_vertices is not None:
+            return self._leaf_vertices[pos]
+        cluster = self._clusters[pos]
+        return min(cluster) if len(cluster) == 1 else None
 
     @cached_property
     def _nodes_at(self) -> tuple[tuple[int, ...], ...]:
@@ -217,9 +321,9 @@ class TreeSparsifier:
         whose cluster holds v.  Built once per tree from the clusters; caps
         are not copied, so a cap edited later is still read."""
         at: list[list[int]] = [[] for _ in range(self.n)]
-        for pos, node in enumerate(self.nodes):
-            if node.parent is not None:
-                for v in node.cluster:
+        for pos, (parent, cluster) in enumerate(zip(self._parents, self._clusters)):
+            if parent is not None:
+                for v in cluster:
                     if 0 <= v < self.n:
                         at[v].append(pos)
         return tuple(tuple(positions) for positions in at)
@@ -245,24 +349,27 @@ def to_tree_sparsifier(decomposition: HierarchicalDecomposition,
         raise ArgumentError("decomposition is not laminar")
     if not decomposition.is_complete():
         raise ArgumentError("decomposition must end in singletons")
+    if graph.n > 1 and decomposition.levels == (graph._whole_partition,
+                                                graph._singleton_partition):
+        return TreeSparsifier._of_columns(*graph._star_columns, graph.n)
     everything = list(range(graph.n))
-    nodes: list[TreeNode] = []
+    parents: list[int | None] = []
+    caps: list[int] = []
+    clusters: list[frozenset[int]] = []
     by_cluster: dict[frozenset[int], int] = {}
     for level, part in enumerate(decomposition.levels):
         for cluster in sorted(part.clusters, key=min):
             if cluster in by_cluster:
                 continue
             if level == 0:
-                parent_id = None
-                cap = 0
+                parents.append(None)
+                caps.append(0)
             else:
-                parent_id = by_cluster[decomposition.parent_of(level, cluster)]
-                cap = boundary_capacity(graph, cluster, everything)
-            node = TreeNode(len(nodes), parent_id, cap, cluster,
-                            min(cluster) if len(cluster) == 1 else None)
-            nodes.append(node)
-            by_cluster[cluster] = node.id
-    return TreeSparsifier(nodes, graph.n)
+                parents.append(by_cluster[decomposition.parent_of(level, cluster)])
+                caps.append(boundary_capacity(graph, cluster, everything))
+            by_cluster[cluster] = len(clusters)
+            clusters.append(cluster)
+    return TreeSparsifier._of_columns(tuple(parents), tuple(caps), tuple(clusters), graph.n)
 
 
 def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fraction:
@@ -279,8 +386,8 @@ def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fr
                                 f"(0..{tree.n - 1})")
     if sum(values.values(), Fraction(0)) != 0:
         raise ArgumentError("demand must sum to zero")
-    nodes = tree.nodes
-    return max((abs(crossing) / nodes[pos].cap
+    caps = tree._caps
+    return max((abs(crossing) / caps[pos]
                 for pos, crossing in tree.crossings(values).items() if crossing),
                default=Fraction(0))
 

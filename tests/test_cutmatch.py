@@ -14,19 +14,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treecut import (ArgumentError, CutMatchingGame, Graph, InternalError, OversizeError,
-                     VertexWeights, boundary_capacity, cut_player_step,
+                     VertexWeights, boundary_capacity, check_expanding, cut_player_step,
                      generate_dumbbell, generate_grid, matching_player_step,
                      oracle_params, sparsest_cut_apx, sweep_cut)
-from treecut.cutmatch import (POTENTIAL_UNIT_CAP, RoundRecord, _apply_walk, _unit_array,
-                              slowdown_for)
+from treecut.cutmatch import (POTENTIAL_UNIT_CAP, SCREEN_STEPS, SCREEN_VERTICES, RoundRecord,
+                              _apply_walk, _expansion_matrix, _proves_positive_definite,
+                              _screen, _screen_start, _unit_array, ceil_log2, slowdown_for)
 from treecut import cutmatch as cutmatch_module
 from treecut import flow as flow_module
 from treecut.cutmatch import MATCH_FAIRNESS
 from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
+from oracles import brute_force_sparsest_cut
 from walk_diagnostics import (dense_flow_matrix, pair_permutation, potential,
                               stable_sort_sweep_cut, sweep_cut_violations)
+
+
+def load_list(edge_load: dict[int, int], m: int) -> list[int]:
+    """An {edge index: load} dict as the per-edge load list of ``game.load``."""
+    return [edge_load.get(idx, 0) for idx in range(m)]
+
+
+def loaded_edges(game) -> list[list[int]]:
+    """The [edge index, load] pairs of the edges that carry load, in edge
+    order: the form the pinned load digests hash."""
+    return [[idx, load] for idx, load in enumerate(game.load.tolist()) if load]
 
 
 def make_game(graph, pi, phi, seed, **kw):
@@ -131,7 +144,7 @@ class TestUnitArray:
         game = make_game(path3, {0: 2, 2: 2}, Fraction(1, 4), 0)
         with pytest.raises(ArgumentError, match="not float64"):
             matching_player_step(game, [0.5], [1.5, 2.5])
-        assert game.deleted == set() and game.edge_load == {}
+        assert game.deleted == set() and not game.load.any()
 
     @pytest.mark.parametrize("given", ["active", "values", "left", "right"])
     def test_players_refuse_arrays_not_1d(self, path3, given):
@@ -152,7 +165,7 @@ class TestUnitArray:
                     sweep_cut(args["active"], args["values"])
                 else:
                     matching_player_step(game, args["left"], args["right"])
-            assert game.deleted == set() and game.edge_load == {}
+            assert game.deleted == set() and not game.load.any()
 
 
 class TestSweepCut:
@@ -638,7 +651,7 @@ class TestMatchingPlayerMatchesLoop:
                     got = matching_player_step(game_array, left, right)
                     assert (got[0], tuple(map(tuple, got[1].tolist()))) == (dropped, pairs)
                     routed = loop_load != loads_before
-                    assert game_array.edge_load == loop_load
+                    assert game_array.load.tolist() == load_list(loop_load, graph.m)
                     assert game_array.deleted == game_loop.deleted
                     assert game_array.max_load_ratio == max(
                         (load / graph.edges[e][2] for e, load in loop_load.items()),
@@ -676,7 +689,7 @@ class TestMatchingPlayerMatchesLoop:
         assert certified and routed == [[(1, 0, 2), (2, 0, 1), (2, 3, 1)]]
         assert (got_dropped, tuple(map(tuple, got_pairs.tolist()))) == (dropped, pairs)
         assert pairs == ((3, 0), (4, 1), (5, 8), (6, 2), (7, 9))
-        assert game_array.edge_load == loop_load == {0: 2, 1: 2, 2: 1}
+        assert game_array.load.tolist() == load_list(loop_load, star.m) == [2, 2, 1]
 
     def test_integer_fair_cut_weights_cut_like_fractions(self, monkeypatch):
         # the fair cut on source 3c, target 2c and capacities times 3 cap is
@@ -1046,7 +1059,7 @@ class TestMatchingPlayer:
         assert len(matching) == 2
         assert all(game.vertex_of[i] == game.vertex_of[j] == 0
                    for i, j in matching)
-        assert game.edge_load == {}
+        assert not game.load.any()
 
     def test_cross_edge_matching_tracks_load(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
@@ -1054,21 +1067,12 @@ class TestMatchingPlayer:
         dropped, matching = matching_player_step(game, frozenset({0}), frozenset({1, 2}))
         assert dropped == frozenset()
         assert tuple(map(tuple, matching.tolist())) == ((0, 1),)
-        assert game.edge_load == {0: 1}
+        assert game.load.tolist() == [1]
 
-    def test_edge_load_is_a_fresh_dict(self):
-        # edge_load reads the game's per-edge load array; changing the dict
-        # it returns changes nothing in the game
+    def test_load_is_an_int64_array_per_edge(self):
         g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
         game = make_game(g, {0: 1, 2: 2}, Fraction(1, 4), 0)
         matching_player_step(game, frozenset({0}), frozenset({1, 2}))
-        view = game.edge_load
-        assert view == {0: 1, 1: 1} and game.max_load_ratio == 1.0
-        view[0] = 99
-        view[7] = 3
-        del view[1]
-        assert view is not game.edge_load
-        assert game.edge_load == {0: 1, 1: 1}
         assert game.load.tolist() == [1, 1] and game.load.dtype == np.int64
         assert game.max_load_ratio == 1.0
 
@@ -1098,7 +1102,7 @@ class TestMatchingPlayer:
         g = Graph.from_edges(2, [(0, 1, 1)])
         game = make_game(g, {0: 1, 1: 2}, Fraction(1, 4), 0)
         matching_player_step(game, frozenset({0}), frozenset({1, 2}))
-        assert game.edge_load == {0: 1}
+        assert game.load.tolist() == [1]
         assert flow_builds == {"edge_flows": 0, "matching_flows": 0, "decompositions": 0}
 
         game = make_game(path3, {0: 5, 2: 2}, Fraction(1, 4), 0)
@@ -1117,7 +1121,7 @@ class TestMatchingPlayer:
             game.congestion_factor = 1
             before = dict(flow_builds)
             dropped, matching = matching_player_step(game, frozenset(left), frozenset(right))
-            assert not dropped and len(matching) == len(left) and game.edge_load
+            assert not dropped and len(matching) == len(left) and game.load.any()
             assert {key: flow_builds[key] - before[key] for key in before} == {
                 "edge_flows": 1, "matching_flows": 1, "decompositions": 1}
 
@@ -1127,7 +1131,7 @@ class TestMatchingPlayer:
         pi = VertexWeights.degrees(double_k4)
         game = make_game(double_k4, pi, Fraction(1, 4), 3)
         game.run()
-        assert game.round > 0 and game.edge_load
+        assert game.round > 0 and game.load.any()
         assert flow_builds == {"edge_flows": 0, "matching_flows": 0, "decompositions": 0}
 
         game = make_game(double_k4, pi, Fraction(1, 4), 3, within=range(7))
@@ -1153,9 +1157,9 @@ class TestMatchingPlayer:
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
         routing = 0
         while game.stopped is None:
-            before = sum(game.edge_load.values())
+            before = int(game.load.sum())
             game.step()
-            routing += sum(game.edge_load.values()) > before
+            routing += int(game.load.sum()) > before
         assert game.round > 0 and routing > 0
         assert fair_cuts == []
         assert flow_builds == {"edge_flows": 0, "matching_flows": 0, "decompositions": 0}
@@ -1175,7 +1179,7 @@ class TestMatchingPlayer:
                             lambda *_args: (paths, load))
         with pytest.raises(InternalError, match=message):
             matching_player_step(game, frozenset({0}), frozenset({1, 2}))
-        assert game.edge_load == {}
+        assert not game.load.any()
 
     @pytest.mark.parametrize("left, right", [([0, 0], [5, 6, 7]),
                                              ([0], [5, 6, 6]),
@@ -1187,7 +1191,7 @@ class TestMatchingPlayer:
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 4), 0)
         with pytest.raises(ArgumentError, match="more than once"):
             matching_player_step(game, left, right)
-        assert game.deleted == set() and game.edge_load == {}
+        assert game.deleted == set() and not game.load.any()
 
     def test_overlapping_sides_rejected(self, path3):
         game = make_game(path3, {0: 1, 2: 1}, Fraction(1, 4), 0)
@@ -1226,7 +1230,7 @@ def run_game_with_invariants(graph, pi, phi, seed, max_rounds, congestion_factor
                 cap = boundary_capacity(graph, inactive & game.vertices, game.vertices)
                 assert c * cap <= game.pi.total(inactive)
             # cumulative embedding load within 4 c t cap(e)
-            for eidx, load in game.edge_load.items():
+            for eidx, load in enumerate(game.load.tolist()):
                 assert load <= 4 * c * game.round * graph.edges[eidx][2]
             # the per-round survivor bound, whenever the sweep sizes allowed it
             a = len(played.active)
@@ -1307,10 +1311,16 @@ class TestGameInvariants:
         with pytest.raises(InternalError):
             game.step()
 
-    @pytest.mark.parametrize("per_vertex", [4, 65])
-    def test_potential_stop_needs_three_quiet_rounds(self, k8, per_vertex):
-        # one signal on both sides of POTENTIAL_UNIT_CAP (k = 32 and k = 520)
-        game = make_game(k8, {v: per_vertex for v in range(8)}, Fraction(1, 4), 0)
+    @pytest.mark.parametrize("per_vertex, phi", [
+        pytest.param(4, Fraction(1, 2), id="4"), pytest.param(65, Fraction(1, 8), id="65")])
+    def test_potential_stop_needs_three_quiet_rounds(self, per_vertex, phi):
+        # one signal on both sides of POTENTIAL_UNIT_CAP (k = 32 and k = 520),
+        # on a path whose sparsest cut lies below phi/q*: no certificate can
+        # end the game, so only the potential rule can
+        path8 = Graph.from_edges(8, [(v, v + 1, 1) for v in range(7)])
+        pi = {v: per_vertex for v in range(8)}
+        game = make_game(path8, pi, phi, 0)
+        assert brute_force_sparsest_cut(path8, pi)[1] < game.expansion_target
         assert (game.k > POTENTIAL_UNIT_CAP) == (per_vertex == 65)
         assert game.current_potential() is None
         game.run()
@@ -1326,20 +1336,22 @@ class TestGameInvariants:
         graph = generate_dumbbell(8)
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
         assert game.run() == frozenset()
-        assert (game.stopped, game.round, game.k) == ("potential", 42, 114)
+        # the certificate ends it at round 15 of the 42 the potential rule
+        # played; the digests are those of the first 15 rounds at that rule
+        assert (game.stopped, game.round, game.k) == ("certified", 15, 114)
         pairs = json.dumps([m.tolist() for m in game.matchings])
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
-            "1bd313f12f40dda6ccc1c93bb54c87d57dfdc9b8d1bd4da001a92406575dbb11")
+            "15e070ed68bb34b732eccff664881ab39486801f9d88407fdbe34b9913f3fe1c")
         # each round's walk permutation is its pairs swapped one by one
         assert all((perm == pair_permutation(m, game.k)).all()
                    for m, perm in zip(game.matchings, game.perms, strict=True))
-        load = json.dumps(sorted(game.edge_load.items()))
+        load = json.dumps(loaded_edges(game))
         assert hashlib.sha256(load.encode()).hexdigest() == (
-            "fe7def8ef809001000b29e46047cdfe1797d379d2fbf9d9bf1641632efe88a14")
+            "c1fb370bec100578e05f0f565b9a1e9257f62fa169cb61bfbe0d6d2c191e3e0e")
         # every RoundRecord field, max_load_ratio and potential included
         records = json.dumps([dataclasses.astuple(r) for r in game.records])
         assert hashlib.sha256(records.encode()).hexdigest() == (
-            "c778c00c9d0c3107909c1714be8a92742dd138063607cab05afea3a21a74ee32")
+            "33431bb9f125f421b7475c79c911b6f225add9355847357a55ac7af65416251f")
 
     def test_seeded_large_root_game_is_pinned(self):
         # grid 12x12 at phi/80 with degree weights, k = 528 > POTENTIAL_UNIT_CAP
@@ -1347,18 +1359,19 @@ class TestGameInvariants:
         graph = generate_grid(12, 12)
         game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
         assert game.run() == frozenset()
-        assert (game.stopped, game.round, game.k) == ("potential", 59, 528)
+        # certified at round 14 of the potential rule's 59, as above
+        assert (game.stopped, game.round, game.k) == ("certified", 14, 528)
         pairs = json.dumps([m.tolist() for m in game.matchings])
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
-            "1ef826a03c5dcc8029b9be86d8153b12068a2e7d7dd78e7005dbf42a5566b0e8")
+            "325bc66171153177879a04548d7ae7b4136fff7ec5abf7b3a8188feefa91d5c2")
         assert all((perm == pair_permutation(m, game.k)).all()
                    for m, perm in zip(game.matchings, game.perms, strict=True))
-        load = json.dumps(sorted(game.edge_load.items()))
+        load = json.dumps(loaded_edges(game))
         assert hashlib.sha256(load.encode()).hexdigest() == (
-            "2062a0b1e9b64e00546a7f719ec837686b8a74a4de8f688194761bd3d2724633")
+            "3b1e44e802c4671796c430198316df39576ab79fd14fda37bc56185d42ed38cb")
         records = json.dumps([dataclasses.astuple(r) for r in game.records])
         assert hashlib.sha256(records.encode()).hexdigest() == (
-            "76f9861a305f1d86f30c710ae24db570b5f38f6dbcd8a96acef9d17e4e4cd92d")
+            "a48c458a1a5cad240bc03523ccb62e839dd392f71651ca283ebc20acd2dd77c3")
 
     def test_seeded_deleting_game_is_pinned(self):
         # two 8-cliques on a bridge at phi/80 with degree weights: besides
@@ -1375,7 +1388,7 @@ class TestGameInvariants:
             "a49d73c6023e04e2e50563db817cb1e508e2f33142a512e06f2cc877dd68d8fb")
         assert all((perm == pair_permutation(m, game.k)).all()
                    for m, perm in zip(game.matchings, game.perms, strict=True))
-        load = json.dumps(sorted(game.edge_load.items()))
+        load = json.dumps(loaded_edges(game))
         assert hashlib.sha256(load.encode()).hexdigest() == (
             "6269e53250283bca3415558defb3b100a4b10395ba9922406312e2876d076e12")
         records = json.dumps([dataclasses.astuple(r) for r in game.records])
@@ -1413,38 +1426,175 @@ class TestExpansionCertificates:
             assert crossing >= floor * inside - 1e-7
 
     def test_final_matching_graph_expands(self):
-        # union of matchings on a finished game is an expander on the units
+        # a game that stops on "potential" leaves a union of matchings that
+        # expands on the units; one that stops "certified" has proved its
+        # vertices (phi/q*)-expanding, which must hold exactly.  The random
+        # graphs' games stop "certified"; the path's sparsest cut, 1/6, lies
+        # below phi/q* = 3/16, so its games can only stop on "potential"
+        path6 = Graph.from_edges(6, [(v, v + 1, 1) for v in range(5)])
+        stops = collections.Counter()
         successes = 0
         for seed in range(6):
             graph = random_connected_graph(30 + seed, max_n=6, max_cap=2)
             pi = VertexWeights({v: 1 for v in range(graph.n)})
             if pi.total() < 4 or pi.total() > 12:
                 pi = VertexWeights({v: 2 for v in range(min(graph.n, 6))})
-            game = CutMatchingGame(graph, pi, Fraction(1, 3), philox(seed),
-                                   early_stop=True)
+            for graph, pi, phi in ((graph, pi, Fraction(1, 3)),
+                                   (path6, {v: 2 for v in range(6)}, Fraction(3, 4))):
+                game = CutMatchingGame(graph, pi, phi, philox(seed), early_stop=True)
+                game.run()
+                stops[game.stopped] += 1
+                if game.stopped == "certified":
+                    assert check_expanding(graph, range(graph.n), game.pi,
+                                           game.expansion_target)[0]
+                elif game.stopped == "potential":
+                    successes += units_expand(game)
+        assert stops["certified"] >= 5 and stops["potential"] >= 5, stops
+        assert successes >= stops["potential"] - 1
+
+
+def units_expand(game) -> bool:
+    """Whether every set of at most half the active units has at least as
+    many matched pairs leaving it, over all rounds, as active units inside."""
+    k = game.k
+    active = frozenset(np.flatnonzero(game.active_mask).tolist())
+    degree = np.zeros((k, k))
+    for matching in game.matchings:
+        for i, j in matching:
+            degree[i, j] += 1
+            degree[j, i] += 1
+    for mask in range(1, 1 << k):
+        subset = {i for i in range(k) if (mask >> i) & 1}
+        inside = len(subset & active)
+        if 2 * inside > len(active) or inside == 0:
+            continue
+        crossing = sum(degree[i, j] for i in subset for j in range(k)
+                       if j not in subset)
+        if crossing < inside:
+            return False
+    return True
+
+
+def contracted_lambda2(game) -> float:
+    """lambda_2 of D^-1/2 L_W D^-1/2 for the game's contracted matchings W
+    and D = diag(pi), by a dense eigensolver."""
+    heads, tails, counts = game._fold()
+    weights = game._weights.astype(float)
+    w = np.zeros((len(weights), len(weights)))
+    w[heads, tails] = w[tails, heads] = counts
+    laplacian = np.diag(w.sum(axis=1)) - w
+    return float(np.linalg.eigvalsh(laplacian / np.sqrt(np.outer(weights, weights)))[1])
+
+
+def proves(weights, links, mu) -> bool:
+    matrix = _expansion_matrix(np.asarray(weights, dtype=np.int64), links, Fraction(mu))
+    return matrix is not None and _proves_positive_definite(matrix)
+
+
+class TestExpansionProof:
+    @pytest.mark.parametrize("n", [2, 3, 8, 40, 300])
+    def test_complete_graph_is_decided_at_its_exact_eigenvalue(self, n):
+        # H = K_n with unit weights: lambda_2 = n exactly, so K is positive
+        # definite below mu = n, singular at it and indefinite above it
+        heads, tails = np.triu_indices(n, 1)
+        links = (heads, tails, np.ones(len(heads), dtype=np.int64))
+        ones = [1] * n
+        assert proves(ones, links, n - Fraction(1, 1000))
+        assert not proves(ones, links, n)
+        assert not proves(ones, links, n + Fraction(1, 1000))
+
+    def test_oversized_entries_are_not_tried(self):
+        # b P times an entry reaches 2^53: no matrix, so no proof
+        links = (np.array([0]), np.array([1]), np.array([1], dtype=np.int64))
+        assert _expansion_matrix(np.array([1, 1]), links, Fraction(1, 1 << 52)) is None
+        assert proves([1, 1], links, Fraction(1, 1 << 40))
+
+    @pytest.mark.parametrize("source", ["random", "dumbbell", "k8"])
+    def test_certified_games_expand_by_enumeration(self, source):
+        # every certified game on n <= 12 vertices: the exact sparsest cut
+        # is at least phi/q*, and at least the tightest mu the proof accepts,
+        # just below the contracted lambda_2, over 2 rho
+        cases = []
+        for seed in range(12):
+            rng = philox(93_000 + seed)
+            if source == "random":
+                graph = random_connected_graph(seed, max_n=12, max_cap=3)
+            elif source == "dumbbell":
+                graph = generate_dumbbell(3 + seed % 4)
+            else:
+                graph = Graph.from_edges(8, [(u, v, 1) for u in range(8)
+                                             for v in range(u + 1, 8)])
+            pi = VertexWeights({v: int(rng.integers(1, 6)) for v in range(graph.n)})
+            cases.append((graph, pi, Fraction(1, int(rng.choice([2, 4, 8, 16]))), seed))
+        certified = 0
+        for graph, pi, phi, seed in cases:
+            game = make_game(graph, pi, phi, seed)
             game.run()
-            if game.stopped == "balance":
+            if game.stopped != "certified":
                 continue
-            k = game.k
-            active = frozenset(np.flatnonzero(game.active_mask).tolist())
-            degree = np.zeros((k, k))
-            for matching in game.matchings:
-                for i, j in matching:
-                    degree[i, j] += 1
-                    degree[j, i] += 1
-            ok = True
-            for mask in range(1, 1 << k):
-                subset = {i for i in range(k) if (mask >> i) & 1}
-                inside = len(subset & active)
-                if 2 * inside > len(active) or inside == 0:
-                    continue
-                crossing = sum(degree[i, j] for i in subset for j in range(k)
-                               if j not in subset)
-                if crossing < inside:
-                    ok = False
-                    break
-            successes += ok
-        assert successes >= 5
+            certified += 1
+            sparsest = brute_force_sparsest_cut(graph, pi)[1]
+            assert sparsest >= game.expansion_target
+            rho = game._load_ratio()
+            tight = Fraction(contracted_lambda2(game) * (1 - 1e-6)).limit_denominator(10 ** 6)
+            assert proves(game._weights, game._fold(), tight)
+            assert tight / (2 * rho) <= sparsest
+        assert certified >= 6
+
+    @pytest.mark.parametrize("n", [SCREEN_STEPS - 4, 3 * SCREEN_STEPS])
+    def test_screen_estimates_lambda_2_from_above(self, n):
+        # a weighted cycle: the smallest Ritz value is never below lambda_2,
+        # and with n - 1 steps, all of the complement of sqrt(pi), it is it
+        rng = philox(n)
+        weights = rng.integers(1, 9, n)
+        heads = np.arange(n)
+        tails = (heads + 1) % n
+        heads, tails = np.minimum(heads, tails), np.maximum(heads, tails)
+        links = (heads, tails, rng.integers(1, 5, n))
+        w = np.zeros((n, n))
+        w[heads, tails] = w[tails, heads] = links[2]
+        normalised = (np.diag(w.sum(axis=1)) - w) / np.sqrt(np.outer(weights, weights))
+        exact = np.linalg.eigvalsh(normalised)[1]
+        estimate, ritz = _screen(weights, links, _screen_start(n))
+        assert estimate >= exact * (1 - 1e-9)
+        if n - 1 <= SCREEN_STEPS:
+            assert estimate == pytest.approx(exact, rel=1e-9)
+        assert ritz.shape == (n,)
+
+    def test_screened_game_stops_at_the_first_provable_round(self):
+        # 289 weighted vertices, above SCREEN_VERTICES: the screen decides when
+        # to try, and the game stops at the first round from ceil_log2(k) on
+        # where the dense lambda_2 exceeds mu
+        graph = generate_grid(17, 17)
+        pi = VertexWeights.degrees(graph)
+        assert len(pi) > SCREEN_VERTICES
+        probe = make_game(graph, pi, Fraction(1, 80), 1, early_stop=False)
+        first = None
+        while first is None:
+            probe.step()
+            mu = 2 * probe._load_ratio() * probe.expansion_target
+            if probe.round >= ceil_log2(probe.k) and contracted_lambda2(probe) > mu:
+                first = probe.round
+        game = make_game(graph, pi, Fraction(1, 80), 1)
+        game.run()
+        assert (game.stopped, game.round) == ("certified", first)
+
+    def test_a_game_that_deleted_never_stops_certified(self):
+        # K8 with a pendant vertex that the fair cut deletes: the rest is an
+        # expander the certificate would prove, but the matchings routed
+        # before the deletion may cross the deleted vertex
+        graph = Graph.from_edges(9, [(u, v, 3) for u in range(8) for v in range(u + 1, 8)]
+                                 + [(0, 8, 1)])
+        pi = {**VertexWeights.degrees(graph), 8: 8}
+        deleting = 0
+        for seed in range(10):
+            game = make_game(graph, pi, Fraction(1, 4), seed)
+            game.congestion_factor = 1
+            game.run()
+            if game.deleted:
+                deleting += 1
+                assert game.stopped != "certified"
+        assert deleting >= 5
 
 
 class TestSparsestCutOracle:

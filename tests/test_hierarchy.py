@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 import treecut
 from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalError,
-                     Partition, certify_well_expanding, check_laminar,
+                     Partition, boundary_capacity, certify_well_expanding, check_laminar,
                      construct_hierarchy, default_gamma, expansion_bound,
                      generate_diamond, generate_dumbbell, generate_grid, hierarchy,
                      opt_congestion, predict_congestion, quality_ratio, textio,
                      to_tree_sparsifier)
-from treecut.hierarchy import HierarchyConfig, TreeSparsifier
+from treecut.hierarchy import HierarchyConfig, TreeNode, TreeSparsifier
+from treecut.textio import tree_to_json
 
 from conftest import bisection_tree, philox, random_connected_graph, two_cliques_bridge
 
@@ -199,6 +200,45 @@ class TestTreeSparsifier:
         tree = to_tree_sparsifier(h, g)
         clusters = [n.cluster for n in tree.nodes]
         assert len(clusters) == len(set(clusters))
+
+    @pytest.mark.parametrize("graph", [generate_grid(3, 4), generate_diamond(2),
+                                       two_cliques_bridge(4, cap=7),
+                                       random_connected_graph(5, max_n=9, max_cap=5)])
+    def test_star_is_the_root_over_one_leaf_per_vertex(self, graph):
+        # the graph's shared star columns read as the nodes the level-by-level
+        # construction would make: the root, then vertex v's leaf with its
+        # cut around {v} as cap
+        levels = (Partition.trivial(range(graph.n)), Partition.singletons(range(graph.n)))
+        tree = to_tree_sparsifier(HierarchicalDecomposition(levels), graph)
+        everything = frozenset(range(graph.n))
+        expected = [TreeNode(0, None, 0, everything)] + [
+            TreeNode(v + 1, 0, boundary_capacity(graph, {v}, everything), frozenset({v}), v)
+            for v in range(graph.n)]
+        assert tree_to_json(tree) == tree_to_json(TreeSparsifier(expected, graph.n))
+        assert [(nd.cluster, nd.leaf_vertex) for nd in tree.nodes] == \
+            [(nd.cluster, nd.leaf_vertex) for nd in expected]
+
+    def test_a_cap_set_on_one_tree_leaves_the_others(self):
+        # two builds of one graph share the star's columns until a cap is set
+        graph = generate_grid(3, 3)
+        first, second = (to_tree_sparsifier(construct_hierarchy(graph, rng=philox(s)), graph)
+                         for s in (0, 1))
+        before = tree_to_json(second)
+        first.nodes[-1].cap = 99
+        assert first.nodes[-1].cap == 99 and first.leaves()[-1].cap == 99
+        assert tree_to_json(second) == before
+        assert second.nodes[-1].cap == graph.degree_list()[-1]
+
+    def test_nodes_read_like_a_list_of_tree_nodes(self, path3):
+        tree = to_tree_sparsifier(construct_hierarchy(path3, rng=philox(0)), path3)
+        nodes = tree.nodes
+        assert len(nodes) == 4 and [nd.id for nd in nodes] == [0, 1, 2, 3]
+        assert nodes[-1].leaf_vertex == 2 and [nd.id for nd in nodes[1:3]] == [1, 2]
+        assert repr(nodes[1]) == repr(TreeNode(1, 0, 1, frozenset({0}), 0))
+        with pytest.raises(IndexError):
+            nodes[4]
+        with pytest.raises(AttributeError):
+            nodes[1].cluster = frozenset({1})
 
 
 def cluster_sum_prediction(tree, demand):
