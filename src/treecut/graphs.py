@@ -166,13 +166,13 @@ class Graph:
 
     @cached_property
     def _star_columns(self) -> tuple[tuple[int | None, ...], tuple[int, ...],
-                                     tuple[frozenset[int], ...]]:
-        """The parent, cap and cluster columns of the star tree, the root over
-        one leaf per vertex whose cap is the vertex's degree: the tree of
-        every hierarchy whose levels are the whole set and the singletons,
-        built once and shared by every such tree on the graph."""
+                                     tuple[frozenset[int], ...], tuple[int | None, ...]]:
+        """The parent, cap, cluster and leaf-vertex columns of the star tree,
+        the root over one leaf per vertex whose cap is the vertex's degree:
+        the tree of every hierarchy whose levels are the whole set and the
+        singletons, built once and shared by every such tree on the graph."""
         return ((None,) + (0,) * self.n, (0,) + self._degrees,
-                (self._all_vertices,) + self._singleton_clusters)
+                (self._all_vertices,) + self._singleton_clusters, (None, *range(self.n)))
 
     @cached_property
     def _arc_layout(self) -> tuple[list[int], list[int], list[list[int]]]:

@@ -233,7 +233,7 @@ class _NodeView:
 
     @property
     def leaf_vertex(self) -> int | None:
-        return self._tree._leaf_vertex(self._pos)
+        return self._tree._leaf_vertices[self._pos]
 
     def __repr__(self) -> str:
         return repr(TreeNode(self.id, self.parent, self.cap, self.cluster, self.leaf_vertex))
@@ -286,12 +286,12 @@ class TreeSparsifier:
 
     @classmethod
     def _of_columns(cls, parents: tuple[int | None, ...], caps: tuple[int, ...],
-                    clusters: tuple[frozenset[int], ...], n: int) -> "TreeSparsifier":
-        """A built tree: the ids are the positions, and the node of a
-        singleton cluster is the leaf of its vertex."""
+                    clusters: tuple[frozenset[int], ...],
+                    leaf_vertices: tuple[int | None, ...], n: int) -> "TreeSparsifier":
+        """A built tree, whose ids are the positions."""
         tree = cls.__new__(cls)
         tree._ids, tree._parents, tree._caps = None, parents, caps
-        tree._clusters, tree._leaf_vertices = clusters, None
+        tree._clusters, tree._leaf_vertices = clusters, leaf_vertices
         tree.n = n
         return tree
 
@@ -305,15 +305,8 @@ class TreeSparsifier:
         return _NodeView(self, self._parents.index(None))
 
     def leaves(self) -> list[_NodeView]:
-        return [_NodeView(self, pos) for pos in range(len(self._parents))
-                if self._leaf_vertex(pos) is not None]
-
-    def _leaf_vertex(self, pos: int) -> int | None:
-        """Node ``pos``'s leaf vertex; a built tree keeps no column for them."""
-        if self._leaf_vertices is not None:
-            return self._leaf_vertices[pos]
-        cluster = self._clusters[pos]
-        return min(cluster) if len(cluster) == 1 else None
+        return [_NodeView(self, pos) for pos, leaf in enumerate(self._leaf_vertices)
+                if leaf is not None]
 
     @cached_property
     def _nodes_at(self) -> tuple[tuple[int, ...], ...]:
@@ -369,7 +362,9 @@ def to_tree_sparsifier(decomposition: HierarchicalDecomposition,
                 caps.append(boundary_capacity(graph, cluster, everything))
             by_cluster[cluster] = len(clusters)
             clusters.append(cluster)
-    return TreeSparsifier._of_columns(tuple(parents), tuple(caps), tuple(clusters), graph.n)
+    leaf_vertices = tuple(min(c) if len(c) == 1 else None for c in clusters)
+    return TreeSparsifier._of_columns(tuple(parents), tuple(caps), tuple(clusters),
+                                      leaf_vertices, graph.n)
 
 
 def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fraction:
