@@ -530,29 +530,24 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _rump_shift(diagonal: list[int]) -> int:
+def _rump_shift(size: int, trace: int) -> int:
     """The integer shift c that makes a completed floating-point Cholesky of
     A - cI prove A positive definite (Rump, "Verification of positive
-    definiteness", BIT 2006), for a symmetric matrix A of integers below
-    2^53 with this non-negative diagonal.
+    definiteness", BIT 2006), for a symmetric ``size`` x ``size`` matrix A of
+    integers below 2^53 with a non-negative diagonal and this trace.
 
     A Cholesky that runs to completion on the n x n matrix B, in any order of
     summation, gives R^T R = B + E with |E| <= d d^T, d_i^2 = gamma b_ii /
-    (1 - gamma) for gamma = gamma_{n+1} = (n+1)u / (1 - (n+1)u), u = 2^-53;
-    underflow adds at most 4 n eta (2(n+1) + max b_ii), eta = 2^-1074, to
-    the norm of E.  So ||E|| < c once c is at least gamma / (1 - gamma) *
-    tr(A) plus that term, and A - cI + E = R^T R >= 0 leaves A >= (c -
-    ||E||) I > 0.  The shift is rounded up to an integer, so that A - cI is
-    exact in floats.  gamma / (1 - gamma) * tr(A) is a fraction with a
-    denominator below 2^53, so the rounding alone puts c at least 2^-53
-    above it, far more than any underflow term of this order: the proof
-    does not lean on that term's exact constant.
+    (1 - gamma) for gamma = gamma_{n+1} = (n+1)u / (1 - (n+1)u), u = 2^-53,
+    plus an underflow term of order n eta (n + max b_ii), eta = 2^-1074.  So
+    ||E|| < c once c exceeds gamma / (1 - gamma) * tr(A) = (n+1) tr(A) /
+    (2^53 - 2(n+1)) by that term, and A - cI + E = R^T R >= 0 leaves A >=
+    (c - ||E||) I > 0.  c = floor((n+1) tr(A) / (2^53 - 2(n+1))) + 1
+    exceeds that fraction, whose denominator is below 2^53, by at least
+    2^-53, far more than the underflow term; and an integer c keeps A - cI
+    exact in floats.
     """
-    n = len(diagonal)
-    u = Fraction(1, 1 << 53)
-    gamma = (n + 1) * u / (1 - (n + 1) * u)
-    underflow = 4 * n * Fraction(1, 1 << 1074) * (2 * (n + 1) + max(diagonal))
-    return math.ceil(gamma / (1 - gamma) * sum(diagonal) + underflow)
+    return (size + 1) * trace // ((1 << 53) - 2 * (size + 1)) + 1
 
 
 def _proves_positive_definite(matrix: np.ndarray) -> bool:
@@ -567,10 +562,11 @@ def _proves_positive_definite(matrix: np.ndarray) -> bool:
     top = int(max(matrix.max(), -matrix.min()))
     if top.bit_length() < 53:
         matrix *= float(1 << (53 - top.bit_length()))
-    diagonal = [int(x) for x in np.diagonal(matrix).tolist()]
-    if min(diagonal) < 0:
+    diagonal = np.diagonal(matrix)
+    if not (diagonal >= 0).all():
         return False
-    matrix[np.diag_indices_from(matrix)] -= _rump_shift(diagonal)
+    trace = sum(int(x) for x in diagonal.tolist())
+    matrix[np.diag_indices_from(matrix)] -= _rump_shift(len(matrix), trace)
     try:
         np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
@@ -582,7 +578,8 @@ def _expansion_matrix(pi: np.ndarray, links: tuple[np.ndarray, np.ndarray, np.nd
                       mu: Fraction) -> np.ndarray | None:
     """b P K as a float array of exact integers, for mu = a/b, P = sum pi and
     K = L_W - mu diag(pi) + ((mu + 1)/P) pi pi^T; None when an entry could
-    reach 2^53.
+    reach 2^53, or when a diagonal entry is not positive, which rules a
+    positive definite K out.
 
     ``pi`` holds positive integer weights, and ``links`` the contracted
     matchings W as (heads, tails, counts) with heads < tails.
@@ -596,11 +593,14 @@ def _expansion_matrix(pi: np.ndarray, links: tuple[np.ndarray, np.ndarray, np.nd
         return None
     # every product and sum below is an integer under the bound, so exact
     weights = pi.astype(float)
-    matrix = np.outer(weights, weights * (a + b))
     scale = float(b * total)
+    diagonal = scale * degree - (a * total) * weights + (a + b) * weights * weights
+    if not (diagonal > 0).all():
+        return None
+    matrix = np.outer(weights, weights * (a + b))
     matrix[heads, tails] -= scale * counts
     matrix[tails, heads] -= scale * counts
-    matrix[np.diag_indices_from(matrix)] += scale * degree - (a * total) * weights
+    matrix[np.diag_indices_from(matrix)] = diagonal
     return matrix
 
 
