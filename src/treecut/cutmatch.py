@@ -338,10 +338,10 @@ def _ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
-                     ) -> tuple[list[tuple[int, int, int]], dict[int, int]]:
+                     ) -> tuple[np.ndarray, dict[int, int]]:
     """Nearest-sink routing of a matching round that ``_fair_cut_is_empty``
-    certified: returns the paths as (source, sink, units) rows and the load
-    per edge index.
+    certified: returns the paths as the (source, sink, units) rows of an
+    (r, 3) int array and the load per edge index.
 
     ``supply`` and ``demand`` are int arrays of the leftover proposal and
     response units at each of the n vertices, L - R and R - L after pairing
@@ -374,7 +374,7 @@ def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
     room, units = demand.tolist(), supply.tolist()
     # per vertex: the last source whose BFS reached it, and the edge it came by
     seen, via = [-1] * graph.n, [-1] * graph.n
-    rows: list[tuple[int, int, int]] = []
+    rows: list[int] = []  # (source, sink, units) rows, one after another
     load: dict[int, int] = {}
     for start in supply.nonzero()[0].tolist():
         need, taken, queue = units[start], [], [start]
@@ -399,8 +399,8 @@ def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
                 a, b, _c = edges[idx]
                 v = a if b == v else b
                 load[idx] = load.get(idx, 0) + take
-            rows.append((start, sink, take))
-    return rows, load
+            rows += (start, sink, take)
+    return np.array(rows, dtype=np.intp).reshape(-1, 3), load
 
 
 def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarray,
@@ -470,7 +470,7 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     local = np.minimum(n_left, n_right)
     verts = local.nonzero()[0]
     spare_left, spare_right = n_left - local, n_right - local
-    rows: Sequence[tuple[int, int, int]] = ()
+    rows = np.empty((0, 3), dtype=np.intp)  # (start, end, weight) of each path
     round_load: dict[int, int] = {}  # signed edge flow, or summed path weights
     if spare_left.any():
         if certified:
@@ -486,15 +486,15 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
             # the paths put at most an edge's flow on it, exactly that when
             # the flow has no circulation: the flow is the round's load bound
             round_load = solved.flow.nums
-            rows = [(p.start, p.end, p.weight)
-                    for p in path_decomposition(graph, solved.flow)]
+            rows = np.array([(p.start, p.end, p.weight)
+                             for p in path_decomposition(graph, solved.flow)],
+                            dtype=np.intp).reshape(-1, 3)
     # (start, end, weight) rows, the local pairs first
     paired = len(verts)
     ends = np.empty((paired + len(rows), 3), dtype=np.intp)
     ends[:paired, :2] = verts[:, None]
     ends[:paired, 2] = local[verts]
-    if rows:
-        ends[paired:] = rows
+    ends[paired:] = rows
     src, dst = ends[:, :2].repeat(ends[:, 2], axis=0).T
     dst_rank = _ranks(dst)
     if (np.bincount(src, minlength=n) > n_left).any() or (dst_rank >= n_right[dst]).any():

@@ -6,8 +6,12 @@ their denominators) that makes them integers, and the value and the
 saturation test read from the solver.  ``max_flow`` and ``fair_cut`` hand
 back that solve itself, and ``opt_congestion`` reads it step by step.  The
 solver is a plain Dinic on the graph's arc layout, built once per graph
-(``Graph._arc_layout``); a max flow fills only a fresh residual list, and a
-BFS stops once it labels the sink.  The residual cut and the edge flow, in
+(``Graph._arc_layout``), in which a vertex lists only its edge arcs.  A max
+flow fills a fresh residual list, scaling the edge capacities and leaving
+every terminal arc 0 but its own terminals', and hands the solver a shallow
+copy of the arc lists that adds terminal arcs only at its supply and demand
+vertices, so a phase never scans the terminal arcs of the other vertices.
+A BFS stops once it labels the sink.  The residual cut and the edge flow, in
 units of 1/denom, are built only when a caller reads them, from the
 residuals as they are.  ``path_decomposition`` is the one place that deals
 with circulations: its walks cancel the cycles they meet and drop whatever
@@ -58,8 +62,9 @@ class _Dinic:
     """Max flow on a graph's arc layout (``Graph._arc_layout``) and one residual list.
 
     Arcs come in mutually reverse pairs ``idx`` and ``idx ^ 1``; only ``res``
-    belongs to this solver, the layout is shared by every flow on the graph.
-    Each phase levels the arcs with residual left by BFS and pushes a
+    belongs to this solver, the arc heads and most arc lists are the layout's,
+    shared by every flow on the graph (``head`` is the flow's own list of
+    them, see ``_run_max_flow``).  Each phase levels the arcs with residual left by BFS and pushes a
     blocking flow along them; phases run until the sink is unreachable.
     """
 
@@ -204,9 +209,14 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     Supplies, demands and ``cap_scale`` are ints or Fractions; ``denom``, the
     lcm of their denominators, makes them integers.  The solve fills a fresh
     residual list: edge capacities times ``cap_scale * denom`` (0 for edges
-    leaving ``within``) and the scaled terminals.  Its ``value``, ``saturated``
-    (value == sum of the supplies * denom), lazily built ``cut`` and ``flow``
-    are in units of 1/denom.
+    leaving ``within``), then 0 for every terminal arc but the scaled
+    terminals'.  The solver gets a shallow copy of the layout's arc lists in
+    which a vertex with a supply also lists its source reverse arc, one with
+    a demand its sink arc after that, and the super-source and super-sink
+    list only those vertices, in vertex order.  Every arc left out keeps
+    residual 0 throughout, so the solver skips it with or without it.  Its
+    ``value``, ``saturated`` (value == sum of the supplies * denom), lazily
+    built ``cut`` and ``flow`` are in units of 1/denom.
     """
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
@@ -215,21 +225,34 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     edge_scale = int(cap_scale * denom)
     verts = _vertex_set(n, within)
     if isinstance(verts, range):
-        res = [c * edge_scale for c in cap]
+        res = cap[:m2] if edge_scale == 1 else [c * edge_scale for c in cap[:m2]]
+        res += [0] * (4 * n)
     else:
         res = [0] * len(to)
         for v in verts:
             for idx in head[v]:
                 if to[idx] in verts:
                     res[idx] = cap[idx] * edge_scale
-    for base, terminals in ((m2, supply), (m2 + 2 * n, demand)):
+    sources: list[int] = []
+    sinks: list[int] = []
+    for base, terminals, ends in ((m2, supply, sources), (m2 + 2 * n, demand, sinks)):
         for v, x in terminals.items():
             if x < 0:
                 raise ArgumentError("supplies and demands must be non-negative")
             if x and v in verts:
                 res[base + 2 * v] = int(x * denom)
+                ends.append(v)
+    sources.sort()
+    sinks.sort()
+    heads = head[:n]
+    for v in sources:
+        heads[v] = [*heads[v], m2 + 2 * v + 1]
+    for v in sinks:
+        heads[v] = [*heads[v], m2 + 2 * n + 2 * v]
+    heads.append([m2 + 2 * v for v in sources])
+    heads.append([m2 + 2 * n + 2 * v + 1 for v in sinks])
 
-    dinic = _Dinic(to, head, res)
+    dinic = _Dinic(to, heads, res)
     value = dinic.solve(n, n + 1)
     saturated = value == sum(supply.values()) * denom
     return SolvedFlow(graph, res, value, denom, saturated, dinic.level)
@@ -403,12 +426,14 @@ def path_decomposition(graph: Graph, flow: FlowAssignment) -> tuple[PathFlow, ..
 
 
 def _demand_parts(graph: Graph, demand: Mapping[int, object]):
-    d = {v: Fraction(x) for v, x in demand.items() if x}
+    """The demand's positive and negative parts as {vertex: int} maps; a
+    plain int stays an int, any other value is read as a Fraction."""
+    d = {v: x if type(x) is int else Fraction(x) for v, x in demand.items() if x}
     for v in d:
         if not 0 <= v < graph.n:
             raise ArgumentError(f"demand vertex {v} is not a vertex of the graph "
                                 f"(0..{graph.n - 1})")
-    if sum(d.values(), Fraction(0)) != 0:
+    if sum(d.values()) != 0:
         raise ArgumentError("demand must sum to zero")
     if any(x.denominator != 1 for x in d.values()):
         raise ArgumentError("demand values must be integral")

@@ -182,9 +182,10 @@ class Graph:
         super-source n and super-sink n + 1, vertex v owns the source pair
         2m + 2v (n to v), 2m + 2v + 1 and the sink pair 2m + 2n + 2v (v to
         n + 1), 2m + 2n + 2v + 1, whose base capacity is 0.  Each vertex lists
-        its edge arcs in edge order, then its source reverse arc, then its
-        sink arc; the super-source lists its arcs in vertex order.  Built once,
-        since the graph is immutable; each flow keeps its own residuals.
+        only its edge arcs, in edge order; the super-source and super-sink
+        list all their arcs in vertex order.  A max flow adds the terminal
+        arcs of its own terminals (``flow._run_max_flow``).  Built once, since
+        the graph is immutable; each flow keeps its own residuals.
         """
         n, m2 = self.n, 2 * self.m
         to: list[int] = []
@@ -196,10 +197,8 @@ class Graph:
                 for v in range(n)]
         for v in range(n):
             to += (v, n)
-            head[v].append(m2 + 2 * v + 1)
         for v in range(n):
             to += (n + 1, v)
-            head[v].append(m2 + 2 * n + 2 * v)
         cap += [0] * (4 * n)
         head.append([m2 + 2 * v for v in range(n)])
         head.append([m2 + 2 * n + 2 * v + 1 for v in range(n)])

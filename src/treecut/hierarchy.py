@@ -321,7 +321,8 @@ class TreeSparsifier:
                         at[v].append(pos)
         return tuple(tuple(positions) for positions in at)
 
-    def crossings(self, values: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def crossings(self, values: Mapping[int, int | Fraction]
+                  ) -> dict[int, int | Fraction]:
         """Signed demand crossing each non-root node's cut, keyed by the node's
         position in ``nodes``, for every node above a nonzero entry of
         ``values``; a node missing from the result has crossing 0.  Each
@@ -373,18 +374,23 @@ def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fr
     Cost: one pass over the demand's nonzero entries, each adding to the tree
     nodes whose clusters hold its vertex, plus the tree's vertex-to-node
     index, built on the first call for a tree (``TreeSparsifier._nodes_at``).
+    A plain int demand value stays an int and any other is read as a
+    Fraction; the largest ratio is picked by cross-multiplying, and one
+    Fraction is built from it.
     """
-    values = {v: Fraction(x) for v, x in demand.items()}
+    values = {v: x if type(x) is int else Fraction(x) for v, x in demand.items()}
     for v, x in values.items():
         if x and not 0 <= v < tree.n:
             raise ArgumentError(f"demand vertex {v} is not a vertex of the graph "
                                 f"(0..{tree.n - 1})")
-    if sum(values.values(), Fraction(0)) != 0:
+    if sum(values.values()) != 0:
         raise ArgumentError("demand must sum to zero")
     caps = tree._caps
-    return max((abs(crossing) / caps[pos]
-                for pos, crossing in tree.crossings(values).items() if crossing),
-               default=Fraction(0))
+    num, den = 0, 1
+    for pos, crossing in tree.crossings(values).items():
+        if abs(crossing) * den > num * caps[pos]:
+            num, den = abs(crossing), caps[pos]
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

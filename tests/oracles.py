@@ -1,20 +1,22 @@
 """Reference oracles that only the tests call.
 
 The fair cut/flow property check, the exact sparsest cut by subset
-enumeration, the flow readings they use and the round trip of a path
-decomposition.  The package keeps the oracles that ``certify`` and the
-benchmark call (``check_expanding`` and ``brute_force_opt_congestion``).
+enumeration, the flow readings they use, the round trip of a path
+decomposition and a max flow on the full terminal layout.  The package keeps
+the oracles that ``certify`` and the benchmark call (``check_expanding`` and
+``brute_force_opt_congestion``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from treecut import ArgumentError, InternalError
-from treecut.flow import FlowAssignment, PathFlow, _exact_weights, _vertex_set
+from treecut.flow import FlowAssignment, PathFlow, _Dinic, _exact_weights, _vertex_set
 from treecut.graphs import (_CHUNK, Cut, Graph, _check_enumeration_size, _mask_set,
                             _mask_tables, boundary_capacity)
 
@@ -84,6 +86,44 @@ def accumulate(graph: Graph, paths: Sequence[PathFlow], denom: int) -> FlowAssig
             sign = 1 if a == graph.edges[idx][0] else -1
             nums[idx] = nums.get(idx, 0) + sign * p.weight
     return FlowAssignment(graph, denom, {k: v for k, v in nums.items() if v})
+
+
+# ---------------------------------------------------------------------------
+# max flow on the full terminal layout
+# ---------------------------------------------------------------------------
+
+
+def full_layout_solve(graph: Graph, supply: Mapping[int, int | Fraction],
+                      demand: Mapping[int, int | Fraction],
+                      within: Iterable[int] | None = None, cap_scale=1):
+    """The solve ``flow._run_max_flow`` runs, on the layout with every terminal
+    arc: each vertex lists its edge arcs, its source reverse arc and its sink
+    arc, and the super-source and super-sink list every vertex.
+
+    Returns (value, the last BFS's labels, the final residuals, the arc lists
+    and the starting residuals), the residuals filled arc by arc.
+    """
+    to, _cap, layout_head = graph._arc_layout
+    n, m2 = graph.n, 2 * graph.m
+    head = [[*layout_head[v], m2 + 2 * v + 1, m2 + 2 * n + 2 * v] for v in range(n)]
+    head.append([m2 + 2 * v for v in range(n)])
+    head.append([m2 + 2 * n + 2 * v + 1 for v in range(n)])
+    denom = math.lcm(Fraction(cap_scale).denominator,
+                     *(Fraction(x).denominator for part in (supply, demand)
+                       for x in part.values()))
+    verts = set(range(n)) if within is None else set(within)
+    res = [0] * len(to)
+    for idx, (u, v, c) in enumerate(graph.edges):
+        if u in verts and v in verts:
+            res[2 * idx] = res[2 * idx + 1] = int(c * cap_scale * denom)
+    for base, terminals in ((m2, supply), (m2 + 2 * n, demand)):
+        for v, x in terminals.items():
+            if x and v in verts:
+                res[base + 2 * v] = int(x * denom)
+    start = list(res)
+    dinic = _Dinic(to, head, res)
+    value = dinic.solve(n, n + 1)
+    return value, dinic.level, res, head, start
 
 
 # ---------------------------------------------------------------------------

@@ -330,8 +330,8 @@ def loop_route_certified(graph, supply, demand):
     """Nearest-sink routing unit by unit, from {vertex: units} supplies and
     demands: each source in ascending order sends one unit at a time to the
     sinks in the order a full BFS from it reaches them, and each unit adds 1
-    to its path's edges.  Returns the units per (source, sink) as rows in
-    the order first used, and the load per edge index."""
+    to its path's edges.  Returns the units per (source, sink) as [source,
+    sink, units] rows in the order first used, and the load per edge index."""
     room = dict(demand)
     sent: dict[tuple[int, int], int] = {}
     load: dict[int, int] = {}
@@ -346,7 +346,7 @@ def loop_route_certified(graph, supply, demand):
                 while v != start:
                     _hops, v, eidx = tree[v]
                     load[eidx] = load.get(eidx, 0) + 1
-    return [(start, sink, units) for (start, sink), units in sent.items()], load
+    return [[start, sink, units] for (start, sink), units in sent.items()], load
 
 
 def loop_matching_player_step(game, left, right, edge_load):
@@ -674,7 +674,7 @@ class TestMatchingPlayerMatchesLoop:
 
         def recording(*args):
             result = real_route(*args)
-            routed.append(result[0])
+            routed.append(result[0].tolist())
             return result
 
         monkeypatch.setattr(cutmatch_module, "_route_certified", recording)
@@ -686,7 +686,7 @@ class TestMatchingPlayerMatchesLoop:
         dropped, pairs, certified = loop_matching_player_step(game_loop, left, right,
                                                               loop_load)
         got_dropped, got_pairs = matching_player_step(game_array, left, right)
-        assert certified and routed == [[(1, 0, 2), (2, 0, 1), (2, 3, 1)]]
+        assert certified and routed == [[[1, 0, 2], [2, 0, 1], [2, 3, 1]]]
         assert (got_dropped, tuple(map(tuple, got_pairs.tolist()))) == (dropped, pairs)
         assert pairs == ((3, 0), (4, 1), (5, 8), (6, 2), (7, 9))
         assert game_array.load.tolist() == load_list(loop_load, star.m) == [2, 2, 1]
@@ -786,6 +786,8 @@ class TestCertifiedRouting:
             spare = np.array(left) - np.array(right)
             rows, load = cutmatch_module._route_certified(
                 graph, np.maximum(spare, 0), np.maximum(-spare, 0))
+            assert rows.dtype == np.intp and rows.shape == (len(rows), 3), seed
+            rows = rows.tolist()
             assert (rows, load) == loop_route_certified(graph, supply, demand), seed
 
             sent, absorbed, last_hops = {}, {}, {}
@@ -1175,8 +1177,9 @@ class TestMatchingPlayer:
         g = Graph.from_edges(2, [(0, 1, 1)])
         game = make_game(g, {0: 1, 1: 2}, Fraction(1, 100), 0)
         assert game.cap_multiplier == 1500
+        rows = np.array(paths, dtype=np.intp).reshape(-1, 3)
         monkeypatch.setattr(cutmatch_module, "_route_certified",
-                            lambda *_args: (paths, load))
+                            lambda *_args: (rows, load))
         with pytest.raises(InternalError, match=message):
             matching_player_step(game, frozenset({0}), frozenset({1, 2}))
         assert not game.load.any()

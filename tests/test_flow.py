@@ -1,6 +1,8 @@
 """Max flow, fair cuts, path decomposition, and congestion oracles."""
 
+import importlib
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from treecut import flow as flow_module
 
 from conftest import connected_graphs, philox, random_connected_graph
 from oracles import (accumulate, edge_index, flow_net, flow_net_numerator, flow_value,
-                     verify_fair_cut)
+                     full_layout_solve, verify_fair_cut)
 from test_acceptance import balanced_fuzz_demand
 
 
@@ -737,6 +739,73 @@ class TestUnscaledSolve:
         assert opt_congestion(graph, {0: 4, 8: -4}) == 2
         # the Dinkelbach iteration stops at its first lambda, 2, routing all 4
         assert seen == [2, 2, 4]
+
+
+class TestTerminalArcs:
+    """Each solve lists terminal arcs only at its terminals, and solves bit for
+    bit as the layout with every terminal arc at every vertex does
+    (``full_layout_solve``)."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """The arc lists and the starting residuals of each solver built."""
+        calls = []
+
+        class Capturing(flow_module._Dinic):
+            def __init__(self, to, head, res):
+                calls.append((head, list(res)))
+                super().__init__(to, head, res)
+
+        monkeypatch.setattr(flow_module, "_Dinic", Capturing)
+        return calls
+
+    @staticmethod
+    def _assert_full_layout_solve(graph, args, solved, handed):
+        (head, start), = handed
+        handed.clear()
+        value, level, res, full_head, full_start = full_layout_solve(graph, *args)
+        assert (solved.value, solved.level, solved.res) == (value, level, res)
+        assert start == full_start and len(head) == len(full_head)
+        for arcs, full in zip(head, full_head):
+            # the reference's list in its order, less arcs that never carry
+            # residual
+            rest = iter(full)
+            assert all(arc in rest for arc in arcs), (arcs, full)
+            assert all(start[arc] == res[arc] == 0 for arc in set(full) - set(arcs))
+
+    def test_random_instances(self, handed):
+        seen = {"shared terminals": 0, "several sources": 0, "part of the graph": 0}
+        for seed in range(600):
+            graph, supply, demand, within, scale = _scaling_instance(seed)
+            solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
+            self._assert_full_layout_solve(graph, (supply, demand, within, scale),
+                                           solved, handed)
+            seen["shared terminals"] += bool(supply.keys() & demand.keys())
+            seen["several sources"] += len(supply) > 1
+            seen["part of the graph"] += within is not None and len(within) < graph.n
+        assert min(seen.values()) >= 150, seen
+
+    def test_eval_corpus_demands(self, handed, monkeypatch):
+        # every Dinkelbach step of the benchmark's eval batch at seed 1
+        monkeypatch.syspath_prepend(
+            str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        ops = workloads.eval_ops(workloads.setup("eval", 1))
+        handed.clear()
+        real_run = flow_module._run_max_flow
+        solves = []
+
+        def checked(graph, supply, demand, within=None, cap_scale=1):
+            solved = real_run(graph, supply, demand, within, cap_scale)
+            self._assert_full_layout_solve(graph, (supply, demand, within, cap_scale),
+                                           solved, handed)
+            solves.append(solved.saturated)
+            return solved
+
+        monkeypatch.setattr(flow_module, "_run_max_flow", checked)
+        for case, demand in ops:
+            opt_congestion(case.graph, demand)
+        assert len(ops) == 308 and len(solves) > len(ops) and not all(solves)
 
 
 class TestTerminalReduction:

@@ -4,11 +4,13 @@ import functools
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -364,6 +366,63 @@ class TestPredictCongestion:
                 node.cap = 1
         assert predict_congestion(tree, demand) == 5 == \
             cluster_sum_prediction(tree, demand)
+
+
+class TestDemandValueTypes:
+    """A plain int demand value stays an int; any other is read as a Fraction,
+    and the answers and the errors do not depend on which."""
+
+    CASTS = (int, Fraction, np.int64)
+
+    def test_int_fraction_and_numpy_values_agree(self):
+        nonzero = 0
+        for seed in range(20):
+            graph = random_connected_graph(seed, max_n=9, max_cap=4)
+            trees = (to_tree_sparsifier(construct_hierarchy(graph, rng=philox(seed)),
+                                        graph), bisection_tree(graph))
+            values = philox(700 + seed).integers(-5, 6, graph.n).tolist()
+            values[-1] -= sum(values)
+            for tree in trees:
+                answers = []
+                for cast in self.CASTS:
+                    demand = {v: cast(x) for v, x in enumerate(values)}
+                    answers.append((predict_congestion(tree, demand),
+                                    opt_congestion(graph, demand)))
+                assert all(type(x) is Fraction for pair in answers for x in pair)
+                assert answers[0] == answers[1] == answers[2], seed
+                nonzero += answers[0][0] > 0
+        assert nonzero >= 30
+
+    @pytest.mark.parametrize("demand, message, predicts", [
+        ({0: 1, 9: -1}, "demand vertex 9 is not a vertex of the graph (0..3)", True),
+        # the vertex check comes first, then the sum, then integrality
+        ({9: 1, 1: -2}, "demand vertex 9 is not a vertex of the graph (0..3)", True),
+        ({0: 1, 1: -2}, "demand must sum to zero", True),
+        ({0: Fraction(3, 2), 1: -1}, "demand must sum to zero", True),
+        ({0: Fraction(3, 2), 1: Fraction(-3, 2)}, "demand values must be integral", False),
+        ({0: 1.5, 1: -1.5}, "demand values must be integral", False)])
+    def test_errors_keep_their_messages_and_order(self, demand, message, predicts):
+        graph = generate_grid(2, 2)
+        tree = to_tree_sparsifier(construct_hierarchy(graph, rng=philox(0)), graph)
+        for cast in self.CASTS:
+            given = {v: cast(x) if type(x) is int else x for v, x in demand.items()}
+            with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+                opt_congestion(graph, given)
+            if predicts:
+                with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+                    predict_congestion(tree, given)
+            else:
+                assert predict_congestion(tree, given) == Fraction(3, 4)
+
+    @pytest.mark.parametrize("caps", [(0, 1), (1, 0), (0, 0)])
+    def test_zero_cap_below_the_root_raises(self, caps):
+        nodes = [TreeNode(0, None, 0, frozenset({0, 1}))] + [
+            TreeNode(v + 1, 0, cap, frozenset({v}), v) for v, cap in enumerate(caps)]
+        tree = TreeSparsifier(nodes, 2)
+        for cast in self.CASTS:
+            with pytest.raises(ZeroDivisionError):
+                predict_congestion(tree, {0: cast(2), 1: cast(-2)})
+            assert predict_congestion(tree, {0: cast(0), 1: cast(0)}) == 0
 
 
 class TestCertify:
