@@ -9,8 +9,8 @@ from .errors import (ArgumentError, ConsistencyError, InputError, InternalError,
                      OversizeError)
 from .graphs import (Cut, Graph, Partition, VertexWeights, boundary_capacity,
                      boundary_degree_map, check_expanding, check_laminar, fuse)
-from .flow import (FlowAssignment, PathFlow, SolvedFlow, brute_force_opt_congestion,
-                   fair_cut, max_flow, opt_congestion, path_decomposition)
+from .flow import (PathFlow, SolvedFlow, brute_force_opt_congestion, fair_cut,
+                   opt_congestion, path_decomposition)
 from .cutmatch import (CutMatchingGame, cut_player_step, matching_player_step,
                        oracle_params, sparsest_cut_apx, sweep_cut)
 from .partition import (PartitionClusterResult, TrimResult, check_border_routable,

@@ -485,9 +485,9 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
                                     "the fair cut contract was violated")
             # the paths put at most an edge's flow on it, exactly that when
             # the flow has no circulation: the flow is the round's load bound
-            round_load = solved.flow.nums
+            round_load = solved.edge_flow()
             rows = np.array([(p.start, p.end, p.weight)
-                             for p in path_decomposition(graph, solved.flow)],
+                             for p in path_decomposition(graph, round_load)],
                             dtype=np.intp).reshape(-1, 3)
     # (start, end, weight) rows, the local pairs first
     paired = len(verts)

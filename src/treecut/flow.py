@@ -3,15 +3,15 @@
 Every max flow goes through ``_run_max_flow`` and comes back as one
 ``SolvedFlow``: exact int or Fraction inputs in, one ``denom`` (the lcm of
 their denominators) that makes them integers, and the value and the
-saturation test read from the solver.  ``max_flow`` and ``fair_cut`` hand
-back that solve itself, and ``opt_congestion`` reads it step by step.  The
-solver is a plain Dinic on the graph's arc layout, built once per graph
+saturation test read from the solver.  ``fair_cut`` hands back that solve
+itself, and ``opt_congestion`` reads it step by step.  The solver is a
+plain Dinic on the graph's arc layout, built once per graph
 (``Graph._arc_layout``), in which a vertex lists only its edge arcs.  A max
 flow fills a fresh residual list, scaling the edge capacities and leaving
-every terminal arc 0 but its own terminals', and hands the solver a shallow
-copy of the arc lists that adds terminal arcs only at its supply and demand
-vertices, so a phase never scans the terminal arcs of the other vertices.
-A BFS stops once it labels the sink.  The residual cut and the edge flow, in
+every terminal arc 0 but its own terminals', and hands the solver only the
+arcs a phase can take: the super-source's arcs to the supply vertices, and
+a sink arc at each demand vertex.  A BFS stops once it labels the sink.
+The residual cut and the edge flow, a ``{edge index: numerator}`` dict in
 units of 1/denom, are built only when a caller reads them, from the
 residuals as they are.  ``path_decomposition`` is the one place that deals
 with circulations: its walks cancel the cycles they meet and drop whatever
@@ -35,25 +35,6 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# flow assignment
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FlowAssignment:
-    """Antisymmetric per-edge flow in fixed-denominator units.
-
-    ``nums[e]`` is the signed numerator of the flow on edge e, oriented from
-    the stored lower endpoint to the higher one; the actual flow value is
-    nums[e] / denom.  Absent edges carry zero flow.
-    """
-
-    graph: Graph
-    denom: int = 1
-    nums: dict[int, int] = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
 # Dinic solver
 # ---------------------------------------------------------------------------
 
@@ -64,8 +45,10 @@ class _Dinic:
     Arcs come in mutually reverse pairs ``idx`` and ``idx ^ 1``; only ``res``
     belongs to this solver, the arc heads and most arc lists are the layout's,
     shared by every flow on the graph (``head`` is the flow's own list of
-    them, see ``_run_max_flow``).  Each phase levels the arcs with residual left by BFS and pushes a
-    blocking flow along them; phases run until the sink is unreachable.
+    them, see ``_run_max_flow``).  Each phase levels the arcs with residual
+    left by BFS and pushes a blocking flow along them; phases run until the
+    sink is unreachable.  Neither reads the sink's list: the BFS returns on
+    labelling the sink, and a blocking flow augments on reaching it.
     """
 
     def __init__(self, to: list[int], head: list[list[int]], res: list[int]):
@@ -149,7 +132,8 @@ class SolvedFlow:
 
     ``value``: the flow value.  ``saturated``: the flow routes every given
     supply.  ``level``: the labels of the solver's last BFS, the one that
-    missed the sink.  ``cut`` and ``flow`` are built on first read.
+    missed the sink.  ``cut`` is built on first read, and ``edge_flow()`` on
+    each call.
     """
 
     graph: Graph = field(repr=False)
@@ -164,10 +148,6 @@ class SolvedFlow:
         """The minimal minimum cut's source side: the vertices the last BFS labelled."""
         level = self.level
         return frozenset(v for v in range(self.graph.n) if level[v] >= 0)
-
-    @cached_property
-    def flow(self) -> FlowAssignment:
-        return FlowAssignment(self.graph, self.denom, self.edge_flow())
 
     def edge_flow(self) -> dict[int, int]:
         """Net edge flow numerators, keyed by edge index in edge order.
@@ -211,12 +191,13 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     residual list: edge capacities times ``cap_scale * denom`` (0 for edges
     leaving ``within``), then 0 for every terminal arc but the scaled
     terminals'.  The solver gets a shallow copy of the layout's arc lists in
-    which a vertex with a supply also lists its source reverse arc, one with
-    a demand its sink arc after that, and the super-source and super-sink
-    list only those vertices, in vertex order.  Every arc left out keeps
-    residual 0 throughout, so the solver skips it with or without it.  Its
-    ``value``, ``saturated`` (value == sum of the supplies * denom), lazily
-    built ``cut`` and ``flow`` are in units of 1/denom.
+    which a vertex with a demand also lists its sink arc, the super-source
+    lists its arcs to the supply vertices, in vertex order, and the
+    super-sink lists nothing.  No phase can take an arc left out: the other
+    terminal arcs keep residual 0 throughout, an arc into the super-source
+    leads back to level 0, and the solver never reads the super-sink's list.
+    Its ``value``, ``saturated`` (value == sum of the supplies * denom),
+    lazily built ``cut`` and ``edge_flow()`` are in units of 1/denom.
     """
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
@@ -243,14 +224,10 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
                 res[base + 2 * v] = int(x * denom)
                 ends.append(v)
     sources.sort()
-    sinks.sort()
-    heads = head[:n]
-    for v in sources:
-        heads[v] = [*heads[v], m2 + 2 * v + 1]
+    heads = list(head)
     for v in sinks:
         heads[v] = [*heads[v], m2 + 2 * n + 2 * v]
-    heads.append([m2 + 2 * v for v in sources])
-    heads.append([m2 + 2 * n + 2 * v + 1 for v in sinks])
+    heads += ([m2 + 2 * v for v in sources], [])
 
     dinic = _Dinic(to, heads, res)
     value = dinic.solve(n, n + 1)
@@ -275,19 +252,6 @@ def _exact_weights(weights: Mapping[int, object], n: int,
         if v in verts:
             out[v] = w
     return out
-
-
-def max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
-             demand: Mapping[int, int | Fraction],
-             within: Iterable[int] | None = None) -> SolvedFlow:
-    """Maximum flow from a super-source over ``supply`` to a super-sink over ``demand``.
-
-    Supplies and demands are ints or Fractions; the value and the flow are in
-    units of 1/denom, the lcm of their denominators.
-    """
-    every = range(graph.n)
-    return _run_max_flow(graph, _exact_weights(supply, graph.n, every),
-                         _exact_weights(demand, graph.n, every), within)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +318,15 @@ class PathFlow:
     start: int
     end: int
     vertices: tuple[int, ...]
-    weight: int  # in numerator units of the decomposed assignment
+    weight: int  # in numerator units of the decomposed flow
 
 
-def path_decomposition(graph: Graph, flow: FlowAssignment) -> tuple[PathFlow, ...]:
+def path_decomposition(graph: Graph, nums: Mapping[int, int]) -> tuple[PathFlow, ...]:
     """Peel a flow into weighted paths from excess to deficit vertices.
+
+    ``nums`` maps an edge index to the signed numerator of its flow, oriented
+    from the edge's lower endpoint to its higher one, as
+    ``SolvedFlow.edge_flow()`` returns it; an absent edge carries no flow.
 
     Each walk follows remaining flow from an excess vertex to a deficit; when
     it comes back to a vertex already on it, it cancels that cycle (the
@@ -368,7 +336,7 @@ def path_decomposition(graph: Graph, flow: FlowAssignment) -> tuple[PathFlow, ..
     flow their per-edge weights sum to the flow exactly.
     """
     net = [0] * graph.n
-    for idx, num in flow.nums.items():
+    for idx, num in nums.items():
         u, v, _c = graph.edges[idx]
         net[u] += num
         net[v] -= num
@@ -376,7 +344,7 @@ def path_decomposition(graph: Graph, flow: FlowAssignment) -> tuple[PathFlow, ..
 
     # outgoing remaining flow per vertex
     out: dict[int, list[list[int]]] = {}
-    for idx, num in flow.nums.items():
+    for idx, num in nums.items():
         if num == 0:
             continue
         u, v, _c = graph.edges[idx]
@@ -425,16 +393,24 @@ def path_decomposition(graph: Graph, flow: FlowAssignment) -> tuple[PathFlow, ..
 # ---------------------------------------------------------------------------
 
 
-def _demand_parts(graph: Graph, demand: Mapping[int, object]):
-    """The demand's positive and negative parts as {vertex: int} maps; a
-    plain int stays an int, any other value is read as a Fraction."""
+def _demand_values(n: int, demand: Mapping[int, object]) -> dict[int, int | Fraction]:
+    """The demand's nonzero values; a plain int stays an int, any other value
+    is read as a Fraction.  Each must be at a vertex in 0..n-1, and they must
+    sum to zero."""
     d = {v: x if type(x) is int else Fraction(x) for v, x in demand.items() if x}
     for v in d:
-        if not 0 <= v < graph.n:
+        if not 0 <= v < n:
             raise ArgumentError(f"demand vertex {v} is not a vertex of the graph "
-                                f"(0..{graph.n - 1})")
+                                f"(0..{n - 1})")
     if sum(d.values()) != 0:
         raise ArgumentError("demand must sum to zero")
+    return d
+
+
+def _demand_parts(graph: Graph, demand: Mapping[int, object]):
+    """The demand's positive and negative parts as {vertex: int} maps, once
+    ``_demand_values`` passes it; every value must be integral."""
+    d = _demand_values(graph.n, demand)
     if any(x.denominator != 1 for x in d.values()):
         raise ArgumentError("demand values must be integral")
     pos = {v: int(x) for v, x in d.items() if x > 0}
@@ -477,7 +453,7 @@ def brute_force_opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fr
     if not pos:
         return Fraction(0)
     verts = list(range(graph.n))
-    dmap = {v: int(Fraction(x)) for v, x in demand.items() if x}
+    dmap = {**pos, **{v: -x for v, x in neg.items()}}
     _check_enumeration_size(verts, [graph.total_capacity(),
                                     sum(abs(x) for x in dmap.values())])
     best = Fraction(0)

@@ -129,7 +129,8 @@ def _tree_load_chooser(tree) -> Callable:
         for demand in demands_so_far:
             for v, x in demand.items():
                 accumulated[v] = accumulated.get(v, Fraction(0)) + Fraction(x)
-        loads = [(tree.nodes[pos], abs(crossing))
+        nodes = tree.nodes
+        loads = [(nodes[pos], abs(crossing))
                  for pos, crossing in tree.crossings(accumulated).items() if crossing]
         best_idx, best_score = 0, None
         for idx, (first, second) in enumerate(paths):

@@ -181,13 +181,14 @@ class Graph:
         Edge e = (u, v) owns arcs 2e (u to v) and 2e + 1.  With the
         super-source n and super-sink n + 1, vertex v owns the source pair
         2m + 2v (n to v), 2m + 2v + 1 and the sink pair 2m + 2n + 2v (v to
-        n + 1), 2m + 2n + 2v + 1, whose base capacity is 0.  Each vertex lists
-        only its edge arcs, in edge order; the super-source and super-sink
-        list all their arcs in vertex order.  A max flow adds the terminal
-        arcs of its own terminals (``flow._run_max_flow``).  Built once, since
-        the graph is immutable; each flow keeps its own residuals.
+        n + 1), 2m + 2n + 2v + 1, whose base capacity is 0, so there are
+        2m + 4n arcs.  Vertex v's list holds only its edge arcs, in edge
+        order, and there is none for the super-terminals: a max flow lists
+        the terminal arcs of its own terminals (``flow._run_max_flow``).
+        Built once, since the graph is immutable; each flow keeps its own
+        residuals.
         """
-        n, m2 = self.n, 2 * self.m
+        n = self.n
         to: list[int] = []
         cap: list[int] = []
         for u, v, c in self.edges:
@@ -200,8 +201,6 @@ class Graph:
         for v in range(n):
             to += (n + 1, v)
         cap += [0] * (4 * n)
-        head.append([m2 + 2 * v for v in range(n)])
-        head.append([m2 + 2 * n + 2 * v + 1 for v in range(n)])
         return to, cap, head
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import collections.abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -12,7 +11,7 @@ import numpy as np
 
 from .cutmatch import ceil_log2, oracle_params
 from .errors import ArgumentError, InternalError
-from .flow import opt_congestion
+from .flow import _demand_values, opt_congestion
 from .graphs import (Graph, Partition, boundary_capacity, boundary_degree_map,
                      check_expanding, check_laminar)
 from .partition import partition_cluster
@@ -188,7 +187,7 @@ def _check_grandparent_halving(decomposition: HierarchicalDecomposition):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     id: int
     parent: int | None
@@ -197,82 +196,13 @@ class TreeNode:
     leaf_vertex: int | None = None
 
 
-class _NodeView:
-    """Node ``pos`` of a tree's columns, read as a ``TreeNode``; its ``cap``
-    writes back to the tree, the other fields are read-only."""
-
-    __slots__ = ("_tree", "_pos")
-
-    def __init__(self, tree: "TreeSparsifier", pos: int):
-        self._tree, self._pos = tree, pos
-
-    @property
-    def id(self) -> int:
-        ids = self._tree._ids
-        return self._pos if ids is None else ids[self._pos]
-
-    @property
-    def parent(self) -> int | None:
-        return self._tree._parents[self._pos]
-
-    @property
-    def cap(self) -> int:
-        return self._tree._caps[self._pos]
-
-    @cap.setter
-    def cap(self, value: int) -> None:
-        tree = self._tree
-        # the caps may be shared with other trees until the first write
-        if isinstance(tree._caps, tuple):
-            tree._caps = list(tree._caps)
-        tree._caps[self._pos] = value
-
-    @property
-    def cluster(self) -> frozenset[int]:
-        return self._tree._clusters[self._pos]
-
-    @property
-    def leaf_vertex(self) -> int | None:
-        return self._tree._leaf_vertices[self._pos]
-
-    def __repr__(self) -> str:
-        return repr(TreeNode(self.id, self.parent, self.cap, self.cluster, self.leaf_vertex))
-
-
-class _Nodes(collections.abc.Sequence):
-    """A tree's nodes in order, as ``_NodeView``s made on each read."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: "TreeSparsifier"):
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return len(self._tree._parents)
-
-    def __getitem__(self, pos):
-        if isinstance(pos, slice):
-            return [_NodeView(self._tree, i) for i in range(*pos.indices(len(self)))]
-        if pos < 0:
-            pos += len(self)
-        if not 0 <= pos < len(self):
-            raise IndexError("tree node position out of range")
-        return _NodeView(self._tree, pos)
-
-    def __iter__(self):
-        tree = self._tree
-        return (_NodeView(tree, pos) for pos in range(len(tree._parents)))
-
-
 class TreeSparsifier:
     """Rooted tree over the laminar cluster family; edges carry cut capacities.
 
     The nodes are kept as columns, one entry per node in order: parent id,
     cap, cluster and leaf vertex, and the ids when they are not the
-    positions 0, 1, ...  ``nodes`` reads them as ``TreeNode``-like views;
-    a cap set through a view is the tree's cap from then on.  The columns
-    are tuples, so equal trees may share them; the first cap set through a
-    view gives the tree its own cap list.
+    positions 0, 1, ...  The columns are tuples, so equal trees may share
+    them; ``nodes`` reads them as ``TreeNode``s, afresh on each call.
     """
 
     def __init__(self, nodes: Sequence[TreeNode], n: int):
@@ -296,23 +226,23 @@ class TreeSparsifier:
         return tree
 
     @property
-    def nodes(self) -> _Nodes:
-        return _Nodes(self)
+    def nodes(self) -> tuple[TreeNode, ...]:
+        ids = range(len(self._parents)) if self._ids is None else self._ids
+        return tuple(map(TreeNode, ids, self._parents, self._caps, self._clusters,
+                         self._leaf_vertices))
 
     @property
-    def root(self) -> _NodeView:
+    def root(self) -> TreeNode:
         """The parentless node; a parsed tree may list it anywhere."""
-        return _NodeView(self, self._parents.index(None))
+        return self.nodes[self._parents.index(None)]
 
-    def leaves(self) -> list[_NodeView]:
-        return [_NodeView(self, pos) for pos, leaf in enumerate(self._leaf_vertices)
-                if leaf is not None]
+    def leaves(self) -> list[TreeNode]:
+        return [node for node in self.nodes if node.leaf_vertex is not None]
 
     @cached_property
     def _nodes_at(self) -> tuple[tuple[int, ...], ...]:
         """For each vertex v, the positions in ``nodes`` of the non-root nodes
-        whose cluster holds v.  Built once per tree from the clusters; caps
-        are not copied, so a cap edited later is still read."""
+        whose cluster holds v.  Built once per tree from the clusters."""
         at: list[list[int]] = [[] for _ in range(self.n)]
         for pos, (parent, cluster) in enumerate(zip(self._parents, self._clusters)):
             if parent is not None:
@@ -374,20 +304,13 @@ def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fr
     Cost: one pass over the demand's nonzero entries, each adding to the tree
     nodes whose clusters hold its vertex, plus the tree's vertex-to-node
     index, built on the first call for a tree (``TreeSparsifier._nodes_at``).
-    A plain int demand value stays an int and any other is read as a
-    Fraction; the largest ratio is picked by cross-multiplying, and one
+    The demand is checked and read by ``flow._demand_values``: a plain int
+    value stays an int and any other is read as a Fraction.  The largest ratio is picked by cross-multiplying, and one
     Fraction is built from it.
     """
-    values = {v: x if type(x) is int else Fraction(x) for v, x in demand.items()}
-    for v, x in values.items():
-        if x and not 0 <= v < tree.n:
-            raise ArgumentError(f"demand vertex {v} is not a vertex of the graph "
-                                f"(0..{tree.n - 1})")
-    if sum(values.values()) != 0:
-        raise ArgumentError("demand must sum to zero")
     caps = tree._caps
     num, den = 0, 1
-    for pos, crossing in tree.crossings(values).items():
+    for pos, crossing in tree.crossings(_demand_values(tree.n, demand)).items():
         if abs(crossing) * den > num * caps[pos]:
             num, den = abs(crossing), caps[pos]
     return Fraction(num, den)

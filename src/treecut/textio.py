@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -127,6 +128,9 @@ def tree_from_json(text: str) -> TreeSparsifier:
     # top-down order from the root; a node it misses hangs off a parent cycle
     order = [roots[0]]
     for node in order:
+        if children[node.id] and node.leaf_vertex is not None:
+            raise InputError(f"tree node {node.id} has leaf vertex {node.leaf_vertex} "
+                             "and children")
         order.extend(children[node.id])
     if len(order) < len(by_id):
         stray = min(set(by_id) - {node.id for node in order})
@@ -135,15 +139,17 @@ def tree_from_json(text: str) -> TreeSparsifier:
     members: dict[int, set[int]] = {
         node.id: set() if node.leaf_vertex is None else {node.leaf_vertex}
         for node in order}
+    built: list[TreeNode] = []
     for node in reversed(order):
-        node.cluster = frozenset(members[node.id])
+        node = replace(node, cluster=frozenset(members[node.id]))
         if not node.cluster:
             raise InputError(f"tree node {node.id} spans no leaves")
         if node.parent is not None:
             members[node.parent] |= node.cluster
-    if len(order[0].cluster) != n:
+        built.append(node)
+    if len(built[-1].cluster) != n:
         raise InputError("the root must span every vertex 0..n-1 exactly once")
-    return TreeSparsifier(sorted(order, key=lambda nd: nd.id), n)
+    return TreeSparsifier(sorted(built, key=lambda nd: nd.id), n)
 
 
 def _tree_node(entry, pos: int, n: int) -> TreeNode:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from treecut import ArgumentError, InternalError
-from treecut.flow import FlowAssignment, PathFlow, _Dinic, _exact_weights, _vertex_set
+from treecut.flow import PathFlow, _Dinic, _exact_weights, _vertex_set
 from treecut.graphs import (_CHUNK, Cut, Graph, _check_enumeration_size, _mask_set,
                             _mask_tables, boundary_capacity)
 
@@ -47,34 +47,40 @@ def edges_within(graph: Graph, subset: Iterable[int]) -> list[tuple[int, int, in
 # ---------------------------------------------------------------------------
 # flow readings
 # ---------------------------------------------------------------------------
+#
+# A flow is an edge-flow dict as ``SolvedFlow.edge_flow()`` returns it:
+# ``nums[e]`` is the signed numerator of the flow on edge e, oriented from
+# its lower endpoint to its higher one, in units of 1/denom; an absent edge
+# carries no flow.
 
 
-def flow_value(flow: FlowAssignment, u: int, v: int) -> Fraction:
+def flow_value(graph: Graph, nums: Mapping[int, int], denom: int, u: int,
+               v: int) -> Fraction:
     """The flow from u to v on edge {u, v}; 0 on an absent edge."""
-    idx = edge_index(flow.graph, u, v)
-    if idx is None or idx not in flow.nums:
+    idx = edge_index(graph, u, v)
+    if idx is None or idx not in nums:
         return Fraction(0)
-    num = flow.nums[idx]
-    eu, _ev, _c = flow.graph.edges[idx]
-    return Fraction(num if u == eu else -num, flow.denom)
+    num = nums[idx]
+    eu, _ev, _c = graph.edges[idx]
+    return Fraction(num if u == eu else -num, denom)
 
 
-def flow_net_numerator(flow: FlowAssignment, v: int) -> int:
+def flow_net_numerator(graph: Graph, nums: Mapping[int, int], v: int) -> int:
     """Numerator of the net flow out of ``v``."""
     total = 0
-    for _w, idx, _c in flow.graph.neighbors(v):
-        num = flow.nums.get(idx, 0)
-        eu = flow.graph.edges[idx][0]
+    for _w, idx, _c in graph.neighbors(v):
+        num = nums.get(idx, 0)
+        eu = graph.edges[idx][0]
         total += num if v == eu else -num
     return total
 
 
-def flow_net(flow: FlowAssignment, v: int) -> Fraction:
-    return Fraction(flow_net_numerator(flow, v), flow.denom)
+def flow_net(graph: Graph, nums: Mapping[int, int], denom: int, v: int) -> Fraction:
+    return Fraction(flow_net_numerator(graph, nums, v), denom)
 
 
-def accumulate(graph: Graph, paths: Sequence[PathFlow], denom: int) -> FlowAssignment:
-    """Re-sum the paths into a flow assignment (round-trip check helper).
+def accumulate(graph: Graph, paths: Sequence[PathFlow]) -> dict[int, int]:
+    """Re-sum the paths into an edge-flow dict (round-trip check helper).
 
     This is the decomposed flow less its circulations; for a cycle-free
     flow, exactly that flow.
@@ -85,7 +91,7 @@ def accumulate(graph: Graph, paths: Sequence[PathFlow], denom: int) -> FlowAssig
             idx = edge_index(graph, a, b)
             sign = 1 if a == graph.edges[idx][0] else -1
             nums[idx] = nums.get(idx, 0) + sign * p.weight
-    return FlowAssignment(graph, denom, {k: v for k, v in nums.items() if v})
+    return {k: v for k, v in nums.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +104,7 @@ def full_layout_solve(graph: Graph, supply: Mapping[int, int | Fraction],
                       within: Iterable[int] | None = None, cap_scale=1):
     """The solve ``flow._run_max_flow`` runs, on the layout with every terminal
     arc: each vertex lists its edge arcs, its source reverse arc and its sink
-    arc, and the super-source and super-sink list every vertex.
+    arc, and the super-source and super-sink list their arcs to every vertex.
 
     Returns (value, the last BFS's labels, the final residuals, the arc lists
     and the starting residuals), the residuals filled arc by arc.
@@ -146,9 +152,11 @@ FAIRNESS_PROPERTIES = {
 
 def verify_fair_cut(graph: Graph, source_w: Mapping[int, object],
                     target_w: Mapping[int, object], alpha, cut: Iterable[int],
-                    flow: FlowAssignment, within: Iterable[int] | None = None,
+                    nums: Mapping[int, int], denom: int,
+                    within: Iterable[int] | None = None,
                     cap_scale: int = 1) -> tuple[bool, list[int]]:
-    """Exhaustively check the fair cut/flow properties; returns violated indices.
+    """Exhaustively check the fair cut/flow properties of ``cut`` and the edge
+    flow ``nums`` in units of 1/``denom``; returns violated indices.
 
     Weights are checked as ``fair_cut`` checks them, and a ``within`` vertex
     outside the graph is named.
@@ -162,7 +170,7 @@ def verify_fair_cut(graph: Graph, source_w: Mapping[int, object],
     violated: set[int] = set()
 
     for idx, u, v, c in edges_within(graph, verts):
-        if abs(flow_value(flow, u, v)) > cap_scale * c:
+        if abs(flow_value(graph, nums, denom, u, v)) > cap_scale * c:
             violated.add(0)
 
     cut_cap = 0
@@ -170,7 +178,8 @@ def verify_fair_cut(graph: Graph, source_w: Mapping[int, object],
         if (u in u_side) != (v in u_side):
             cut_cap += c
             inner, outer = (u, v) if u in u_side else (v, u)
-            if flow_value(flow, inner, outer) * alpha < Fraction(cap_scale * c):
+            if flow_value(graph, nums, denom, inner, outer) * alpha < \
+                    Fraction(cap_scale * c):
                 violated.add(5)
 
     s_total_u = t_total_u = Fraction(0)
@@ -185,7 +194,7 @@ def verify_fair_cut(graph: Graph, source_w: Mapping[int, object],
             s_total_out += s
             t_total_out += t
         net = s - t
-        f = flow_net(flow, v)
+        f = flow_net(graph, nums, denom, v)
         if net >= 0 and not (0 <= f <= net):
             violated.add(1)
         if net <= 0 and not (net <= f <= 0):

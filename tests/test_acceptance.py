@@ -50,7 +50,7 @@ def test_01_fair_cut_soundness():
         result = fair_cut(graph, s, t)
         for alpha in (1, Fraction(3, 2)):
             ok, violated = verify_fair_cut(graph, s, t, alpha, result.cut,
-                                           result.flow)
+                                           result.edge_flow(), result.denom)
             if not ok:
                 failures.append((seed, alpha, violated))
     report(1, "fair-cut soundness", not failures,

@@ -248,9 +248,9 @@ class TestExitCodes:
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "add_argument"):
                 options += 1
-        # 37: verify_fair_cut's within= and cap_scale= left the package with
-        # it for tests/oracles.py
-        assert defaults + options == 37, (defaults, options)
+        # 36: verify_fair_cut's within= and cap_scale= left the package with
+        # it for tests/oracles.py, and max_flow's within= with max_flow
+        assert defaults + options == 36, (defaults, options)
 
     def test_package_exports_are_pinned(self):
         # the public names are the production stack plus the oracles that
@@ -258,7 +258,7 @@ class TestExitCodes:
         # tests/oracles.py, so exporting one again changes this list
         assert treecut.__all__ == [
             "ArgumentError", "ConsistencyError", "Cut", "CutMatchingGame",
-            "FlowAssignment", "Graph", "HierarchicalDecomposition", "HierarchyConfig",
+            "Graph", "HierarchicalDecomposition", "HierarchyConfig",
             "InputError", "InternalError", "OversizeError", "Partition",
             "PartitionClusterResult", "PathFlow", "SolvedFlow", "TreeSparsifier",
             "TrimResult", "VertexWeights", "boundary_capacity", "boundary_degree_map",
@@ -268,7 +268,7 @@ class TestExitCodes:
             "diamond_adversarial_demands", "diamond_structure", "errors",
             "expansion_bound", "fair_cut", "flow", "fuse", "generate_diamond",
             "generate_dumbbell", "generate_erdos_renyi", "generate_grid", "generators",
-            "graphs", "hierarchy", "matching_player_step", "max_flow", "opt_congestion",
+            "graphs", "hierarchy", "matching_player_step", "opt_congestion",
             "oracle_params", "partition", "partition_cluster", "path_decomposition",
             "predict_congestion", "quality_ratio", "random_pair_demands",
             "sparsest_cut_apx", "sweep_cut", "to_tree_sparsifier", "two_way_trim"]
@@ -317,6 +317,14 @@ class TestMalformedEvalInput:
         code, _out, err = self.eval_with(capsys, tmp_path, grid, tree)
         assert code == 2, err
         assert "node 4" in err and "40" in err
+
+    def test_leaf_vertex_on_a_node_with_children(self, capsys, tmp_path, grid):
+        # node 1 keeps its leaf vertex 0 and takes node 2 as a child
+        tree = grid[1]
+        tree["nodes"][2]["parent"] = 1
+        code, _out, err = self.eval_with(capsys, tmp_path, grid, tree)
+        assert code == 2, err
+        assert "tree node 1 has leaf vertex 0 and children" in err
 
     def test_cap_below_the_graphs_cut_is_an_input_error(self, capsys, tmp_path):
         # with every cap at 1 the 2x2 grid's tree predicts 5 for a demand whose

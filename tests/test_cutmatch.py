@@ -23,7 +23,7 @@ from treecut.cutmatch import (POTENTIAL_UNIT_CAP, SCREEN_STEPS, SCREEN_VERTICES,
 from treecut import cutmatch as cutmatch_module
 from treecut import flow as flow_module
 from treecut.cutmatch import MATCH_FAIRNESS
-from treecut.flow import FlowAssignment, _run_max_flow, fair_cut, path_decomposition
+from treecut.flow import _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
 from oracles import brute_force_sparsest_cut
@@ -421,7 +421,7 @@ def loop_matching_player_step(game, left, right, edge_load):
         nums = solved.edge_flow()
         round_load = {eidx: abs(num) for eidx, num in nums.items()}
         rows = [(path.start, path.end, path.weight)
-                for path in path_decomposition(graph, FlowAssignment(graph, 1, nums))]
+                for path in path_decomposition(graph, nums)]
     for start, end, weight in rows:
         for _ in range(weight):
             pairs.append((left_at[start].pop(0), right_at[end].pop(0)))

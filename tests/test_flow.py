@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecut import (ArgumentError, FlowAssignment, Graph, SolvedFlow,
-                     VertexWeights, brute_force_opt_congestion, fair_cut,
-                     generate_dumbbell, generate_grid, max_flow, opt_congestion,
-                     path_decomposition, random_pair_demands)
+from treecut import (ArgumentError, Graph, SolvedFlow, VertexWeights,
+                     brute_force_opt_congestion, fair_cut, generate_dumbbell,
+                     generate_grid, opt_congestion, path_decomposition,
+                     random_pair_demands)
 from treecut import flow as flow_module
 
 from conftest import connected_graphs, philox, random_connected_graph
@@ -22,36 +22,45 @@ from test_acceptance import balanced_fuzz_demand
 
 
 def arc_flow(graph, arcs):
-    """A unit flow on each (u, v) arc, its edges in the order given."""
+    """An edge-flow dict with a unit flow on each (u, v) arc, its edges in the
+    order given."""
     nums = {}
     for u, v in arcs:
         idx = edge_index(graph, u, v)
         nums[idx] = 1 if u == graph.edges[idx][0] else -1
-    return FlowAssignment(graph, 1, nums)
+    return nums
+
+
+def cut_and_flow(solved):
+    """A solve's cut, edge flow and denominator, as ``verify_fair_cut`` reads them."""
+    return solved.cut, solved.edge_flow(), solved.denom
 
 
 class TestMaxFlow:
+    """The one max-flow entry point, ``_run_max_flow``, and the weight checks
+    ``fair_cut`` runs before it."""
+
     def test_zero_terminals(self, path3):
-        solved = max_flow(path3, {}, {})
-        assert solved.value == 0 and not any(solved.flow.nums.values())
+        solved = flow_module._run_max_flow(path3, {}, {})
+        assert solved.value == 0 and solved.edge_flow() == {}
 
     def test_bottleneck_edge(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
-        solved = max_flow(g, {0: 2}, {1: 2})
+        solved = flow_module._run_max_flow(g, {0: 2}, {1: 2})
         assert solved.value == 1
-        assert flow_value(solved.flow, 0, 1) == 1
+        assert flow_value(g, solved.edge_flow(), solved.denom, 0, 1) == 1
 
     def test_double_k4_bridge_limits(self, double_k4):
-        assert max_flow(double_k4, {0: 9}, {7: 9}).value == 1
+        assert flow_module._run_max_flow(double_k4, {0: 9}, {7: 9}).value == 1
 
     def test_respects_induced_subgraph(self, path3):
-        assert max_flow(path3, {0: 1}, {2: 1}, within={0, 2}).value == 0
+        assert flow_module._run_max_flow(path3, {0: 1}, {2: 1}, within={0, 2}).value == 0
 
     def test_float_terminal_rejected(self, path3):
         with pytest.raises(ArgumentError, match="vertex 0"):
-            max_flow(path3, {0: 2.5}, {2: 2})
+            fair_cut(path3, {0: 2.5}, {2: 2})
         with pytest.raises(ArgumentError, match="vertex 0 is True"):
-            max_flow(path3, {0: True}, {2: 2})
+            fair_cut(path3, {0: True}, {2: 2})
 
     @pytest.mark.parametrize("supply, demand, within, vertex", [
         ({99: 5}, {2: 5}, None, 99),
@@ -60,17 +69,15 @@ class TestMaxFlow:
         ({0: 1}, {2: 1}, {0, 1, 2, -1}, -1)])
     def test_vertex_outside_graph_rejected(self, path3, supply, demand, within, vertex):
         with pytest.raises(ArgumentError, match=f"{vertex}[:,] not a vertex of the graph"):
-            max_flow(path3, supply, demand, within=within)
+            fair_cut(path3, supply, demand, within=within)
 
     def test_every_max_flow_returns_the_solve(self, path3):
         third = Fraction(1, 3)
-        solves = (max_flow(path3, {0: third}, {2: 1}),
-                  fair_cut(path3, {0: third}, {2: 1}),
+        solves = (fair_cut(path3, {0: third}, {2: 1}),
                   flow_module._run_max_flow(path3, {0: third}, {2: 1}))
         assert all(type(solved) is SolvedFlow for solved in solves)
         assert [(solved.value, solved.denom, solved.saturated) for solved in solves] == \
-            [(1, 3, True)] * 3
-        assert solves[1].denom == solves[1].flow.denom
+            [(1, 3, True)] * 2
 
 
 class TestFairCut:
@@ -78,14 +85,14 @@ class TestFairCut:
         weights = {v: 3 for v in range(3)}
         result = fair_cut(path3, weights, weights)
         assert result.cut == frozenset()
-        assert not any(result.flow.nums.values())
+        assert result.edge_flow() == {}
 
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
         result = fair_cut(g, {0: 2}, {1: 2})
         assert result.cut == frozenset({0})
-        assert flow_value(result.flow, 0, 1) == 1
-        ok, violated = verify_fair_cut(g, {0: 2}, {1: 2}, 1, result.cut, result.flow)
+        assert flow_value(g, result.edge_flow(), result.denom, 0, 1) == 1
+        ok, violated = verify_fair_cut(g, {0: 2}, {1: 2}, 1, *cut_and_flow(result))
         assert ok, violated
 
     def test_double_k4_degree_weights(self, double_k4):
@@ -94,9 +101,10 @@ class TestFairCut:
         targets = {v: deg[v] for v in range(4, 8)}
         result = fair_cut(double_k4, sources, targets)
         assert result.cut == frozenset(range(4))
-        assert flow_value(result.flow, 3, 4) == 1  # the bridge saturates
+        # the bridge saturates
+        assert flow_value(double_k4, result.edge_flow(), result.denom, 3, 4) == 1
         ok, violated = verify_fair_cut(double_k4, sources, targets, 1,
-                                       result.cut, result.flow)
+                                       *cut_and_flow(result))
         assert ok, violated
 
     def test_rational_weights_scale_exactly(self, path3):
@@ -104,9 +112,9 @@ class TestFairCut:
         targets = {2: Fraction(3, 2)}
         result = fair_cut(path3, sources, targets)
         ok, violated = verify_fair_cut(path3, sources, targets, Fraction(3, 2),
-                                       result.cut, result.flow)
+                                       *cut_and_flow(result))
         assert ok, violated
-        assert flow_net(result.flow, 0) == Fraction(1)
+        assert flow_net(path3, result.edge_flow(), result.denom, 0) == Fraction(1)
 
     def test_float_weight_rejected(self, path3):
         with pytest.raises(ArgumentError, match="vertex 0"):
@@ -141,7 +149,7 @@ class TestFairCut:
             result = fair_cut(graph, s, t)
             for alpha in (1, Fraction(3, 2)):
                 ok, violated = verify_fair_cut(graph, s, t, alpha,
-                                               result.cut, result.flow)
+                                               *cut_and_flow(result))
                 assert ok, (seed, alpha, violated)
 
     def test_no_reverse_flow_into_cut(self):
@@ -151,10 +159,11 @@ class TestFairCut:
             s = {v: int(rng.integers(0, 5)) for v in range(graph.n)}
             t = {v: int(rng.integers(0, 5)) for v in range(graph.n)}
             result = fair_cut(graph, s, t)
+            nums = result.edge_flow()
             for u, v, _c in graph.edges:
                 if (u in result.cut) != (v in result.cut):
                     inner, outer = (u, v) if u in result.cut else (v, u)
-                    assert flow_value(result.flow, outer, inner) <= 0
+                    assert flow_value(graph, nums, result.denom, outer, inner) <= 0
 
 
 class TestEmptyCutBound:
@@ -227,46 +236,43 @@ class TestVerifyFairCut:
                                                   ({0: 1, 99: 5}, None)])
     def test_vertex_outside_graph_rejected(self, path3, source_w, within):
         with pytest.raises(ArgumentError, match="99[:,] not a vertex of the graph"):
-            verify_fair_cut(path3, source_w, {2: 1}, 1, set(), FlowAssignment(path3),
-                            within=within)
+            verify_fair_cut(path3, source_w, {2: 1}, 1, set(), {}, 1, within=within)
 
     def test_zero_flow_with_cut_edges_violates_saturation(self, path3):
-        ok, violated = verify_fair_cut(path3, {0: 1}, {2: 1}, 1, {0},
-                                       FlowAssignment(path3))
+        ok, violated = verify_fair_cut(path3, {0: 1}, {2: 1}, 1, {0}, {}, 1)
         assert not ok
         assert 5 in violated
 
     def test_unsaturated_outside_source_reports_property_3(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
-        ok, violated = verify_fair_cut(g, {0: 2}, {1: 2}, 1, set(),
-                                       FlowAssignment(g))
+        ok, violated = verify_fair_cut(g, {0: 2}, {1: 2}, 1, set(), {}, 1)
         assert not ok
         assert violated == [3]
 
     def test_overfull_source_reports_property_1(self):
         g = Graph.from_edges(2, [(0, 1, 5)])
-        flow = FlowAssignment(g, 1, {0: 4})  # sends 4 but s-t headroom is 1
-        ok, violated = verify_fair_cut(g, {0: 1}, {1: 1}, 1, {0}, flow)
+        # sends 4 but s-t headroom is 1
+        ok, violated = verify_fair_cut(g, {0: 1}, {1: 1}, 1, {0}, {0: 4}, 1)
         assert not ok
         assert 1 in violated
 
 
 class TestPathDecomposition:
     def test_zero_flow(self, path3):
-        decomp = path_decomposition(path3, FlowAssignment(path3))
+        decomp = path_decomposition(path3, {})
         assert decomp == ()
 
     def test_unit_path(self, path3):
-        flow = max_flow(path3, {0: 1}, {2: 1}).flow
-        decomp = path_decomposition(path3, flow)
+        nums = flow_module._run_max_flow(path3, {0: 1}, {2: 1}).edge_flow()
+        decomp = path_decomposition(path3, nums)
         assert len(decomp) == 1
         path = decomp[0]
         assert (path.start, path.end, path.vertices, path.weight) == (0, 2, (0, 1, 2), 1)
 
     def test_two_parallel_routes(self):
         g = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (2, 3, 1)])
-        flow = max_flow(g, {0: 2}, {2: 2}).flow
-        decomp = path_decomposition(g, flow)
+        nums = flow_module._run_max_flow(g, {0: 2}, {2: 2}).edge_flow()
+        decomp = path_decomposition(g, nums)
         assert sum(p.weight for p in decomp) == 2
         assert all(p.start == 0 and p.end == 2 for p in decomp)
 
@@ -276,18 +282,15 @@ class TestPathDecomposition:
             graph = random_connected_graph(seed, max_n=10, max_cap=5)
             s = {v: int(rng.integers(0, 5)) for v in range(graph.n)}
             t = {v: int(rng.integers(0, 5)) for v in range(graph.n)}
-            flow = max_flow(graph, s, t).flow
-            decomp = path_decomposition(graph, flow)
+            nums = flow_module._run_max_flow(graph, s, t).edge_flow()
+            decomp = path_decomposition(graph, nums)
             assert len(decomp) <= graph.m + graph.n
-            again = accumulate(graph, decomp, flow.denom)
-            for idx in set(flow.nums) | set(again.nums):
-                assert flow.nums.get(idx, 0) == again.nums.get(idx, 0)
+            assert accumulate(graph, decomp) == nums
 
     def test_circulation_gives_no_paths(self):
         g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         # edges sort as (0,1), (0,2), (1,2); this is the cycle 0->1->2->0
-        cyclic = FlowAssignment(g, 1, {0: 1, 1: -1, 2: 1})
-        assert path_decomposition(g, cyclic) == ()
+        assert path_decomposition(g, {0: 1, 1: -1, 2: 1}) == ()
 
     def test_walk_cancels_the_cycle_it_meets(self):
         g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1), (1, 4, 1)])
@@ -295,8 +298,7 @@ class TestPathDecomposition:
         flow = arc_flow(g, [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
         decomp = path_decomposition(g, flow)
         assert [(p.vertices, p.weight) for p in decomp] == [((0, 1, 4), 1)]
-        assert accumulate(g, decomp, flow.denom).nums == \
-            arc_flow(g, [(0, 1), (1, 4)]).nums
+        assert accumulate(g, decomp) == arc_flow(g, [(0, 1), (1, 4)])
 
     def test_circulation_off_every_walk_is_dropped(self):
         g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 1)])
@@ -511,7 +513,7 @@ class TestAgainstNetworkx:
             if t >= s:
                 t += 1
             big = graph.total_capacity() + 1
-            value = max_flow(graph, {s: big}, {t: big}).value
+            value = flow_module._run_max_flow(graph, {s: big}, {t: big}).value
             ref = nx.DiGraph()
             ref.add_nodes_from(range(graph.n))
             for u, v, c in graph.edges:
@@ -539,11 +541,10 @@ class TestAgainstNetworkx:
                     (value, reach, nums)
 
                 verts = set(range(graph.n)) if within is None else within
-                assignment = FlowAssignment(graph, 1, nums)
                 for idx, num in nums.items():
                     u, v, c = graph.edges[idx]
                     assert u in verts and v in verts and abs(num) <= c * scale
-                nets = [flow_net_numerator(assignment, v) for v in range(graph.n)]
+                nets = [flow_net_numerator(graph, nums, v) for v in range(graph.n)]
                 for v, net in enumerate(nets):
                     # supply and demand vertices are disjoint
                     assert -demand.get(v, 0) <= net <= supply.get(v, 0)
@@ -553,7 +554,7 @@ class TestAgainstNetworkx:
         graph = generate_grid(4, 5)
         layout = graph._arc_layout
         to, cap, head = (list(part) for part in layout)
-        assert len(to) == 2 * graph.m + 4 * graph.n
+        assert len(to) == 2 * graph.m + 4 * graph.n and len(head) == graph.n
         rng = philox(5)
         for _call in range(8):
             supply, demand, within, scale = _multi_terminal_instance(rng, graph)
@@ -595,9 +596,12 @@ def _scaling_instance(seed):
 def residual_dfs_reach(solved):
     """Graph vertices reachable from the super-source in the residual graph,
     found by a depth-first walk over the residuals, as a reference."""
-    to, _cap, head = solved.graph._arc_layout
-    res = solved.res
-    s_star = solved.graph.n
+    graph, res = solved.graph, solved.res
+    to, _cap, head = graph._arc_layout
+    n, m2 = graph.n, 2 * graph.m
+    # the layout lists no super-terminal arcs: the super-source's are 2m + 2v
+    s_star = n
+    head = [*head, [m2 + 2 * v for v in range(n)]]
     seen = {s_star}
     stack = [s_star]
     while stack:
@@ -677,14 +681,14 @@ class TestEdgeFlow:
         The paths keep every vertex's net flow, and on every edge they carry
         the flow's direction and at most its amount.
         """
-        flow = FlowAssignment(graph, 1, nums)
-        again = accumulate(graph, path_decomposition(graph, flow), flow.denom)
+        again = accumulate(graph, path_decomposition(graph, nums))
         for v in range(graph.n):
-            assert flow_net_numerator(again, v) == flow_net_numerator(flow, v), v
-        for idx in set(nums) | set(again.nums):
-            path_sum, net = again.nums.get(idx, 0), nums.get(idx, 0)
+            assert flow_net_numerator(graph, again, v) == \
+                flow_net_numerator(graph, nums, v), v
+        for idx in set(nums) | set(again):
+            path_sum, net = again.get(idx, 0), nums.get(idx, 0)
             assert path_sum * net >= 0 and abs(path_sum) <= abs(net), idx
-        return again.nums != nums
+        return again != nums
 
 
 class TestUnscaledSolve:
@@ -714,12 +718,11 @@ class TestUnscaledSolve:
             rng = philox(7000 + seed)
             target_w = {v: Fraction(x, int(rng.integers(1, 4))) for v, x in demand.items()}
             result = fair_cut(graph, supply, target_w, within=within, cap_scale=scale)
-            ok, violated = verify_fair_cut(graph, supply, target_w, 1, result.cut,
-                                           result.flow, within=within, cap_scale=scale)
+            cut, nums, denom = cut_and_flow(result)
+            ok, violated = verify_fair_cut(graph, supply, target_w, 1, cut, nums, denom,
+                                           within=within, cap_scale=scale)
             assert ok, (seed, violated)
-            decomp = path_decomposition(graph, result.flow)
-            again = accumulate(graph, decomp, result.flow.denom)
-            assert (again.denom, again.nums) == (result.flow.denom, result.flow.nums)
+            assert accumulate(graph, path_decomposition(graph, nums)) == nums
 
     def test_solve_override_serves_both_kinds(self, monkeypatch):
         # a subclass overriding only solve(self, s, t), as a tracing harness
@@ -734,7 +737,7 @@ class TestUnscaledSolve:
 
         monkeypatch.setattr(flow_module, "_Dinic", Recording)
         graph = generate_grid(3, 3)
-        assert max_flow(graph, {0: 5}, {8: 5}).value == 2
+        assert flow_module._run_max_flow(graph, {0: 5}, {8: 5}).value == 2
         assert fair_cut(graph, {0: 5}, {8: 5}).cut == frozenset({0})
         assert opt_congestion(graph, {0: 4, 8: -4}) == 2
         # the Dinkelbach iteration stops at its first lambda, 2, routing all 4
@@ -742,8 +745,8 @@ class TestUnscaledSolve:
 
 
 class TestTerminalArcs:
-    """Each solve lists terminal arcs only at its terminals, and solves bit for
-    bit as the layout with every terminal arc at every vertex does
+    """Each solve lists only the terminal arcs a phase can take, and solves bit
+    for bit as the layout with every terminal arc at every vertex does
     (``full_layout_solve``)."""
 
     @pytest.fixture
@@ -766,12 +769,19 @@ class TestTerminalArcs:
         value, level, res, full_head, full_start = full_layout_solve(graph, *args)
         assert (solved.value, solved.level, solved.res) == (value, level, res)
         assert start == full_start and len(head) == len(full_head)
-        for arcs, full in zip(head, full_head):
-            # the reference's list in its order, less arcs that never carry
-            # residual
+        n, m2 = graph.n, 2 * graph.m
+        # no phase takes an arc into the super-source, and none reads the
+        # super-sink's list
+        into_source = {m2 + 2 * v + 1 for v in range(n)}
+        assert not any(into_source.intersection(arcs) for arcs in head)
+        assert head[n + 1] == []
+        for arcs, full in zip(head[:n + 1], full_head):
+            # the reference's list in its order, less arcs into the
+            # super-source and arcs that never carry residual
             rest = iter(full)
             assert all(arc in rest for arc in arcs), (arcs, full)
-            assert all(start[arc] == res[arc] == 0 for arc in set(full) - set(arcs))
+            assert all(start[arc] == res[arc] == 0
+                       for arc in set(full) - set(arcs) - into_source)
 
     def test_random_instances(self, handed):
         seen = {"shared terminals": 0, "several sources": 0, "part of the graph": 0}
@@ -862,8 +872,8 @@ class TestTerminalReduction:
         denom, supply, demand = self._fraction_reduction(source_w, target_w, verts)
         assert result.denom == denom
         assert captured == [self._residuals(graph, verts, supply, demand, 3 * denom)]
-        ok, violated = verify_fair_cut(graph, source_w, target_w, 1, result.cut,
-                                       result.flow, within=within, cap_scale=3)
+        ok, violated = verify_fair_cut(graph, source_w, target_w, 1,
+                                       *cut_and_flow(result), within=within, cap_scale=3)
         assert ok, violated
 
     def test_cancelling_thirds_give_denominator_one(self):
@@ -882,24 +892,24 @@ class TestLazyFairFlow:
                  for v in range(graph.n)}
             t = {v: int(rng.integers(0, 7)) for v in range(graph.n)}
             result = fair_cut(graph, s, t)
-            assert "flow" not in result.__dict__
+            assert "cut" not in result.__dict__
             for _later in range(3):
                 supply, demand, within, scale = _multi_terminal_instance(rng, graph)
-                max_flow(graph, supply, demand, within)
+                flow_module._run_max_flow(graph, supply, demand, within)
                 fair_cut(graph, supply, demand, within=within, cap_scale=scale)
             ok, violated = verify_fair_cut(graph, s, t, Fraction(3, 2),
-                                           result.cut, result.flow)
+                                           *cut_and_flow(result))
             assert ok, (seed, violated)
-            assert result.flow is result.flow
+            assert result.cut is result.cut
 
 
 class TestFlowOrientation:
     def test_path_flow_values(self, path3):
-        flow = max_flow(path3, {0: 1}, {2: 1}).flow
-        assert [flow_value(flow, 0, 1), flow_value(flow, 1, 2),
-                flow_value(flow, 2, 1)] == [1, 1, -1]
+        nums = flow_module._run_max_flow(path3, {0: 1}, {2: 1}).edge_flow()
+        assert [flow_value(path3, nums, 1, u, v) for u, v in ((0, 1), (1, 2), (2, 1))] == \
+            [1, 1, -1]
 
     def test_negative_orientation_flipped(self, path3):
-        flow = FlowAssignment(path3, 2, {0: -1})
-        assert (flow_value(flow, 1, 0), flow_value(flow, 0, 1)) == \
+        nums = {0: -1}
+        assert (flow_value(path3, nums, 2, 1, 0), flow_value(path3, nums, 2, 0, 1)) == \
             (Fraction(1, 2), Fraction(-1, 2))

@@ -1,12 +1,13 @@
 """Graph generators and demand samplers."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from treecut import (ArgumentError, construct_hierarchy, diamond_adversarial_demands,
-                     diamond_structure, generate_diamond, generate_dumbbell,
-                     generate_erdos_renyi, generate_grid, generators,
+from treecut import (ArgumentError, TreeSparsifier, construct_hierarchy,
+                     diamond_adversarial_demands, diamond_structure, generate_diamond,
+                     generate_dumbbell, generate_erdos_renyi, generate_grid, generators,
                      random_pair_demands, to_tree_sparsifier)
 
 from conftest import bisection_tree, philox
@@ -122,11 +123,11 @@ class TestAdversarialDemands:
         trees = [None, bisection_tree(graph),
                  to_tree_sparsifier(construct_hierarchy(graph, rng=philox(order)), graph)]
         for seed in range(4):
-            tree = bisection_tree(graph)
+            root, *rest = bisection_tree(graph).nodes
             rng = philox(seed)
-            for node in tree.nodes[1:]:
-                node.cap = int(rng.integers(1, 10))
-            trees.append(tree)
+            trees.append(TreeSparsifier(
+                [root, *(replace(node, cap=int(rng.integers(1, 10))) for node in rest)],
+                graph.n))
         chosen = [repr(diamond_adversarial_demands(order, tree)) for tree in trees]
         assert order < 3 or len(set(chosen)) > 1
         monkeypatch.setattr(generators, "_tree_load_chooser", cluster_sum_chooser)

@@ -97,8 +97,9 @@ class TestTreeJson:
         (2, {"leaf_vertex": -1}, "node 2"),
         (3, {"leaf_vertex": 0}, "node 3"),
         (2, {"cap": 0}, "node 2"),
+        (2, {"parent": 1}, "tree node 1 has leaf vertex 0 and children"),
     ], ids=["entry", "cap", "leaf-float", "duplicate-id", "unknown-parent", "leaf-negative",
-            "leaf-twice", "zero-cap"])
+            "leaf-twice", "zero-cap", "leaf-with-children"])
     def test_malformed_node_is_named(self, node, change, message):
         data = self.star()
         if isinstance(change, dict):
