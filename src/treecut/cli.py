@@ -25,6 +25,9 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+#: largest value of a pair demand that ``treecut eval --random`` samples
+EVAL_MAGNITUDE = 4
+
 
 def _make_rng(seed: int):
     return np.random.Generator(np.random.Philox(seed))
@@ -82,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--tree", required=True)
     ev.add_argument("--demands", default=None, help="JSON demand file")
     ev.add_argument("--random", type=int, default=0, help="sample this many pair demands")
-    ev.add_argument("--magnitude", type=int, default=4)
 
     cert = sub.add_parser("certify", help="brute-force property reports on a small graph")
     _common(cert)
@@ -151,7 +153,7 @@ def _cmd_eval(args) -> int:
     if args.demands:
         demands.extend(textio.parse_demands(_read(args.demands)))
     if args.random:
-        demands.extend(random_pair_demands(graph, args.random, args.magnitude,
+        demands.extend(random_pair_demands(graph, args.random, EVAL_MAGNITUDE,
                                            _make_rng(args.seed)))
     worst, rows = quality_ratio(graph, tree, demands)
     payload = {
@@ -206,7 +208,7 @@ def _cmd_game_trace(args) -> int:
              for rec in game.records]
     sparsity = None
     if cut:
-        cap = boundary_capacity(graph, cut, range(graph.n))
+        cap = boundary_capacity(graph, cut, graph._all_vertices)
         sparsity = textio.fraction_str(Fraction(cap, pi.total(cut)))
     lines.append(json.dumps({"cut": sorted(cut), "sparsity": sparsity,
                              "stopped": game.stopped, "rounds": game.round}))

@@ -20,7 +20,9 @@ work; Python loops run once per vertex or routed path.
 The fair cut is solved only when a cut bound cannot prove it empty
 (``flow._fair_cut_is_empty``, whose docstring holds the bound), and a round
 the bound certifies routes without a flow too, to the nearest sinks by BFS
-(``_route_certified``, whose docstring holds the capacity proof).  Every
+(``_route_certified``, whose docstring holds the capacity proof).  The bound
+is taken only on the whole graph, told by identity: until its first deletion,
+a whole-graph game's vertices not deleted are ``graph._all_vertices`` itself.  Every
 other round (a game within a proper subset, any round after a deletion, a
 supply above the bound) solves the exact max flow and decomposes it into
 paths.  The sweep proposes at most ceil(a/8) of the a active units against
@@ -441,22 +443,21 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     n_right = np.bincount(vertex_of[rgt], minlength=n)
     net = up * n_left - down * n_right
 
-    # skip the fair cut's max flow when a cut bound proves its cut empty; alive
-    # lies in the checked game.vertices, so at full size it goes on as range(n)
-    within = range(n) if len(alive) == n else alive
+    # skip the fair cut's max flow when a cut bound proves its cut empty (alive
+    # is game.vertices itself until a deletion, graph._all_vertices on a whole graph)
     # net supply S = sum (net)+, and net demand S - sum net = sum (-net)+
     supply = int(np.maximum(net, 0).sum())
-    certified = _fair_cut_is_empty(graph, supply, supply - int(net.sum()), within,
+    certified = _fair_cut_is_empty(graph, supply, supply - int(net.sum()), alive,
                                    up * cap)
     if certified:
         cut_side = frozenset()
     else:
         cut_side = fair_cut(graph, _nonzero_counts(up * n_left),
-                            _nonzero_counts(down * n_right), within=within,
+                            _nonzero_counts(down * n_right), within=alive,
                             cap_scale=up * cap).cut
     game.deleted |= cut_side
     # an empty cut leaves the fair cut's own vertex set to route within
-    dropped, survivors = frozenset(), within
+    dropped, survivors = frozenset(), alive
     if cut_side:
         in_cut = np.zeros(n, dtype=bool)
         in_cut[list(cut_side)] = True
@@ -672,9 +673,10 @@ class RoundRecord:
 class CutMatchingGame:
     """State and driver for one run of the cut-matching game on a graph.
 
-    ``within`` restricts the instance to an induced subgraph.  The game plays
-    on k = pi(V) weight units; ``vertex_of``, a read-only array, maps each
-    unit to its vertex, with each vertex's units contiguous in vertex order.
+    ``within`` restricts the instance to the subgraph induced on ``vertices``
+    (``flow._vertex_set``: ``graph._all_vertices`` on the whole graph).  The
+    game plays on k = pi(V) weight units; ``vertex_of``, a read-only array,
+    maps each unit to its vertex, each vertex's units contiguous in vertex order.
     Each round records the cut player's projection estimate of the potential,
     and ``_evaluate_stop`` sets ``stopped`` to the first reason that holds:
     "balance" once fewer than ``balance_floor`` = (1 - beta*) * k units stay
@@ -702,7 +704,7 @@ class CutMatchingGame:
         self.graph = graph
         n = graph.n
         # a within vertex outside the graph is named here, not at the first step
-        self.vertices = frozenset(_vertex_set(n, within))
+        self.vertices = _vertex_set(graph, within)
         for v, w in pi.items():
             if not 0 <= v < n:
                 raise ArgumentError(f"weight at vertex {v}: not a vertex of the graph "

@@ -163,22 +163,19 @@ class SolvedFlow:
         return {idx: (res[2 * idx + 1] - res[2 * idx]) // 2 for idx in used}
 
 
-def _every_vertex(n: int, within: Iterable[int] | None) -> bool:
-    """Whether ``within`` is None or ``range(n)``, told without a pass."""
-    return within is None or isinstance(within, range) and within == range(n)
-
-
-def _vertex_set(n: int, within: Iterable[int] | None) -> range | set[int]:
-    """``within`` as a vertex set, ``range(n)`` when it holds every vertex;
-    a vertex outside 0..n-1 is named."""
-    if _every_vertex(n, within):
-        return range(n)
-    verts = set(within)
-    for v in verts:
-        if v not in range(n):
-            raise ArgumentError(f"within holds {v!r}, not a vertex of the graph "
-                                f"(0..{n - 1})")
-    return range(n) if len(verts) == n else verts
+def _vertex_set(graph: Graph, within: Iterable[int] | None) -> frozenset[int]:
+    """``within`` as a frozenset: ``graph._all_vertices`` itself when it is
+    None, is that set or holds every vertex, so ``verts is
+    graph._all_vertices`` tells the whole graph; a stray vertex is named."""
+    everything = graph._all_vertices
+    if within is None or within is everything:
+        return everything
+    verts = frozenset(within)
+    stray = verts - everything
+    if stray:
+        raise ArgumentError(f"within holds {next(iter(stray))!r}, not a vertex of the "
+                            f"graph (0..{graph.n - 1})")
+    return everything if len(verts) == graph.n else verts
 
 
 def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
@@ -188,24 +185,26 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
 
     Supplies, demands and ``cap_scale`` are ints or Fractions; ``denom``, the
     lcm of their denominators, makes them integers.  The solve fills a fresh
-    residual list: edge capacities times ``cap_scale * denom`` (0 for edges
-    leaving ``within``), then 0 for every terminal arc but the scaled
-    terminals'.  The solver gets a shallow copy of the layout's arc lists in
-    which a vertex with a demand also lists its sink arc, the super-source
-    lists its arcs to the supply vertices, in vertex order, and the
-    super-sink lists nothing.  No phase can take an arc left out: the other
-    terminal arcs keep residual 0 throughout, an arc into the super-source
-    leads back to level 0, and the solver never reads the super-sink's list.
-    Its ``value``, ``saturated`` (value == sum of the supplies * denom),
-    lazily built ``cut`` and ``edge_flow()`` are in units of 1/denom.
+    residual list: edge capacities times ``cap_scale * denom``, copied from
+    the layout when ``within`` is the whole graph (``_vertex_set``) and
+    filled vertex by vertex otherwise, with 0 for edges leaving ``within``;
+    then 0 for every terminal arc but the scaled terminals'.  The solver gets
+    a shallow copy of the layout's arc lists in which a vertex with a demand
+    also lists its sink arc, the super-source lists its arcs to the supply
+    vertices, in vertex order, and the super-sink lists nothing.  No phase
+    can take an arc left out: the other terminal arcs keep residual 0
+    throughout, an arc into the super-source leads back to level 0, and the
+    solver never reads the super-sink's list.  Its ``value``, ``saturated``
+    (value == sum of the supplies * denom), lazily built ``cut`` and
+    ``edge_flow()`` are in units of 1/denom.
     """
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
     denom = math.lcm(cap_scale.denominator,
                      *(x.denominator for part in (supply, demand) for x in part.values()))
     edge_scale = int(cap_scale * denom)
-    verts = _vertex_set(n, within)
-    if isinstance(verts, range):
+    verts = _vertex_set(graph, within)
+    if verts is graph._all_vertices:
         res = cap[:m2] if edge_scale == 1 else [c * edge_scale for c in cap[:m2]]
         res += [0] * (4 * n)
     else:
@@ -271,7 +270,7 @@ def fair_cut(graph: Graph, source_w: Mapping[int, object], target_w: Mapping[int
     in ``tests/oracles.py`` checks any alpha).  ``denom`` is the least common
     denominator of the net weights.
     """
-    verts = _vertex_set(graph.n, within)
+    verts = _vertex_set(graph, within)
     supply, demand = _net_terminals(graph, source_w, target_w, verts)
     return _run_max_flow(graph, supply, demand, verts, cap_scale)
 
@@ -294,8 +293,8 @@ def _fair_cut_is_empty(graph: Graph, supply: int | Fraction, demand: int | Fract
     weights with net supply S = ``supply`` and net demand D = ``demand``, the
     totals of ``_net_terminals`` over every vertex; False proves nothing.
 
-    The bound is taken only when ``within`` is every vertex (None or
-    ``range(n)``) and the graph is connected; anything else returns False.
+    The bound is taken only when ``within`` holds every vertex (see
+    ``_vertex_set``) and the graph is connected; anything else returns False.
     Capacities are positive ints, so when S <= D and S <= cap_scale
     every proper nonempty X has cap_scale * cap(dX) >= cap_scale >= S >=
     supply(X) - demand(X), and X = V has supply(X) - demand(X) = S - D <= 0.
@@ -303,7 +302,7 @@ def _fair_cut_is_empty(graph: Graph, supply: int | Fraction, demand: int | Fract
     empty source side is a minimum cut, and so the minimal one, the fair
     cut, is empty.
     """
-    if not _every_vertex(graph.n, within) or not graph.is_connected():
+    if _vertex_set(graph, within) is not graph._all_vertices or not graph.is_connected():
         return False
     return supply <= demand and supply <= cap_scale
 
@@ -440,7 +439,7 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
             return lam
         side = solved.cut
         d_side = sum(pos.get(v, 0) - neg.get(v, 0) for v in side)
-        cap = boundary_capacity(graph, side, range(graph.n))
+        cap = boundary_capacity(graph, side, graph._all_vertices)
         if not cap or d_side <= lam * cap:
             raise InternalError("Dinkelbach step did not raise the cut ratio; "
                                 "unreachable for valid input")

@@ -145,7 +145,8 @@ class Graph:
 
     @cached_property
     def _all_vertices(self) -> frozenset[int]:
-        """All vertices as one set, built once; every hierarchy on the graph shares it."""
+        """All vertices as one frozenset, built once and shared; ``verts is
+        graph._all_vertices`` tells the whole graph (``flow._vertex_set``)."""
         return frozenset(range(self.n))
 
     @cached_property
@@ -249,9 +250,6 @@ class Partition:
     def cluster_of(self, v: int) -> frozenset[int]:
         return self.clusters[self._index[v]]
 
-    def cluster_id(self, v: int) -> int:
-        return self._index[v]
-
     def __len__(self) -> int:
         return len(self.clusters)
 
@@ -275,19 +273,19 @@ def boundary_degree_map(graph: Graph, partition: Partition) -> VertexWeights:
 
     An edge is a boundary edge when its endpoints lie in different clusters,
     or when exactly one endpoint lies inside the partition's ground set.
+    Only the edges at the ground's vertices are read, O(vol(ground)).
     """
-    ground = partition.ground
+    index, adj, edges = partition._index, graph._adj, graph.edges
+    if not graph._all_vertices.issuperset(index):
+        raise ArgumentError("partition holds a vertex outside the graph")
     out: dict[int, int] = {}
-    for u, v, c in graph.edges:
-        u_in, v_in = u in ground, v in ground
-        if u_in and v_in:
-            if partition.cluster_id(u) != partition.cluster_id(v):
-                out[u] = out.get(u, 0) + c
-                out[v] = out.get(v, 0) + c
-        elif u_in:
-            out[u] = out.get(u, 0) + c
-        elif v_in:
-            out[v] = out.get(v, 0) + c
+    for u, cid in index.items():
+        total = 0
+        for w, idx in adj[u]:
+            if index.get(w) != cid:
+                total += edges[idx][2]
+        if total:
+            out[u] = total
     return VertexWeights(out)
 
 
@@ -326,10 +324,9 @@ def fuse(partition: Partition, merged: Iterable[int], graph: Graph) -> Partition
     fused = Partition.of(new_clusters)
     before = boundary_degree_map(graph, partition)
     after = boundary_degree_map(graph, fused)
-    outside = set(range(graph.n)) - ground
     bound = (before.total(ground) - before.total(t)
              + 2 * boundary_capacity(graph, t, ground)
-             + incident_capacity(graph, t, outside).total())
+             + incident_capacity(graph, t, graph._all_vertices - ground).total())
     if after.total(ground) > bound:
         raise InternalError("fuse boundary bound violated")
     return fused

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -98,24 +99,25 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
         if len(levels) >= level_budget:
             raise InternalError("hierarchy exceeded its level budget")
         prev = levels[-2]
-        clusters = list(levels[-1].clusters)
+        # the level's clusters, each with its partition so far, and a heap of
+        # (least vertex, cluster) of those still to process: disjoint, so no tie
         sub: dict[frozenset[int], Partition] = {}
-        unprocessed: set[frozenset[int]] = set()
-        for cl in clusters:
+        pending: list[tuple[int, frozenset[int]]] = []
+        for cl in levels[-1].clusters:
             if len(cl) == 1:
                 sub[cl] = Partition.trivial(cl)
             else:
                 sub[cl] = _singletons(graph, cl)
-                unprocessed.add(cl)
+                pending.append((min(cl), cl))
+        heapq.heapify(pending)
 
         guard = 0
-        while unprocessed:
+        while pending:
             guard += 1
             if guard > 20 * n + 100:
                 raise InternalError("cluster processing failed to converge")
-            target = min(unprocessed, key=min)
-            unprocessed.discard(target)
-            parent = prev.cluster_of(min(target))
+            least, target = heapq.heappop(pending)
+            parent = prev.cluster_of(least)
             phi = min(1 / _bound_for(n, len(parent), len(target)), cfg.phi_cap)
             before = sub[target]
             result = partition_cluster(graph, target, before, phi, rng)
@@ -125,20 +127,16 @@ def construct_hierarchy(graph: Graph, config: HierarchyConfig | None = None,
 
             child = result.bad_child
             rest = target - child
-            rest_partition = Partition.of(
-                c for c in result.partition.clusters if c != child)
-            clusters.remove(target)
-            clusters.extend([child, rest])
+            rest_partition = Partition.of(set(result.partition.clusters) - {child})
             del sub[target]
             sub[child] = Partition.trivial(child)
             sub[rest] = rest_partition
-            unprocessed.add(child)
+            heapq.heappush(pending, (min(child), child))
             if _balanced_split(graph, before, result.partition, child):
-                unprocessed.add(rest)
+                heapq.heappush(pending, (min(rest), rest))
 
-        levels[-1] = Partition.of(clusters)
-        next_level = Partition.of(
-            c for cl in clusters for c in sub[cl].clusters)
+        levels[-1] = Partition.of(sub)
+        next_level = Partition.of(c for part in sub.values() for c in part.clusters)
         # an all-singleton level is the one the graph keeps for every build
         levels.append(graph._singleton_partition if len(next_level) == n
                       else next_level)
@@ -276,7 +274,7 @@ def to_tree_sparsifier(decomposition: HierarchicalDecomposition,
     if graph.n > 1 and decomposition.levels == (graph._whole_partition,
                                                 graph._singleton_partition):
         return TreeSparsifier._of_columns(*graph._star_columns, graph.n)
-    everything = list(range(graph.n))
+    everything = graph._all_vertices
     parents: list[int | None] = []
     caps: list[int] = []
     clusters: list[frozenset[int]] = []
@@ -386,7 +384,7 @@ def undercut_node(graph: Graph, tree: TreeSparsifier) -> tuple[TreeNode, int] | 
     """
     for node in tree.nodes:
         if node.parent is not None:
-            cut = boundary_capacity(graph, node.cluster, range(graph.n))
+            cut = boundary_capacity(graph, node.cluster, graph._all_vertices)
             if node.cap < cut:
                 return node, cut
     return None

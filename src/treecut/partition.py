@@ -73,10 +73,9 @@ def _border_trim(graph: Graph, c_set: frozenset[int], side: frozenset[int],
                  phi) -> frozenset[int]:
     """Fair cut inside ``side`` from its capacity into the rest of the cluster
     to phi/2 times its capacity outside; the rest of ``side`` routes to the border."""
-    outside = frozenset(range(graph.n)) - c_set
     sources = incident_capacity(graph, side, c_set - side)
     targets = {v: phi / 2 * c for v, c in
-               incident_capacity(graph, side, outside).items()}
+               incident_capacity(graph, side, graph._all_vertices - c_set).items()}
     return fair_cut(graph, sources, targets, within=side).cut
 
 
@@ -102,7 +101,7 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
     supplies = incident_capacity(graph, u_set, c_set - u_set)
     if not supplies:
         return True
-    outside = frozenset(range(graph.n)) - c_set
+    outside = graph._all_vertices - c_set
     sinks = {v: c / gamma for v, c in incident_capacity(graph, u_set, outside).items()}
     return _run_max_flow(graph, supplies, sinks, within=u_set,
                          cap_scale=congestion).saturated
@@ -128,7 +127,7 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
     if len(c_set) == 1:
         return PartitionClusterResult(frozenset(), parts)
 
-    outside = frozenset(range(graph.n)) - c_set
+    outside = graph._all_vertices - c_set
     current = parts
     iteration_cap = None
     iterations = 0

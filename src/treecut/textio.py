@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -101,59 +100,61 @@ def tree_from_json(text: str) -> TreeSparsifier:
         raise InputError(f"tree file 'n' must be an integer, got {n!r}")
     if not isinstance(raw_nodes, list):
         raise InputError("tree file 'nodes' must be a list")
-    by_id: dict[int, TreeNode] = {}
+    by_id: dict[int, tuple[int, int | None, int, int | None]] = {}
     leaf_at: dict[int, int] = {}
     for pos, entry in enumerate(raw_nodes):
-        node = _tree_node(entry, pos, n)
-        if node.id in by_id:
-            raise InputError(f"tree node {node.id} appears twice")
-        if node.leaf_vertex in leaf_at:
-            raise InputError(f"tree node {node.id} repeats leaf vertex {node.leaf_vertex} "
-                             f"of node {leaf_at[node.leaf_vertex]}")
-        if node.leaf_vertex is not None:
-            leaf_at[node.leaf_vertex] = node.id
-        by_id[node.id] = node
-    roots = [node for node in by_id.values() if node.parent is None]
+        fields = _tree_node(entry, pos, n)
+        node_id, leaf = fields[0], fields[3]
+        if node_id in by_id:
+            raise InputError(f"tree node {node_id} appears twice")
+        if leaf in leaf_at:
+            raise InputError(f"tree node {node_id} repeats leaf vertex {leaf} "
+                             f"of node {leaf_at[leaf]}")
+        if leaf is not None:
+            leaf_at[leaf] = node_id
+        by_id[node_id] = fields
+    roots = [node_id for node_id, parent, _cap, _leaf in by_id.values() if parent is None]
     if len(roots) != 1:
         raise InputError(f"tree must have one root, found {len(roots)}")
-    children: dict[int, list[TreeNode]] = {node_id: [] for node_id in by_id}
-    for node in by_id.values():
-        if node.parent is None:
+    children: dict[int, list[int]] = {node_id: [] for node_id in by_id}
+    for node_id, parent, cap, _leaf in by_id.values():
+        if parent is None:
             continue
-        if node.parent not in by_id:
-            raise InputError(f"tree node {node.id} names unknown parent {node.parent}")
-        if node.cap < 1:
-            raise InputError(f"tree node {node.id} needs a positive cap, got {node.cap}")
-        children[node.parent].append(node)
+        if parent not in by_id:
+            raise InputError(f"tree node {node_id} names unknown parent {parent}")
+        if cap < 1:
+            raise InputError(f"tree node {node_id} needs a positive cap, got {cap}")
+        children[parent].append(node_id)
     # top-down order from the root; a node it misses hangs off a parent cycle
     order = [roots[0]]
-    for node in order:
-        if children[node.id] and node.leaf_vertex is not None:
-            raise InputError(f"tree node {node.id} has leaf vertex {node.leaf_vertex} "
-                             "and children")
-        order.extend(children[node.id])
+    for node_id in order:
+        leaf = by_id[node_id][3]
+        if children[node_id] and leaf is not None:
+            raise InputError(f"tree node {node_id} has leaf vertex {leaf} and children")
+        order.extend(children[node_id])
     if len(order) < len(by_id):
-        stray = min(set(by_id) - {node.id for node in order})
+        stray = min(set(by_id) - set(order))
         raise InputError(f"tree node {stray} lies on or below a parent cycle")
-    # rebuild clusters bottom-up from the leaves
-    members: dict[int, set[int]] = {
-        node.id: set() if node.leaf_vertex is None else {node.leaf_vertex}
-        for node in order}
+    # build each node once, bottom-up from the leaves, with its cluster
+    members: dict[int, set[int]] = {node_id: set() if leaf is None else {leaf}
+                                    for node_id, _parent, _cap, leaf in by_id.values()}
     built: list[TreeNode] = []
-    for node in reversed(order):
-        node = replace(node, cluster=frozenset(members[node.id]))
-        if not node.cluster:
-            raise InputError(f"tree node {node.id} spans no leaves")
-        if node.parent is not None:
-            members[node.parent] |= node.cluster
-        built.append(node)
+    for node_id in reversed(order):
+        _id, parent, cap, leaf = by_id[node_id]
+        cluster = frozenset(members[node_id])
+        if not cluster:
+            raise InputError(f"tree node {node_id} spans no leaves")
+        if parent is not None:
+            members[parent] |= cluster
+        built.append(TreeNode(node_id, parent, cap, cluster, leaf))
     if len(built[-1].cluster) != n:
         raise InputError("the root must span every vertex 0..n-1 exactly once")
     return TreeSparsifier(sorted(built, key=lambda nd: nd.id), n)
 
 
-def _tree_node(entry, pos: int, n: int) -> TreeNode:
-    """One tree file entry with integer fields and a leaf vertex inside 0..n-1."""
+def _tree_node(entry, pos: int, n: int) -> tuple[int, int | None, int, int | None]:
+    """One tree file entry's (id, parent, cap, leaf vertex), checked: integer
+    fields and a leaf vertex inside 0..n-1."""
     if not isinstance(entry, dict):
         raise InputError(f"tree node entry {pos} is not an object")
     fields = {key: entry.get(key) for key in ("id", "parent", "cap", "leaf_vertex")}
@@ -165,7 +166,7 @@ def _tree_node(entry, pos: int, n: int) -> TreeNode:
     leaf = fields["leaf_vertex"]
     if leaf is not None and not 0 <= leaf < n:
         raise InputError(f"{name}: leaf vertex {leaf} is outside 0..{n - 1}")
-    return TreeNode(fields["id"], fields["parent"], fields["cap"], frozenset(), leaf)
+    return fields["id"], fields["parent"], fields["cap"], leaf
 
 
 def _is_int(value) -> bool:

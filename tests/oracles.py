@@ -1,10 +1,10 @@
 """Reference oracles that only the tests call.
 
-The fair cut/flow property check, the exact sparsest cut by subset
-enumeration, the flow readings they use, the round trip of a path
-decomposition and a max flow on the full terminal layout.  The package keeps
-the oracles that ``certify`` and the benchmark call (``check_expanding`` and
-``brute_force_opt_congestion``).
+The all-edges boundary degree scan, the fair cut/flow property check, the
+exact sparsest cut by subset enumeration, the flow readings they use, the
+round trip of a path decomposition and a max flow on the full terminal
+layout.  The package keeps the oracles that ``certify`` and the benchmark
+call (``check_expanding`` and ``brute_force_opt_congestion``).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from treecut import ArgumentError, InternalError
 from treecut.flow import PathFlow, _Dinic, _exact_weights, _vertex_set
-from treecut.graphs import (_CHUNK, Cut, Graph, _check_enumeration_size, _mask_set,
-                            _mask_tables, boundary_capacity)
+from treecut.graphs import (_CHUNK, Cut, Graph, Partition, _check_enumeration_size,
+                            _mask_set, _mask_tables, boundary_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +42,25 @@ def edges_within(graph: Graph, subset: Iterable[int]) -> list[tuple[int, int, in
     keep = set(subset)
     return [(i, u, v, c) for i, (u, v, c) in enumerate(graph.edges)
             if u in keep and v in keep]
+
+
+def boundary_degrees_by_edges(graph: Graph, partition: Partition) -> dict[int, int]:
+    """``boundary_degree_map`` by a scan over every edge: an edge between two
+    clusters counts at both ends, and an edge leaving the ground at its end
+    inside."""
+    ground = partition.ground
+    out: dict[int, int] = {}
+    for u, v, c in graph.edges:
+        u_in, v_in = u in ground, v in ground
+        if u_in and v_in:
+            if partition._index[u] != partition._index[v]:
+                out[u] = out.get(u, 0) + c
+                out[v] = out.get(v, 0) + c
+        elif u_in:
+            out[u] = out.get(u, 0) + c
+        elif v_in:
+            out[v] = out.get(v, 0) + c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +182,7 @@ def verify_fair_cut(graph: Graph, source_w: Mapping[int, object],
     """
     alpha = Fraction(alpha)
     n = graph.n
-    verts = _vertex_set(n, within)
+    verts = _vertex_set(graph, within)
     source_w = _exact_weights(source_w, n, verts)
     target_w = _exact_weights(target_w, n, verts)
     u_side = frozenset(cut)

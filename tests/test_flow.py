@@ -3,6 +3,7 @@
 import importlib
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,33 @@ class TestMaxFlow:
         assert all(type(solved) is SolvedFlow for solved in solves)
         assert [(solved.value, solved.denom, solved.saturated) for solved in solves] == \
             [(1, 3, True)] * 2
+
+
+class TestVertexSet:
+    """``_vertex_set``: ``graph._all_vertices`` itself for every whole-graph
+    ``within``, so that ``is`` tells the whole graph, and a checked frozenset
+    otherwise."""
+
+    @pytest.mark.parametrize("make", [
+        lambda g: None, lambda g: g._all_vertices, lambda g: range(g.n),
+        lambda g: list(range(g.n)), lambda g: set(range(g.n)),
+        lambda g: (v for v in range(g.n))],
+        ids=["none", "all-vertices", "range", "list", "set", "generator"])
+    def test_every_vertex_is_the_graphs_own_set(self, double_k4, make):
+        assert flow_module._vertex_set(double_k4, make(double_k4)) is double_k4._all_vertices
+
+    @pytest.mark.parametrize("within", [[0, 3, 5], {1, 2}, range(1, 8), frozenset({4})])
+    def test_a_proper_subset_is_an_equal_frozenset(self, double_k4, within):
+        verts = flow_module._vertex_set(double_k4, within)
+        assert type(verts) is frozenset and verts == frozenset(within)
+        assert verts is not double_k4._all_vertices
+
+    @pytest.mark.parametrize("within, vertex", [({0, 1, 8}, 8), ([-1, 0], -1),
+                                                (range(9), 8), (["a"], "'a'")])
+    def test_a_stray_vertex_is_named(self, double_k4, within, vertex):
+        with pytest.raises(ArgumentError, match=re.escape(
+                f"within holds {vertex}, not a vertex of the graph (0..7)")):
+            flow_module._vertex_set(double_k4, within)
 
 
 class TestFairCut:

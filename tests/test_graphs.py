@@ -15,7 +15,7 @@ from treecut import (ArgumentError, Graph, InternalError, OversizeError, Partiti
                      check_expanding, check_laminar, fuse, graphs)
 
 from conftest import connected_graphs, philox, weighted_graphs
-from oracles import brute_force_sparsest_cut, capacity
+from oracles import boundary_degrees_by_edges, brute_force_sparsest_cut, capacity
 
 
 class TestGraphConstruction:
@@ -93,6 +93,28 @@ class TestPartitionBoundaryDegree:
     def test_counts_edges_leaving_ground(self, path3):
         part = Partition.singletons({1})
         assert boundary_degree_map(path3, part).total({1}) == 2
+
+    @pytest.mark.parametrize("vertex", [3, -1])
+    def test_vertex_outside_the_graph_rejected(self, path3, vertex):
+        # the map reads each ground vertex's adjacency, so a vertex the
+        # graph lacks is an error, not an isolated vertex
+        with pytest.raises(ArgumentError, match="vertex outside the graph"):
+            boundary_degree_map(path3, Partition.singletons({0, vertex}))
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_matches_the_all_edges_scan(self, graph, data):
+        # the map reads only the edges at the ground's vertices; a random
+        # partition of a random ground, proper in most draws, so that edges
+        # leaving the ground count as well as edges between clusters
+        outside = data.draw(st.sets(st.integers(0, graph.n - 1), max_size=graph.n - 1))
+        ground = [v for v in range(graph.n) if v not in outside]
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=len(ground),
+                                    max_size=len(ground)))
+        part = Partition.of({v for v, label in zip(ground, labels) if label == cluster}
+                            for cluster in set(labels))
+        assert dict(boundary_degree_map(graph, part)) == \
+            boundary_degrees_by_edges(graph, part)
 
 
 class TestFuse:

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 import treecut
 from treecut import (ArgumentError, Graph, HierarchicalDecomposition, InternalError,
-                     Partition, boundary_capacity, certify_well_expanding, check_laminar,
-                     construct_hierarchy, default_gamma, expansion_bound,
+                     Partition, PartitionClusterResult, boundary_capacity,
+                     certify_well_expanding, check_laminar, construct_hierarchy,
+                     default_gamma, expansion_bound, fuse,
                      generate_diamond, generate_dumbbell, generate_grid, hierarchy,
                      opt_congestion, predict_congestion, quality_ratio, textio,
                      to_tree_sparsifier)
@@ -146,6 +147,34 @@ class TestConstructHierarchy:
         text = textio.tree_to_json(to_tree_sparsifier(h, graph))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "638adc0a5d76f6889cf2b49f9aaa174fa47682a627eaa7e0be997aeaf64bc84c")
+
+    def test_a_bad_child_splits_its_cluster_in_place(self, monkeypatch):
+        # no seeded build splits off a bad child below the root, so the first
+        # below-root cluster of 8 or more vertices is made to give up its
+        # lower half; its level then holds both halves, and the remaining
+        # targets are still taken in increasing least vertex
+        graph = generate_dumbbell(80)
+        targets = []
+        forced = []
+        real = hierarchy.partition_cluster
+
+        def forcing(g, cluster, parts, phi, rng):
+            targets.append((min(cluster), len(cluster)))
+            if len(targets) > 1 and len(cluster) >= 8 and not forced:
+                child = frozenset(sorted(cluster)[:len(cluster) // 2])
+                forced.append(cluster)
+                return PartitionClusterResult(child, fuse(parts, child, g))
+            return real(g, cluster, parts, phi, rng)
+
+        monkeypatch.setattr(hierarchy, "partition_cluster", forcing)
+        h = construct_hierarchy(graph, HierarchyConfig(), philox(1))
+        assert targets == [(0, 160), (0, 80), (0, 40), (40, 40), (0, 40)]
+        assert forced == [frozenset(range(80))]
+        assert frozenset(range(80)) not in h.levels[1].clusters
+        assert {frozenset(range(40)), frozenset(range(40, 80))} <= set(h.levels[1].clusters)
+        assert h.height == 4 and h.is_complete() and check_laminar(h)
+        hierarchy._check_grandparent_halving(h)
+        assert h.levels[-1] is graph._singleton_partition
 
 
 class TestPostConditions:
