@@ -34,7 +34,10 @@ A game that has deleted nothing stops "certified" as soon as its matchings,
 contracted to its weighted vertices, prove them (phi/q*)-expanding
 (``CutMatchingGame._certified``, whose docstring holds the argument): an
 exact proof, by a shifted Cholesky of an integer matrix, not a
-high-probability bound.
+high-probability bound.  The contracted matchings are kept as they grow,
+each round's pairs folded in once with their degrees, and a try checks in a
+fixed order, reading the entry bound and the diagonal from those degrees
+before it builds the one n x n matrix it factors.
 """
 
 from __future__ import annotations
@@ -551,23 +554,23 @@ def _rump_shift(size: int, trace: int) -> int:
     return (size + 1) * trace // ((1 << 53) - 2 * (size + 1)) + 1
 
 
-def _proves_positive_definite(matrix: np.ndarray) -> bool:
+def _proves_positive_definite(matrix: np.ndarray, trace: int) -> bool:
     """Whether a shifted floating-point Cholesky proves the symmetric
-    ``matrix``, a float array of integers below 2^53, positive definite.
+    ``matrix``, a float array of integers below 2^53 with a positive diagonal
+    summing to ``trace``, positive definite.
 
     True is a proof (``_rump_shift``); False proves nothing either way.  The
     matrix is first scaled by the largest power of two that keeps every
     entry below 2^53, which is exact, so that rounding the shift up to an
     integer costs nothing; it is scaled and shifted in place, and so spent.
     """
+    size = len(matrix)
     top = int(max(matrix.max(), -matrix.min()))
-    if top.bit_length() < 53:
-        matrix *= float(1 << (53 - top.bit_length()))
-    diagonal = np.diagonal(matrix)
-    if not (diagonal >= 0).all():
-        return False
-    trace = sum(int(x) for x in diagonal.tolist())
-    matrix[np.diag_indices_from(matrix)] -= _rump_shift(len(matrix), trace)
+    factor = 1 << max(53 - top.bit_length(), 0)
+    if factor > 1:
+        matrix *= float(factor)
+    # a strided view of the diagonal, shifted in place
+    matrix.reshape(-1)[::size + 1] -= _rump_shift(size, trace * factor)
     try:
         np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
@@ -575,34 +578,36 @@ def _proves_positive_definite(matrix: np.ndarray) -> bool:
     return True
 
 
-def _expansion_matrix(pi: np.ndarray, links: tuple[np.ndarray, np.ndarray, np.ndarray],
-                      mu: Fraction) -> np.ndarray | None:
-    """b P K as a float array of exact integers, for mu = a/b, P = sum pi and
-    K = L_W - mu diag(pi) + ((mu + 1)/P) pi pi^T; None when an entry could
-    reach 2^53, or when a diagonal entry is not positive, which rules a
-    positive definite K out.
+def _expansion_matrix(pi: np.ndarray, degree: np.ndarray, keys: np.ndarray, a: int,
+                      b: int) -> tuple[np.ndarray, int] | None:
+    """b P K as a float array of exact integers and its trace, for mu = a/b,
+    P = sum pi and K = L_W - mu diag(pi) + ((mu + 1)/P) pi pi^T; None when an
+    entry could reach 2^53, or when a diagonal entry is not positive, which
+    rules a positive definite K out.
 
-    ``pi`` holds positive integer weights, and ``links`` the contracted
-    matchings W as (heads, tails, counts) with heads < tails.
+    ``pi`` holds positive integer weights, ``degree`` the int64 degrees of
+    the contracted matchings W, and ``keys`` W's matched pairs, one key
+    row * len(pi) + column for each orientation of each pair, repeated by
+    its count.  Both tests read only ``degree``, before any n x n array
+    exists; the matrix is then one ``np.outer``, with b P taken off in place
+    at each key.  Every product and sum is an integer below the bound, so
+    the entries are exact in any order of summation.
     """
-    heads, tails, counts = links
-    a, b, total = mu.numerator, mu.denominator, int(pi.sum())
-    degree = (np.bincount(heads, counts, len(pi)) + np.bincount(tails, counts, len(pi)))
-    top = int(pi.max())
-    bound = b * total * int(degree.max(initial=0)) + a * total * top + (a + b) * top * top
-    if bound >= 1 << 53:
+    total, top = int(pi.sum()), int(pi.max())
+    scale = b * total
+    if scale * int(degree.max(initial=0)) + a * total * top + (a + b) * top * top >= 1 << 53:
         return None
-    # every product and sum below is an integer under the bound, so exact
+    diagonal = scale * degree - (a * total) * pi + (a + b) * pi * pi
+    if not diagonal.min() > 0:
+        return None
+    size = len(pi)
     weights = pi.astype(float)
-    scale = float(b * total)
-    diagonal = scale * degree - (a * total) * weights + (a + b) * weights * weights
-    if not (diagonal > 0).all():
-        return None
     matrix = np.outer(weights, weights * (a + b))
-    matrix[heads, tails] -= scale * counts
-    matrix[tails, heads] -= scale * counts
-    matrix[np.diag_indices_from(matrix)] = diagonal
-    return matrix
+    # b P off each entry once per key, in place; a strided view of the diagonal
+    flat = matrix.reshape(-1)
+    np.subtract.at(flat, keys, float(scale))
+    flat[::size + 1] = diagonal
+    return matrix, sum(diagonal.tolist())
 
 
 def _screen_start(size: int) -> np.ndarray:
@@ -739,13 +744,13 @@ class CutMatchingGame:
         self.last_projection_energy: float | None = None
         self._quiet_rounds = 0
         # the certificate's state: pi on the weighted vertices, each unit's
-        # position among them, the contracted matchings as (heads, tails,
-        # counts) and how many rounds they hold, and the screen's Ritz vector
+        # position among them, the contracted matchings as ``_fold`` keeps
+        # them and how many rounds they hold, and the screen's Ritz vector
         self.expansion_target = phi / oracle_params(k)[0]
         self._weights = np.array([self.pi[v] for v in support], dtype=np.int64)
         self._slot = np.repeat(np.arange(len(support)), self._weights)
-        empty = np.empty(0, dtype=np.int64)
-        self._links = (empty, empty, empty)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._degree = np.zeros(len(support), dtype=np.int64)
         self._folded = 0
         self._ritz: np.ndarray | None = None
 
@@ -833,58 +838,73 @@ class CutMatchingGame:
         ``load`` on the boundary of S, so at most rho cap(boundary of S)
         pairs cross it.
 
-        Exact: rho comes from the integer loads and capacities, K is scaled
-        to integers, and a shifted Cholesky proves it positive definite
-        (``_proves_positive_definite``); floats only choose when to try.
-        Tries start at round ceil_log2(k), only for a game that has deleted
-        nothing and has at most CERTIFY_VERTEX_CAP weighted vertices; above
-        SCREEN_VERTICES a Lanczos screen on the sparse W (``_screen``) must
-        first put lambda_2(N) above mu.
+        Exact: mu = a/b comes from the integer loads and capacities, K is
+        scaled to integers, and a shifted Cholesky proves it positive
+        definite (``_proves_positive_definite``); floats only choose when to
+        try.  Tries start at round ceil_log2(k), only for a game that has
+        deleted nothing and has at most CERTIFY_VERTEX_CAP weighted vertices.
+        A try folds in the rounds played since the last one (``_fold``), then
+        checks in this order, each check able to end it: above
+        SCREEN_VERTICES a Lanczos screen on the deduplicated W (``_screen``)
+        must put lambda_2(N) above mu; the entry bound and the diagonal are
+        read from W's degrees (``_expansion_matrix``); and only then is the
+        n x n matrix built and factored.  A try that ends before the matrix
+        costs O(n + m) plus the new rounds' pairs, and a screened one also
+        sorts one key per pair so far; one that factors adds a few passes
+        over the n x n matrix to its factorisation.
         """
         size = len(self._weights)
         if self.deleted or self.round < ceil_log2(self.k) or size > CERTIFY_VERTEX_CAP:
             return False
-        links = self._fold()
+        self._fold()
         mu = 2 * self._load_ratio() * self.expansion_target
+        a, b = mu.numerator, mu.denominator
         if size > SCREEN_VERTICES:
+            # each pair's smaller key is u * n + v with u < v
+            keys, counts = np.unique(np.minimum(self._keys[0::2], self._keys[1::2]),
+                                     return_counts=True)
+            heads, tails = np.divmod(keys, size)
             start = _screen_start(size)
             if self._ritz is not None:
                 start = start + self._ritz
-            estimate, self._ritz = _screen(self._weights, links, start)
+            estimate, self._ritz = _screen(self._weights, (heads, tails, counts), start)
             if not estimate > mu:
                 return False
-        matrix = _expansion_matrix(self._weights, links, mu)
-        return matrix is not None and _proves_positive_definite(matrix)
+        built = _expansion_matrix(self._weights, self._degree, self._keys, a, b)
+        return built is not None and _proves_positive_definite(*built)
 
-    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The contracted matchings W as (heads, tails, counts), heads <
-        tails positions among the weighted vertices, with the rounds played
-        since the last call folded in."""
+    def _fold(self) -> None:
+        """Fold the rounds played since the last call into the contracted
+        matchings W: each pair whose ends lie at distinct positions u != v
+        among the weighted vertices adds the keys u * n + v and v * n + u to
+        ``_keys`` and one to ``_degree`` at u and at v."""
         fresh = self.matchings[self._folded:]
         self._folded = len(self.matchings)
         if fresh:
             size = len(self._weights)
             ends = self._slot[np.concatenate(fresh)]
-            low, high = ends.min(axis=1), ends.max(axis=1)
-            apart = low != high
-            heads, tails, counts = self._links
-            keys, inverse = np.unique(np.concatenate(
-                [heads * size + tails, low[apart] * size + high[apart]]), return_inverse=True)
-            counts = np.bincount(inverse, np.concatenate(
-                [counts, np.ones(int(apart.sum()), dtype=np.int64)])).astype(np.int64)
-            self._links = (keys // size, keys % size, counts)
-        return self._links
+            ends = ends[ends[:, 0] != ends[:, 1]]
+            self._degree += np.bincount(ends.reshape(-1), minlength=size)
+            # each row (u, v) times [[n, 1], [1, n]] is (u * n + v, v * n + u)
+            orient = np.array([[size, 1], [1, size]])
+            self._keys = np.concatenate([self._keys, (ends @ orient).reshape(-1)])
 
     def _load_ratio(self) -> Fraction:
-        """max load(e)/cap(e) over the edges, exactly, from the integer loads
-        and capacities; the float ratios only pick the candidates."""
-        used = self.load.nonzero()[0]
-        if not len(used):
+        """max load(e)/cap(e) over the edges, exactly, by cross multiplication
+        of the integer loads and capacities; the float ratios only pick the
+        candidates."""
+        ratio = self.load / self.graph._capacities
+        top = ratio.max(initial=0.0)
+        if not top:
             return Fraction(0)
-        ratio = self.load[used] / self.graph._capacities[used]
-        near = used[ratio >= ratio.max() * (1 - 2.0 ** -50)]
-        edges = self.graph.edges
-        return max(Fraction(int(self.load[e]), edges[e][2]) for e in near.tolist())
+        near = (ratio >= top * (1 - 2.0 ** -50)).nonzero()[0]
+        loads, edges = self.load[near].tolist(), self.graph.edges
+        best = 0, 1
+        for e, load in zip(near.tolist(), loads):
+            capacity = edges[e][2]
+            if load * best[1] > best[0] * capacity:
+                best = load, capacity
+        return Fraction(*best)
 
     def run(self) -> frozenset[int]:
         while self.stopped is None:

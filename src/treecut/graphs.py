@@ -260,12 +260,17 @@ class Partition:
 
 
 def boundary_capacity(graph: Graph, subset: Iterable[int], ground: Iterable[int]) -> int:
-    """cap(S, ground - S): capacity of edges of G[ground] leaving ``subset``."""
+    """cap(S, ground - S): capacity of edges of G[ground] leaving ``subset``.
+
+    Only S's own edges are read, O(vol(S)) for a set or frozenset ground;
+    any other ground is first copied into a set.
+    """
     s = set(subset)
-    g = set(ground)
+    g = ground if isinstance(ground, (set, frozenset)) else set(ground)
     if not s <= g:
         raise ArgumentError("subset must be contained in the ground set")
-    return incident_capacity(graph, s, g - s).total()
+    adj, edges = graph._adj, graph.edges
+    return sum(edges[idx][2] for v in s for w, idx in adj[v] if w not in s and w in g)
 
 
 def boundary_degree_map(graph: Graph, partition: Partition) -> VertexWeights:
@@ -325,7 +330,7 @@ def fuse(partition: Partition, merged: Iterable[int], graph: Graph) -> Partition
     before = boundary_degree_map(graph, partition)
     after = boundary_degree_map(graph, fused)
     bound = (before.total(ground) - before.total(t)
-             + 2 * boundary_capacity(graph, t, ground)
+             + 2 * incident_capacity(graph, t, ground - t).total()
              + incident_capacity(graph, t, graph._all_vertices - ground).total())
     if after.total(ground) > bound:
         raise InternalError("fuse boundary bound violated")

@@ -1,10 +1,12 @@
 """Reference oracles that only the tests call.
 
-The all-edges boundary degree scan, the fair cut/flow property check, the
-exact sparsest cut by subset enumeration, the flow readings they use, the
-round trip of a path decomposition and a max flow on the full terminal
-layout.  The package keeps the oracles that ``certify`` and the benchmark
-call (``check_expanding`` and ``brute_force_opt_congestion``).
+The boundary capacity by the ground's complement, the all-edges boundary
+degree scan, the fair cut/flow property check, the exact sparsest cut by
+subset enumeration, the flow readings they use, the round trip of a path
+decomposition, a max flow on the full terminal layout and the expansion
+certificate's try computed the plain way.  The package keeps the oracles
+that ``certify`` and the benchmark call (``check_expanding`` and
+``brute_force_opt_congestion``).
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from treecut import ArgumentError, InternalError
+from treecut.cutmatch import (CERTIFY_VERTEX_CAP, SCREEN_VERTICES, _rump_shift, _screen,
+                              _screen_start, ceil_log2)
 from treecut.flow import PathFlow, _Dinic, _exact_weights, _vertex_set
 from treecut.graphs import (_CHUNK, Cut, Graph, Partition, _check_enumeration_size,
-                            _mask_set, _mask_tables, boundary_capacity)
+                            _mask_set, _mask_tables, boundary_capacity, incident_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +46,16 @@ def edges_within(graph: Graph, subset: Iterable[int]) -> list[tuple[int, int, in
     keep = set(subset)
     return [(i, u, v, c) for i, (u, v, c) in enumerate(graph.edges)
             if u in keep and v in keep]
+
+
+def boundary_capacity_by_complement(graph: Graph, subset: Iterable[int],
+                                    ground: Iterable[int]) -> int:
+    """``boundary_capacity`` by S's edges into the complement ground - S,
+    taken as a set."""
+    s, g = set(subset), set(ground)
+    if not s <= g:
+        raise ArgumentError("subset must be contained in the ground set")
+    return incident_capacity(graph, s, g - s).total()
 
 
 def boundary_degrees_by_edges(graph: Graph, partition: Partition) -> dict[int, int]:
@@ -274,3 +288,127 @@ def brute_force_sparsest_cut(graph: Graph, pi: Mapping[int, int]) -> tuple[Cut, 
         raise InternalError("no valid cut found despite two weighted vertices")
     subset = _mask_set(best_mask, verts)
     return Cut(subset, boundary_capacity(graph, subset, verts)), best_ratio
+
+
+# ---------------------------------------------------------------------------
+# the expansion certificate's try, computed the plain way
+# ---------------------------------------------------------------------------
+
+
+def reference_expansion_matrix(pi: np.ndarray, links: tuple[np.ndarray, np.ndarray, np.ndarray],
+                               mu: Fraction) -> np.ndarray | None:
+    """b P K for mu = a/b, P = sum pi and K = L_W - mu diag(pi) +
+    ((mu + 1)/P) pi pi^T, filled by fancy indexing from the deduplicated
+    links (heads, tails, counts), heads < tails; None when an entry could
+    reach 2^53 or a diagonal entry is not positive, both read from float
+    arrays.  ``CutMatchingGame._certified``'s matrix must equal it bit for bit."""
+    heads, tails, counts = links
+    a, b, total = mu.numerator, mu.denominator, int(pi.sum())
+    degree = np.bincount(heads, counts, len(pi)) + np.bincount(tails, counts, len(pi))
+    top = int(pi.max())
+    bound = b * total * int(degree.max(initial=0)) + a * total * top + (a + b) * top * top
+    if bound >= 1 << 53:
+        return None
+    weights = pi.astype(float)
+    scale = float(b * total)
+    diagonal = scale * degree - (a * total) * weights + (a + b) * weights * weights
+    if not (diagonal > 0).all():
+        return None
+    matrix = np.outer(weights, weights * (a + b))
+    matrix[heads, tails] -= scale * counts
+    matrix[tails, heads] -= scale * counts
+    matrix[np.diag_indices_from(matrix)] = diagonal
+    return matrix
+
+
+def reference_proves_positive_definite(matrix: np.ndarray) -> bool:
+    """The shifted Cholesky proof on a copy of ``matrix``: scaled by the
+    largest power of two that keeps every entry below 2^53, its trace read
+    from its float diagonal, the shift subtracted through
+    ``np.diag_indices_from``."""
+    matrix = matrix.copy()
+    top = int(max(matrix.max(), -matrix.min()))
+    if top.bit_length() < 53:
+        matrix *= float(1 << (53 - top.bit_length()))
+    diagonal = np.diagonal(matrix)
+    if not (diagonal >= 0).all():
+        return False
+    trace = sum(int(x) for x in diagonal.tolist())
+    matrix[np.diag_indices_from(matrix)] -= _rump_shift(len(matrix), trace)
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class ReferenceTry:
+    """``CutMatchingGame._certified`` for one game, computed the plain way.
+
+    At each ``attempt`` the rounds played since the last one are folded into
+    the deduplicated links by ``np.unique`` over the links so far and the new
+    pairs, mu is a ``Fraction`` from an exact scan of every edge's load
+    ratio, and the matrix and the proof are ``reference_expansion_matrix``
+    and ``reference_proves_positive_definite``.  Above SCREEN_VERTICES the
+    same Lanczos screen runs on those links, with a Ritz vector of its own.
+    """
+
+    def __init__(self, game):
+        self.game = game
+        empty = np.empty(0, dtype=np.int64)
+        self.links = (empty, empty, empty)
+        self.folded = 0
+        self.ritz = None
+        self.ended = "early"
+
+    def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        game = self.game
+        fresh = game.matchings[self.folded:]
+        self.folded = len(game.matchings)
+        if fresh:
+            size = len(game._weights)
+            ends = game._slot[np.concatenate(fresh)]
+            low, high = ends.min(axis=1), ends.max(axis=1)
+            apart = low != high
+            heads, tails, counts = self.links
+            keys, inverse = np.unique(np.concatenate(
+                [heads * size + tails, low[apart] * size + high[apart]]), return_inverse=True)
+            counts = np.bincount(inverse, np.concatenate(
+                [counts, np.ones(int(apart.sum()), dtype=np.int64)])).astype(np.int64)
+            self.links = (keys // size, keys % size, counts)
+        return self.links
+
+    def mu(self) -> Fraction:
+        """2 rho phi/q*, rho the largest load(e)/cap(e) over every edge."""
+        game = self.game
+        rho = max((Fraction(load, cap) for load, (_u, _v, cap)
+                   in zip(game.load.tolist(), game.graph.edges) if load), default=Fraction(0))
+        return 2 * rho * game.expansion_target
+
+    def attempt(self) -> tuple[bool, np.ndarray | None]:
+        """The try's verdict and b P K as built, None when no matrix was;
+        ``ended`` names the step the try ended at: "early" (no try),
+        "screen", "checks" (the entry bound or the diagonal), "refused" or
+        "proved"."""
+        game = self.game
+        size = len(game._weights)
+        self.ended = "early"
+        if game.deleted or game.round < ceil_log2(game.k) or size > CERTIFY_VERTEX_CAP:
+            return False, None
+        links = self.fold()
+        mu = self.mu()
+        self.ended = "screen"
+        if size > SCREEN_VERTICES:
+            start = _screen_start(size)
+            if self.ritz is not None:
+                start = start + self.ritz
+            estimate, self.ritz = _screen(game._weights, links, start)
+            if not estimate > mu:
+                return False, None
+        self.ended = "checks"
+        matrix = reference_expansion_matrix(game._weights, links, mu)
+        if matrix is None:
+            return False, None
+        verdict = reference_proves_positive_definite(matrix)
+        self.ended = "proved" if verdict else "refused"
+        return verdict, matrix

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from treecut.cutmatch import MATCH_FAIRNESS
 from treecut.flow import _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
-from oracles import brute_force_sparsest_cut
+from oracles import ReferenceTry, brute_force_sparsest_cut
 from walk_diagnostics import (dense_flow_matrix, pair_permutation, potential,
                               stable_sort_sweep_cut, sweep_cut_violations)
 
@@ -1481,17 +1482,27 @@ def units_expand(game) -> bool:
 def contracted_lambda2(game) -> float:
     """lambda_2 of D^-1/2 L_W D^-1/2 for the game's contracted matchings W
     and D = diag(pi), by a dense eigensolver."""
-    heads, tails, counts = game._fold()
+    game._fold()
     weights = game._weights.astype(float)
-    w = np.zeros((len(weights), len(weights)))
-    w[heads, tails] = w[tails, heads] = counts
+    size = len(weights)
+    w = np.bincount(game._keys, minlength=size * size).reshape(size, size)
     laplacian = np.diag(w.sum(axis=1)) - w
     return float(np.linalg.eigvalsh(laplacian / np.sqrt(np.outer(weights, weights)))[1])
 
 
-def proves(weights, links, mu) -> bool:
-    matrix = _expansion_matrix(np.asarray(weights, dtype=np.int64), links, Fraction(mu))
-    return matrix is not None and _proves_positive_definite(matrix)
+def pair_keys(heads, tails, counts, size) -> np.ndarray:
+    """The keys the game keeps for the links (heads, tails, counts): each
+    orientation of each pair, repeated by its count."""
+    return np.concatenate([np.repeat(heads * size + tails, counts),
+                           np.repeat(tails * size + heads, counts)])
+
+
+def proves(weights, keys, mu) -> bool:
+    weights = np.asarray(weights, dtype=np.int64)
+    degree = np.bincount(keys // len(weights), minlength=len(weights))
+    mu = Fraction(mu)
+    built = _expansion_matrix(weights, degree, keys, mu.numerator, mu.denominator)
+    return built is not None and _proves_positive_definite(*built)
 
 
 class TestExpansionProof:
@@ -1500,17 +1511,17 @@ class TestExpansionProof:
         # H = K_n with unit weights: lambda_2 = n exactly, so K is positive
         # definite below mu = n, singular at it and indefinite above it
         heads, tails = np.triu_indices(n, 1)
-        links = (heads, tails, np.ones(len(heads), dtype=np.int64))
+        keys = pair_keys(heads, tails, np.ones(len(heads), dtype=np.int64), n)
         ones = [1] * n
-        assert proves(ones, links, n - Fraction(1, 1000))
-        assert not proves(ones, links, n)
-        assert not proves(ones, links, n + Fraction(1, 1000))
+        assert proves(ones, keys, n - Fraction(1, 1000))
+        assert not proves(ones, keys, n)
+        assert not proves(ones, keys, n + Fraction(1, 1000))
 
     def test_oversized_entries_are_not_tried(self):
         # b P times an entry reaches 2^53: no matrix, so no proof
-        links = (np.array([0]), np.array([1]), np.array([1], dtype=np.int64))
-        assert _expansion_matrix(np.array([1, 1]), links, Fraction(1, 1 << 52)) is None
-        assert proves([1, 1], links, Fraction(1, 1 << 40))
+        keys, degree = np.array([1, 2]), np.array([1, 1])
+        assert _expansion_matrix(np.array([1, 1]), degree, keys, 1, 1 << 52) is None
+        assert proves([1, 1], keys, Fraction(1, 1 << 40))
 
     @pytest.mark.parametrize("source", ["random", "dumbbell", "k8"])
     def test_certified_games_expand_by_enumeration(self, source):
@@ -1540,7 +1551,7 @@ class TestExpansionProof:
             assert sparsest >= game.expansion_target
             rho = game._load_ratio()
             tight = Fraction(contracted_lambda2(game) * (1 - 1e-6)).limit_denominator(10 ** 6)
-            assert proves(game._weights, game._fold(), tight)
+            assert proves(game._weights, game._keys, tight)
             assert tight / (2 * rho) <= sparsest
         assert certified >= 6
 
@@ -1598,6 +1609,112 @@ class TestExpansionProof:
                 deleting += 1
                 assert game.stopped != "certified"
         assert deleting >= 5
+
+
+def replay_tries(monkeypatch, game) -> collections.Counter:
+    """Play ``game`` to its stop and check each of its certificate tries
+    against ``ReferenceTry`` on the same state: the same verdict, the same
+    b P K bit for bit (signed zeros too) or no matrix on both sides, the
+    trace of its diagonal, and the same links for the screen.  Returns how
+    many tries ended at each step, as ``ReferenceTry.ended`` names them."""
+    reference = ReferenceTry(game)
+    seen: dict[str, object] = {}
+    real_proof, real_screen = cutmatch_module._proves_positive_definite, cutmatch_module._screen
+
+    def proof(matrix, trace):
+        seen["matrix"], seen["trace"] = matrix.copy(), trace
+        return real_proof(matrix, trace)
+
+    def screen(weights, links, start):
+        seen["links"] = links
+        return real_screen(weights, links, start)
+
+    monkeypatch.setattr(cutmatch_module, "_proves_positive_definite", proof)
+    monkeypatch.setattr(cutmatch_module, "_screen", screen)
+    ended: collections.Counter = collections.Counter()
+
+    def checked():
+        seen.clear()
+        expected, matrix = reference.attempt()
+        verdict = CutMatchingGame._certified(game)
+        assert verdict == expected, game.round
+        ended[reference.ended] += 1
+        if "links" in seen:
+            assert all(x.dtype == y.dtype and np.array_equal(x, y)
+                       for x, y in zip(seen["links"], reference.links))
+        if matrix is None:
+            assert "matrix" not in seen
+        else:
+            built = seen["matrix"]
+            assert built.dtype == matrix.dtype and built.shape == matrix.shape
+            assert np.array_equal(built, matrix) and built.tobytes() == matrix.tobytes()
+            assert seen["trace"] == sum(int(x) for x in np.diagonal(matrix).tolist())
+        return verdict
+
+    monkeypatch.setattr(game, "_certified", checked)
+    game.run()
+    return ended
+
+
+class TestCertificateTry:
+    """The game's try against ``oracles.ReferenceTry``, at every try of
+    seeded games, and the order of its checks."""
+
+    def test_random_games_replay_the_reference(self, monkeypatch):
+        ended = collections.Counter()
+        for seed in range(16):
+            rng = philox(94_000 + seed)
+            # every fourth graph has capacities up to 2^50, at which the
+            # entry bound stops most tries
+            graph = random_connected_graph(seed, max_n=40, min_n=3,
+                                           max_cap=1 << 50 if seed % 4 == 3 else 8)
+            pi = VertexWeights({v: int(rng.integers(1, 6)) for v in range(graph.n)})
+            phi = Fraction(1, int(rng.choice([4, 16, 80])))
+            ended += replay_tries(monkeypatch, make_game(graph, pi, phi, seed))
+        assert all(ended[step] for step in ("early", "checks", "refused", "proved")), ended
+
+    @pytest.mark.parametrize("graph", [generate_dumbbell(8), generate_dumbbell(12),
+                                       generate_grid(6, 6), generate_grid(17, 17)],
+                             ids=["dumbbell8", "dumbbell12", "grid6x6", "grid17x17"])
+    def test_root_games_replay_the_reference(self, monkeypatch, graph):
+        # the root oracle's game: degree weights at phi/20 = 1/80
+        game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 1)
+        ended = replay_tries(monkeypatch, game)
+        assert game.stopped == "certified" and ended["proved"] == 1, ended
+        if graph.n > SCREEN_VERTICES:
+            assert ended["screen"], ended
+
+    def test_tries_stopped_by_the_checks_build_no_square_array(self, monkeypatch):
+        # dumbbell 18's root game at seed 3 tries from round 10 and, until
+        # round 16, fails the diagonal test on every try, with no n x n
+        # array built; it certifies at round 22, as it does unpatched
+        graph = generate_dumbbell(18)
+        game = make_game(graph, VertexWeights.degrees(graph), Fraction(1, 80), 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n x n array was built")
+
+        tried = []
+        real_matrix = cutmatch_module._expansion_matrix
+
+        def matrix(*args):
+            built = real_matrix(*args)
+            tried.append((game.round, built is None))
+            return built
+
+        monkeypatch.setattr(cutmatch_module, "_expansion_matrix", matrix)
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "outer", refuse)
+            patched.setattr(np.linalg, "cholesky", refuse)
+            patched.setattr(np, "subtract", types.SimpleNamespace(at=refuse))
+            while game.round < 16:
+                game.step()
+            # the entry bound: b P times a degree of 1 reaches 2^53
+            assert real_matrix(np.array([1, 1]), np.array([1, 1]), np.array([1, 2]),
+                               1, 1 << 52) is None
+        assert tried == [(r, True) for r in range(10, 17)]
+        game.run()
+        assert (game.stopped, game.round) == ("certified", 22)
 
 
 class TestSparsestCutOracle:

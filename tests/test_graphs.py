@@ -15,7 +15,8 @@ from treecut import (ArgumentError, Graph, InternalError, OversizeError, Partiti
                      check_expanding, check_laminar, fuse, graphs)
 
 from conftest import connected_graphs, philox, weighted_graphs
-from oracles import boundary_degrees_by_edges, brute_force_sparsest_cut, capacity
+from oracles import (boundary_capacity_by_complement, boundary_degrees_by_edges,
+                     brute_force_sparsest_cut, capacity)
 
 
 class TestGraphConstruction:
@@ -68,6 +69,17 @@ class TestBoundaryCapacity:
         subset = {v for v in ground if data.draw(st.booleans())}
         assert boundary_capacity(graph, subset, ground) == \
             boundary_capacity(graph, ground - subset, ground)
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_matches_the_complement(self, graph, data):
+        # random subsets of the whole graph, as its shared set and as a
+        # range, and of a random ground, as a set and as a list
+        ground = {v for v in range(graph.n) if data.draw(st.booleans())}
+        for g in (graph._all_vertices, range(graph.n), ground, sorted(ground)):
+            subset = {v for v in g if data.draw(st.booleans())}
+            assert boundary_capacity(graph, subset, g) == \
+                boundary_capacity_by_complement(graph, subset, g)
 
 
 class TestPartitionBoundaryDegree:
