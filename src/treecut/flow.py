@@ -4,18 +4,23 @@ Every max flow goes through ``_run_max_flow`` and comes back as one
 ``SolvedFlow``: exact int or Fraction inputs in, one ``denom`` (the lcm of
 their denominators) that makes them integers, and the value and the
 saturation test read from the solver.  ``fair_cut`` hands back that solve
-itself, and ``opt_congestion`` reads it step by step.  The solver is a
-plain Dinic on the graph's arc layout, built once per graph
-(``Graph._arc_layout``), in which a vertex lists only its edge arcs.  A max
-flow fills a fresh residual list, scaling the edge capacities and leaving
-every terminal arc 0 but its own terminals', and hands the solver only the
-arcs a phase can take: the super-source's arcs to the supply vertices, and
-a sink arc at each demand vertex.  A BFS stops once it labels the sink.
-The residual cut and the edge flow, a ``{edge index: numerator}`` dict in
-units of 1/denom, are built only when a caller reads them, from the
-residuals as they are.  ``path_decomposition`` is the one place that deals
-with circulations: its walks cancel the cycles they meet and drop whatever
-circulation is left, so a cycle-free flow is reproduced edge-exactly.
+itself, and ``opt_congestion`` reads it step by step, one step for a pair
+demand.  The solver is a plain Dinic on the graph's arc layout, built once
+per graph (``Graph._arc_layout``), in which a vertex lists only its edge
+arcs.  A max flow fills a fresh residual list, scaling the edge capacities
+and leaving every terminal arc 0 but its own terminals', and hands the
+solver only the terminal arcs at its terminals: the super-source's arcs to
+the supply vertices, a sink arc at each demand vertex and the super-sink's
+arcs back to them.  A pair solve, one supply vertex and one demand vertex,
+labels its phases from the sink, so its blocking flows walk only into
+vertices that could reach the sink when the phase began; every other solve
+labels from the source.  Either BFS stops once it labels the other
+terminal, and both push the same flow.  The residual cut and the edge flow,
+a ``{edge index: numerator}`` dict in units of 1/denom, are built only when
+a caller reads them, from the residuals as they are.  ``path_decomposition``
+is the one place that deals with circulations: its walks cancel the cycles
+they meet and drop whatever circulation is left, so a cycle-free flow is
+reproduced edge-exactly.
 """
 
 from __future__ import annotations
@@ -45,10 +50,16 @@ class _Dinic:
     Arcs come in mutually reverse pairs ``idx`` and ``idx ^ 1``; only ``res``
     belongs to this solver, the arc heads and most arc lists are the layout's,
     shared by every flow on the graph (``head`` is the flow's own list of
-    them, see ``_run_max_flow``).  Each phase levels the arcs with residual
-    left by BFS and pushes a blocking flow along them; phases run until the
-    sink is unreachable.  Neither reads the sink's list: the BFS returns on
-    labelling the sink, and a blocking flow augments on reaching it.
+    them, see ``_run_max_flow``).  Each phase labels the vertices by BFS over
+    the arcs with residual left and pushes a blocking flow along the arcs
+    that lie on shortest s-t paths; phases run until the sink is
+    unreachable.  A pair solve, whose source and sink each list one arc (one
+    supply vertex, one demand vertex), labels each phase from the sink, over
+    reversed residual arcs, so its blocking flow walks only into vertices
+    that could reach the sink when the phase began; every other solve labels
+    from the source.  Both labelings admit the same s-t shortest paths, in
+    the same cursor order, so both push the same augmenting paths and leave
+    the same residuals.
     """
 
     def __init__(self, to: list[int], head: list[list[int]], res: list[int]):
@@ -57,10 +68,11 @@ class _Dinic:
         self.head = head
         self.res = res
 
-    def _bfs(self, s: int, t: int) -> list[int]:
+    def _source_levels(self, s: int, t: int) -> tuple[list[int], list[int]]:
         # stop once t is labelled: a vertex at or beyond t's level lies on no
         # level path to t, so the blocking flow is the same without it; a BFS
-        # that misses t labels everything reachable from s
+        # that misses t labels everything reachable from s, which its queue
+        # lists, s first
         to, res, head = self.to, self.res, self.head
         level = [-1] * self.n
         level[s] = 0
@@ -72,11 +84,31 @@ class _Dinic:
                 if level[w] < 0 and res[idx] > 0:
                     level[w] = nxt
                     if w == t:
-                        return level
+                        return level, queue
                     queue.append(w)
-        return level
+        return level, queue
 
-    def _blocking(self, s: int, t: int, level: list[int]) -> int:
+    def _sink_levels(self, s: int, t: int) -> list[int]:
+        # distances to t over reversed residual arcs, until s is labelled:
+        # every vertex closer to t than s is labelled by then
+        to, res, head = self.to, self.res, self.head
+        dist = [-1] * self.n
+        dist[t] = 0
+        queue = [t]
+        for v in queue:
+            nxt = dist[v] + 1
+            for idx in head[v]:
+                w = to[idx]
+                if dist[w] < 0 and res[idx ^ 1] > 0:
+                    dist[w] = nxt
+                    if w == s:
+                        return dist
+                    queue.append(w)
+        return dist
+
+    def _blocking(self, s: int, t: int, labels: list[int], step: int) -> int:
+        # an admissible arc leads to a vertex labelled ``step`` past its tail:
+        # one level further from s (+1) or one step closer to t (-1)
         to, res, head = self.to, self.res, self.head
         pushed_total = 0
         cursor = [0] * self.n
@@ -98,11 +130,11 @@ class _Dinic:
                 continue
             arcs = head[v]
             end = len(arcs)
-            nxt = level[v] + 1
+            nxt = labels[v] + step
             pos = cursor[v]
             while pos < end:
                 idx = arcs[pos]
-                if res[idx] > 0 and level[to[idx]] == nxt:
+                if res[idx] > 0 and labels[to[idx]] == nxt:
                     break
                 pos += 1
             cursor[v] = pos
@@ -112,18 +144,44 @@ class _Dinic:
                 continue
             if v == s:
                 return pushed_total
-            level[v] = -1  # dead end
+            labels[v] = -1  # dead end
             last = path.pop()
             v = to[last ^ 1]
             cursor[v] += 1
 
     def solve(self, s: int, t: int) -> int:
-        """The max flow value; ``self.level`` keeps the last, failing BFS's labels."""
+        """The max flow value.
+
+        ``self.reached`` keeps the vertices the last, failing source-side BFS
+        labelled, s first, or None after a pair solve, labelled from the sink,
+        which stops once the flow routes everything s can send.
+        """
+        head = self.head
         flow = 0
-        while (level := self._bfs(s, t))[t] >= 0:
-            flow += self._blocking(s, t, level)
-        self.level = level
+        if not len(head[s]) == len(head[t]) == 1:  # not a pair: label from s
+            while True:
+                level, self.reached = self._source_levels(s, t)
+                if level[t] < 0:
+                    return flow
+                flow += self._blocking(s, t, level, 1)
+        # a pair: the sink-side BFS reaches s over the supply vertex's arc
+        # back to it, listed only here
+        (arc,) = head[s]
+        v = self.to[arc]
+        head[v] = [*head[v], arc ^ 1]
+        supply = self.res[arc]
+        while flow < supply and (dist := self._sink_levels(s, t))[s] >= 0:
+            flow += self._blocking(s, t, dist, -1)
+        self.reached = None
         return flow
+
+    def source_side(self, s: int, t: int) -> frozenset[int]:
+        """The vertices other than s that a residual search from s labels: the
+        last source-side BFS's, or one new search after a sink-side solve."""
+        reached = self.reached
+        if reached is None:
+            reached = self._source_levels(s, t)[1]
+        return frozenset(reached[1:])
 
 
 @dataclass
@@ -131,9 +189,9 @@ class SolvedFlow:
     """A solved max flow in units of 1/``denom``: what every max flow returns.
 
     ``value``: the flow value.  ``saturated``: the flow routes every given
-    supply.  ``level``: the labels of the solver's last BFS, the one that
-    missed the sink.  ``cut`` is built on first read, and ``edge_flow()`` on
-    each call.
+    supply.  ``solver``: the ``_Dinic`` that solved it, whose residual search
+    from the super-source gives the cut.  ``cut`` is built on first read, and
+    ``edge_flow()`` on each call.
     """
 
     graph: Graph = field(repr=False)
@@ -141,13 +199,14 @@ class SolvedFlow:
     value: int
     denom: int
     saturated: bool
-    level: list[int] = field(repr=False)
+    solver: _Dinic = field(repr=False)
 
     @cached_property
     def cut(self) -> frozenset[int]:
-        """The minimal minimum cut's source side: the vertices the last BFS labelled."""
-        level = self.level
-        return frozenset(v for v in range(self.graph.n) if level[v] >= 0)
+        """The minimal minimum cut's source side: the vertices a residual
+        search from the super-source labels."""
+        n = self.graph.n
+        return self.solver.source_side(n, n + 1)
 
     def edge_flow(self) -> dict[int, int]:
         """Net edge flow numerators, keyed by edge index in edge order.
@@ -191,12 +250,15 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     then 0 for every terminal arc but the scaled terminals'.  The solver gets
     a shallow copy of the layout's arc lists in which a vertex with a demand
     also lists its sink arc, the super-source lists its arcs to the supply
-    vertices, in vertex order, and the super-sink lists nothing.  No phase
-    can take an arc left out: the other terminal arcs keep residual 0
-    throughout, an arc into the super-source leads back to level 0, and the
-    solver never reads the super-sink's list.  Its ``value``, ``saturated``
-    (value == sum of the supplies * denom), lazily built ``cut`` and
-    ``edge_flow()`` are in units of 1/denom.
+    vertices, in vertex order, and the super-sink lists its arcs back to the
+    demand vertices; ``_Dinic.solve`` picks the side it labels from by the
+    two lists' lengths, and a pair solve adds the supply vertex's arc back
+    to the super-source.  No search and no phase needs an arc left out: the
+    other terminal arcs keep residual 0 throughout, and a phase labelled
+    from the source never takes an arc into the super-source (level 0) nor
+    reads the super-sink's list.  Its ``value``, ``saturated`` (value == sum
+    of the supplies * denom), lazily built ``cut`` and ``edge_flow()`` are
+    in units of 1/denom.
     """
     to, cap, head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
@@ -226,12 +288,12 @@ def _run_max_flow(graph: Graph, supply: Mapping[int, int | Fraction],
     heads = list(head)
     for v in sinks:
         heads[v] = [*heads[v], m2 + 2 * n + 2 * v]
-    heads += ([m2 + 2 * v for v in sources], [])
+    heads += ([m2 + 2 * v for v in sources], [m2 + 2 * n + 2 * v + 1 for v in sinks])
 
     dinic = _Dinic(to, heads, res)
     value = dinic.solve(n, n + 1)
     saturated = value == sum(supply.values()) * denom
-    return SolvedFlow(graph, res, value, denom, saturated, dinic.level)
+    return SolvedFlow(graph, res, value, denom, saturated, dinic)
 
 
 def _exact_weights(weights: Mapping[int, object], n: int,
@@ -423,7 +485,11 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
     The optimum is the largest cut ratio d(S) / cap(S), found by Dinkelbach's
     iteration from the best singleton cut: a flow at lambda either saturates,
     so lambda is optimal, or its residual min cut S has a strictly larger
-    ratio, which becomes the next lambda.  Typically 1-3 max-flows.
+    ratio, which becomes the next lambda.  A pair demand {u: x, v: -x} takes
+    one max flow: a flow that does not saturate leaves both terminal arcs
+    (capacity x * denom) with residual, so S holds u and not v and is a
+    minimum u-v cut, and x / cap(S) is already the optimum.  A demand with
+    more terminals iterates on, typically to 2-3 max flows.
     """
     pos, neg = _demand_parts(graph, demand)
     if not pos:
@@ -433,6 +499,7 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
 
     deg = graph._degrees
     lam = max(Fraction(x, deg[v]) for part in (pos, neg) for v, x in part.items())
+    pair = len(pos) == len(neg) == 1
     while True:
         solved = _run_max_flow(graph, pos, neg, cap_scale=lam)
         if solved.saturated:
@@ -444,6 +511,8 @@ def opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:
             raise InternalError("Dinkelbach step did not raise the cut ratio; "
                                 "unreachable for valid input")
         lam = Fraction(d_side, cap)
+        if pair:
+            return lam
 
 
 def brute_force_opt_congestion(graph: Graph, demand: Mapping[int, object]) -> Fraction:

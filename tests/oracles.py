@@ -3,15 +3,16 @@
 The boundary capacity by the ground's complement, the all-edges boundary
 degree scan, the fair cut/flow property check, the exact sparsest cut by
 subset enumeration, the flow readings they use, the round trip of a path
-decomposition, a max flow on the full terminal layout and the expansion
-certificate's try computed the plain way.  The package keeps the oracles
-that ``certify`` and the benchmark call (``check_expanding`` and
-``brute_force_opt_congestion``).
+decomposition, a max flow on the full terminal layout by the Dinic that
+labels every phase from the source, and the expansion certificate's try
+computed the plain way.  The package keeps the oracles that ``certify`` and
+the benchmark call (``check_expanding`` and ``brute_force_opt_congestion``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 from treecut import ArgumentError, InternalError
 from treecut.cutmatch import (CERTIFY_VERTEX_CAP, SCREEN_VERTICES, _rump_shift, _screen,
                               _screen_start, ceil_log2)
-from treecut.flow import PathFlow, _Dinic, _exact_weights, _vertex_set
+from treecut.flow import PathFlow, _exact_weights, _vertex_set
 from treecut.graphs import (_CHUNK, Cut, Graph, Partition, _check_enumeration_size,
                             _mask_set, _mask_tables, boundary_capacity, incident_capacity)
 
@@ -132,15 +133,107 @@ def accumulate(graph: Graph, paths: Sequence[PathFlow]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+class ForwardLevelDinic:
+    """Dinic that labels every phase from the source: the solver as it was
+    before pair demands were labelled from the sink, kept as a reference.
+
+    Each phase labels the arcs with residual left by a BFS from s, which
+    stops once it labels t, and pushes a blocking flow along them; phases run
+    until t is unreachable.  ``level`` keeps the last, failing BFS's labels.
+    """
+
+    def __init__(self, to: list[int], head: list[list[int]], res: list[int]):
+        self.n = len(head)
+        self.to = to
+        self.head = head
+        self.res = res
+
+    def _bfs(self, s: int, t: int) -> list[int]:
+        to, res, head = self.to, self.res, self.head
+        level = [-1] * self.n
+        level[s] = 0
+        queue = [s]
+        for v in queue:
+            nxt = level[v] + 1
+            for idx in head[v]:
+                w = to[idx]
+                if level[w] < 0 and res[idx] > 0:
+                    level[w] = nxt
+                    if w == t:
+                        return level
+                    queue.append(w)
+        return level
+
+    def _blocking(self, s: int, t: int, level: list[int]) -> int:
+        to, res, head = self.to, self.res, self.head
+        pushed_total = 0
+        cursor = [0] * self.n
+        path: list[int] = []
+        v = s
+        while True:
+            if v == t:
+                bottleneck = min(res[idx] for idx in path)
+                for idx in path:
+                    res[idx] -= bottleneck
+                    res[idx ^ 1] += bottleneck
+                pushed_total += bottleneck
+                for pos, idx in enumerate(path):
+                    if res[idx] == 0:
+                        del path[pos:]
+                        break
+                v = to[path[-1]] if path else s
+                continue
+            arcs = head[v]
+            end = len(arcs)
+            nxt = level[v] + 1
+            pos = cursor[v]
+            while pos < end:
+                idx = arcs[pos]
+                if res[idx] > 0 and level[to[idx]] == nxt:
+                    break
+                pos += 1
+            cursor[v] = pos
+            if pos < end:
+                path.append(idx)
+                v = to[idx]
+                continue
+            if v == s:
+                return pushed_total
+            level[v] = -1  # dead end
+            last = path.pop()
+            v = to[last ^ 1]
+            cursor[v] += 1
+
+    def solve(self, s: int, t: int) -> int:
+        flow = 0
+        while (level := self._bfs(s, t))[t] >= 0:
+            flow += self._blocking(s, t, level)
+        self.level = level
+        return flow
+
+
+@dataclass(frozen=True)
+class FullLayoutSolve:
+    """What ``full_layout_solve`` returns: the flow value, the minimal minimum
+    cut's source side, the final residuals, whether every supply is routed,
+    and the arc lists and starting residuals the solver was handed."""
+
+    value: int
+    cut: frozenset[int]
+    res: list[int]
+    saturated: bool
+    head: list[list[int]]
+    start: list[int]
+
+
 def full_layout_solve(graph: Graph, supply: Mapping[int, int | Fraction],
                       demand: Mapping[int, int | Fraction],
-                      within: Iterable[int] | None = None, cap_scale=1):
-    """The solve ``flow._run_max_flow`` runs, on the layout with every terminal
-    arc: each vertex lists its edge arcs, its source reverse arc and its sink
-    arc, and the super-source and super-sink list their arcs to every vertex.
-
-    Returns (value, the last BFS's labels, the final residuals, the arc lists
-    and the starting residuals), the residuals filled arc by arc.
+                      within: Iterable[int] | None = None, cap_scale=1) -> FullLayoutSolve:
+    """The solve ``flow._run_max_flow`` runs, done the plain way: on the layout
+    with every terminal arc (each vertex lists its edge arcs, its source
+    reverse arc and its sink arc, and the super-source and super-sink list
+    their arcs to every vertex), residuals filled arc by arc, by
+    ``ForwardLevelDinic``; the cut is its last BFS's labelled vertices.
     """
     to, _cap, layout_head = graph._arc_layout
     n, m2 = graph.n, 2 * graph.m
@@ -160,9 +253,11 @@ def full_layout_solve(graph: Graph, supply: Mapping[int, int | Fraction],
             if x and v in verts:
                 res[base + 2 * v] = int(x * denom)
     start = list(res)
-    dinic = _Dinic(to, head, res)
+    dinic = ForwardLevelDinic(to, head, res)
     value = dinic.solve(n, n + 1)
-    return value, dinic.level, res, head, start
+    cut = frozenset(v for v in range(n) if dinic.level[v] >= 0)
+    return FullLayoutSolve(value, cut, res, value == sum(supply.values()) * denom,
+                           head, start)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecut import (ArgumentError, Graph, SolvedFlow, VertexWeights,
-                     brute_force_opt_congestion, fair_cut, generate_dumbbell,
-                     generate_grid, opt_congestion, path_decomposition,
-                     random_pair_demands)
+                     brute_force_opt_congestion, fair_cut, generate_diamond,
+                     generate_dumbbell, generate_erdos_renyi, generate_grid,
+                     opt_congestion, path_decomposition, random_pair_demands)
 from treecut import flow as flow_module
 
 from conftest import connected_graphs, philox, random_connected_graph
@@ -457,13 +457,41 @@ class TestDinkelbachOracle:
             worst = max(worst, flow_counter[0])
         assert worst <= 3
 
-    @pytest.mark.parametrize("size", [8, 12])
-    def test_at_most_two_flows_on_bridge_demand(self, flow_counter, size):
+    @pytest.mark.parametrize("size", [8, 12, 80])
+    def test_one_flow_on_bridge_demand(self, flow_counter, size):
+        # the flow at the best singleton ratio fails, and its cut, the
+        # bridge, is the answer
         graph = generate_dumbbell(size)
         for magnitude in range(1, 5):
             flow_counter[0] = 0
             assert opt_congestion(graph, {0: magnitude, size: -magnitude}) == magnitude
-            assert flow_counter[0] <= 2
+            assert flow_counter[0] == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_flow_per_eval_pair_demand(self, flow_counter, monkeypatch, seed):
+        monkeypatch.syspath_prepend(
+            str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        checked = 0
+        for case, demand in workloads.eval_ops(workloads.setup("eval", seed)):
+            assert len(demand) == 2
+            flow_counter[0] = 0
+            lam = opt_congestion(case.graph, demand)
+            assert flow_counter[0] == 1, (case.spec.name, demand)
+            if case.graph.n <= 20:
+                assert lam == brute_force_opt_congestion(case.graph, demand)
+                checked += 1
+        assert checked >= 50, checked
+
+    def test_multi_terminal_demand_still_iterates(self, flow_counter):
+        # test_02's fuzz instance at seed 60: its first cut is not optimal,
+        # so the pair rule must not end the iteration there
+        rng = philox(20_000 + 60)
+        graph = random_connected_graph(60, max_n=12, max_cap=6)
+        demand = balanced_fuzz_demand(rng, graph.n)
+        assert demand == {2: 7, 4: -6, 0: 6, 5: -7}
+        assert opt_congestion(graph, demand) == brute_force_opt_congestion(graph, demand)
+        assert flow_counter[0] >= 2
 
     def test_only_failing_steps_build_the_cut(self, monkeypatch):
         solves = []
@@ -474,19 +502,25 @@ class TestDinkelbachOracle:
             return solves[-1]
 
         monkeypatch.setattr(flow_module, "_run_max_flow", recording)
-        stepped = 0
+        stepped = pairs_cut = 0
         for seed in range(100):
             rng = philox(20_000 + seed)
             graph = random_connected_graph(seed, max_n=12, max_cap=6)
             solves.clear()
-            opt_congestion(graph, balanced_fuzz_demand(rng, graph.n))
+            demand = balanced_fuzz_demand(rng, graph.n)
+            opt_congestion(graph, demand)
             if not solves:
                 continue
             *failing, final = solves
-            assert final.saturated and "cut" not in final.__dict__, seed
+            if final.saturated:
+                assert "cut" not in final.__dict__, seed
+            else:
+                # a pair demand's one failing step: its cut is the answer
+                assert len(demand) == 2 and not failing and "cut" in final.__dict__, seed
+                pairs_cut += 1
             assert all(not s.saturated and "cut" in s.__dict__ for s in failing), seed
             stepped += bool(failing)
-        assert stepped >= 10, stepped
+        assert stepped >= 10 and pairs_cut >= 5, (stepped, pairs_cut)
 
 
 def _networkx_max_flow(nx, graph, supply, demand, within, scale):
@@ -766,10 +800,12 @@ class TestUnscaledSolve:
         monkeypatch.setattr(flow_module, "_Dinic", Recording)
         graph = generate_grid(3, 3)
         assert flow_module._run_max_flow(graph, {0: 5}, {8: 5}).value == 2
+        # not a pair: the kind labelled from the source
+        assert flow_module._run_max_flow(graph, {0: 5}, {2: 1, 8: 5}).value == 2
         assert fair_cut(graph, {0: 5}, {8: 5}).cut == frozenset({0})
         assert opt_congestion(graph, {0: 4, 8: -4}) == 2
         # the Dinkelbach iteration stops at its first lambda, 2, routing all 4
-        assert seen == [2, 2, 4]
+        assert seen == [2, 2, 2, 4]
 
 
 class TestTerminalArcs:
@@ -794,21 +830,27 @@ class TestTerminalArcs:
     def _assert_full_layout_solve(graph, args, solved, handed):
         (head, start), = handed
         handed.clear()
-        value, level, res, full_head, full_start = full_layout_solve(graph, *args)
-        assert (solved.value, solved.level, solved.res) == (value, level, res)
-        assert start == full_start and len(head) == len(full_head)
+        ref = full_layout_solve(graph, *args)
+        assert (solved.value, solved.cut, solved.res) == (ref.value, ref.cut, ref.res)
+        assert start == ref.start and len(head) == len(ref.head)
         n, m2 = graph.n, 2 * graph.m
-        # no phase takes an arc into the super-source, and none reads the
-        # super-sink's list
+        sources = [v for v in range(n) if start[m2 + 2 * v]]
+        sinks = [v for v in range(n) if start[m2 + 2 * n + 2 * v]]
+        # the super-sink lists exactly its arcs back to the demand vertices;
+        # an arc into the super-source is listed only at the supply vertex
+        # of a pair solve, which the solver labels from the sink
+        assert sorted(head[n + 1]) == [m2 + 2 * n + 2 * v + 1 for v in sinks]
         into_source = {m2 + 2 * v + 1 for v in range(n)}
-        assert not any(into_source.intersection(arcs) for arcs in head)
-        assert head[n + 1] == []
-        for arcs, full in zip(head[:n + 1], full_head):
-            # the reference's list in its order, less arcs into the
-            # super-source and arcs that never carry residual
+        listed = {arc for arcs in head for arc in arcs if arc in into_source}
+        pair = len(sources) == len(sinks) == 1
+        assert listed == {m2 + 2 * v + 1 for v in sources if pair}
+        for arcs, full in zip(head[:n + 1], ref.head):
+            # the reference's list in its order, less arcs that never carry
+            # residual and arcs into the super-source (a pair solve appends
+            # its one, which no phase takes, after the sink arc)
             rest = iter(full)
-            assert all(arc in rest for arc in arcs), (arcs, full)
-            assert all(start[arc] == res[arc] == 0
+            assert all(arc in rest for arc in arcs if arc not in into_source), (arcs, full)
+            assert all(start[arc] == ref.res[arc] == 0
                        for arc in set(full) - set(arcs) - into_source)
 
     def test_random_instances(self, handed):
@@ -843,7 +885,88 @@ class TestTerminalArcs:
         monkeypatch.setattr(flow_module, "_run_max_flow", checked)
         for case, demand in ops:
             opt_congestion(case.graph, demand)
-        assert len(ops) == 308 and len(solves) > len(ops) and not all(solves)
+        # every eval demand is a pair demand: one max flow each
+        assert len(ops) == 308 and len(solves) == len(ops) and not all(solves)
+
+
+def _leveling_instance(seed):
+    """A grid, ER graph, dumbbell or diamond with terminals, a ``within`` set
+    or None, and an int or Fraction capacity scale.
+
+    The terminals are a pair half of the time, and one source and many
+    sinks, many sources and one sink, or equally many of each a sixth of the
+    time each; their amounts are ints or Fractions around the scaled degree, so some solves
+    route every supply and some do not.
+    """
+    rng = philox(9000 + seed)
+    kind = seed % 4
+    if kind == 0:
+        graph = generate_grid(int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+    elif kind == 1:
+        graph = generate_erdos_renyi(int(rng.integers(6, 25)), 0.3, rng)
+    elif kind == 2:
+        graph = generate_dumbbell(int(rng.integers(3, 8)))
+    else:
+        graph = generate_diamond(int(rng.integers(1, 4)))
+    scale = (int(rng.integers(1, 5)) if rng.random() < 0.5
+             else Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5))))
+    shape = int(rng.integers(6))
+    few = int(rng.integers(2, max(3, graph.n // 2)))
+    counts = [(1, 1), (1, 1), (1, 1), (1, few), (few, 1), (few, few)][shape]
+    chosen = [int(v) for v in rng.permutation(graph.n)[:sum(counts)]]
+    deg = graph.degree_list()
+
+    def amount(v):
+        x = max(1, round(deg[v] * scale * rng.uniform(0.05, 1.2)))
+        return x if rng.random() < 0.5 else Fraction(x, int(rng.integers(1, 4)))
+
+    supply = {v: amount(v) for v in chosen[:counts[0]]}
+    demand = {v: amount(v) for v in chosen[counts[0]:]}
+    within = None
+    if rng.random() < 0.4:
+        keep = rng.uniform(0.5, 0.95)
+        within = frozenset(v for v in range(graph.n) if rng.random() < keep)
+    return graph, supply, demand, within, scale
+
+
+class TestLevelingSide:
+    """A pair solve, labelled from the sink, pushes the same flow as one
+    labelled from the source, and every other solve is labelled from the
+    source: the reference is the forward-only Dinic (``full_layout_solve``)."""
+
+    def test_same_flows_as_forward_levels(self, monkeypatch):
+        sides = []
+        for name in ("_source_levels", "_sink_levels"):
+            original = getattr(flow_module._Dinic, name)
+
+            def counting(self, s, t, original=original, name=name):
+                sides.append(name)
+                return original(self, s, t)
+
+            monkeypatch.setattr(flow_module._Dinic, name, counting)
+        seen = {"_source_levels": 0, "_sink_levels": 0, "saturated": 0,
+                "unsaturated": 0, "part of the graph": 0, "Fraction scale": 0}
+        for seed in range(600):
+            graph, supply, demand, within, scale = _leveling_instance(seed)
+            sides.clear()
+            solved = flow_module._run_max_flow(graph, supply, demand, within, scale)
+            # one labeling per solve, from the sink exactly when one supply
+            # and one demand vertex are left in ``within``; a solve with
+            # nothing to route runs no phase
+            solved_by = set(sides)
+            left = [sum(within is None or v in within for v in part)
+                    for part in (supply, demand)]
+            side = "_sink_levels" if left == [1, 1] else "_source_levels"
+            assert solved_by <= {side}, seed
+            ref = full_layout_solve(graph, supply, demand, within, scale)
+            assert (solved.value, solved.res, solved.cut, solved.saturated) == \
+                (ref.value, ref.res, ref.cut, ref.saturated), seed
+            for name in solved_by:
+                seen[name] += 1
+            seen["saturated" if solved.saturated else "unsaturated"] += 1
+            seen["part of the graph"] += within is not None and len(within) < graph.n
+            seen["Fraction scale"] += type(scale) is Fraction
+        assert min(seen.values()) >= 150, seen
 
 
 class TestTerminalReduction:
