@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -89,11 +89,6 @@ class Graph:
     def total_capacity(self) -> int:
         return sum(c for _u, _v, c in self.edges)
 
-    def neighbors(self, v: int) -> Iterator[tuple[int, int, int]]:
-        """Yield (neighbor, edge index, capacity) for edges at ``v``."""
-        for w, idx in self._adj[v]:
-            yield w, idx, self.edges[idx][2]
-
     def degree_list(self) -> list[int]:
         """Capacity-weighted degrees, a fresh list on every call."""
         return list(self._degrees)
@@ -166,14 +161,15 @@ class Graph:
         return Partition(self._singleton_clusters)
 
     @cached_property
-    def _star_columns(self) -> tuple[tuple[int | None, ...], tuple[int, ...],
-                                     tuple[frozenset[int], ...], tuple[int | None, ...]]:
-        """The parent, cap, cluster and leaf-vertex columns of the star tree,
-        the root over one leaf per vertex whose cap is the vertex's degree:
-        the tree of every hierarchy whose levels are the whole set and the
-        singletons, built once and shared by every such tree on the graph."""
-        return ((None,) + (0,) * self.n, (0,) + self._degrees,
-                (self._all_vertices,) + self._singleton_clusters, (None, *range(self.n)))
+    def _star_nodes(self) -> tuple["TreeNode", ...]:
+        """The nodes of the star tree, the root over one leaf per vertex whose
+        cap is the vertex's degree: the tree of every hierarchy whose levels
+        are the whole set and the singletons, built once and shared by every
+        such tree on the graph."""
+        cells = self._singleton_clusters
+        return (TreeNode(0, None, 0, self._all_vertices),
+                *(TreeNode(v + 1, 0, deg, cells[v], v)
+                  for v, deg in enumerate(self._degrees)))
 
     @cached_property
     def _arc_layout(self) -> tuple[list[int], list[int], list[list[int]]]:
@@ -254,6 +250,19 @@ class Partition:
         return len(self.clusters)
 
 
+@dataclass(frozen=True, slots=True)
+class TreeNode:
+    """A node of a tree over a laminar cluster family: its id, its parent's
+    id (None at the root), the capacity of its cluster's cut and, at a leaf,
+    the cluster's one vertex."""
+
+    id: int
+    parent: int | None
+    cap: int
+    cluster: frozenset[int]
+    leaf_vertex: int | None = None
+
+
 # ---------------------------------------------------------------------------
 # boundary and partition operations
 # ---------------------------------------------------------------------------
@@ -298,12 +307,13 @@ def incident_capacity(graph: Graph, sources: Iterable[int],
                       targets: Iterable[int]) -> VertexWeights:
     """For each source vertex, the capacity of its edges into ``targets``."""
     tset = set(targets)
+    adj, edges = graph._adj, graph.edges
     out: dict[int, int] = {}
     for v in sources:
         total = 0
-        for w, _i, c in graph.neighbors(v):
+        for w, idx in adj[v]:
             if w in tset:
-                total += c
+                total += edges[idx][2]
         if total:
             out[v] = total
     return VertexWeights(out)

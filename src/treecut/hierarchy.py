@@ -13,8 +13,8 @@ import numpy as np
 from .cutmatch import ceil_log2, oracle_params
 from .errors import ArgumentError, InternalError
 from .flow import _demand_values, opt_congestion
-from .graphs import (Graph, Partition, boundary_capacity, boundary_degree_map,
-                     check_expanding, check_laminar)
+from .graphs import (Graph, Partition, TreeNode, boundary_capacity,
+                     boundary_degree_map, check_expanding, check_laminar)
 from .partition import partition_cluster
 
 
@@ -185,54 +185,21 @@ def _check_grandparent_halving(decomposition: HierarchicalDecomposition):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    id: int
-    parent: int | None
-    cap: int
-    cluster: frozenset[int]
-    leaf_vertex: int | None = None
-
-
 class TreeSparsifier:
     """Rooted tree over the laminar cluster family; edges carry cut capacities.
 
-    The nodes are kept as columns, one entry per node in order: parent id,
-    cap, cluster and leaf vertex, and the ids when they are not the
-    positions 0, 1, ...  The columns are tuples, so equal trees may share
-    them; ``nodes`` reads them as ``TreeNode``s, afresh on each call.
+    ``nodes`` is a tuple of frozen ``TreeNode``s, so equal trees may share
+    it: every star tree built on a graph holds the graph's ``_star_nodes``.
     """
 
     def __init__(self, nodes: Sequence[TreeNode], n: int):
-        ids = [nd.id for nd in nodes]
-        self._ids = None if ids == list(range(len(ids))) else tuple(ids)
-        self._parents = tuple(nd.parent for nd in nodes)
-        self._caps = tuple(nd.cap for nd in nodes)
-        self._clusters = tuple(nd.cluster for nd in nodes)
-        self._leaf_vertices = tuple(nd.leaf_vertex for nd in nodes)
+        self.nodes = tuple(nodes)
         self.n = n
-
-    @classmethod
-    def _of_columns(cls, parents: tuple[int | None, ...], caps: tuple[int, ...],
-                    clusters: tuple[frozenset[int], ...],
-                    leaf_vertices: tuple[int | None, ...], n: int) -> "TreeSparsifier":
-        """A built tree, whose ids are the positions."""
-        tree = cls.__new__(cls)
-        tree._ids, tree._parents, tree._caps = None, parents, caps
-        tree._clusters, tree._leaf_vertices = clusters, leaf_vertices
-        tree.n = n
-        return tree
-
-    @property
-    def nodes(self) -> tuple[TreeNode, ...]:
-        ids = range(len(self._parents)) if self._ids is None else self._ids
-        return tuple(map(TreeNode, ids, self._parents, self._caps, self._clusters,
-                         self._leaf_vertices))
 
     @property
     def root(self) -> TreeNode:
         """The parentless node; a parsed tree may list it anywhere."""
-        return self.nodes[self._parents.index(None)]
+        return next(node for node in self.nodes if node.parent is None)
 
     def leaves(self) -> list[TreeNode]:
         return [node for node in self.nodes if node.leaf_vertex is not None]
@@ -242,9 +209,9 @@ class TreeSparsifier:
         """For each vertex v, the positions in ``nodes`` of the non-root nodes
         whose cluster holds v.  Built once per tree from the clusters."""
         at: list[list[int]] = [[] for _ in range(self.n)]
-        for pos, (parent, cluster) in enumerate(zip(self._parents, self._clusters)):
-            if parent is not None:
-                for v in cluster:
+        for pos, node in enumerate(self.nodes):
+            if node.parent is not None:
+                for v in node.cluster:
                     if 0 <= v < self.n:
                         at[v].append(pos)
         return tuple(tuple(positions) for positions in at)
@@ -273,27 +240,23 @@ def to_tree_sparsifier(decomposition: HierarchicalDecomposition,
         raise ArgumentError("decomposition must end in singletons")
     if graph.n > 1 and decomposition.levels == (graph._whole_partition,
                                                 graph._singleton_partition):
-        return TreeSparsifier._of_columns(*graph._star_columns, graph.n)
+        return TreeSparsifier(graph._star_nodes, graph.n)
     everything = graph._all_vertices
-    parents: list[int | None] = []
-    caps: list[int] = []
-    clusters: list[frozenset[int]] = []
+    nodes: list[TreeNode] = []
     by_cluster: dict[frozenset[int], int] = {}
     for level, part in enumerate(decomposition.levels):
         for cluster in sorted(part.clusters, key=min):
             if cluster in by_cluster:
                 continue
+            by_cluster[cluster] = pos = len(nodes)
+            leaf = min(cluster) if len(cluster) == 1 else None
             if level == 0:
-                parents.append(None)
-                caps.append(0)
+                nodes.append(TreeNode(pos, None, 0, cluster, leaf))
             else:
-                parents.append(by_cluster[decomposition.parent_of(level, cluster)])
-                caps.append(boundary_capacity(graph, cluster, everything))
-            by_cluster[cluster] = len(clusters)
-            clusters.append(cluster)
-    leaf_vertices = tuple(min(c) if len(c) == 1 else None for c in clusters)
-    return TreeSparsifier._of_columns(tuple(parents), tuple(caps), tuple(clusters),
-                                      leaf_vertices, graph.n)
+                parent = by_cluster[decomposition.parent_of(level, cluster)]
+                cap = boundary_capacity(graph, cluster, everything)
+                nodes.append(TreeNode(pos, parent, cap, cluster, leaf))
+    return TreeSparsifier(nodes, graph.n)
 
 
 def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fraction:
@@ -303,14 +266,16 @@ def predict_congestion(tree: TreeSparsifier, demand: Mapping[int, object]) -> Fr
     nodes whose clusters hold its vertex, plus the tree's vertex-to-node
     index, built on the first call for a tree (``TreeSparsifier._nodes_at``).
     The demand is checked and read by ``flow._demand_values``: a plain int
-    value stays an int and any other is read as a Fraction.  The largest ratio is picked by cross-multiplying, and one
-    Fraction is built from it.
+    value stays an int and any other is read as a Fraction.  The largest
+    ratio, a crossing over its node's cap, is picked by cross-multiplying,
+    and one Fraction is built from it.
     """
-    caps = tree._caps
+    nodes = tree.nodes
     num, den = 0, 1
     for pos, crossing in tree.crossings(_demand_values(tree.n, demand)).items():
-        if abs(crossing) * den > num * caps[pos]:
-            num, den = abs(crossing), caps[pos]
+        cap = nodes[pos].cap
+        if abs(crossing) * den > num * cap:
+            num, den = abs(crossing), cap
     return Fraction(num, den)
 
 

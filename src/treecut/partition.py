@@ -127,7 +127,6 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
     if len(c_set) == 1:
         return PartitionClusterResult(frozenset(), parts)
 
-    outside = graph._all_vertices - c_set
     current = parts
     iteration_cap = None
     iterations = 0
@@ -174,9 +173,9 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
             else:
                 candidate = sparse if min(sparse) < min(rest) else rest
 
-        _assert_candidate(graph, c_set, candidate, pi, total, progress, phi)
-
-        border = incident_capacity(graph, candidate, outside).total()
+        inner_cut = _assert_candidate(graph, c_set, candidate, pi, total, progress, phi)
+        # the candidate's capacity out of the cluster, from its own edges
+        border = boundary_capacity(graph, candidate, graph._all_vertices) - inner_cut
         if 2 * border <= pi.total(candidate):
             current = fuse(current, candidate, graph)
             previous = (total, progress)
@@ -190,8 +189,9 @@ def partition_cluster(graph: Graph, cluster: Iterable[int], parts: Partition,
         return PartitionClusterResult(bad_child, refined)
 
 
-def _assert_candidate(graph, c_set, candidate, pi, total, progress, phi):
-    """The processing-stage invariants; violations indicate an engine bug."""
+def _assert_candidate(graph, c_set, candidate, pi, total, progress, phi) -> int:
+    """The processing-stage invariants; violations indicate an engine bug.
+    Returns the candidate's cut inside the cluster."""
     if 2 * len(candidate) > len(c_set):
         raise InternalError("candidate spans more than half the cluster")
     weight = pi.total(candidate)
@@ -200,3 +200,4 @@ def _assert_candidate(graph, c_set, candidate, pi, total, progress, phi):
     cut = boundary_capacity(graph, candidate, c_set)
     if cut > phi / 10 * weight:
         raise InternalError("candidate cut is not sparse enough")
+    return cut

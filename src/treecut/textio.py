@@ -7,8 +7,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .graphs import Graph, VertexWeights
-from .hierarchy import TreeNode, TreeSparsifier
+from .graphs import Graph, TreeNode, VertexWeights
+from .hierarchy import TreeSparsifier
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -33,7 +33,7 @@ from treecut.graphs import (_CHUNK, Cut, Graph, Partition, _check_enumeration_si
 
 def edge_index(graph: Graph, u: int, v: int) -> int | None:
     """The index of edge {u, v}, None when there is none."""
-    return next((idx for w, idx, _c in graph.neighbors(u) if w == v), None)
+    return next((idx for w, idx in graph._adj[u] if w == v), None)
 
 
 def capacity(graph: Graph, u: int, v: int) -> int:
@@ -102,7 +102,7 @@ def flow_value(graph: Graph, nums: Mapping[int, int], denom: int, u: int,
 def flow_net_numerator(graph: Graph, nums: Mapping[int, int], v: int) -> int:
     """Numerator of the net flow out of ``v``."""
     total = 0
-    for _w, idx, _c in graph.neighbors(v):
+    for _w, idx in graph._adj[v]:
         num = nums.get(idx, 0)
         eu = graph.edges[idx][0]
         total += num if v == eu else -num

@@ -316,11 +316,11 @@ def loop_sweep_orientation(act, vals, order, svals, a, side):
 
 def bfs_tree(graph, start):
     """{vertex: (hops, parent, edge from the parent)} of a full BFS from
-    ``start`` over ``graph.neighbors``, in the order it reaches them."""
+    ``start`` over ``graph._adj``, in the order it reaches them."""
     tree, queue = {start: (0, None, None)}, collections.deque([start])
     while queue:
         v = queue.popleft()
-        for w, eidx, _c in graph.neighbors(v):
+        for w, eidx in graph._adj[v]:
             if w not in tree:
                 tree[w] = (tree[v][0] + 1, v, eidx)
                 queue.append(w)

@@ -23,7 +23,7 @@ def bfs_distance(graph, start, goal):
             return hops
         nxt = set()
         for v in frontier:
-            for w, _i, _c in graph.neighbors(v):
+            for w, _i in graph._adj[v]:
                 if w not in seen:
                     seen.add(w)
                     nxt.add(w)

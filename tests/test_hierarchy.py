@@ -135,6 +135,11 @@ class TestConstructHierarchy:
         assert builds[0].levels[-1] is builds[1].levels[-1] is graph._singleton_partition
         assert graph._whole_partition == Partition.trivial(range(graph.n))
         assert graph._singleton_partition == Partition.singletons(range(graph.n))
+        # so every star tree on the graph holds the graph's one tuple of
+        # nodes, and reading a tree's nodes builds none
+        trees = [to_tree_sparsifier(builds[1], graph) for _ in range(2)]
+        assert trees[0].nodes is trees[1].nodes is graph._star_nodes
+        assert trees[0].nodes is trees[0].nodes
 
     def test_multilevel_on_capacitated_bottleneck(self, bottleneck):
         graph, build = bottleneck
