@@ -351,14 +351,15 @@ def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
     ``supply`` and ``demand`` are int arrays of the leftover proposal and
     response units at each of the n vertices, L - R and R - L after pairing
     min(L, R) at each vertex, nonzero at disjoint vertices.  Sources go in
-    ascending order; each runs a BFS over ``graph._adj`` and takes the units
-    left at each sink as the BFS reaches it, nearest first, until the
-    source's units are used up.  A path's weight is the units it moves, and
-    an edge's load is the plain sum of the weights of the paths over it: at
-    least the |net flow| on the edge, equal to it when no two paths cross
-    the edge in opposite directions, so it is a sound congestion bound.  A
-    source whose BFS runs out of sinks is left short, for the caller's count
-    to catch.
+    ascending order; each runs a BFS over ``graph._arc_layout``, keeping the
+    arc that reached each vertex to walk a path back from its sink, and
+    takes the units left at each sink as the BFS reaches it, nearest first,
+    until the source's units are used up.  A path's weight is the units it
+    moves, and an edge's load is the plain sum of the weights of the paths
+    over it: at least the |net flow| on the edge, equal to it when no two
+    paths cross the edge in opposite directions, so it is a sound congestion
+    bound.  A source whose BFS runs out of sinks is left short, for the
+    caller's count to catch.
 
     The capacity proof holds for any router of simple paths.
     ``matching_player_step`` certifies a round with cap_scale 3c (c the cap
@@ -375,9 +376,9 @@ def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
     sum (R - L)+ = L' + sum R - sum L is at least L'.  The graph is
     connected, so every BFS reaches a sink while any demand is left.
     """
-    adj, edges = graph._adj, graph.edges
+    to, _cap, head = graph._arc_layout
     room, units = demand.tolist(), supply.tolist()
-    # per vertex: the last source whose BFS reached it, and the edge it came by
+    # per vertex: the last source whose BFS reached it, and the arc it came by
     seen, via = [-1] * graph.n, [-1] * graph.n
     rows: list[int] = []  # (source, sink, units) rows, one after another
     load: dict[int, int] = {}
@@ -385,9 +386,9 @@ def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
         need, taken, queue = units[start], [], [start]
         seen[start], via[start] = start, -1
         for v in queue:
-            for w, idx in adj[v]:
-                if seen[w] != start:
-                    seen[w], via[w] = start, idx
+            for a in head[v]:
+                if seen[w := to[a]] != start:
+                    seen[w], via[w] = start, a
                     queue.append(w)
                     if got := room[w]:
                         take = min(need, got)
@@ -400,10 +401,9 @@ def _route_certified(graph: Graph, supply: np.ndarray, demand: np.ndarray
                 break
         for sink, take in taken:
             v = sink
-            while (idx := via[v]) >= 0:
-                a, b, _c = edges[idx]
-                v = a if b == v else b
-                load[idx] = load.get(idx, 0) + take
+            while (a := via[v]) >= 0:
+                v, e = to[a ^ 1], a >> 1
+                load[e] = load.get(e, 0) + take
             rows += (start, sink, take)
     return np.array(rows, dtype=np.intp).reshape(-1, 3), load
 

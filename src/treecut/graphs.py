@@ -1,9 +1,12 @@
 """Graph, weight-function, and partition primitives plus brute-force oracles.
 
 Vertices are integers 0..n-1.  Graphs are undirected with positive integer
-capacities; parallel edges are aggregated on ingestion.  All cut arithmetic
-is exact (Python integers / fractions), with numpy used only to enumerate
-subsets quickly inside the brute-force oracles.
+capacities; parallel edges are aggregated on ingestion.  Each graph keeps
+one adjacency, the arc layout ``Graph._arc_layout``, which every edge walk
+and every max flow reads.  All cut arithmetic is exact (Python integers /
+fractions).  numpy holds the float edge capacities that the cut-matching
+game's load checks read (``Graph._capacities``) and enumerates subsets
+inside the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -48,13 +51,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for idx, (u, v, _c) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]],
@@ -112,28 +108,20 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            stack, comp = [start], {start}
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for w, _i in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
-
     @cached_property
     def _connected(self) -> bool:
-        # the graph is immutable, so the answer is computed once
-        return len(self.components()) <= 1
+        """Whether one search from vertex 0 over the arcs reaches every
+        vertex; computed once, since the graph is immutable."""
+        if self.n <= 1:
+            return True
+        to, _cap, head = self._arc_layout
+        seen, stack = {0}, [0]
+        while stack:
+            for a in head[stack.pop()]:
+                if (w := to[a]) not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.n
 
     def is_connected(self) -> bool:
         return self._connected
@@ -173,26 +161,29 @@ class Graph:
 
     @cached_property
     def _arc_layout(self) -> tuple[list[int], list[int], list[list[int]]]:
-        """The max-flow arc layout: (arc heads, base capacities, arcs out of each vertex).
+        """The graph's one adjacency, which every edge walk and every max flow
+        reads: (arc heads, base capacities, arcs out of each vertex).
 
-        Edge e = (u, v) owns arcs 2e (u to v) and 2e + 1.  With the
-        super-source n and super-sink n + 1, vertex v owns the source pair
-        2m + 2v (n to v), 2m + 2v + 1 and the sink pair 2m + 2n + 2v (v to
-        n + 1), 2m + 2n + 2v + 1, whose base capacity is 0, so there are
-        2m + 4n arcs.  Vertex v's list holds only its edge arcs, in edge
-        order, and there is none for the super-terminals: a max flow lists
-        the terminal arcs of its own terminals (``flow._run_max_flow``).
-        Built once, since the graph is immutable; each flow keeps its own
-        residuals.
+        Edge e = (u, v) owns arcs 2e (u to v) and 2e + 1 (v to u), so the
+        arc a leaves vertex ``to[a ^ 1]`` and belongs to edge ``a >> 1``.
+        With the super-source n and super-sink n + 1, vertex v owns the
+        source pair 2m + 2v (n to v), 2m + 2v + 1 and the sink pair
+        2m + 2n + 2v (v to n + 1), 2m + 2n + 2v + 1, whose base capacity is
+        0, so there are 2m + 4n arcs.  Vertex v's list holds only its edge
+        arcs, in edge order, and there is none for the super-terminals: a
+        max flow lists the terminal arcs of its own terminals
+        (``flow._run_max_flow``).  Built once, since the graph is immutable;
+        each flow keeps its own residuals.
         """
         n = self.n
         to: list[int] = []
         cap: list[int] = []
-        for u, v, c in self.edges:
+        head: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, v, c) in enumerate(self.edges):
             to += (v, u)
             cap += (c, c)
-        head = [[2 * idx + (v != self.edges[idx][0]) for _w, idx in self._adj[v]]
-                for v in range(n)]
+            head[u].append(2 * e)
+            head[v].append(2 * e + 1)
         for v in range(n):
             to += (v, n)
         for v in range(n):
@@ -271,15 +262,15 @@ class TreeNode:
 def boundary_capacity(graph: Graph, subset: Iterable[int], ground: Iterable[int]) -> int:
     """cap(S, ground - S): capacity of edges of G[ground] leaving ``subset``.
 
-    Only S's own edges are read, O(vol(S)) for a set or frozenset ground;
-    any other ground is first copied into a set.
+    Only S's own arcs are read, O(vol(S)); a set or frozenset ``subset`` or
+    ``ground`` is read in place, any other is first copied into a set.
     """
-    s = set(subset)
+    s = subset if isinstance(subset, (set, frozenset)) else set(subset)
     g = ground if isinstance(ground, (set, frozenset)) else set(ground)
     if not s <= g:
         raise ArgumentError("subset must be contained in the ground set")
-    adj, edges = graph._adj, graph.edges
-    return sum(edges[idx][2] for v in s for w, idx in adj[v] if w not in s and w in g)
+    to, cap, head = graph._arc_layout
+    return sum(cap[a] for v in s for a in head[v] if to[a] not in s and to[a] in g)
 
 
 def boundary_degree_map(graph: Graph, partition: Partition) -> VertexWeights:
@@ -287,17 +278,17 @@ def boundary_degree_map(graph: Graph, partition: Partition) -> VertexWeights:
 
     An edge is a boundary edge when its endpoints lie in different clusters,
     or when exactly one endpoint lies inside the partition's ground set.
-    Only the edges at the ground's vertices are read, O(vol(ground)).
+    Only the arcs at the ground's vertices are read, O(vol(ground)).
     """
-    index, adj, edges = partition._index, graph._adj, graph.edges
+    index, (to, cap, head) = partition._index, graph._arc_layout
     if not graph._all_vertices.issuperset(index):
         raise ArgumentError("partition holds a vertex outside the graph")
     out: dict[int, int] = {}
     for u, cid in index.items():
         total = 0
-        for w, idx in adj[u]:
-            if index.get(w) != cid:
-                total += edges[idx][2]
+        for a in head[u]:
+            if index.get(to[a]) != cid:
+                total += cap[a]
         if total:
             out[u] = total
     return VertexWeights(out)
@@ -307,13 +298,13 @@ def incident_capacity(graph: Graph, sources: Iterable[int],
                       targets: Iterable[int]) -> VertexWeights:
     """For each source vertex, the capacity of its edges into ``targets``."""
     tset = set(targets)
-    adj, edges = graph._adj, graph.edges
+    to, cap, head = graph._arc_layout
     out: dict[int, int] = {}
     for v in sources:
         total = 0
-        for w, idx in adj[v]:
-            if w in tset:
-                total += edges[idx][2]
+        for a in head[v]:
+            if to[a] in tset:
+                total += cap[a]
         if total:
             out[v] = total
     return VertexWeights(out)
@@ -339,9 +330,10 @@ def fuse(partition: Partition, merged: Iterable[int], graph: Graph) -> Partition
     fused = Partition.of(new_clusters)
     before = boundary_degree_map(graph, partition)
     after = boundary_degree_map(graph, fused)
+    # 2 cap(T, ground - T) + cap(T, V - ground), from T's own arcs
     bound = (before.total(ground) - before.total(t)
-             + 2 * incident_capacity(graph, t, ground - t).total()
-             + incident_capacity(graph, t, graph._all_vertices - ground).total())
+             + boundary_capacity(graph, t, ground)
+             + boundary_capacity(graph, t, graph._all_vertices))
     if after.total(ground) > bound:
         raise InternalError("fuse boundary bound violated")
     return fused

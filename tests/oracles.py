@@ -31,9 +31,20 @@ from treecut.graphs import (_CHUNK, Cut, Graph, Partition, _check_enumeration_si
 # ---------------------------------------------------------------------------
 
 
+def neighbour_lists(graph: Graph) -> list[list[tuple[int, int]]]:
+    """(neighbour, edge index) pairs at each vertex, in edge order, from a
+    scan of ``graph.edges``: a reference that does not read the arc layout."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for idx, (u, v, _c) in enumerate(graph.edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+    return adj
+
+
 def edge_index(graph: Graph, u: int, v: int) -> int | None:
     """The index of edge {u, v}, None when there is none."""
-    return next((idx for w, idx in graph._adj[u] if w == v), None)
+    return next((idx for idx, (a, b, _c) in enumerate(graph.edges)
+                 if (a, b) in ((u, v), (v, u))), None)
 
 
 def capacity(graph: Graph, u: int, v: int) -> int:
@@ -102,7 +113,7 @@ def flow_value(graph: Graph, nums: Mapping[int, int], denom: int, u: int,
 def flow_net_numerator(graph: Graph, nums: Mapping[int, int], v: int) -> int:
     """Numerator of the net flow out of ``v``."""
     total = 0
-    for _w, idx in graph._adj[v]:
+    for _w, idx in neighbour_lists(graph)[v]:
         num = nums.get(idx, 0)
         eu = graph.edges[idx][0]
         total += num if v == eu else -num

@@ -27,7 +27,7 @@ from treecut.cutmatch import MATCH_FAIRNESS
 from treecut.flow import _run_max_flow, fair_cut, path_decomposition
 
 from conftest import philox, played_rounds, random_connected_graph, two_cliques_bridge
-from oracles import ReferenceTry, brute_force_sparsest_cut
+from oracles import ReferenceTry, brute_force_sparsest_cut, neighbour_lists
 from walk_diagnostics import (dense_flow_matrix, pair_permutation, potential,
                               stable_sort_sweep_cut, sweep_cut_violations)
 
@@ -316,11 +316,13 @@ def loop_sweep_orientation(act, vals, order, svals, a, side):
 
 def bfs_tree(graph, start):
     """{vertex: (hops, parent, edge from the parent)} of a full BFS from
-    ``start`` over ``graph._adj``, in the order it reaches them."""
+    ``start`` over each vertex's edges in edge order, in the order it
+    reaches them."""
+    adj = neighbour_lists(graph)
     tree, queue = {start: (0, None, None)}, collections.deque([start])
     while queue:
         v = queue.popleft()
-        for w, eidx in graph._adj[v]:
+        for w, eidx in adj[v]:
             if w not in tree:
                 tree[w] = (tree[v][0] + 1, v, eidx)
                 queue.append(w)

@@ -1,5 +1,6 @@
 """Max flow, fair cuts, path decomposition, and congestion oracles."""
 
+import functools
 import importlib
 import math
 import pathlib
@@ -377,13 +378,15 @@ class TestOptCongestion:
 
     def test_connectivity_searched_once_per_graph(self, monkeypatch):
         searches = [0]
-        original = Graph.components
+        original = Graph.__dict__["_connected"].func
 
         def counting(self):
             searches[0] += 1
             return original(self)
 
-        monkeypatch.setattr(Graph, "components", counting)
+        counted = functools.cached_property(counting)
+        counted.__set_name__(Graph, "_connected")
+        monkeypatch.setattr(Graph, "_connected", counted)
         path = Graph.from_edges(6, [(i, i + 1, 1) for i in range(5)],
                                 require_connected=False)
         for magnitude in range(1, 9):

@@ -11,10 +11,11 @@ from treecut import (ArgumentError, TreeSparsifier, construct_hierarchy,
                      random_pair_demands, to_tree_sparsifier)
 
 from conftest import bisection_tree, philox
-from oracles import capacity
+from oracles import capacity, neighbour_lists
 
 
 def bfs_distance(graph, start, goal):
+    adj = neighbour_lists(graph)
     frontier = {start}
     seen = {start}
     hops = 0
@@ -23,7 +24,7 @@ def bfs_distance(graph, start, goal):
             return hops
         nxt = set()
         for v in frontier:
-            for w, _i in graph._adj[v]:
+            for w, _i in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     nxt.add(w)

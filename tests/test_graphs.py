@@ -38,7 +38,7 @@ class TestGraphConstruction:
 
     def test_disconnected_allowed_when_asked(self):
         g = Graph.from_edges(4, [(0, 1, 1), (2, 3, 1)], require_connected=False)
-        assert len(g.components()) == 2
+        assert not g.is_connected()
 
     @pytest.mark.parametrize("edge", [(0, 1, 1.5), (0, 1, True), (0.0, 1, 1),
                                       (0, 1, "2"), (True, 1, 1)])
@@ -46,6 +46,65 @@ class TestGraphConstruction:
         with pytest.raises(ArgumentError) as info:
             Graph.from_edges(2, [edge])
         assert repr(edge) in str(info.value)
+
+
+def union_find_connected(graph: Graph) -> bool:
+    """Whether the edges join every vertex, by a union-find over ``graph.edges``."""
+    root = list(range(graph.n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v, _c in graph.edges:
+        root[find(u)] = find(v)
+    return len({find(v) for v in range(graph.n)}) <= 1
+
+
+def random_graph(seed: int) -> Graph:
+    """A seeded random graph, often disconnected: n in 1..12 and up to 2n
+    random edges."""
+    rng = philox(seed)
+    n = int(rng.integers(1, 13))
+    ends = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2)).tolist()
+    return Graph.from_edges(n, [(u, v, int(rng.integers(1, 6))) for u, v in ends if u != v],
+                            require_connected=False)
+
+
+class TestArcLayout:
+    """``Graph._arc_layout`` against a scan of ``graph.edges``: every edge walk
+    and the router's pinned games read its order."""
+
+    @staticmethod
+    def _assert_matches_edges(graph):
+        to, cap, head = graph._arc_layout
+        assert len(head) == graph.n
+        for v in range(graph.n):
+            assert [a >> 1 for a in head[v]] == \
+                [idx for idx, (a, b, _c) in enumerate(graph.edges) if v in (a, b)]
+            for a in head[v]:
+                u, w, c = graph.edges[a >> 1]
+                assert to[a ^ 1] == v
+                assert {to[a], v} == {u, w}
+                assert cap[a] == cap[a ^ 1] == c
+        assert graph.is_connected() == union_find_connected(graph)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs(self, seed):
+        self._assert_matches_edges(random_graph(seed))
+
+    def test_isolated_vertex(self):
+        graph = Graph.from_edges(4, [(0, 1, 2), (1, 2, 3)], require_connected=False)
+        assert graph._arc_layout[2][3] == []
+        assert not graph.is_connected()
+        self._assert_matches_edges(graph)
+
+    def test_single_vertex_is_connected(self):
+        graph = Graph.from_edges(1, [])
+        assert graph.is_connected()
+        self._assert_matches_edges(graph)
 
 
 class TestBoundaryCapacity:
@@ -151,16 +210,16 @@ class TestFuse:
             fuse(Partition.singletons(range(3)), set(), path3)
 
     def test_violated_growth_bound_raises(self, monkeypatch, path3):
-        # crediting no incident capacity puts the bound below the real boundary
-        monkeypatch.setattr(graphs, "incident_capacity", lambda *_a: VertexWeights())
+        # crediting no boundary capacity puts the bound below the real boundary
+        monkeypatch.setattr(graphs, "boundary_capacity", lambda *_a: 0)
         with pytest.raises(InternalError):
             fuse(Partition.singletons(range(3)), {0, 1}, path3)
 
     def test_violated_growth_bound_raises_under_optimize(self):
         script = ("import sys\n"
-                  "from treecut import Graph, InternalError, Partition, VertexWeights\n"
+                  "from treecut import Graph, InternalError, Partition\n"
                   "from treecut import fuse, graphs\n"
-                  "graphs.incident_capacity = lambda *_a: VertexWeights()\n"
+                  "graphs.boundary_capacity = lambda *_a: 0\n"
                   "g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 1)])\n"
                   "try:\n"
                   "    fuse(Partition.singletons(range(3)), {0, 1}, g)\n"
