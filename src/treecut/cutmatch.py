@@ -14,8 +14,9 @@ integral routed paths whose congestion it tracks, and returns the matching
 as a pair array sorted by proposal unit, the partners read in stable order
 of the pairs' start vertices; ``step`` builds the walk permutation from it.
 The game holds ``matchings``, ``perms``, ``active_mask``, ``deleted``, the
-per-edge ``load`` and ``max_load_ratio``.  Per-unit work is numpy array
-work; Python loops run once per vertex or routed path.
+per-edge ``load`` and the exact ``load_ratio``; the matching player alone
+changes the last four.  Per-unit work is numpy array work; Python loops run
+once per vertex or routed path.
 
 The fair cut is solved only when a cut bound cannot prove it empty
 (``flow._fair_cut_is_empty``, whose docstring holds the bound), and a round
@@ -428,7 +429,10 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     error.  Routes within the game's vertices not yet deleted, zero-weight
     vertices included, so that every edge leaving a deleted region is
     visible to some fair cut and the deleted set stays sparse against
-    full-graph capacities.
+    full-graph capacities.  The round's state changes here alone: the cut
+    side joins ``deleted`` and its units, the dropped ones, leave
+    ``active_mask``; the loads add to ``load``, and ``load_ratio`` is
+    updated from the edges routed.
     """
     graph, vertex_of, k, n = game.graph, game.vertex_of, game.k, game.graph.n
     lft, rgt = _unit_array(left, k), _unit_array(right, k)
@@ -464,7 +468,9 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
     if cut_side:
         in_cut = np.zeros(n, dtype=bool)
         in_cut[list(cut_side)] = True
-        dropped = frozenset((active & in_cut[vertex_of]).nonzero()[0].tolist())
+        gone = active & in_cut[vertex_of]
+        dropped = frozenset(gone.nonzero()[0].tolist())
+        active[gone] = False
         survivors = alive - cut_side
         lft, rgt = lft[~in_cut[vertex_of[lft]]], rgt[~in_cut[vertex_of[rgt]]]
         n_left[in_cut] = n_right[in_cut] = 0
@@ -515,9 +521,17 @@ def matching_player_step(game: "CutMatchingGame", left: Iterable[int] | np.ndarr
         raise InternalError("per-round embedding load too high")
     total = game.load[eidx] + load
     game.load[eidx] = total
-    # loads only grow, so the largest ratio over the routed edges updates
-    # the maximum exactly
-    game.max_load_ratio = float((total / capacity).max(initial=game.max_load_ratio))
+    # loads only grow, so the routed edges update the maximum: float ratios
+    # pick the candidates, integer cross multiplication decides
+    if routed:
+        ratio = total / capacity
+        near = (ratio >= ratio.max() * (1 - 2.0 ** -50)).nonzero()[0]
+        top, below = game.load_ratio.as_integer_ratio()
+        edges = graph.edges
+        for e, got in zip(eidx[near].tolist(), total[near].tolist()):
+            if got * below > top * edges[e][2]:
+                top, below = got, edges[e][2]
+        game.load_ratio = Fraction(top, below)
     # a sorted unit array holds the n(v) units at v from offset first(v) on,
     # and the r-th row unit at v is the one at first(v) + r; each vertex
     # starts exactly n_left(v) row units, so the row units in stable order of
@@ -695,9 +709,9 @@ class CutMatchingGame:
     State: ``matchings`` holds each round's (p, 2) array of (proposal,
     response) unit pairs and ``perms`` their walk permutations; ``deleted``
     holds the vertices the matching player cut off, ``load`` its routed load
-    per edge index as an int64 array, and ``max_load_ratio`` the largest
-    load over capacity (a capacity of 2^53 or more is rounded to a float
-    first).  Fair cuts scale capacities by ``cap_multiplier`` =
+    per edge index as an int64 array, and ``load_ratio`` rho, the largest
+    load over capacity as a Fraction, ``max_load_ratio`` its float.  Fair
+    cuts scale capacities by ``cap_multiplier`` =
     ceil(c * MATCH_FAIRNESS) for c = ``congestion_factor`` = ceil(10/phi).
     """
 
@@ -733,7 +747,7 @@ class CutMatchingGame:
         self.congestion_factor = math.ceil(Fraction(10) / phi)
         self.deleted: set[int] = set()
         self.load = np.zeros(graph.m, dtype=np.int64)
-        self.max_load_ratio = 0.0
+        self.load_ratio = Fraction(0)
         self.active_mask = np.ones(k, dtype=bool)
         self.matchings: list[np.ndarray] = []
         self.perms: list[np.ndarray] = []
@@ -763,6 +777,10 @@ class CutMatchingGame:
         return -(-self.congestion_factor * up // down)
 
     @property
+    def max_load_ratio(self) -> float:
+        return float(self.load_ratio)
+
+    @property
     def round(self) -> int:
         return len(self.matchings)
 
@@ -782,8 +800,6 @@ class CutMatchingGame:
             raise InternalError("game already stopped")
         left, right = cut_player_step(self)
         dropped, pairs = matching_player_step(self, left, right)
-        if dropped:
-            self.active_mask[list(dropped)] = False
         self.matchings.append(pairs)
         # the pairs are disjoint, so each unit is written at most once
         perm = np.arange(self.k)
@@ -826,17 +842,17 @@ class CutMatchingGame:
 
         Let w(u, v) count the matched unit pairs, over all rounds, whose ends
         lie at the distinct vertices u and v of C, L_W its Laplacian, P =
-        pi(C), rho = max load(e)/cap(e) and mu = 2 rho phi/q*.  If
-        K = L_W - mu diag(pi) + ((mu + 1)/P) pi pi^T is positive definite, the
-        claim holds.  Scaled by diag(pi)^-1/2 on both sides, K has eigenvalue
-        1 on sqrt(pi) and is N - mu I on its complement, N the normalised
-        Laplacian, so lambda_2(N) > mu.  For S's indicator x, splitting off
-        its pi-mean gives x^T L_W x > mu pi(S) pi(C - S)/P >= (mu/2)
-        min(pi(S), pi(C - S)).  Each pair that crosses S was routed along a
-        path of the game (a game that deleted nothing routes every pair
-        within its vertices), and that path put at least one unit of
-        ``load`` on the boundary of S, so at most rho cap(boundary of S)
-        pairs cross it.
+        pi(C), rho = max load(e)/cap(e), the game's ``load_ratio``, and
+        mu = 2 rho phi/q*.  If K = L_W - mu diag(pi) + ((mu + 1)/P) pi pi^T
+        is positive definite, the claim holds.  Scaled by diag(pi)^-1/2 on
+        both sides, K has eigenvalue 1 on sqrt(pi) and is N - mu I on its
+        complement, N the normalised Laplacian, so lambda_2(N) > mu.  For S's
+        indicator x, splitting off its pi-mean gives x^T L_W x > mu pi(S)
+        pi(C - S)/P >= (mu/2) min(pi(S), pi(C - S)).  Each pair that crosses
+        S was routed along a path of the game (a game that deleted nothing
+        routes every pair within its vertices), and that path put at least
+        one unit of ``load`` on the boundary of S, so at most rho cap(boundary
+        of S) pairs cross it.
 
         Exact: mu = a/b comes from the integer loads and capacities, K is
         scaled to integers, and a shifted Cholesky proves it positive
@@ -849,7 +865,7 @@ class CutMatchingGame:
         must put lambda_2(N) above mu; the entry bound and the diagonal are
         read from W's degrees (``_expansion_matrix``); and only then is the
         n x n matrix built and factored.  A try that ends before the matrix
-        costs O(n + m) plus the new rounds' pairs, and a screened one also
+        costs O(n) plus the new rounds' pairs, and a screened one also
         sorts one key per pair so far; one that factors adds a few passes
         over the n x n matrix to its factorisation.
         """
@@ -857,7 +873,7 @@ class CutMatchingGame:
         if self.deleted or self.round < ceil_log2(self.k) or size > CERTIFY_VERTEX_CAP:
             return False
         self._fold()
-        mu = 2 * self._load_ratio() * self.expansion_target
+        mu = 2 * self.load_ratio * self.expansion_target
         a, b = mu.numerator, mu.denominator
         if size > SCREEN_VERTICES:
             # each pair's smaller key is u * n + v with u < v
@@ -888,23 +904,6 @@ class CutMatchingGame:
             # each row (u, v) times [[n, 1], [1, n]] is (u * n + v, v * n + u)
             orient = np.array([[size, 1], [1, size]])
             self._keys = np.concatenate([self._keys, (ends @ orient).reshape(-1)])
-
-    def _load_ratio(self) -> Fraction:
-        """max load(e)/cap(e) over the edges, exactly, by cross multiplication
-        of the integer loads and capacities; the float ratios only pick the
-        candidates."""
-        ratio = self.load / self.graph._capacities
-        top = ratio.max(initial=0.0)
-        if not top:
-            return Fraction(0)
-        near = (ratio >= top * (1 - 2.0 ** -50)).nonzero()[0]
-        loads, edges = self.load[near].tolist(), self.graph.edges
-        best = 0, 1
-        for e, load in zip(near.tolist(), loads):
-            capacity = edges[e][2]
-            if load * best[1] > best[0] * capacity:
-                best = load, capacity
-        return Fraction(*best)
 
     def run(self) -> frozenset[int]:
         while self.stopped is None:

@@ -144,22 +144,20 @@ def _tree_load_chooser(tree) -> Callable:
     return choose
 
 
-def diamond_adversarial_demands(order: int, tree=None) -> list[dict[int, int]]:
-    """The recursive demand sequence that stresses any single tree of cuts.
+def diamond_adversarial_demands(order: int, tree) -> list[dict[int, int]]:
+    """The recursive demand sequence that stresses the tree ``tree``.
 
     At depth i it sends 2**(order-i) units from both endpoints of the current
     sub-path to its middle vertex, then recurses into one of its quarter
-    sub-paths: the one the supplied tree already predicts the highest load
-    for, or the first without a tree.
+    sub-paths: the one the tree already predicts the highest load for.
     """
     if order < 1:
         raise ArgumentError("adversarial demands need order >= 1")
     graph, structure = diamond_structure(order)
-    if tree is not None and tree.n != graph.n:
+    if tree.n != graph.n:
         raise ArgumentError(f"the tree has {tree.n} vertices, the order-{order} "
                             f"diamond {graph.n}")
-    chooser = _tree_load_chooser(tree) if tree is not None else \
-        (lambda paths, demands: 0)
+    chooser = _tree_load_chooser(tree)
 
     demands: list[dict[int, int]] = []
     top = structure.parts

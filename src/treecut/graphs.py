@@ -132,6 +132,15 @@ class Graph:
         graph._all_vertices`` tells the whole graph (``flow._vertex_set``)."""
         return frozenset(range(self.n))
 
+    def _check_vertices(self, verts: Iterable[int], name: str) -> None:
+        """Raise an argument error naming the first of ``verts`` that is not a
+        vertex of the graph; ``_all_vertices`` itself passes at no cost."""
+        everything = self._all_vertices
+        if verts is not everything and not everything.issuperset(verts):
+            stray = next(v for v in verts if v not in everything)
+            raise ArgumentError(f"{name} holds {stray!r}, not a vertex of the graph "
+                                f"(0..{self.n - 1})")
+
     @cached_property
     def _singleton_clusters(self) -> tuple[frozenset[int], ...]:
         """{v} for every vertex, built once; every hierarchy on the graph shares them."""
@@ -267,6 +276,8 @@ def boundary_capacity(graph: Graph, subset: Iterable[int], ground: Iterable[int]
     """
     s = subset if isinstance(subset, (set, frozenset)) else set(subset)
     g = ground if isinstance(ground, (set, frozenset)) else set(ground)
+    # a subset of the ground is then within the graph too
+    graph._check_vertices(g, "ground")
     if not s <= g:
         raise ArgumentError("subset must be contained in the ground set")
     to, cap, head = graph._arc_layout
@@ -297,7 +308,10 @@ def boundary_degree_map(graph: Graph, partition: Partition) -> VertexWeights:
 def incident_capacity(graph: Graph, sources: Iterable[int],
                       targets: Iterable[int]) -> VertexWeights:
     """For each source vertex, the capacity of its edges into ``targets``."""
+    sources = sources if isinstance(sources, (set, frozenset)) else list(sources)
     tset = set(targets)
+    graph._check_vertices(sources, "sources")
+    graph._check_vertices(tset, "targets")
     to, cap, head = graph._arc_layout
     out: dict[int, int] = {}
     for v in sources:

@@ -96,6 +96,8 @@ def check_border_routable(graph: Graph, cluster: Iterable[int], side: Iterable[i
         raise ArgumentError("gamma and congestion must be positive")
     u_set = frozenset(side)
     c_set = frozenset(cluster)
+    # a side within the cluster is then within the graph too
+    graph._check_vertices(c_set, "cluster")
     if not u_set <= c_set:
         raise ArgumentError("side must be contained in the cluster")
     supplies = incident_capacity(graph, u_set, c_set - u_set)

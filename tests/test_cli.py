@@ -248,10 +248,12 @@ class TestExitCodes:
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "add_argument"):
                 options += 1
-        # 35: verify_fair_cut's within= and cap_scale= left the package with
-        # it for tests/oracles.py, max_flow's within= with max_flow, and
-        # eval --magnitude, which nothing set, became cli.EVAL_MAGNITUDE
-        assert defaults + options == 35, (defaults, options)
+        # 34: verify_fair_cut's within= and cap_scale= left the package with
+        # it for tests/oracles.py, max_flow's within= with max_flow, eval
+        # --magnitude, which nothing set, became cli.EVAL_MAGNITUDE, and
+        # diamond_adversarial_demands' tree=, which every caller sets, is
+        # required
+        assert defaults + options == 34, (defaults, options)
 
     def test_package_exports_are_pinned(self):
         # the public names are the production stack plus the oracles that

@@ -47,6 +47,11 @@ def make_game(graph, pi, phi, seed, **kw):
     return CutMatchingGame(graph, pi, phi, philox(seed), **kw)
 
 
+def in_lockstep(game) -> bool:
+    """Whether the inactive units are exactly the units of deleted vertices."""
+    return bool((~game.active_mask == np.isin(game.vertex_of, list(game.deleted))).all())
+
+
 class TestUnitMapping:
     # the game's vertex_of array maps each unit to its vertex
     def test_contiguous_ranges(self, k8):
@@ -659,8 +664,13 @@ class TestMatchingPlayerMatchesLoop:
                     assert game_array.max_load_ratio == max(
                         (load / graph.edges[e][2] for e, load in loop_load.items()),
                         default=0.0)
-                    for game in (game_loop, game_array):
-                        game.active_mask[list(dropped)] = False
+                    assert game_array.load_ratio == max(
+                        (Fraction(load, graph.edges[e][2]) for e, load in loop_load.items()),
+                        default=0)
+                    # the player retires the units it drops; the loop leaves that
+                    # to its caller
+                    assert in_lockstep(game_array)
+                    game_loop.active_mask[list(dropped)] = False
                     seen["rounds"] += 1
                     seen["dropping"] += bool(dropped)
                     seen["routing"] += routed and not certified
@@ -1228,8 +1238,7 @@ def run_game_with_invariants(graph, pi, phi, seed, max_rounds, congestion_factor
             game.step()
             played = rounds[-1]
 
-            # inactive units and deleted vertices stay in lockstep
-            assert (~game.active_mask == np.isin(game.vertex_of, list(game.deleted))).all()
+            assert in_lockstep(game)
             # the union of deleted vertices is 1/c-sparse, exactly
             inactive = frozenset(game.deleted)
             if inactive:
@@ -1248,7 +1257,30 @@ def run_game_with_invariants(graph, pi, phi, seed, max_rounds, congestion_factor
     return game
 
 
+def k8_with_pendant() -> tuple[Graph, dict[int, int]]:
+    """K8 on capacity-3 edges and a pendant vertex 8 on one capacity-1 edge,
+    weighted by degree with 8 units at the pendant: at congestion factor 1
+    the fair cut deletes the pendant in most seeded games."""
+    graph = Graph.from_edges(9, [(u, v, 3) for u in range(8) for v in range(u + 1, 8)]
+                             + [(0, 8, 1)])
+    return graph, {**VertexWeights.degrees(graph), 8: 8}
+
+
 class TestGameInvariants:
+    def test_direct_player_calls_keep_deletions_in_lockstep(self):
+        # the players called directly, not through step: the matching player
+        # itself retires the units of every vertex it deletes
+        graph, pi = k8_with_pendant()
+        deleting = 0
+        for seed in range(10):
+            game = make_game(graph, pi, Fraction(1, 4), seed)
+            game.congestion_factor = 1
+            for _ in range(8):
+                matching_player_step(game, *cut_player_step(game))
+                assert in_lockstep(game), seed
+            deleting += bool(game.deleted)
+        assert deleting >= 3, deleting
+
     def test_fuzzed_games(self):
         # the first dozen games cannot delete: with k <= 23 a proposal holds
         # at most 3 units, so its net supply of at most 9 stays below the
@@ -1551,7 +1583,7 @@ class TestExpansionProof:
             certified += 1
             sparsest = brute_force_sparsest_cut(graph, pi)[1]
             assert sparsest >= game.expansion_target
-            rho = game._load_ratio()
+            rho = game.load_ratio
             tight = Fraction(contracted_lambda2(game) * (1 - 1e-6)).limit_denominator(10 ** 6)
             assert proves(game._weights, game._keys, tight)
             assert tight / (2 * rho) <= sparsest
@@ -1588,7 +1620,7 @@ class TestExpansionProof:
         first = None
         while first is None:
             probe.step()
-            mu = 2 * probe._load_ratio() * probe.expansion_target
+            mu = 2 * probe.load_ratio * probe.expansion_target
             if probe.round >= ceil_log2(probe.k) and contracted_lambda2(probe) > mu:
                 first = probe.round
         game = make_game(graph, pi, Fraction(1, 80), 1)
@@ -1599,9 +1631,7 @@ class TestExpansionProof:
         # K8 with a pendant vertex that the fair cut deletes: the rest is an
         # expander the certificate would prove, but the matchings routed
         # before the deletion may cross the deleted vertex
-        graph = Graph.from_edges(9, [(u, v, 3) for u in range(8) for v in range(u + 1, 8)]
-                                 + [(0, 8, 1)])
-        pi = {**VertexWeights.degrees(graph), 8: 8}
+        graph, pi = k8_with_pendant()
         deleting = 0
         for seed in range(10):
             game = make_game(graph, pi, Fraction(1, 4), seed)

@@ -89,20 +89,24 @@ def cluster_sum_chooser(tree):
     return choose
 
 
+def diamond_tree(order: int) -> TreeSparsifier:
+    return bisection_tree(diamond_structure(order)[0])
+
+
 class TestAdversarialDemands:
     def test_order_one(self):
-        demands = diamond_adversarial_demands(1)
+        demands = diamond_adversarial_demands(1, diamond_tree(1))
         assert len(demands) == 2
         assert all(max(d.values()) == 1 for d in demands)
 
     def test_order_two_values(self):
-        demands = diamond_adversarial_demands(2)
+        demands = diamond_adversarial_demands(2, diamond_tree(2))
         values = [max(d.values()) for d in demands]
         assert values == [2, 2, 1, 1]
 
     def test_all_balanced(self):
         for order in (1, 2, 3):
-            for demand in diamond_adversarial_demands(order):
+            for demand in diamond_adversarial_demands(order, diamond_tree(order)):
                 assert sum(demand.values()) == 0
 
     def test_tree_chooser_is_deterministic(self):
@@ -114,14 +118,14 @@ class TestAdversarialDemands:
 
     def test_order_zero_rejected(self):
         with pytest.raises(ArgumentError):
-            diamond_adversarial_demands(0)
+            diamond_adversarial_demands(0, diamond_tree(1))
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_tree_chooser_matches_the_cluster_sums(self, order, monkeypatch):
         # random caps break the diamond's symmetry, so from order 3 on some
         # tree steers the sequence off the first sub-path
         graph, _root = diamond_structure(order)
-        trees = [None, bisection_tree(graph),
+        trees = [bisection_tree(graph),
                  to_tree_sparsifier(construct_hierarchy(graph, rng=philox(order)), graph)]
         for seed in range(4):
             root, *rest = bisection_tree(graph).nodes

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import treecut
 from treecut import (ArgumentError, Graph, InternalError, OversizeError, Partition,
                      VertexWeights, boundary_capacity, boundary_degree_map,
-                     check_expanding, check_laminar, fuse, graphs)
+                     check_expanding, check_laminar, fuse, generate_grid, graphs)
+from treecut.graphs import incident_capacity
 
 from conftest import connected_graphs, philox, weighted_graphs
 from oracles import (boundary_capacity_by_complement, boundary_degrees_by_edges,
@@ -121,6 +122,12 @@ class TestBoundaryCapacity:
         with pytest.raises(ArgumentError):
             boundary_capacity(path3, {0}, {1, 2})
 
+    def test_stray_vertex_named(self):
+        # -1 would read vertex 8's arcs as its own
+        with pytest.raises(ArgumentError,
+                           match=r"ground holds -1, not a vertex of the graph \(0\.\.8\)"):
+            boundary_capacity(generate_grid(3, 3), {-1}, {-1, 0, 1, 7})
+
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(), st.data())
     def test_complement_symmetry(self, graph, data):
@@ -139,6 +146,18 @@ class TestBoundaryCapacity:
             subset = {v for v in g if data.draw(st.booleans())}
             assert boundary_capacity(graph, subset, g) == \
                 boundary_capacity_by_complement(graph, subset, g)
+
+
+class TestIncidentCapacity:
+    @pytest.mark.parametrize("sources, targets, named", [
+        ({-1}, {0}, "sources holds -1"),
+        ([0, 9], {1}, "sources holds 9"),
+        ({0}, {1, 99}, "targets holds 99"),
+    ])
+    def test_stray_vertex_named(self, sources, targets, named):
+        # -1 would read vertex 8's arcs as its own, and 9 index past them
+        with pytest.raises(ArgumentError, match=f"{named}, not a vertex of the graph"):
+            incident_capacity(generate_grid(3, 3), sources, targets)
 
 
 class TestPartitionBoundaryDegree:

@@ -6,7 +6,8 @@ import pytest
 
 from treecut import (ArgumentError, Graph, Partition, VertexWeights,
                      boundary_capacity, boundary_degree_map, check_border_routable,
-                     check_expanding, oracle_params, partition_cluster, two_way_trim)
+                     check_expanding, generate_grid, oracle_params, partition_cluster,
+                     two_way_trim)
 from treecut import partition as partition_module
 from treecut.graphs import incident_capacity
 
@@ -39,6 +40,13 @@ class TestBorderRoutable:
             check_border_routable(path3, {0}, {0, 1}, 1, 2)
         with pytest.raises(ArgumentError):
             check_border_routable(path3, {0, 1}, {0}, 0, 2)
+
+    @pytest.mark.parametrize("stray", [99, -1])
+    def test_stray_vertex_named(self, stray):
+        # 99 would index past the arc lists, and -1 read vertex 8's arcs,
+        # none into the cluster, as a vacuous True
+        with pytest.raises(ArgumentError, match=f"cluster holds {stray}, not a vertex"):
+            check_border_routable(generate_grid(3, 3), {0, 1, stray}, {stray}, 1, 1)
 
 
 class TestTwoWayTrim:
